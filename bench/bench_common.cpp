@@ -54,6 +54,13 @@ void register_point(bench::Figure& fig, const std::string& series_name,
           const bench::RunResult r = bench::run_sim(spec);
           seconds = r.seconds;
           state.SetIterationTime(r.seconds);
+          // Simulator host cost next to the virtual result (stdout only;
+          // the BENCH json stays virtual time).
+          state.counters["host_s"] = r.sim_wall_seconds;
+          state.counters["msgs_per_host_s"] =
+              r.sim_wall_seconds > 0.0
+                  ? static_cast<double>(r.messages) / r.sim_wall_seconds
+                  : 0.0;
           // Repetition spread next to the headline minimum (nearest-rank
           // percentiles; only multi-rep runs produce rep_seconds).
           if (r.rep_seconds.size() >= 2) {

@@ -71,24 +71,22 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
   const std::size_t gg = static_cast<std::size_t>(g) * g * s;  // region block
   rt::ScratchBuffer lsend = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(nreg) * gg);
-  const bool real = lsend.data() != nullptr && gathered.data() != nullptr;
   t0 = world.now();
   obs::Span pack_span(tb, "pack", "phase", opts.tag_stream);
-  std::size_t moved = 0;
-  for (int j = 0; j < nreg; ++j) {
-    for (int i = 0; i < g; ++i) {
-      const std::size_t run = static_cast<std::size_t>(g) * s;
-      if (real) {
+  if (lsend.data() != nullptr && gathered.data() != nullptr) {
+    const std::size_t run = static_cast<std::size_t>(g) * s;
+    for (int j = 0; j < nreg; ++j) {
+      for (int i = 0; i < g; ++i) {
         rt::copy_bytes(
             lsend.view(static_cast<std::size_t>(j) * gg + i * run, run),
             gathered.view(static_cast<std::size_t>(i) * psz +
                               static_cast<std::size_t>(j) * run,
                           run));
       }
-      moved += run;
     }
   }
-  world.charge_copy(moved);
+  // Each repack moves the leader's whole nreg * g * g * s payload once.
+  world.charge_copy(static_cast<std::size_t>(nreg) * gg);
   pack_span.close();
   if (trace) trace->add(Phase::kPack, world.now() - t0);
 
@@ -109,15 +107,13 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
   // --- repack received region blocks into per-member scatter blocks ---------
   rt::ScratchBuffer sc = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(g) * psz);
-  const bool real2 = sc.data() != nullptr && lrecv.data() != nullptr;
   t0 = world.now();
   obs::Span pack2_span(tb, "pack", "phase", opts.tag_stream);
-  moved = 0;
-  for (int j = 0; j < nreg; ++j) {
-    for (int i2 = 0; i2 < g; ++i2) {
-      const int src_world = j * g + i2;
-      for (int m = 0; m < g; ++m) {
-        if (real2) {
+  if (sc.data() != nullptr && lrecv.data() != nullptr) {
+    for (int j = 0; j < nreg; ++j) {
+      for (int i2 = 0; i2 < g; ++i2) {
+        const int src_world = j * g + i2;
+        for (int m = 0; m < g; ++m) {
           rt::copy_bytes(
               sc.view(static_cast<std::size_t>(m) * psz +
                           static_cast<std::size_t>(src_world) * s,
@@ -126,11 +122,10 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
                              (static_cast<std::size_t>(i2) * g + m) * s,
                          s));
         }
-        moved += s;
       }
     }
   }
-  world.charge_copy(moved);
+  world.charge_copy(static_cast<std::size_t>(nreg) * gg);
   pack2_span.close();
   if (trace) trace->add(Phase::kPack, world.now() - t0);
 

@@ -83,21 +83,19 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
   t0 = world.now();
   {
     obs::Span sp(tb, "pack", "phase", opts.tag_stream);
-    const bool real = bsend.data() != nullptr && gathered.data() != nullptr;
-    std::size_t moved = 0;
-    for (int b2 = 0; b2 < n; ++b2) {
-      for (int i = 0; i < g; ++i) {
-        if (real) {
+    if (bsend.data() != nullptr && gathered.data() != nullptr) {
+      for (int b2 = 0; b2 < n; ++b2) {
+        for (int i = 0; i < g; ++i) {
           rt::copy_bytes(
               bsend.view(static_cast<std::size_t>(b2) * node_blk + i * ppn_s,
                          ppn_s),
               gathered.view(static_cast<std::size_t>(i) * psz + b2 * ppn_s,
                             ppn_s));
         }
-        moved += ppn_s;
       }
     }
-    world.charge_copy(moved);
+    // Each repack moves the leader's whole g * p * s payload once.
+    world.charge_copy(static_cast<std::size_t>(g) * psz);
   }
   if (trace) trace->add(Phase::kPack, world.now() - t0);
 
@@ -122,13 +120,11 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
   t0 = world.now();
   {
     obs::Span sp(tb, "pack", "phase", opts.tag_stream);
-    const bool real = dsend.data() != nullptr && crecv.data() != nullptr;
-    const std::size_t run = static_cast<std::size_t>(g) * s;
-    std::size_t moved = 0;
-    for (int k2 = 0; k2 < G; ++k2) {
-      for (int b2 = 0; b2 < n; ++b2) {
-        for (int i2 = 0; i2 < g; ++i2) {
-          if (real) {
+    if (dsend.data() != nullptr && crecv.data() != nullptr) {
+      const std::size_t run = static_cast<std::size_t>(g) * s;
+      for (int k2 = 0; k2 < G; ++k2) {
+        for (int b2 = 0; b2 < n; ++b2) {
+          for (int i2 = 0; i2 < g; ++i2) {
             rt::copy_bytes(
                 dsend.view(static_cast<std::size_t>(k2) * intra_blk +
                                (static_cast<std::size_t>(b2) * g + i2) * run,
@@ -138,11 +134,10 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
                                static_cast<std::size_t>(k2) * run,
                            run));
           }
-          moved += run;
         }
       }
     }
-    world.charge_copy(moved);
+    world.charge_copy(static_cast<std::size_t>(G) * intra_blk);
   }
   if (trace) trace->add(Phase::kPack, world.now() - t0);
 
@@ -166,31 +161,26 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
   t0 = world.now();
   {
     obs::Span sp(tb, "pack", "phase", opts.tag_stream);
-    const bool real = sc.data() != nullptr && erecv.data() != nullptr;
-    std::size_t moved = 0;
-    for (int k1 = 0; k1 < G; ++k1) {
-      for (int b2 = 0; b2 < n; ++b2) {
-        for (int i1 = 0; i1 < g; ++i1) {
-          const std::size_t src_w =
-              static_cast<std::size_t>(b2) * ppn + k1 * g + i1;
-          const std::size_t base =
-              static_cast<std::size_t>(k1) * intra_blk +
-              (static_cast<std::size_t>(b2) * g + i1) *
-                  (static_cast<std::size_t>(g) * s);
-          for (int m = 0; m < g; ++m) {
-            if (real) {
-              rt::copy_bytes(sc.view(static_cast<std::size_t>(m) * psz +
-                                         src_w * s,
-                                     s),
-                             erecv.view(base + static_cast<std::size_t>(m) * s,
-                                        s));
+    if (sc.data() != nullptr && erecv.data() != nullptr) {
+      for (int k1 = 0; k1 < G; ++k1) {
+        for (int b2 = 0; b2 < n; ++b2) {
+          for (int i1 = 0; i1 < g; ++i1) {
+            const std::size_t src_w =
+                static_cast<std::size_t>(b2) * ppn + k1 * g + i1;
+            const std::size_t base =
+                static_cast<std::size_t>(k1) * intra_blk +
+                (static_cast<std::size_t>(b2) * g + i1) *
+                    (static_cast<std::size_t>(g) * s);
+            for (int m = 0; m < g; ++m) {
+              rt::copy_bytes(
+                  sc.view(static_cast<std::size_t>(m) * psz + src_w * s, s),
+                  erecv.view(base + static_cast<std::size_t>(m) * s, s));
             }
-            moved += s;
           }
         }
       }
     }
-    world.charge_copy(moved);
+    world.charge_copy(static_cast<std::size_t>(G) * intra_blk);
   }
   if (trace) trace->add(Phase::kPack, world.now() - t0);
 

@@ -52,19 +52,17 @@ rt::Task<void> alltoall_node_aware(const rt::LocalityComms& lc,
   t0 = world.now();
   {
     obs::Span sp(tb, "pack", "phase", opts.tag_stream);
-    const bool real = t1.data() != nullptr && t2.data() != nullptr;
-    std::size_t moved = 0;
-    for (int i = 0; i < g; ++i) {
-      for (int j = 0; j < nreg; ++j) {
-        if (real) {
+    if (t1.data() != nullptr && t2.data() != nullptr) {
+      for (int i = 0; i < g; ++i) {
+        for (int j = 0; j < nreg; ++j) {
           rt::copy_bytes(
               t2.view((static_cast<std::size_t>(i) * nreg + j) * s, s),
               t1.view((static_cast<std::size_t>(j) * g + i) * s, s));
         }
-        moved += s;
       }
     }
-    world.charge_copy(moved);
+    // Each repack moves all g * nreg = p blocks once.
+    world.charge_copy(psz);
   }
   if (trace) trace->add(Phase::kPack, world.now() - t0);
 
@@ -84,19 +82,16 @@ rt::Task<void> alltoall_node_aware(const rt::LocalityComms& lc,
   t0 = world.now();
   {
     obs::Span sp(tb, "unpack", "phase", opts.tag_stream);
-    const bool real = t3.data() != nullptr && recv.ptr != nullptr;
-    std::size_t moved = 0;
-    for (int i2 = 0; i2 < g; ++i2) {
-      for (int j = 0; j < nreg; ++j) {
-        if (real) {
+    if (t3.data() != nullptr && recv.ptr != nullptr) {
+      for (int i2 = 0; i2 < g; ++i2) {
+        for (int j = 0; j < nreg; ++j) {
           rt::copy_bytes(
               recv.sub((static_cast<std::size_t>(j) * g + i2) * s, s),
               t3.view((static_cast<std::size_t>(i2) * nreg + j) * s, s));
         }
-        moved += s;
       }
     }
-    world.charge_copy(moved);
+    world.charge_copy(psz);
   }
   if (trace) trace->add(Phase::kPack, world.now() - t0);
 }

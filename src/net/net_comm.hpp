@@ -49,7 +49,7 @@ class NetComm final : public rt::Comm {
   double now() const override;
   std::string_view backend_name() const noexcept override { return "net"; }
   rt::Buffer alloc_buffer(std::size_t bytes) const override;
-  void charge_copy(std::size_t /*bytes*/) override {}  // wall time is real
+  void charge_copies(std::size_t, std::size_t) override {}  // wall time is real
   std::unique_ptr<rt::Comm> create_subcomm(
       std::span<const int> members) override;
   obs::TraceBuffer* tracer() const noexcept override;

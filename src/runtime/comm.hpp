@@ -136,9 +136,16 @@ class Comm {
     return alloc_buffer(bytes);
   }
 
-  /// Account for a local repack of `bytes` (advances the simulator's rank
-  /// clock by the model's packing cost; no-op on the threads backend).
-  virtual void charge_copy(std::size_t bytes) = 0;
+  /// Account for `times` local repacks of `bytes` each, performed one
+  /// after another. The simulator advances the rank clock by the model's
+  /// packing cost once per repack — the same sequence of additions as
+  /// `times` charge_copy calls, so virtual time is bit-identical to that
+  /// chain; the wall-clock backends do nothing (their copies cost real
+  /// time). Algorithms call this instead of looping over virtual blocks.
+  virtual void charge_copies(std::size_t bytes, std::size_t times) = 0;
+
+  /// Account for one local repack of `bytes` (see charge_copies).
+  void charge_copy(std::size_t bytes) { charge_copies(bytes, 1); }
 
   /// Create a sub-communicator from `members`, an ordered, duplicate-free
   /// list of ranks *in this communicator* that must contain rank(). The

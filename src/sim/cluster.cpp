@@ -168,128 +168,110 @@ Cluster::Endpoint& Cluster::endpoint(std::uint32_t comm_id, int rank_in_comm) {
   return comms_[comm_id].endpoints[rank_in_comm];
 }
 
-void Cluster::push_fifo(Fifo& f, std::uint32_t id, bool is_msg) {
-  if (is_msg) {
-    msgs_[id].next = kNil;
-  } else {
-    ops_[id].next = kNil;
-  }
+template <typename Rec>
+void Cluster::fifo_push(std::vector<Rec>& pool, Fifo& f, std::uint32_t id) {
+  pool[id].next = kNil;
   if (f.tail == kNil) {
-    f.head = f.tail = id;
+    f.head = id;
   } else {
-    if (is_msg) {
-      msgs_[f.tail].next = id;
-    } else {
-      ops_[f.tail].next = id;
-    }
-    f.tail = id;
+    pool[f.tail].next = id;
   }
-  ++f.count;
+  f.tail = id;
+}
+
+template <typename Rec>
+void Cluster::fifo_unlink(std::vector<Rec>& pool, Fifo& f, std::uint32_t id,
+                          std::uint32_t prev) {
+  if (prev == kNil) {
+    f.head = pool[id].next;
+  } else {
+    pool[prev].next = pool[id].next;
+  }
+  if (f.tail == id) {
+    f.tail = prev;
+  }
 }
 
 std::uint32_t Cluster::match_posted(Endpoint& ep, int src, int tag) {
-  // Candidates: recvs posted for this specific source and for kAnySource;
-  // take the earlier-posted one whose tag matches.
-  struct Candidate {
-    Fifo* fifo = nullptr;
-    std::uint32_t id = kNil;
-    std::uint32_t prev = kNil;
-    std::uint64_t seq = 0;
-  };
-  Candidate best;
-
-  auto scan = [&](Fifo& f) {
-    std::uint32_t prev = kNil;
+  if (ep.posted_total == 0) {
+    return kNil;
+  }
+  // First tag-matching receive of a FIFO, and its predecessor.
+  auto first = [&](const Fifo& f, std::uint32_t& prev) {
+    prev = kNil;
     for (std::uint32_t cur = f.head; cur != kNil; cur = ops_[cur].next) {
-      const OpRec& op = ops_[cur];
-      if (op.tag == rt::kAnyTag || op.tag == tag) {
-        if (best.id == kNil || op.post_seq < best.seq) {
-          best = Candidate{&f, cur, prev, op.post_seq};
-        }
-        return;
+      if (ops_[cur].tag == rt::kAnyTag || ops_[cur].tag == tag) {
+        return cur;
       }
       prev = cur;
     }
+    return kNil;
   };
-
-  auto it = ep.posted_by_src.find(src);
-  if (it != ep.posted_by_src.end()) {
-    scan(it->second);
+  // Candidates: the receives posted for this source and for kAnySource;
+  // the earlier-posted one wins.
+  SourceQueues* q = ep.sources.find(src);
+  std::uint32_t prev = kNil;
+  std::uint32_t any_prev = kNil;
+  const std::uint32_t id = q != nullptr ? first(q->posted, prev) : kNil;
+  const std::uint32_t any = first(ep.any_posted, any_prev);
+  if (any != kNil && (id == kNil || ops_[any].post_seq < ops_[id].post_seq)) {
+    fifo_unlink(ops_, ep.any_posted, any, any_prev);
+    --ep.posted_total;
+    return any;
   }
-  auto any = ep.posted_by_src.find(rt::kAnySource);
-  if (any != ep.posted_by_src.end()) {
-    scan(any->second);
-  }
-  if (best.id == kNil) {
+  if (id == kNil) {
     return kNil;
   }
-
-  Fifo& f = *best.fifo;
-  if (best.prev == kNil) {
-    f.head = ops_[best.id].next;
-  } else {
-    ops_[best.prev].next = ops_[best.id].next;
-  }
-  if (f.tail == best.id) {
-    f.tail = best.prev;
-  }
-  --f.count;
+  fifo_unlink(ops_, q->posted, id, prev);
+  ep.sources.release_if_drained(*q);
   --ep.posted_total;
-  ops_[best.id].in_posted = false;
-  return best.id;
+  return id;
 }
 
 std::uint32_t Cluster::match_unexpected(Endpoint& ep, int src, int tag) {
-  auto match_in = [&](Fifo& f) -> std::pair<std::uint32_t, std::uint32_t> {
-    std::uint32_t prev = kNil;
+  if (ep.unexpected_total == 0) {
+    return kNil;
+  }
+  // First tag-matching message of a FIFO, and its predecessor.
+  auto first = [&](const Fifo& f, std::uint32_t& prev) {
+    prev = kNil;
     for (std::uint32_t cur = f.head; cur != kNil; cur = msgs_[cur].next) {
-      const MsgRec& m = msgs_[cur];
-      if (tag == rt::kAnyTag || m.tag == tag) {
-        return {cur, prev};
+      if (tag == rt::kAnyTag || msgs_[cur].tag == tag) {
+        return cur;
       }
       prev = cur;
     }
-    return {kNil, kNil};
+    return kNil;
   };
 
-  Fifo* fifo = nullptr;
+  SourceQueues* q = nullptr;
   std::uint32_t id = kNil;
   std::uint32_t prev = kNil;
-
   if (src != rt::kAnySource) {
-    auto it = ep.unexpected_by_src.find(src);
-    if (it == ep.unexpected_by_src.end()) {
+    q = ep.sources.find(src);
+    if (q == nullptr) {
       return kNil;
     }
-    auto [i, p] = match_in(it->second);
-    fifo = &it->second;
-    id = i;
-    prev = p;
+    id = first(q->unexpected, prev);
   } else {
-    // Wildcard source: earliest arrival across all source FIFOs.
-    std::uint64_t best_seq = 0;
-    for (auto& [s, f] : ep.unexpected_by_src) {
-      auto [i, p] = match_in(f);
-      if (i != kNil && (id == kNil || msgs_[i].arrival_seq < best_seq)) {
-        fifo = &f;
+    // Wildcard source: earliest arrival across all live sources (free
+    // slots hold empty FIFOs).
+    for (SourceQueues& s : ep.sources.slots()) {
+      std::uint32_t p = kNil;
+      const std::uint32_t i = first(s.unexpected, p);
+      if (i != kNil &&
+          (id == kNil || msgs_[i].arrival_seq < msgs_[id].arrival_seq)) {
+        q = &s;
         id = i;
         prev = p;
-        best_seq = msgs_[i].arrival_seq;
       }
     }
   }
   if (id == kNil) {
     return kNil;
   }
-  if (prev == kNil) {
-    fifo->head = msgs_[id].next;
-  } else {
-    msgs_[prev].next = msgs_[id].next;
-  }
-  if (fifo->tail == id) {
-    fifo->tail = prev;
-  }
-  --fifo->count;
+  fifo_unlink(msgs_, q->unexpected, id, prev);
+  ep.sources.release_if_drained(*q);
   --ep.unexpected_total;
   return id;
 }
@@ -331,7 +313,6 @@ rt::Request Cluster::isend_impl(std::uint32_t comm_id, int my_rank_in_comm,
 
   const std::uint32_t op_id = alloc_op();
   OpRec& op = ops_[op_id];
-  op.kind = OpRec::Kind::kSend;
   op.rank_world = src_world;
 
   const std::uint32_t msg_id = alloc_msg();
@@ -418,12 +399,9 @@ rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
 
   const std::uint32_t op_id = alloc_op();
   OpRec& op = ops_[op_id];
-  op.kind = OpRec::Kind::kRecv;
   op.rank_world = me_world;
   op.buf = buf;
-  op.match_src = src;
   op.tag = tag;
-  op.comm = comm_id;
   op.post_time = rs.clock;
 
   const std::uint32_t scanned = ep.unexpected_total;
@@ -442,9 +420,11 @@ rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
       complete_recv(op_id, msg_id, model::match_time(net, scanned));
     }
   } else {
-    op.in_posted = true;
     op.post_seq = ep.next_post_seq++;
-    push_fifo(ep.posted_by_src[src], op_id, /*is_msg=*/false);
+    fifo_push(ops_,
+              src == rt::kAnySource ? ep.any_posted
+                                    : ep.sources.find_or_insert(src).posted,
+              op_id);
     ++ep.posted_total;
   }
   return rt::Request{op_id, ops_[op_id].serial};
@@ -597,7 +577,8 @@ void Cluster::on_eager_arrival(std::uint32_t msg_id) {
     complete_recv(op_id, msg_id, model::match_time(cfg_.net, scanned));
   } else {
     m.arrival_seq = ep.next_arrival_seq++;
-    push_fifo(ep.unexpected_by_src[m.src_in_comm], msg_id, /*is_msg=*/true);
+    fifo_push(msgs_, ep.sources.find_or_insert(m.src_in_comm).unexpected,
+              msg_id);
     ++ep.unexpected_total;
   }
 }
@@ -620,7 +601,8 @@ void Cluster::on_rts_arrival(std::uint32_t msg_id) {
     start_rendezvous_transfer(msg_id, cts_at_sender);
   } else {
     m.arrival_seq = ep.next_arrival_seq++;
-    push_fifo(ep.unexpected_by_src[m.src_in_comm], msg_id, /*is_msg=*/true);
+    fifo_push(msgs_, ep.sources.find_or_insert(m.src_in_comm).unexpected,
+              msg_id);
     ++ep.unexpected_total;
   }
 }
@@ -736,8 +718,14 @@ std::uint32_t Cluster::subcomm_impl(std::uint32_t parent_id,
   return it->second;
 }
 
-void Cluster::charge_copy_impl(int world_rank, std::size_t bytes) {
-  ranks_[world_rank].clock += model::pack_time(cfg_.net, bytes);
+void Cluster::charge_copies_impl(int world_rank, std::size_t bytes,
+                                 std::size_t times) {
+  // One add per copy, as a chain of charge_copy calls would round.
+  const double each = model::pack_time(cfg_.net, bytes);
+  double& clock = ranks_[world_rank].clock;
+  for (std::size_t i = 0; i < times; ++i) {
+    clock += each;
+  }
 }
 
 void Cluster::set_cost_scale_impl(std::uint32_t comm_id, double scale) {
@@ -753,6 +741,12 @@ void Cluster::set_cost_scale_impl(std::uint32_t comm_id, double scale) {
 
 double Cluster::run(const std::function<rt::Task<void>(rt::Comm&)>& rank_main) {
   const int n = machine_.total_ranks();
+  // Start every rank together: ranks that finished a previous run early
+  // would otherwise schedule events behind the engine's clock.
+  const double start = std::max(max_clock(), engine_.now());
+  for (RankState& r : ranks_) {
+    r.clock = start;
+  }
   std::vector<rt::Task<void>> tasks;
   tasks.reserve(n);
   live_ = n;

@@ -11,14 +11,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/cost.hpp"
@@ -28,6 +27,7 @@
 #include "runtime/comm.hpp"
 #include "runtime/task.hpp"
 #include "sim/engine.hpp"
+#include "sim/source_index.hpp"
 #include "topo/machine.hpp"
 
 namespace mca2a::sim {
@@ -73,7 +73,9 @@ class Cluster {
   /// Launch `rank_main(world(r))` for every rank r and drive the simulation
   /// until all complete. Returns the maximum rank clock. Rethrows the first
   /// rank exception; throws SimDeadlockError if ranks are stuck. May be
-  /// called repeatedly; virtual time keeps advancing.
+  /// called repeatedly: every run starts all ranks together at
+  /// max(max_clock(), engine_now()), so virtual time keeps advancing and a
+  /// run's duration does not depend on the runs before it.
   double run(const std::function<rt::Task<void>(rt::Comm&)>& rank_main);
 
   /// Virtual time at which rank `world_rank` last made progress.
@@ -97,22 +99,17 @@ class Cluster {
  private:
   friend class SimComm;
 
-  static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::uint32_t kNil = Fifo::kNil;
 
   struct OpRec {
-    enum class Kind : std::uint8_t { kSend, kRecv };
-    Kind kind = Kind::kSend;
     bool complete = false;
-    bool in_posted = false;
     std::uint32_t serial = 1;
     int rank_world = -1;
     double completion_time = 0.0;
     std::uint32_t waiter = kNil;
     // Receive-side matching state.
     rt::MutView buf{};
-    int match_src = 0;  // rank in comm or rt::kAnySource
     int tag = 0;
-    std::uint32_t comm = 0;
     double post_time = 0.0;
     std::uint64_t post_seq = 0;
     std::uint32_t next = kNil;  // intrusive FIFO link
@@ -145,15 +142,9 @@ class Cluster {
     std::uint32_t next_free = kNil;
   };
 
-  struct Fifo {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-    std::uint32_t count = 0;
-  };
-
   struct Endpoint {
-    std::unordered_map<int, Fifo> posted_by_src;
-    std::unordered_map<int, Fifo> unexpected_by_src;
+    SourceIndex sources;  ///< per-source FIFOs of live sources only
+    Fifo any_posted;      ///< receives posted for rt::kAnySource
     std::uint32_t posted_total = 0;
     std::uint32_t unexpected_total = 0;
     std::uint64_t next_post_seq = 0;
@@ -188,7 +179,8 @@ class Cluster {
                          std::coroutine_handle<> h);
   std::uint32_t subcomm_impl(std::uint32_t parent_id, int my_rank_in_parent,
                              std::span<const int> members, int* my_new_rank);
-  void charge_copy_impl(int world_rank, std::size_t bytes);
+  void charge_copies_impl(int world_rank, std::size_t bytes,
+                          std::size_t times);
   void set_cost_scale_impl(std::uint32_t comm_id, double scale);
 
   // --- event handling -------------------------------------------------------
@@ -208,9 +200,11 @@ class Cluster {
   std::uint32_t match_posted(Endpoint& ep, int src, int tag);
   /// Find and unlink the earliest-arrived matching unexpected message.
   std::uint32_t match_unexpected(Endpoint& ep, int src, int tag);
-  void push_fifo(Fifo& f, std::uint32_t id, bool is_msg);
-  std::uint32_t pop_fifo_match(Fifo& f, bool is_msg, int tag,
-                               std::uint64_t* seq_out);
+  template <typename Rec>
+  static void fifo_push(std::vector<Rec>& pool, Fifo& f, std::uint32_t id);
+  template <typename Rec>
+  static void fifo_unlink(std::vector<Rec>& pool, Fifo& f, std::uint32_t id,
+                          std::uint32_t prev);
 
   // --- pools ----------------------------------------------------------------
   std::uint32_t alloc_op();

@@ -18,7 +18,8 @@ class Engine {
   /// Current virtual time (time of the event being processed).
   double now() const noexcept { return now_; }
 
-  /// Schedule an event at absolute virtual time `t` (>= now).
+  /// Schedule an event at absolute virtual time `t`. Throws if `t < now`:
+  /// the monotone event queue cannot hold events in the past.
   void schedule(double t, EventKind kind, std::uint32_t msg) {
     if (t < now_) {
       throw std::logic_error("Engine::schedule: event in the past");

@@ -37,8 +37,8 @@ class SimComm final : public rt::Comm {
     return cluster_->carry_data() ? rt::Buffer::real(bytes)
                                   : rt::Buffer::virt(bytes);
   }
-  void charge_copy(std::size_t bytes) override {
-    cluster_->charge_copy_impl(world_rank(), bytes);
+  void charge_copies(std::size_t bytes, std::size_t times) override {
+    cluster_->charge_copies_impl(world_rank(), bytes, times);
   }
   std::unique_ptr<rt::Comm> create_subcomm(
       std::span<const int> members) override;

@@ -112,7 +112,7 @@ class SmpComm final : public rt::Comm {
     // faults them in on its NUMA node (see ScratchArena's first-touch).
     return rt::Buffer::real_uninit(bytes);
   }
-  void charge_copy(std::size_t) override {}  // real memcpy already happened
+  void charge_copies(std::size_t, std::size_t) override {}  // real memcpys
   std::unique_ptr<rt::Comm> create_subcomm(
       std::span<const int> members) override;
   obs::TraceBuffer* tracer() const noexcept override {

@@ -232,6 +232,29 @@ TEST(AlltoallProperty, SingleRankWorld) {
   });
 }
 
+TEST(AlltoallProperty, BruckRejectsUndersizedBuffers) {
+  // The extent check runs up front: virtual buffers take no per-block
+  // views that could catch a short buffer later.
+  const int p = 4;
+  const std::size_t block = 8;
+  const std::size_t full = block * p;
+  for (const bool carry : {true, false}) {
+    for (const bool short_send : {true, false}) {
+      auto body = [&](Comm& c) -> Task<void> {
+        // Real on a data-carrying cluster, virtual otherwise.
+        Buffer send = c.alloc_buffer(short_send ? full - 1 : full);
+        Buffer recv = c.alloc_buffer(short_send ? full : full - 1);
+        co_await coll::alltoall_bruck(c, send.view(), recv.view(), block);
+      };
+      EXPECT_THROW(test::run_sim(topo::generic(1, p), body,
+                                 model::test_params(), carry),
+                   std::out_of_range)
+          << (carry ? "real" : "virtual") << " buffers, short "
+          << (short_send ? "send" : "recv");
+    }
+  }
+}
+
 TEST(AlltoallProperty, LocalityAlgorithmsRejectMissingBundle) {
   test::run_sim_flat(2, [](Comm& c) -> Task<void> {
     Buffer b = Buffer::real(8);

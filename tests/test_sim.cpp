@@ -4,11 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <numeric>
+#include <queue>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "core/alltoall.hpp"
 #include "model/cost.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/source_index.hpp"
 #include "test_util.hpp"
 
 namespace mca2a {
@@ -35,6 +46,125 @@ TEST(EventQueue, OrdersByTimeThenSequence) {
   EXPECT_EQ(q.pop().msg, 1u);
   EXPECT_EQ(q.pop().msg, 4u);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, MatchesReferenceHeapUnderMonotoneInterleavings) {
+  // Seeded interleavings of pushes (never before the last popped time) and
+  // pops, with a handful of offsets so equal-time ties are common — 0.0
+  // and -0.0 included. The reference is a binary heap on (time, seq).
+  using Ref = std::tuple<double, std::uint64_t, std::uint32_t>;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    std::mt19937_64 rng(seed);
+    sim::EventQueue q;
+    std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref;
+    std::uint64_t seq = 0;
+    double now = 0.0;
+    auto pop_both = [&] {
+      const Ref want = ref.top();
+      ref.pop();
+      const sim::Event got = q.pop();
+      ASSERT_EQ(got.msg, std::get<2>(want)) << "seed " << seed;
+      EXPECT_EQ(got.time, std::get<0>(want));
+      EXPECT_FALSE(std::signbit(got.time));
+      now = got.time;
+    };
+    for (int step = 0; step < 20000; ++step) {
+      if (!ref.empty() && rng() % 3 == 0) {
+        pop_both();
+        continue;
+      }
+      double t = now;
+      switch (rng() % 5) {
+        case 0:
+          break;  // tie with the current time
+        case 1:
+          t += 1e-6 * static_cast<double>(rng() % 4);
+          break;
+        case 2:
+          t += std::ldexp(1.0, -static_cast<int>(rng() % 64));
+          break;
+        case 3:
+          t *= 1.0 + static_cast<double>(rng() % 3);
+          break;
+        default:
+          t += 1e3 * static_cast<double>(rng() % 2);
+          break;
+      }
+      if (t == 0.0 && rng() % 2 == 0) {
+        t = -0.0;
+      }
+      const auto id = static_cast<std::uint32_t>(seq);
+      q.push(t, sim::EventKind::kMsgArrival, id);
+      ref.emplace(t, seq++, id);
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!ref.empty()) {
+      pop_both();
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(SourceIndex, RandomChurnMatchesReferenceMap) {
+  // Random keys collide in the table, so probe runs form; random inserts
+  // and drains then check that backward-shift deletion keeps every live
+  // source reachable and frees exactly the drained ones. The FIFO heads
+  // stand in for the entry's contents.
+  std::mt19937_64 rng(3);
+  std::vector<int> keys(400);
+  for (int& k : keys) {
+    k = static_cast<int>(rng() % (1u << 30));
+  }
+  sim::SourceIndex index;
+  std::map<int, std::uint32_t> ref;
+  auto check_all = [&] {
+    std::size_t used = 0;
+    for (const sim::SourceQueues& q : index.slots()) {
+      used += q.src != sim::SourceQueues::kFree ? 1 : 0;
+    }
+    ASSERT_EQ(used, ref.size());
+    for (const int k : keys) {
+      const sim::SourceQueues* q = index.find(k);
+      const auto it = ref.find(k);
+      ASSERT_EQ(q != nullptr, it != ref.end()) << "key " << k;
+      if (q != nullptr) {
+        EXPECT_EQ(q->posted.head, it->second);
+      }
+    }
+  };
+  for (std::uint32_t step = 0; step < 50000; ++step) {
+    const int k = keys[rng() % keys.size()];
+    if (rng() % 2 == 0) {
+      sim::SourceQueues& q = index.find_or_insert(k);
+      q.posted.head = q.posted.tail = step;
+      const std::uint32_t pending = rng() % 2 == 0 ? step : sim::Fifo::kNil;
+      q.unexpected.head = q.unexpected.tail = pending;
+      ref[k] = step;
+    } else if (const auto it = ref.find(k); it != ref.end()) {
+      sim::SourceQueues* q = index.find(k);
+      ASSERT_NE(q, nullptr);
+      q->posted = sim::Fifo{};
+      index.release_if_drained(*q);  // frees only if unexpected is empty
+      if (sim::SourceQueues* left = index.find(k)) {
+        EXPECT_FALSE(left->unexpected.empty());
+        left->posted.head = it->second;  // keep the check_all invariant
+      } else {
+        ref.erase(it);
+      }
+    }
+    if (step % 500 == 0) {
+      check_all();
+    }
+  }
+  for (const int k : keys) {  // drain everything
+    if (sim::SourceQueues* q = index.find(k)) {
+      *q = sim::SourceQueues{k, {}, {}};
+      index.release_if_drained(*q);
+      ref.erase(k);
+    }
+  }
+  check_all();
+  EXPECT_TRUE(ref.empty());
 }
 
 TEST(SimP2P, PingPongDeliversPayload) {
@@ -137,6 +267,150 @@ TEST(SimP2P, UnexpectedThenPostedBothWork) {
       Buffer other = Buffer::real(1);
       co_await c.recv(other.view(), 0, 1);  // already unexpected
       EXPECT_EQ(other.data()[0], std::byte{5});
+    }
+  });
+}
+
+TEST(SimP2P, SourceIndexChurnKeepsMatchingOrder) {
+  // One receiver, 64 senders, each sending tags 5, 5, 7 and then a "done"
+  // marker carrying its rank. Sender s starts after delay_rank[s] ms on a
+  // node (and NIC) of its own, so data arrives in (delay rank, index)
+  // order. Posted and unexpected traffic for many live sources coexists,
+  // and receives of every wildcard shape drain the sources in random
+  // order, so the endpoint's source table grows, frees drained sources
+  // and re-inserts them.
+  constexpr int kSenders = 64;
+  constexpr int kMsgs = 3;
+  constexpr std::array<int, kMsgs> kTags = {5, 5, 7};
+  constexpr int kDoneTag = 9;
+  constexpr int kAny7 = 8;
+  constexpr std::size_t kLen = 16;
+  std::vector<int> by_delay(kSenders);  // senders, earliest first
+  std::iota(by_delay.begin(), by_delay.end(), 1);
+  std::mt19937_64 shuffle_rng(42);
+  std::shuffle(by_delay.begin(), by_delay.end(), shuffle_rng);
+  std::vector<int> delay_rank(kSenders + 1, 0);
+  for (int r = 0; r < kSenders; ++r) {
+    delay_rank[static_cast<std::size_t>(by_delay[r])] = r + 1;
+  }
+  auto byte_of = [](int src, int idx, std::size_t k) {
+    const int v = src * 37 + idx * 11 + static_cast<int>(k) * 3;
+    return static_cast<std::byte>(v & 0xFF);
+  };
+  auto holds = [&](const Buffer& b, int src, int idx) {
+    for (std::size_t k = 0; k < kLen; ++k) {
+      if (b.data()[k] != byte_of(src, idx, k)) {
+        return ::testing::AssertionFailure()
+               << "byte " << k << " is not from message (" << src << ", "
+               << idx << ")";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  struct Msg {
+    int src;
+    int idx;
+  };
+  run_sim(topo::generic(kSenders + 1, 1), [&](Comm& c) -> Task<void> {
+    if (c.rank() != 0) {
+      const int s = c.rank();
+      c.charge_copy(static_cast<std::size_t>(delay_rank[s]) * 10'000'000);
+      std::vector<Buffer> out;
+      out.reserve(kMsgs);
+      std::vector<Request> reqs;
+      for (int i = 0; i < kMsgs; ++i) {
+        out.push_back(Buffer::real(kLen));
+        for (std::size_t k = 0; k < kLen; ++k) {
+          out.back().data()[k] = byte_of(s, i, k);
+        }
+        reqs.push_back(c.isend(out.back().view(), 0, kTags[i]));
+      }
+      co_await c.wait_all(reqs);
+      Buffer done = Buffer::real(sizeof(int));
+      done.typed<int>()[0] = s;
+      co_await c.send(done.view(), 0, kDoneTag);
+      co_return;
+    }
+
+    // Phase 1, posted before anything arrives: one wildcard-source tag-5
+    // receive, tag-5 receives from every second sender in delay order
+    // (the earliest included), then wildcard-source tag-7 receives.
+    std::vector<Buffer> in;
+    in.reserve(1 + kSenders / 2 + kAny7);
+    std::vector<Request> reqs;
+    auto post = [&](int src, int tag) {
+      in.push_back(Buffer::real(kLen));
+      reqs.push_back(c.irecv(in.back().view(), src, tag));
+    };
+    post(rt::kAnySource, 5);
+    for (int r = 0; r < kSenders; r += 2) {
+      post(by_delay[static_cast<std::size_t>(r)], 5);
+    }
+    for (int i = 0; i < kAny7; ++i) {
+      post(rt::kAnySource, 7);
+    }
+    co_await c.wait_all(reqs);
+    std::vector<bool> taken(static_cast<std::size_t>((kSenders + 1) * kMsgs));
+    auto take = [&](int src, int idx) {
+      taken[static_cast<std::size_t>(src * kMsgs + idx)] = true;
+    };
+    // The first arrival meets both the wildcard and its sender's specific
+    // receive; the earlier-posted wildcard wins, and the specific receive
+    // takes that sender's next tag-5 message.
+    const int first = by_delay[0];
+    EXPECT_TRUE(holds(in[0], first, 0));
+    EXPECT_TRUE(holds(in[1], first, 1));
+    take(first, 0);
+    take(first, 1);
+    for (int r = 2; r < kSenders; r += 2) {
+      const int s = by_delay[static_cast<std::size_t>(r)];
+      EXPECT_TRUE(holds(in[static_cast<std::size_t>(1 + r / 2)], s, 0));
+      take(s, 0);
+    }
+    for (int i = 0; i < kAny7; ++i) {
+      // The i-th wildcard receive meets the i-th tag-7 arrival.
+      const int src = by_delay[static_cast<std::size_t>(i)];
+      EXPECT_TRUE(holds(in[static_cast<std::size_t>(1 + kSenders / 2 + i)],
+                        src, kMsgs - 1));
+      take(src, kMsgs - 1);
+    }
+
+    // Phase 2: wildcard receives take the done markers in arrival order.
+    // Each marker trails its sender's data, so afterwards every data
+    // message not yet received sits in the unexpected queues.
+    for (int r = 0; r < kSenders; ++r) {
+      Buffer done = Buffer::real(sizeof(int));
+      co_await c.recv(done.view(), rt::kAnySource, kDoneTag);
+      EXPECT_EQ(done.typed<int>()[0], by_delay[static_cast<std::size_t>(r)]);
+    }
+
+    // Phase 3: random receive shapes against an arrival-ordered model; the
+    // expected match is the earliest remaining arrival that fits.
+    std::vector<Msg> remaining;
+    for (const int s : by_delay) {
+      for (int i = 0; i < kMsgs; ++i) {
+        if (!taken[static_cast<std::size_t>(s * kMsgs + i)]) {
+          remaining.push_back({s, i});
+        }
+      }
+    }
+    std::mt19937_64 rng(7);
+    while (!remaining.empty()) {
+      const Msg pick = remaining[rng() % remaining.size()];
+      const int shape = static_cast<int>(rng() % 4);
+      const int src = shape < 2 ? pick.src : rt::kAnySource;
+      const int tag = shape % 2 == 0 ? kTags[pick.idx] : rt::kAnyTag;
+      const auto want = std::find_if(
+          remaining.begin(), remaining.end(), [&](const Msg& m) {
+            return (src == rt::kAnySource || m.src == src) &&
+                   (tag == rt::kAnyTag || kTags[m.idx] == tag);
+          });
+      Buffer b = Buffer::real(kLen);
+      co_await c.recv(b.view(), src, tag);
+      EXPECT_TRUE(holds(b, want->src, want->idx))
+          << "receive (src " << src << ", tag " << tag << ")";
+      remaining.erase(want);
     }
   });
 }
@@ -321,6 +595,30 @@ TEST(SimTime, EagerSendCompletesWithoutReceiver) {
       },
       net);
   EXPECT_LT(send_done[0], 1e-3);  // completed long before the receiver posted
+}
+
+TEST(SimRun, RepeatedRunsTakeTheSameVirtualTime) {
+  // Ranks that finished a run early must not start the next one behind the
+  // engine's clock: every run starts all ranks together, so back-to-back
+  // runs of the same exchange take the same virtual time.
+  sim::ClusterConfig cfg;
+  cfg.machine = topo::generic(2, 4).desc();
+  cfg.net = model::test_params();
+  sim::Cluster cluster(cfg);
+  std::vector<double> took;
+  for (int i = 0; i < 3; ++i) {
+    const double start = std::max(cluster.max_clock(), cluster.engine_now());
+    const double end = cluster.run([](Comm& c) -> Task<void> {
+      Buffer s = Buffer::real(64 * c.size());
+      Buffer r = Buffer::real(64 * c.size());
+      co_await coll::alltoall_pairwise(c, s.view(), r.view(), 64);
+    });
+    took.push_back(end - start);
+  }
+  EXPECT_GT(took[0], 0.0);
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_NEAR(took[i], took[0], 1e-12 * took[0]) << "run " << i;
+  }
 }
 
 TEST(SimDeterminism, SameSeedSameResult) {
