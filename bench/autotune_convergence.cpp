@@ -27,12 +27,8 @@
 
 #include "autotune/selector.hpp"
 #include "bench_common.hpp"
-#include "plan/plan.hpp"
-#include "runtime/collectives.hpp"
 #include "runtime/env.hpp"
-#include "smp/smp_runtime.hpp"
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -97,44 +93,38 @@ void add_case(bench::Figure& fig, const std::string& name,
   summaries().push_back(s);
 }
 
-// --- simulator cases ---------------------------------------------------------
-
-void register_sim_case(bench::Figure& fig, std::size_t block) {
-  const std::string name = "dane2 " + std::to_string(block) + " B sim";
+/// One convergence case through the harness: `kExecs` adapt-mode
+/// executions on `backend`, against every plausible candidate measured
+/// with the identical in-session protocol (kExecs back-to-back reps,
+/// steady mean of the per-rep trajectory, first rep dropped as warmup):
+/// back-to-back exchanges pipeline through residual clock skew, so a
+/// fresh one-shot run is not comparable.
+void register_case(bench::Figure& fig, const std::string& name,
+                   const std::string& backend, const topo::Machine& machine,
+                   const model::NetParams& net, std::size_t block) {
   benchmark::RegisterBenchmark(
       ("autotune/" + name).c_str(),
-      [&fig, name, block](benchmark::State& state) {
-        const topo::Machine machine = topo::dane(2);
-        const model::NetParams net = model::omni_path();
-        // Static reference, measured with the identical in-session
-        // protocol (kExecs back-to-back reps, steady mean of the per-rep
-        // trajectory, first rep dropped as warmup): back-to-back
-        // exchanges pipeline through residual clock skew, so a fresh
-        // one-shot run is not comparable.
+      [&fig, name, backend, machine, net, block](benchmark::State& state) {
+        bench::RunSpec spec;
+        spec.backend = backend;
+        spec.machine = machine.desc();
+        spec.net = net;
+        spec.block = block;
+        spec.reps = kExecs;
         const auto static_seconds = [&](coll::Algo algo, int g) {
-          bench::RunSpec spec;
-          spec.machine = machine.desc();
-          spec.net = net;
-          spec.algo = algo;
-          spec.group_size = g;
-          spec.block = block;
-          spec.reps = kExecs;
-          spec.use_plan = true;
-          const bench::RunResult r = bench::run_sim(spec);
-          return steady_mean(r.rep_seconds, 1);
+          bench::RunSpec st = spec;
+          st.algo = algo;
+          st.group_size = g;
+          return steady_mean(bench::run_sim(st).rep_seconds, 1);
         };
         autotune::OnlineSelector sel(autotune::Mode::kAdapt);
         std::vector<double> online;
         double total = 0.0;
         for (auto _ : state) {
-          bench::RunSpec spec;
-          spec.machine = machine.desc();
-          spec.net = net;
-          spec.block = block;
-          spec.reps = kExecs;
-          spec.autotune = true;
-          spec.selector = &sel;
-          const bench::RunResult r = bench::run_sim(spec);
+          bench::RunSpec tuned = spec;
+          tuned.autotune = true;
+          tuned.selector = &sel;
+          const bench::RunResult r = bench::run_sim(tuned);
           online = r.rep_seconds;
           total = 0.0;
           for (double t : online) {
@@ -167,6 +157,9 @@ void register_sim_case(bench::Figure& fig, std::size_t block) {
                    best, model, winner_static,
                    std::string(coll::algo_name(winner)));
         }
+        if (backend != "sim") {
+          return;
+        }
         state.counters["sim_s"] = total;
         // Trajectory spread: nearest-rank percentiles over the per-round
         // times (RunResult::p50 family), explore rounds included.
@@ -176,138 +169,6 @@ void register_sim_case(bench::Figure& fig, std::size_t block) {
             bench::RunResult::percentile_of(online, 0.95);
         state.counters["sim_p99_s"] =
             bench::RunResult::percentile_of(online, 0.99);
-      })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-// --- threads-backend case ----------------------------------------------------
-
-/// One online adapt-mode trajectory on real OS threads: `execs` rounds of
-/// barrier -> plan (selector decides) -> timed exchange. Returns the
-/// per-round max-over-ranks wall time; `final_algo` gets the last round's
-/// resolved algorithm.
-std::vector<double> smp_online(autotune::OnlineSelector& sel,
-                               const topo::Machine& machine,
-                               const model::NetParams& net, std::size_t block,
-                               int execs, int* final_algo, int* final_group) {
-  const int p = machine.total_ranks();
-  std::vector<std::vector<double>> elapsed(execs, std::vector<double>(p, 0.0));
-  smp::run_threads(p, [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    const std::size_t total = static_cast<std::size_t>(p) * block;
-    rt::Buffer sbuf = rt::Buffer::real(total);
-    rt::Buffer rbuf = rt::Buffer::real(total);
-    for (int e = 0; e < execs; ++e) {
-      // Barrier-separated rounds: all ranks consult the selector against
-      // the same profiler state (its determinism contract).
-      co_await rt::barrier(world);
-      coll::AlltoallDesc desc;
-      desc.block = block;
-      plan::PlanOptions popts;
-      popts.autotune = &sel;
-      plan::CollectivePlan pl = plan::make_plan(world, machine, net, desc,
-                                                popts);
-      if (me == 0 && final_algo != nullptr) {
-        *final_algo = pl.algo_id();
-        *final_group = pl.group_size();
-      }
-      co_await rt::barrier(world);
-      const auto t0 = std::chrono::steady_clock::now();
-      co_await pl.execute(rt::ConstView(sbuf.view()), rbuf.view());
-      elapsed[e][me] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-    }
-  });
-  std::vector<double> out(execs, 0.0);
-  for (int e = 0; e < execs; ++e) {
-    out[e] = *std::max_element(elapsed[e].begin(), elapsed[e].end());
-  }
-  return out;
-}
-
-/// Static wall time of one candidate, measured with the online loop's
-/// protocol: kExecs barrier-separated rounds in one session, steady mean
-/// of the per-round max-over-ranks times (first round dropped as warmup).
-double smp_static(const topo::Machine& machine, const model::NetParams& net,
-                  std::size_t block, coll::Algo algo, int g) {
-  const int p = machine.total_ranks();
-  std::vector<std::vector<double>> elapsed(kExecs,
-                                           std::vector<double>(p, 0.0));
-  smp::run_threads(p, [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    const std::size_t total = static_cast<std::size_t>(p) * block;
-    rt::Buffer sbuf = rt::Buffer::real(total);
-    rt::Buffer rbuf = rt::Buffer::real(total);
-    coll::AlltoallDesc desc;
-    desc.block = block;
-    desc.algo = algo;
-    plan::PlanOptions popts;
-    popts.group_size = g;
-    plan::CollectivePlan pl =
-        plan::make_plan(world, machine, net, desc, popts);
-    for (int rep = 0; rep < kExecs; ++rep) {
-      co_await rt::barrier(world);
-      const auto t0 = std::chrono::steady_clock::now();
-      co_await pl.execute(rt::ConstView(sbuf.view()), rbuf.view());
-      elapsed[rep][me] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-    }
-  });
-  std::vector<double> per_rep(kExecs, 0.0);
-  for (int rep = 0; rep < kExecs; ++rep) {
-    per_rep[rep] =
-        *std::max_element(elapsed[rep].begin(), elapsed[rep].end());
-  }
-  return steady_mean(per_rep, 1);
-}
-
-void register_smp_case(bench::Figure& fig, std::size_t block) {
-  const std::string name = "smp 2x8 " + std::to_string(block) + " B";
-  benchmark::RegisterBenchmark(
-      ("autotune/" + name).c_str(),
-      [&fig, name, block](benchmark::State& state) {
-        const topo::Machine machine = topo::generic(2, 8);
-        const model::NetParams net = model::test_params();
-        autotune::OnlineSelector sel(autotune::Mode::kAdapt);
-        std::vector<double> online;
-        int final_algo = 0;
-        int final_group = 0;
-        for (auto _ : state) {
-          online = smp_online(sel, machine, net, block, kExecs, &final_algo,
-                              &final_group);
-          double total = 0.0;
-          for (double t : online) {
-            total += t;
-          }
-          state.SetIterationTime(total);
-          const auto ranked = coll::rank_alltoall_candidates(
-              machine, net, block, sel.config().plausible_factor,
-              sel.config().max_candidates);
-          const auto winner = static_cast<coll::Algo>(final_algo);
-          double best = std::numeric_limits<double>::infinity();
-          double model = 0.0;
-          double winner_static = 0.0;
-          for (const coll::Choice& c : ranked) {
-            const double t =
-                smp_static(machine, net, block, c.algo, c.group_size);
-            best = std::min(best, t);
-            if (&c == &ranked.front()) {
-              model = t;
-            }
-            if (c.algo == winner && c.group_size == final_group) {
-              winner_static = t;
-            }
-          }
-          const int explore_execs = static_cast<int>(ranked.size()) *
-                                    sel.config().explore_target;
-          add_case(fig, name, online, std::min(explore_execs, kExecs - 1),
-                   best, model, winner_static,
-                   std::string(coll::algo_name(winner)));
-        }
       })
       ->UseManualTime()
       ->Iterations(1)
@@ -326,9 +187,11 @@ int main(int argc, char** argv) {
       fast ? std::vector<std::size_t>{64}
            : std::vector<std::size_t>{4, 512, 4096};
   for (std::size_t block : sim_blocks) {
-    register_sim_case(fig, block);
+    register_case(fig, "dane2 " + std::to_string(block) + " B sim", "sim",
+                  topo::dane(2), model::omni_path(), block);
   }
-  register_smp_case(fig, 256);
+  register_case(fig, "smp 2x8 256 B", "smp", topo::generic(2, 8),
+                model::test_params(), 256);
   const int rc = benchx::figure_main(argc, argv, fig);
   if (rc == 0 && !summaries().empty()) {
     std::printf(

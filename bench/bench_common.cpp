@@ -34,10 +34,6 @@ bench::RunSpec make_spec(const topo::MachineDesc& machine,
   spec.group_size = s.group_size;
   spec.block = block;
   spec.collect_trace = trace;
-  // Figure benches time the steady-state exchange: execute through a
-  // persistent plan so communicator construction and selection stay out of
-  // the timed region (A2A_NO_PLAN=1 restores the legacy per-run path).
-  spec.use_plan = !rt::env::get_flag("A2A_NO_PLAN");
   bench::apply_env(spec);
   return spec;
 }
@@ -185,21 +181,21 @@ void print_usage(std::ostream& os, const bench::Figure& fig,
         "   --benchmark_filter=<regex>)\n\n"
         "Environment knobs (docs/tuning.md has the full list):\n"
         "  A2A_FAST=1          subsample sweeps (quick smoke run)\n"
-        "  A2A_BENCH_REPS=n    repetitions inside the simulator\n"
+        "  A2A_BENCH_REPS=n    timed repetitions per point\n"
         "  A2A_NOISE=sigma     log-normal noise on latencies/overheads\n"
         "  A2A_BENCH_CSV=dir   also write <fig>.csv into dir\n"
         "  A2A_BENCH_JSON=dir  BENCH_<fig>.json destination (default: "
      << default_bench_out_dir()
      << ")\n"
-        "  A2A_NO_PLAN=1       bypass persistent plans\n"
         "  A2A_AUTOTUNE=mode   online autotuning: off|observe|adapt\n"
         "  A2A_PROFILE=path    persist the autotune profile across runs\n"
         "  A2A_TRACE=dir       flight recorder: one Chrome/Perfetto trace\n"
         "                      JSON per rank into dir at exit\n"
         "  A2A_METRICS=path    metrics snapshot at exit (text; .json too)\n"
-        "  A2A_BACKEND=net     run over real TCP sockets instead of the\n"
-        "                      simulator; launch the bench under\n"
-        "                      tools/a2arun with -n = nodes * ppn\n"
+        "  A2A_BACKEND=b       sim (default: simulator, virtual time),\n"
+        "                      smp (one thread per rank, wall clock) or\n"
+        "                      net (real TCP sockets; launch the bench\n"
+        "                      under tools/a2arun with -n = nodes * ppn)\n"
         "  A2A_NET_RAILS=k     TCP connections per peer pair (default 2)\n"
         "  A2A_NET_EAGER=b     eager/rendezvous threshold, bytes (16384)\n"
         "  A2A_NET_STRIPE=b    multi-rail stripe threshold, bytes (262144)\n"

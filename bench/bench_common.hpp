@@ -18,11 +18,11 @@
 ///
 /// Environment knobs:
 ///   A2A_FAST=1        subsample sizes/node counts (quick smoke run)
-///   A2A_BENCH_REPS=n  repetitions inside the simulator (paper: min of 3)
+///   A2A_BENCH_REPS=n  timed repetitions per point (paper: min of 3)
 ///   A2A_NOISE=sigma   log-normal noise on latencies/overheads
 ///   A2A_BENCH_CSV=dir CSV output directory
 ///   A2A_BENCH_JSON=dir JSON output directory (default: build tree bench/)
-///   A2A_NO_PLAN=1     bypass persistent plans (legacy per-run construction)
+///   A2A_BACKEND=b     sim (default), smp (rank threads) or net (a2arun job)
 ///   A2A_AUTOTUNE / A2A_PROFILE  online autotuning (docs/tuning.md)
 
 #include <benchmark/benchmark.h>

@@ -6,19 +6,12 @@
 ///
 /// Executes through persistent CollectivePlans (plan/plan.hpp) so
 /// communicator construction stays out of the timed region, exactly like
-/// the all-to-all figure benches; A2A_NO_PLAN=1 restores the legacy
-/// per-run path.
-
-#include <optional>
-
-
+/// the all-to-all figure benches.
 
 #include "bench_common.hpp"
-#include "coll_ext/allgather.hpp"
 #include "coll_ext/op_desc.hpp"
 #include "plan/plan.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/env.hpp"
 #include "sim/cluster.hpp"
 #include <algorithm>
 
@@ -34,47 +27,21 @@ double run_allgather(coll::AllgatherAlgo algo, int group_size,
   cfg.carry_data = false;
   sim::Cluster cluster(cfg);
   const topo::Machine& machine = cluster.machine();
-  const bool use_plan = !rt::env::get_flag("A2A_NO_PLAN");
   std::vector<double> start(machine.total_ranks()), end(machine.total_ranks());
   cluster.run([&](rt::Comm& c) -> rt::Task<void> {
     // Plan time: algorithm fixed by the series, communicators built here,
-    // outside the timed region (the legacy path builds them itself).
-    std::optional<plan::CollectivePlan> pl;
-    std::optional<rt::LocalityComms> lc;
-    if (use_plan) {
-      coll::AllgatherDesc desc;
-      desc.block = block;
-      desc.algo = algo;
-      plan::PlanOptions popts;
-      popts.group_size = group_size;
-      pl.emplace(plan::make_plan(c, machine, cfg.net, desc, popts));
-    } else if (coll::needs_locality(algo)) {
-      lc.emplace(rt::build_locality_comms(
-          c, machine, group_size == 0 ? machine.ppn() : group_size, false));
-    }
+    // outside the timed region.
+    coll::AllgatherDesc desc;
+    desc.block = block;
+    desc.algo = algo;
+    plan::PlanOptions popts;
+    popts.group_size = group_size;
+    plan::CollectivePlan pl = plan::make_plan(c, machine, cfg.net, desc, popts);
     rt::Buffer send = c.alloc_buffer(block);
     rt::Buffer recv = c.alloc_buffer(block * c.size());
     co_await rt::barrier(c);
     start[c.rank()] = c.now();
-    if (pl) {
-      co_await pl->execute(rt::ConstView(send.view()), recv.view());
-    } else {
-      switch (algo) {
-        case coll::AllgatherAlgo::kRing:
-          co_await coll::allgather_ring(c, send.view(), recv.view());
-          break;
-        case coll::AllgatherAlgo::kBruck:
-          co_await coll::allgather_bruck(c, send.view(), recv.view());
-          break;
-        case coll::AllgatherAlgo::kHierarchical:
-          co_await coll::allgather_hierarchical(*lc, send.view(), recv.view());
-          break;
-        default:
-          co_await coll::allgather_locality_aware(*lc, send.view(),
-                                                  recv.view());
-          break;
-      }
-    }
+    co_await pl.execute(rt::ConstView(send.view()), recv.view());
     end[c.rank()] = c.now();
   });
   return *std::max_element(end.begin(), end.end()) -

@@ -5,19 +5,13 @@
 /// by ppn like the all-to-all algorithms do.
 ///
 /// Executes through persistent CollectivePlans (plan/plan.hpp) so
-/// communicator construction stays out of the timed region; A2A_NO_PLAN=1
-/// restores the legacy per-run path.
-
-#include <optional>
-
-
+/// communicator construction stays out of the timed region.
 
 #include "bench_common.hpp"
 #include "coll_ext/allreduce.hpp"
 #include "coll_ext/op_desc.hpp"
 #include "plan/plan.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/env.hpp"
 #include "sim/cluster.hpp"
 #include <algorithm>
 
@@ -38,41 +32,19 @@ double run_allreduce(const SeriesDef& s, std::size_t bytes) {
   cfg.carry_data = false;
   sim::Cluster cluster(cfg);
   const topo::Machine& machine = cluster.machine();
-  const bool use_plan = !rt::env::get_flag("A2A_NO_PLAN");
   std::vector<double> start(machine.total_ranks()), end(machine.total_ranks());
   cluster.run([&](rt::Comm& c) -> rt::Task<void> {
-    const coll::Combiner op = coll::sum_combiner<double>();
-    std::optional<plan::CollectivePlan> pl;
-    std::optional<rt::LocalityComms> lc;
-    if (use_plan) {
-      coll::AllreduceDesc desc;
-      desc.count = bytes / sizeof(double);
-      desc.combiner = op;
-      desc.algo = s.algo;
-      plan::PlanOptions popts;
-      popts.group_size = s.group_size;
-      pl.emplace(plan::make_plan(c, machine, cfg.net, desc, popts));
-    } else if (coll::needs_locality(s.algo)) {
-      lc.emplace(rt::build_locality_comms(c, machine, s.group_size, false));
-    }
+    coll::AllreduceDesc desc;
+    desc.count = bytes / sizeof(double);
+    desc.combiner = coll::sum_combiner<double>();
+    desc.algo = s.algo;
+    plan::PlanOptions popts;
+    popts.group_size = s.group_size;
+    plan::CollectivePlan pl = plan::make_plan(c, machine, cfg.net, desc, popts);
     rt::Buffer data = c.alloc_buffer(bytes);
     co_await rt::barrier(c);
     start[c.rank()] = c.now();
-    if (pl) {
-      co_await pl->execute_inplace(data.view());
-    } else {
-      switch (s.algo) {
-        case coll::AllreduceAlgo::kRecursiveDoubling:
-          co_await coll::allreduce_recursive_doubling(c, data.view(), op);
-          break;
-        case coll::AllreduceAlgo::kRabenseifner:
-          co_await coll::allreduce_rabenseifner(c, data.view(), op);
-          break;
-        default:
-          co_await coll::allreduce_node_aware(*lc, data.view(), op);
-          break;
-      }
-    }
+    co_await pl.execute_inplace(data.view());
     end[c.rank()] = c.now();
   });
   return *std::max_element(end.begin(), end.end()) -

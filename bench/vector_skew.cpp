@@ -9,8 +9,8 @@
 /// carrying imbalance * mean bytes, cold pairs scaled so the matrix mean
 /// stays put — and the "tuned" series lets the skew-aware tuner pick from
 /// the exact global signature (bench::vector_skew). The count metadata
-/// must genuinely travel, so vector runs carry real payloads (run_sim
-/// forces carry_data; keep A2A_FAST for quick smoke runs).
+/// must genuinely travel, so vector runs carry real payloads even on the
+/// simulator (keep A2A_FAST for quick smoke runs).
 ///
 /// Always writes machine-readable BENCH_vector_skew.json (into
 /// $A2A_BENCH_JSON if set, else the build tree's bench/ directory); the
@@ -19,15 +19,7 @@
 
 
 #include "bench_common.hpp"
-#include "coll_ext/alltoallv.hpp"
-#include "plan/plan.hpp"
-#include "runtime/collectives.hpp"
 #include "runtime/env.hpp"
-#include "smp/smp_runtime.hpp"
-#include <chrono>
-#include <cstdio>
-#include <numeric>
-#include <optional>
 #include <vector>
 
 using namespace mca2a;
@@ -49,21 +41,30 @@ constexpr Variant kVariants[] = {
     {"tuned", coll::AlltoallvAlgo::kPairwise, 0, true},
 };
 
-void register_sim_point(bench::Figure& fig, const Variant& v,
-                        std::size_t mean, double imb) {
+/// One alltoallv point through the harness: Dane 2 nodes on the simulator
+/// (virtual time), or a 2x8 machine on smp rank threads (wall clock; two
+/// reps, so the first warms the plan and the timed minimum is steady).
+void register_point(bench::Figure& fig, const Variant& v, std::size_t mean,
+                    double imb, bool smp) {
   bench::RunSpec spec;
-  spec.machine = topo::dane(2).desc();
-  spec.net = model::omni_path();
   spec.vector = true;
   spec.vector_algo = v.algo;
   spec.vector_tuned = v.tuned;
   spec.group_size = v.group_size;
   spec.block = mean;
   spec.vector_imbalance = imb;
-  spec.use_plan = !rt::env::get_flag("A2A_NO_PLAN");
-  bench::apply_env(spec);
-  const std::string series =
-      std::string(v.name) + " " + std::to_string(mean) + " B";
+  if (smp) {
+    spec.backend = "smp";
+    spec.machine = topo::generic(2, 8).desc();
+    spec.net = model::test_params();
+    spec.reps = 2;
+  } else {
+    spec.machine = topo::dane(2).desc();
+    spec.net = model::omni_path();
+    bench::apply_env(spec);
+  }
+  const std::string series = std::string(smp ? "smp " : "") + v.name + " " +
+                             std::to_string(mean) + " B";
   const std::string bname = "vector_skew/" + series + "/imb" +
                             std::to_string(static_cast<int>(imb));
   benchmark::RegisterBenchmark(
@@ -74,73 +75,6 @@ void register_sim_point(bench::Figure& fig, const Variant& v,
           state.SetIterationTime(res.seconds);
         }
         fig.add(series, imb, res.seconds);
-      })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-/// Threads-backend wall-clock point: the same exchange on real OS threads
-/// (test-scale machine; max over ranks of the exchange's elapsed time).
-double smp_seconds(coll::AlltoallvAlgo algo, int group_size,
-                   const topo::Machine& machine, std::size_t mean,
-                   double imb) {
-  const int p = machine.total_ranks();
-  std::vector<double> elapsed(p, 0.0);
-  smp::run_threads(p, [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    std::vector<std::size_t> scounts(p), rcounts(p);
-    for (int d = 0; d < p; ++d) {
-      scounts[d] = bench::vector_count(me, d, p, mean, imb, /*seed=*/1);
-      rcounts[d] = bench::vector_count(d, me, p, mean, imb, /*seed=*/1);
-    }
-    const auto sdispls = coll::displs_from_counts(scounts);
-    const auto rdispls = coll::displs_from_counts(rcounts);
-    rt::Buffer send = rt::Buffer::real(
-        std::accumulate(scounts.begin(), scounts.end(), std::size_t{0}));
-    rt::Buffer recv = rt::Buffer::real(
-        std::accumulate(rcounts.begin(), rcounts.end(), std::size_t{0}));
-    std::optional<rt::LocalityComms> lc;
-    if (coll::needs_locality(algo)) {
-      lc.emplace(rt::build_locality_comms(world, machine, group_size,
-                                          coll::needs_leader_comms(algo)));
-    }
-    // One warmup, then the timed exchange.
-    for (int rep = 0; rep < 2; ++rep) {
-      co_await rt::barrier(world);
-      const auto t0 = std::chrono::steady_clock::now();
-      co_await coll::run_alltoallv(algo, world, lc ? &*lc : nullptr,
-                                   rt::ConstView(send.view()), scounts,
-                                   sdispls, recv.view(), rcounts, rdispls);
-      elapsed[me] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-    }
-  });
-  double worst = 0.0;
-  for (double e : elapsed) {
-    worst = std::max(worst, e);
-  }
-  return worst;
-}
-
-void register_smp_point(bench::Figure& fig, const Variant& v,
-                        std::size_t mean, double imb) {
-  const std::string series =
-      "smp " + std::string(v.name) + " " + std::to_string(mean) + " B";
-  const std::string bname = "vector_skew/" + series + "/imb" +
-                            std::to_string(static_cast<int>(imb));
-  benchmark::RegisterBenchmark(
-      bname.c_str(), [&fig, series, v, mean, imb](benchmark::State& state) {
-        const topo::Machine machine = topo::generic(2, 8);
-        double secs = 0.0;
-        for (auto _ : state) {
-          secs = smp_seconds(v.algo, v.group_size == 0 ? machine.ppn()
-                                                       : v.group_size,
-                             machine, mean, imb);
-          state.SetIterationTime(secs);
-        }
-        fig.add(series, imb, secs);
       })
       ->UseManualTime()
       ->Iterations(1)
@@ -163,14 +97,14 @@ int main(int argc, char** argv) {
   for (const Variant& v : kVariants) {
     for (std::size_t mean : means) {
       for (double imb : imbs) {
-        register_sim_point(fig, v, mean, imb);
+        register_point(fig, v, mean, imb, /*smp=*/false);
       }
     }
   }
   // Threads-backend series: pairwise vs one locality algorithm, small case.
   for (double imb : imbs) {
-    register_smp_point(fig, kVariants[0], 256, imb);
-    register_smp_point(fig, kVariants[3], 256, imb);
+    register_point(fig, kVariants[0], 256, imb, /*smp=*/true);
+    register_point(fig, kVariants[3], 256, imb, /*smp=*/true);
   }
   // figure_main always writes BENCH_vector_skew.json (build tree by
   // default, $A2A_BENCH_JSON overrides).

@@ -9,7 +9,7 @@
 /// and compares the direct and locality-aware algorithms. The exchange
 /// executes through a persistent CollectivePlan — the transpose of an
 /// iterative FFT repeats the same descriptor every step, so setup is paid
-/// once (A2A_NO_PLAN=1 restores the direct per-call path).
+/// once.
 ///
 ///   ./build/examples/fft_transpose [ranks] [N]
 
@@ -18,15 +18,12 @@
 #include <complex>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <vector>
 
 #include "core/alltoall.hpp"
 #include "model/presets.hpp"
 #include "plan/plan.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/comm_bundle.hpp"
-#include "runtime/env.hpp"
 #include "smp/smp_runtime.hpp"
 #include "topo/presets.hpp"
 
@@ -74,18 +71,11 @@ int main(int argc, char** argv) {
       const int p = world.size();
       // Plan the exchange once, before packing: selection, communicator
       // construction and scratch live here, not in the timed region.
-      std::optional<plan::CollectivePlan> pl;
-      std::optional<rt::LocalityComms> lc;
-      if (!rt::env::get_flag("A2A_NO_PLAN")) {
-        coll::AlltoallDesc desc;
-        desc.block = block;
-        desc.algo = algo;
-        pl.emplace(plan::make_plan(world, machine, model::test_params(),
-                                   desc));
-      } else if (coll::needs_locality(algo)) {
-        lc.emplace(rt::build_locality_comms(world, machine, machine.ppn(),
-                                            false));
-      }
+      coll::AlltoallDesc desc;
+      desc.block = block;
+      desc.algo = algo;
+      plan::CollectivePlan pl =
+          plan::make_plan(world, machine, model::test_params(), desc);
 
       // My rows [me*rows_per_rank, (me+1)*rows_per_rank), row-major.
       std::vector<Complexd> mine(static_cast<std::size_t>(rows_per_rank) * n);
@@ -116,12 +106,7 @@ int main(int argc, char** argv) {
 
       co_await rt::barrier(world);
       const auto t0 = std::chrono::steady_clock::now();
-      if (pl) {
-        co_await pl->execute(sview, rview);
-      } else {
-        co_await coll::run_alltoall(algo, world, lc ? &*lc : nullptr, sview,
-                                    rview, block, {});
-      }
+      co_await pl.execute(sview, rview);
       co_await rt::barrier(world);
       elapsed[me] =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

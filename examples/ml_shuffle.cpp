@@ -17,7 +17,7 @@
 ///      otherwise), no padding, no capacity factor.
 ///
 /// The imbalance factor the tuner saw, and what it would have picked, are
-/// printed. A2A_NO_PLAN=1 restores the direct pairwise path.
+/// printed.
 ///
 /// After the shuffle, the example switches to the data-parallel view of
 /// the same training step: the backward pass fills gradient *buckets*, and
@@ -36,7 +36,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <random>
 #include <vector>
 
@@ -48,7 +47,6 @@
 #include "plan/plan.hpp"
 #include "plan/schedule.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/env.hpp"
 #include "smp/smp_runtime.hpp"
 #include "topo/presets.hpp"
 
@@ -64,16 +62,14 @@ struct Token {
 
 /// One persistent alltoallv per traffic direction: planning (leader
 /// communicators, displacement tables, scratch) happens here, outside any
-/// timed region, exactly what the plan machinery is for. Absent under
-/// A2A_NO_PLAN, where the shuffles run direct pairwise instead.
-std::optional<plan::CollectivePlan> make_shuffle_plan(
-    rt::Comm& world, const topo::Machine& machine,
-    const std::vector<std::size_t>& scounts,
-    const std::vector<std::size_t>& rcounts, const coll::AlltoallvSkew& skew,
-    coll::AlltoallvAlgo algo, int group_size) {
-  if (rt::env::get_flag("A2A_NO_PLAN")) {
-    return std::nullopt;
-  }
+/// timed region, exactly what the plan machinery is for.
+plan::CollectivePlan make_shuffle_plan(rt::Comm& world,
+                                       const topo::Machine& machine,
+                                       const std::vector<std::size_t>& scounts,
+                                       const std::vector<std::size_t>& rcounts,
+                                       const coll::AlltoallvSkew& skew,
+                                       coll::AlltoallvAlgo algo,
+                                       int group_size) {
   coll::AlltoallvDesc desc;
   desc.send_counts = scounts;
   desc.recv_counts = rcounts;
@@ -82,22 +78,6 @@ std::optional<plan::CollectivePlan> make_shuffle_plan(
   plan::PlanOptions popts;
   popts.group_size = group_size;
   return plan::make_plan(world, machine, model::test_params(), desc, popts);
-}
-
-/// Execute one shuffle through its plan, or direct pairwise without one.
-rt::Task<void> shuffle(rt::Comm& world,
-                       std::optional<plan::CollectivePlan>& pl,
-                       const std::vector<std::size_t>& scounts,
-                       const std::vector<std::size_t>& rcounts,
-                       rt::ConstView send, rt::MutView recv) {
-  if (pl) {
-    co_await pl->execute(send, recv);
-    co_return;
-  }
-  const auto sdispls = coll::displs_from_counts(scounts);
-  const auto rdispls = coll::displs_from_counts(rcounts);
-  co_await coll::alltoallv_pairwise(world, send, scounts, sdispls, recv,
-                                    rcounts, rdispls);
 }
 
 }  // namespace
@@ -210,8 +190,7 @@ int main(int argc, char** argv) {
     }
     co_await rt::barrier(world);
     const auto t0 = std::chrono::steady_clock::now();
-    co_await shuffle(world, out_plan, scounts, rcounts,
-                     rt::ConstView(send.view()), recv.view());
+    co_await out_plan.execute(rt::ConstView(send.view()), recv.view());
     elapsed[me] =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -224,8 +203,7 @@ int main(int argc, char** argv) {
           static_cast<long>(rcounts[s] / sizeof(Token)) * me;
     }
     rt::Buffer back = rt::Buffer::real(stotal);
-    co_await shuffle(world, back_plan, rcounts, scounts,
-                     rt::ConstView(recv.view()), back.view());
+    co_await back_plan.execute(rt::ConstView(recv.view()), back.view());
 
     // Every token must arrive back with its origin intact.
     int mine_back = 0;

@@ -8,8 +8,8 @@
 /// question is answered by the closed-form model exactly once and by an
 /// O(1) lookup afterwards; the table round-trips through a text file the
 /// way a deployment would precompute it. The measured runs execute through
-/// persistent plans (RunSpec::use_plan), keeping communicator construction
-/// out of the timed region.
+/// the harness's persistent plans, keeping communicator construction out
+/// of the timed region.
 ///
 /// The final section is the static-vs-online showdown (src/autotune/):
 /// an adapt-mode OnlineSelector runs a bounded exploration of the
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
       spec.algo = algo;
       spec.group_size = g;
       spec.block = block;
-      spec.use_plan = true;
       bench::apply_env(spec);
       return bench::run_sim(spec).seconds;
     };

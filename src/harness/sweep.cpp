@@ -3,27 +3,24 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
-#include <cstring>
-
 #include "autotune/selector.hpp"
-#include "coll_ext/alltoallv.hpp"
 #include "net/bootstrap.hpp"
 #include "net/net_comm.hpp"
 #include "obs/metrics.hpp"
 #include "plan/plan.hpp"
 #include "plan/schedule.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/comm_bundle.hpp"
 #include "runtime/env.hpp"
 #include "sim/cluster.hpp"
 #include "sim/sim_comm.hpp"
+#include "smp/smp_runtime.hpp"
 
 namespace mca2a::bench {
 
@@ -93,39 +90,322 @@ void apply_env(RunSpec& spec) {
 
 namespace {
 
-/// Elementwise cross-rank fold over `vals` (allgather, then reduce
-/// locally): every rank ends with the identical reduced vector, so every
-/// process of a net job returns the same RunResult.
-rt::Task<void> fold_ranks(rt::Comm& world, std::vector<double>& vals,
-                          bool sum) {
-  if (vals.empty()) {
-    co_return;
-  }
-  const int p = world.size();
-  const std::size_t n = vals.size();
-  rt::Buffer mine = world.alloc_buffer(n * sizeof(double));
-  std::memcpy(mine.data(), vals.data(), n * sizeof(double));
-  rt::Buffer all =
-      world.alloc_buffer(static_cast<std::size_t>(p) * n * sizeof(double));
-  co_await rt::allgather(world, rt::ConstView(mine.view()), all.view());
-  const double* got = reinterpret_cast<const double*>(all.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = got[i];
-    for (int r = 1; r < p; ++r) {
-      const double v = got[static_cast<std::size_t>(r) * n + i];
-      acc = sum ? acc + v : std::max(acc, v);
+constexpr auto kPhases = static_cast<std::size_t>(coll::kNumPhases);
+
+/// Run-wide facts every rank program reads, fixed before any launcher
+/// starts.
+struct Run {
+  explicit Run(const RunSpec& s)
+      : spec(s),
+        machine(s.machine),
+        reps(static_cast<std::size_t>(std::max(1, s.reps))),
+        overlap(std::max(1, s.overlap)),
+        group(s.group_size == 0 ? machine.ppn() : s.group_size),
+        one_process(s.backend != "net") {}
+
+  const RunSpec& spec;
+  const topo::Machine machine;
+  const std::size_t reps;
+  const int overlap;
+  const int group;  ///< locality group width (spec.group_size, 0 -> ppn)
+  /// All ranks live in this process (sim, smp): their clocks share one
+  /// epoch and they can consult one selector. False for net.
+  const bool one_process;
+  coll::AlltoallvSkew skew;  ///< vector mode: the matrix's exact signature
+  autotune::OnlineSelector* selector = nullptr;  ///< autotune mode
+};
+
+/// One rank's observations on its own clock, one slot per repetition
+/// (rep-major for the per-phase and per-exchange arrays). Every rank of a
+/// run has the same shape, which lets the net launcher ship samples in one
+/// allgather.
+struct RankSample {
+  std::vector<double> start;    ///< clock once the rep's work may begin
+  std::vector<double> end;      ///< clock once the rep's work completed
+  std::vector<double> phases;   ///< collect_trace: kNumPhases per rep
+  std::vector<double> cpath;    ///< overlap: Schedule::critical_path()
+  std::vector<double> op_secs;  ///< overlap: `overlap` exchanges per rep
+  std::vector<int> algos;       ///< autotune: resolved coll::Algo value
+  std::vector<int> groups;      ///< autotune: resolved group size
+
+  explicit RankSample(const Run& run)
+      : start(run.reps, 0.0), end(run.reps, 0.0) {
+    if (run.spec.collect_trace) {
+      phases.assign(run.reps * kPhases, 0.0);
     }
-    vals[i] = acc;
+    if (run.overlap >= 2) {
+      cpath.assign(run.reps, 0.0);
+      op_secs.assign(run.reps * static_cast<std::size_t>(run.overlap), 0.0);
+    }
+    if (run.spec.autotune) {
+      algos.assign(run.reps, 0);
+      groups.assign(run.reps, 0);
+    }
+  }
+
+  /// Visit every array in one fixed order: the net launcher's wire layout.
+  template <typename Sample, typename F>
+  static void visit(Sample& s, F&& f) {
+    f(s.start);
+    f(s.end);
+    f(s.phases);
+    f(s.cpath);
+    f(s.op_secs);
+    f(s.algos);
+    f(s.groups);
+  }
+};
+
+/// What a launcher hands the fold: one sample per rank (index = rank) and
+/// the messages the run sent.
+struct Launch {
+  std::vector<RankSample> ranks;
+  std::uint64_t messages = 0;
+};
+
+void validate(const RunSpec& spec) {
+  if (spec.backend != "sim" && spec.backend != "smp" && spec.backend != "net") {
+    throw std::invalid_argument("run_sim: unknown backend \"" + spec.backend +
+                                "\" (expected \"sim\", \"smp\" or \"net\")");
+  }
+  const bool overlapped = spec.overlap >= 2;
+  if (overlapped && spec.collect_trace) {
+    // The overlap path reports per-op and critical-path times instead of
+    // phase traces; silently returning zeroed phases would read as data.
+    throw std::invalid_argument(
+        "run_sim: collect_trace is not supported with overlap >= 2");
+  }
+  if (overlapped && spec.vector) {
+    throw std::invalid_argument(
+        "run_sim: vector mode is not supported with overlap >= 2");
+  }
+  if (spec.autotune && (spec.vector || overlapped || spec.collect_trace)) {
+    throw std::invalid_argument(
+        "run_sim: autotune mode is not combinable with vector, overlap or "
+        "collect_trace");
   }
 }
 
-/// backend == "net": run the spec's rank program on this process's rank of
-/// the surrounding a2arun job. The world is created once per process (a
-/// socket mesh bootstraps exactly once) and reused by every subsequent
-/// run_sim call; each call builds its subcomms/plans afresh, which stays
-/// deterministic because every rank executes the identical call sequence.
-RunResult run_net(const RunSpec& spec) {
-  const auto wall0 = std::chrono::steady_clock::now();
+/// An autotune round's plan. In one process every rank consults the
+/// shared selector; the round's leading barrier orders those lookups after
+/// the previous round's completions, so all ranks see one profiler state
+/// and resolve the same algorithm (the selector's determinism contract).
+/// Across processes each profiler would record different wall-clock
+/// samples and the ranks would drift apart (deadlock), so rank 0 owns the
+/// selector and broadcasts its (algorithm, group) choice.
+rt::Task<plan::CollectivePlan> autotune_plan(rt::Comm& world, const Run& run) {
+  coll::AlltoallDesc desc;
+  desc.block = run.spec.block;  // algorithm left empty: the selector decides
+  plan::PlanOptions popts;
+  popts.inner = run.spec.inner;
+  popts.autotune = run.selector;
+  if (run.one_process) {
+    co_return plan::make_plan(world, run.machine, run.spec.net, desc, popts);
+  }
+  std::int32_t chosen[2] = {0, 0};
+  rt::Buffer decision = world.alloc_buffer(sizeof(chosen));
+  if (world.rank() == 0) {
+    plan::CollectivePlan pl =
+        plan::make_plan(world, run.machine, run.spec.net, desc, popts);
+    chosen[0] = static_cast<std::int32_t>(pl.algo_id());
+    chosen[1] = static_cast<std::int32_t>(pl.group_size());
+    std::memcpy(decision.data(), chosen, sizeof(chosen));
+    co_await rt::bcast(world, decision.view(), 0);
+    co_return std::move(pl);
+  }
+  co_await rt::bcast(world, decision.view(), 0);
+  std::memcpy(chosen, decision.data(), sizeof(chosen));
+  desc.algo = static_cast<coll::Algo>(chosen[0]);
+  popts.group_size = chosen[1];
+  popts.autotune = nullptr;
+  co_return plan::make_plan(world, run.machine, run.spec.net, desc, popts);
+}
+
+/// Autotune mode: every repetition re-plans through the selector.
+rt::Task<void> autotune_reps(rt::Comm& world, const Run& run,
+                             RankSample& out) {
+  const std::size_t total =
+      static_cast<std::size_t>(world.size()) * run.spec.block;
+  rt::Buffer sbuf = world.alloc_buffer(total);
+  rt::Buffer rbuf = world.alloc_buffer(total);
+  for (std::size_t rep = 0; rep < run.reps; ++rep) {
+    co_await rt::barrier(world);
+    plan::CollectivePlan pl = co_await autotune_plan(world, run);
+    out.algos[rep] = pl.algo_id();
+    out.groups[rep] = pl.group_size();
+    out.start[rep] = world.now();
+    co_await pl.execute(rt::ConstView(sbuf.view()), rbuf.view());
+    out.end[rep] = world.now();
+  }
+}
+
+/// Overlap mode: each repetition batches `overlap` exchanges of the spec's
+/// shape in one Schedule. Distinct plans overlap (one plan admits one
+/// in-flight op); distinct buffers keep the exchanges independent.
+rt::Task<void> overlap_reps(rt::Comm& world, const Run& run, RankSample& out) {
+  const RunSpec& spec = run.spec;
+  const std::size_t total = static_cast<std::size_t>(world.size()) * spec.block;
+  const auto n = static_cast<std::size_t>(run.overlap);
+  coll::AlltoallDesc desc;
+  desc.block = spec.block;
+  desc.algo = spec.algo;
+  plan::PlanOptions popts;
+  popts.group_size = run.group;
+  popts.inner = spec.inner;
+  std::vector<plan::CollectivePlan> plans;
+  std::vector<rt::Buffer> sbufs;
+  std::vector<rt::Buffer> rbufs;
+  plans.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    plans.push_back(plan::make_plan(world, run.machine, spec.net, desc, popts));
+    sbufs.push_back(world.alloc_buffer(total));
+    rbufs.push_back(world.alloc_buffer(total));
+  }
+  for (std::size_t rep = 0; rep < run.reps; ++rep) {
+    co_await rt::barrier(world);
+    out.start[rep] = world.now();
+    plan::Schedule sched;
+    for (std::size_t k = 0; k < n; ++k) {
+      const int id = sched.add(plans[k], rt::ConstView(sbufs[k].view()),
+                               rbufs[k].view(), spec.compute_bytes);
+      if (spec.overlap_chain && id > 0) {
+        sched.add_dependency(id - 1, id);  // serialized baseline
+      }
+    }
+    co_await sched.run();
+    out.end[rep] = world.now();
+    out.cpath[rep] = sched.critical_path();
+    for (std::size_t k = 0; k < n; ++k) {
+      out.op_secs[rep * n + k] = sched.stats(static_cast<int>(k)).seconds();
+    }
+  }
+}
+
+/// Single-exchange and vector modes: one persistent plan, built before the
+/// timed repetitions, and its send/recv buffers.
+plan::CollectivePlan exchange_plan(rt::Comm& world, const Run& run,
+                                   rt::Buffer& sbuf, rt::Buffer& rbuf) {
+  const RunSpec& spec = run.spec;
+  const int p = world.size();
+  plan::PlanOptions popts;
+  popts.group_size = run.group;
+  popts.inner = spec.inner;
+  if (!spec.vector) {
+    const std::size_t total = static_cast<std::size_t>(p) * spec.block;
+    sbuf = world.alloc_buffer(total);
+    rbuf = world.alloc_buffer(total);
+    coll::AlltoallDesc desc;
+    desc.block = spec.block;
+    desc.algo = spec.algo;
+    return plan::make_plan(world, run.machine, spec.net, desc, popts);
+  }
+  const int me = world.rank();
+  coll::AlltoallvDesc desc;
+  desc.send_counts.resize(static_cast<std::size_t>(p));
+  desc.recv_counts.resize(static_cast<std::size_t>(p));
+  for (int d = 0; d < p; ++d) {
+    desc.send_counts[static_cast<std::size_t>(d)] =
+        vector_count(me, d, p, spec.block, spec.vector_imbalance, spec.seed);
+    desc.recv_counts[static_cast<std::size_t>(d)] =
+        vector_count(d, me, p, spec.block, spec.vector_imbalance, spec.seed);
+  }
+  if (!spec.vector_tuned) {
+    desc.algo = spec.vector_algo;
+  }
+  desc.skew = run.skew;  // exact global signature, identical on every rank
+  sbuf = world.alloc_buffer(desc.send_total());
+  rbuf = world.alloc_buffer(desc.recv_total());
+  return plan::make_plan(world, run.machine, spec.net, std::move(desc), popts);
+}
+
+rt::Task<void> exchange_reps(rt::Comm& world, const Run& run,
+                             RankSample& out) {
+  rt::Buffer sbuf;
+  rt::Buffer rbuf;
+  plan::CollectivePlan pl = exchange_plan(world, run, sbuf, rbuf);
+  for (std::size_t rep = 0; rep < run.reps; ++rep) {
+    coll::Trace trace;
+    co_await rt::barrier(world);
+    out.start[rep] = world.now();
+    co_await pl.execute(rt::ConstView(sbuf.view()), rbuf.view(),
+                        run.spec.collect_trace ? &trace : nullptr);
+    out.end[rep] = world.now();
+    if (run.spec.collect_trace) {
+      std::copy(trace.seconds.begin(), trace.seconds.end(),
+                out.phases.begin() +
+                    static_cast<std::ptrdiff_t>(rep * kPhases));
+    }
+  }
+}
+
+/// The one per-rank body every backend runs: the spec's mode through
+/// persistent plans, each repetition behind a barrier, recording only this
+/// rank's own-clock observations.
+rt::Task<void> rank_program(rt::Comm& world, const Run& run,
+                            RankSample& out) {
+  const RunSpec& spec = run.spec;
+  if (spec.autotune) {
+    co_await autotune_reps(world, run, out);
+    co_return;
+  }
+  if (!spec.vector && spec.algo == coll::Algo::kSystemMpi) {
+    // The vendor library's tuned implementation (simulator only).
+    if (auto* sc = dynamic_cast<sim::SimComm*>(&world)) {
+      sc->set_cost_scale(spec.net.vendor_factor);
+    }
+  }
+  if (run.overlap >= 2) {
+    co_await overlap_reps(world, run, out);
+  } else {
+    co_await exchange_reps(world, run, out);
+  }
+}
+
+Launch launch_sim(const Run& run) {
+  sim::ClusterConfig cfg;
+  cfg.machine = run.spec.machine;
+  cfg.net = run.spec.net;
+  // Vector runs move real bytes: the locality alltoallv algorithms learn
+  // the aggregated message sizes from count metadata that must genuinely
+  // travel, so virtual payloads are not an option.
+  cfg.carry_data = run.spec.vector;
+  cfg.noise_seed = run.spec.seed;
+  sim::Cluster cluster(cfg);
+  Launch out{std::vector<RankSample>(
+      static_cast<std::size_t>(run.machine.total_ranks()), RankSample(run))};
+  cluster.run([&](rt::Comm& world) {
+    return rank_program(world, run,
+                        out.ranks[static_cast<std::size_t>(world.rank())]);
+  });
+  out.messages = cluster.messages_sent();
+  return out;
+}
+
+Launch launch_smp(const Run& run) {
+  // Every mailbox message, ring or overflow (the counters perfbench reads).
+  const auto sends = [] {
+    const obs::MetricsRegistry& m = obs::metrics();
+    return m.counter_value("smp.mailbox.ring_sends") +
+           m.counter_value("smp.mailbox.overflow_sends");
+  };
+  const int p = run.machine.total_ranks();
+  Launch out{std::vector<RankSample>(static_cast<std::size_t>(p),
+                                     RankSample(run))};
+  const std::uint64_t sends0 = sends();
+  smp::run_threads(p, [&](rt::Comm& world) {
+    return rank_program(world, run,
+                        out.ranks[static_cast<std::size_t>(world.rank())]);
+  });
+  out.messages = sends() - sends0;
+  return out;
+}
+
+/// Runs this process's rank of the surrounding a2arun job. The world is
+/// created once per process (a socket mesh bootstraps exactly once) and
+/// reused by every later call; each call builds its subcomms and plans
+/// afresh, which stays deterministic because every rank issues the
+/// identical call sequence.
+Launch launch_net(const Run& run) {
   if (!net::env_configured()) {
     throw std::runtime_error(
         "run_sim: backend \"net\" but A2A_NET_* is not set — launch the "
@@ -134,623 +414,112 @@ RunResult run_net(const RunSpec& spec) {
   static std::unique_ptr<net::NetComm> net_world =
       net::NetComm::process_world();
   rt::Comm& world = *net_world;
-  const topo::Machine machine(spec.machine);
-  const int p = machine.total_ranks();
+  const int p = run.machine.total_ranks();
   if (p != world.size()) {
     throw std::invalid_argument(
         "run_sim: machine wants " + std::to_string(p) + " ranks but the "
         "net job has " + std::to_string(world.size()) +
         " (a2arun -n must match nodes * ppn)");
   }
-  const int me = world.rank();
-  const int reps = std::max(1, spec.reps);
-  const int g = spec.group_size == 0 ? machine.ppn() : spec.group_size;
-  const int overlap = std::max(1, spec.overlap);
-  if (overlap >= 2 && spec.collect_trace) {
-    throw std::invalid_argument(
-        "run_sim: collect_trace is not supported with overlap >= 2");
-  }
-  if (spec.autotune && (spec.vector || overlap >= 2 || spec.collect_trace)) {
-    throw std::invalid_argument(
-        "run_sim: autotune mode is not combinable with vector, overlap or "
-        "collect_trace");
-  }
-
-  // Own-clock observations; cross-rank maxima folded in afterwards.
-  std::vector<double> elapsed(static_cast<std::size_t>(reps), 0.0);
-  std::vector<double> phases;
-  if (spec.collect_trace) {
-    phases.assign(static_cast<std::size_t>(reps) * coll::kNumPhases, 0.0);
-  }
-  std::vector<double> cpath;
-  std::vector<double> op_secs;
-  if (overlap >= 2) {
-    cpath.assign(static_cast<std::size_t>(reps), 0.0);
-    op_secs.assign(static_cast<std::size_t>(reps) * overlap, 0.0);
-  }
-  std::optional<autotune::OnlineSelector> own_selector;
-  autotune::OnlineSelector* selector = nullptr;
-  std::vector<int> rep_algos;
-  std::vector<int> rep_groups;
-  if (spec.autotune) {
-    if (spec.selector != nullptr) {
-      selector = spec.selector;
-    } else {
-      own_selector.emplace(autotune::Mode::kAdapt);
-      selector = &*own_selector;
-    }
-    rep_algos.assign(static_cast<std::size_t>(reps), 0);
-    rep_groups.assign(static_cast<std::size_t>(reps), 0);
-  }
-  const double frames0 =
-      static_cast<double>(obs::metrics().counter_value("net.frames_tx"));
-
-  auto overlap_main = [&]() -> rt::Task<void> {
-    const std::size_t total = static_cast<std::size_t>(p) * spec.block;
-    coll::AlltoallDesc desc;
-    desc.block = spec.block;
-    desc.algo = spec.algo;
-    plan::PlanOptions popts;
-    popts.group_size = g;
-    popts.inner = spec.inner;
-    std::vector<plan::CollectivePlan> plans;
-    std::vector<rt::Buffer> sbufs;
-    std::vector<rt::Buffer> rbufs;
-    plans.reserve(static_cast<std::size_t>(overlap));
-    for (int k = 0; k < overlap; ++k) {
-      plans.push_back(plan::make_plan(world, machine, spec.net, desc, popts));
-      sbufs.push_back(world.alloc_buffer(total));
-      rbufs.push_back(world.alloc_buffer(total));
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      co_await rt::barrier(world);
-      const double t0 = world.now();
-      plan::Schedule sched;
-      for (int k = 0; k < overlap; ++k) {
-        sched.add(plans[static_cast<std::size_t>(k)],
-                  rt::ConstView(sbufs[static_cast<std::size_t>(k)].view()),
-                  rbufs[static_cast<std::size_t>(k)].view(),
-                  spec.compute_bytes);
-        if (spec.overlap_chain && k > 0) {
-          sched.add_dependency(k - 1, k);
-        }
-      }
-      co_await sched.run();
-      elapsed[static_cast<std::size_t>(rep)] = world.now() - t0;
-      cpath[static_cast<std::size_t>(rep)] = sched.critical_path();
-      for (int k = 0; k < overlap; ++k) {
-        op_secs[static_cast<std::size_t>(rep * overlap + k)] =
-            sched.stats(k).seconds();
-      }
-    }
+  const auto frames = [] {
+    return obs::metrics().counter_value("net.frames_tx");
   };
-
-  auto autotune_main = [&]() -> rt::Task<void> {
-    const std::size_t total = static_cast<std::size_t>(p) * spec.block;
-    rt::Buffer sbuf = world.alloc_buffer(total);
-    rt::Buffer rbuf = world.alloc_buffer(total);
-    for (int rep = 0; rep < reps; ++rep) {
-      co_await rt::barrier(world);
-      // Wall-clock samples differ per process, so per-rank selectors would
-      // drift apart and resolve different algorithms — deadlock. Instead
-      // rank 0 owns the selector (recording real socket time into its
-      // profiler and exploiting it) and broadcasts the resolved
-      // (algorithm, group) each round; the others follow.
-      coll::AlltoallDesc desc;
-      desc.block = spec.block;
-      plan::PlanOptions popts;
-      popts.inner = spec.inner;
-      std::optional<plan::CollectivePlan> pl;
-      rt::Buffer decision = world.alloc_buffer(2 * sizeof(std::int32_t));
-      if (me == 0) {
-        popts.autotune = selector;
-        pl.emplace(plan::make_plan(world, machine, spec.net, desc, popts));
-        const std::int32_t chosen[2] = {
-            static_cast<std::int32_t>(pl->algo_id()),
-            static_cast<std::int32_t>(pl->group_size())};
-        std::memcpy(decision.data(), chosen, sizeof(chosen));
-      }
-      co_await rt::bcast(world, decision.view(), 0);
-      if (me != 0) {
-        std::int32_t chosen[2];
-        std::memcpy(chosen, decision.data(), sizeof(chosen));
-        desc.algo = static_cast<coll::Algo>(chosen[0]);
-        popts.group_size = chosen[1];
-        pl.emplace(plan::make_plan(world, machine, spec.net, desc, popts));
-      }
-      rep_algos[static_cast<std::size_t>(rep)] = pl->algo_id();
-      rep_groups[static_cast<std::size_t>(rep)] = pl->group_size();
-      const double t0 = world.now();
-      co_await pl->execute(rt::ConstView(sbuf.view()), rbuf.view());
-      elapsed[static_cast<std::size_t>(rep)] = world.now() - t0;
-    }
-  };
-
-  auto vector_main = [&]() -> rt::Task<void> {
-    std::vector<std::size_t> scounts(static_cast<std::size_t>(p));
-    std::vector<std::size_t> rcounts(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) {
-      scounts[static_cast<std::size_t>(d)] =
-          vector_count(me, d, p, spec.block, spec.vector_imbalance, spec.seed);
-      rcounts[static_cast<std::size_t>(d)] =
-          vector_count(d, me, p, spec.block, spec.vector_imbalance, spec.seed);
-    }
-    const auto sdispls = coll::displs_from_counts(scounts);
-    const auto rdispls = coll::displs_from_counts(rcounts);
-    rt::Buffer sbuf = world.alloc_buffer(
-        std::accumulate(scounts.begin(), scounts.end(), std::size_t{0}));
-    rt::Buffer rbuf = world.alloc_buffer(
-        std::accumulate(rcounts.begin(), rcounts.end(), std::size_t{0}));
-    std::optional<plan::CollectivePlan> pl;
-    std::optional<rt::LocalityComms> lc;
-    coll::Options opts;
-    opts.inner = spec.inner;
-    if (spec.use_plan || spec.vector_tuned) {
-      coll::AlltoallvDesc desc;
-      desc.send_counts = scounts;
-      desc.recv_counts = rcounts;
-      if (!spec.vector_tuned) {
-        desc.algo = spec.vector_algo;
-      }
-      desc.skew = vector_skew(p, spec.block, spec.vector_imbalance, spec.seed);
-      plan::PlanOptions popts;
-      popts.group_size = g;
-      popts.inner = spec.inner;
-      pl.emplace(plan::make_plan(world, machine, spec.net, desc, popts));
-    } else if (coll::needs_locality(spec.vector_algo)) {
-      lc.emplace(rt::build_locality_comms(
-          world, machine, g, coll::needs_leader_comms(spec.vector_algo)));
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      coll::Trace trace;
-      coll::Trace* tr = spec.collect_trace ? &trace : nullptr;
-      co_await rt::barrier(world);
-      const double t0 = world.now();
-      if (pl) {
-        co_await pl->execute(rt::ConstView(sbuf.view()), rbuf.view(), tr);
-      } else {
-        opts.trace = tr;
-        co_await coll::run_alltoallv(spec.vector_algo, world,
-                                     lc ? &*lc : nullptr,
-                                     rt::ConstView(sbuf.view()), scounts,
-                                     sdispls, rbuf.view(), rcounts, rdispls,
-                                     opts);
-      }
-      elapsed[static_cast<std::size_t>(rep)] = world.now() - t0;
-      if (spec.collect_trace) {
-        for (int ph = 0; ph < coll::kNumPhases; ++ph) {
-          phases[static_cast<std::size_t>(rep * coll::kNumPhases + ph)] =
-              trace.seconds[static_cast<std::size_t>(ph)];
-        }
-      }
-    }
-  };
-
-  auto rank_main = [&]() -> rt::Task<void> {
-    const std::size_t total = static_cast<std::size_t>(p) * spec.block;
-    rt::Buffer sbuf = world.alloc_buffer(total);
-    rt::Buffer rbuf = world.alloc_buffer(total);
-    std::optional<plan::CollectivePlan> pl;
-    std::optional<rt::LocalityComms> lc;
-    coll::Options opts;
-    opts.inner = spec.inner;
-    if (spec.use_plan) {
-      coll::AlltoallDesc desc;
-      desc.block = spec.block;
-      desc.algo = spec.algo;
-      plan::PlanOptions popts;
-      popts.group_size = g;
-      popts.inner = spec.inner;
-      pl.emplace(plan::make_plan(world, machine, spec.net, desc, popts));
-    } else if (coll::needs_locality(spec.algo)) {
-      lc.emplace(rt::build_locality_comms(
-          world, machine, g, coll::needs_leader_comms(spec.algo)));
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      coll::Trace trace;
-      coll::Trace* tr = spec.collect_trace ? &trace : nullptr;
-      co_await rt::barrier(world);
-      const double t0 = world.now();
-      if (pl) {
-        co_await pl->execute(rt::ConstView(sbuf.view()), rbuf.view(), tr);
-      } else {
-        opts.trace = tr;
-        co_await coll::run_alltoall(spec.algo, world, lc ? &*lc : nullptr,
-                                    rt::ConstView(sbuf.view()), rbuf.view(),
-                                    spec.block, opts);
-      }
-      elapsed[static_cast<std::size_t>(rep)] = world.now() - t0;
-      if (spec.collect_trace) {
-        for (int ph = 0; ph < coll::kNumPhases; ++ph) {
-          phases[static_cast<std::size_t>(rep * coll::kNumPhases + ph)] =
-              trace.seconds[static_cast<std::size_t>(ph)];
-        }
-      }
-    }
-  };
-
+  RankSample mine(run);
+  std::vector<double> all;  // every rank's wire form, in rank order
   auto program = [&]() -> rt::Task<void> {
-    if (spec.autotune) {
-      co_await autotune_main();
-    } else if (overlap >= 2) {
-      co_await overlap_main();
-    } else if (spec.vector) {
-      co_await vector_main();
-    } else {
-      co_await rank_main();
-    }
-    // Cross-rank reductions, identical everywhere: elapsed/phase/critical
-    // maxima, frame-count sum.
-    co_await fold_ranks(world, elapsed, /*sum=*/false);
-    co_await fold_ranks(world, phases, /*sum=*/false);
-    co_await fold_ranks(world, cpath, /*sum=*/false);
-    co_await fold_ranks(world, op_secs, /*sum=*/false);
+    const std::uint64_t frames0 = frames();
+    co_await rank_program(world, run, mine);
+    // One allgather ships every rank's sample and frame count to every
+    // rank, so each process folds the identical RunResult.
+    std::vector<double> wire;
+    RankSample::visit(mine, [&](const auto& v) {
+      wire.insert(wire.end(), v.begin(), v.end());
+    });
+    wire.push_back(static_cast<double>(frames() - frames0));
+    const std::size_t bytes = wire.size() * sizeof(double);
+    rt::Buffer packed = world.alloc_buffer(bytes);
+    std::memcpy(packed.data(), wire.data(), bytes);
+    rt::Buffer gathered =
+        world.alloc_buffer(static_cast<std::size_t>(p) * bytes);
+    co_await rt::allgather(world, rt::ConstView(packed.view()),
+                           gathered.view());
+    all.resize(static_cast<std::size_t>(p) * wire.size());
+    std::memcpy(all.data(), gathered.data(), gathered.size());
   };
   rt::sync_wait(program());
 
-  std::vector<double> frames = {
-      static_cast<double>(obs::metrics().counter_value("net.frames_tx")) -
-      frames0};
-  rt::sync_wait(fold_ranks(world, frames, /*sum=*/true));
-
-  RunResult res;
-  res.seconds = std::numeric_limits<double>::infinity();
-  res.phase_seconds.fill(std::numeric_limits<double>::infinity());
-  res.rep_seconds.resize(static_cast<std::size_t>(reps));
-  for (int rep = 0; rep < reps; ++rep) {
-    // Clocks are per-process CLOCK_MONOTONIC with no shared epoch, so the
-    // cross-rank span (max end - min start) is meaningless here; the
-    // post-barrier per-rank elapsed maximum is the wall-clock equivalent —
-    // the same metric the autotune profiler records.
-    res.seconds = std::min(res.seconds, elapsed[static_cast<std::size_t>(rep)]);
-    res.rep_seconds[static_cast<std::size_t>(rep)] =
-        elapsed[static_cast<std::size_t>(rep)];
-    if (spec.collect_trace) {
-      for (int ph = 0; ph < coll::kNumPhases; ++ph) {
-        auto& agg = res.phase_seconds[static_cast<std::size_t>(ph)];
-        agg = std::min(
-            agg, phases[static_cast<std::size_t>(rep * coll::kNumPhases + ph)]);
+  Launch out{std::vector<RankSample>(static_cast<std::size_t>(p), mine)};
+  const double* in = all.data();
+  for (RankSample& s : out.ranks) {
+    RankSample::visit(s, [&](auto& v) {
+      for (auto& x : v) {
+        x = static_cast<std::remove_reference_t<decltype(x)>>(*in++);
       }
-    }
+    });
+    out.messages += static_cast<std::uint64_t>(*in++);
   }
-  if (!spec.collect_trace) {
-    res.phase_seconds.fill(0.0);
-  }
-  if (overlap >= 2) {
-    res.critical_path_seconds = std::numeric_limits<double>::infinity();
-    res.op_seconds.assign(static_cast<std::size_t>(overlap),
-                          std::numeric_limits<double>::infinity());
-    for (int rep = 0; rep < reps; ++rep) {
-      res.critical_path_seconds = std::min(
-          res.critical_path_seconds, cpath[static_cast<std::size_t>(rep)]);
-      for (int k = 0; k < overlap; ++k) {
-        res.op_seconds[static_cast<std::size_t>(k)] =
-            std::min(res.op_seconds[static_cast<std::size_t>(k)],
-                     op_secs[static_cast<std::size_t>(rep * overlap + k)]);
-      }
-    }
-    res.rep_seconds.clear();
-  }
-  if (spec.autotune) {
-    res.rep_algos = std::move(rep_algos);
-    res.rep_groups = std::move(rep_groups);
-  }
-  res.messages = static_cast<std::uint64_t>(frames[0]);
-  res.sim_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  return res;
+  return out;
 }
 
-}  // namespace
-
-RunResult run_sim(const RunSpec& spec) {
-  if (spec.backend == "net") {
-    return run_net(spec);
-  }
-  if (spec.backend != "sim") {
-    throw std::invalid_argument("run_sim: unknown backend \"" + spec.backend +
-                                "\" (expected \"sim\" or \"net\")");
-  }
-  const auto wall0 = std::chrono::steady_clock::now();
-
-  sim::ClusterConfig cfg;
-  cfg.machine = spec.machine;
-  cfg.net = spec.net;
-  // Vector runs move real bytes: the locality alltoallv algorithms learn
-  // the aggregated message sizes from count metadata that must genuinely
-  // travel, so virtual payloads are not an option.
-  cfg.carry_data = spec.carry_data || spec.vector;
-  cfg.noise_seed = spec.seed;
-  sim::Cluster cluster(cfg);
-
-  const topo::Machine& machine = cluster.machine();
-  const int p = machine.total_ranks();
-  const int reps = std::max(1, spec.reps);
-  const int g = spec.group_size == 0 ? machine.ppn() : spec.group_size;
-
-  // Per-(rep, rank) observations filled by the rank coroutines.
-  std::vector<std::vector<double>> start(reps, std::vector<double>(p, 0.0));
-  std::vector<std::vector<double>> end(reps, std::vector<double>(p, 0.0));
-  std::vector<std::vector<coll::Trace>> traces;
-  if (spec.collect_trace) {
-    traces.assign(reps, std::vector<coll::Trace>(p));
-  }
-  const int overlap = std::max(1, spec.overlap);
-  if (overlap >= 2 && spec.collect_trace) {
-    // The overlap path reports per-op and critical-path times instead of
-    // phase traces; silently returning zeroed phases would read as data.
-    throw std::invalid_argument(
-        "run_sim: collect_trace is not supported with overlap >= 2");
-  }
-  // Overlap runs: per-(rep, rank) critical path and per-(rep, op, rank)
-  // exchange durations.
-  std::vector<std::vector<double>> cpath;
-  std::vector<std::vector<std::vector<double>>> op_secs;
-  if (overlap >= 2) {
-    cpath.assign(reps, std::vector<double>(p, 0.0));
-    op_secs.assign(
-        reps, std::vector<std::vector<double>>(overlap,
-                                               std::vector<double>(p, 0.0)));
-  }
-
-  auto overlap_main = [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    if (spec.algo == coll::Algo::kSystemMpi) {
-      if (auto* sc = dynamic_cast<sim::SimComm*>(&world)) {
-        sc->set_cost_scale(spec.net.vendor_factor);
-      }
+/// Fold per-rank samples into the paper's metrics: every statistic is the
+/// minimum over repetitions of a maximum over ranks.
+RunResult fold(const Run& run, const std::vector<RankSample>& ranks) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto worst = [&](const auto& f) {
+    double w = 0.0;
+    for (const RankSample& s : ranks) {
+      w = std::max(w, f(s));
     }
-    const std::size_t total = static_cast<std::size_t>(p) * spec.block;
-    // One plan, one send/recv pair per concurrent exchange: distinct plans
-    // overlap (a single plan admits one in-flight op), distinct buffers
-    // keep the exchanges independent.
-    coll::AlltoallDesc desc;
-    desc.block = spec.block;
-    desc.algo = spec.algo;
-    plan::PlanOptions popts;
-    popts.group_size = g;
-    popts.inner = spec.inner;
-    std::vector<plan::CollectivePlan> plans;
-    std::vector<rt::Buffer> sbufs;
-    std::vector<rt::Buffer> rbufs;
-    plans.reserve(overlap);
-    for (int k = 0; k < overlap; ++k) {
-      plans.push_back(plan::make_plan(world, machine, spec.net, desc, popts));
-      sbufs.push_back(world.alloc_buffer(total));
-      rbufs.push_back(world.alloc_buffer(total));
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      co_await rt::barrier(world);
-      start[rep][me] = world.now();
-      plan::Schedule sched;
-      for (int k = 0; k < overlap; ++k) {
-        sched.add(plans[k], rt::ConstView(sbufs[k].view()), rbufs[k].view(),
-                  spec.compute_bytes);
-        if (spec.overlap_chain && k > 0) {
-          sched.add_dependency(k - 1, k);
-        }
-      }
-      co_await sched.run();
-      end[rep][me] = world.now();
-      cpath[rep][me] = sched.critical_path();
-      for (int k = 0; k < overlap; ++k) {
-        op_secs[rep][k][me] = sched.stats(k).seconds();
-      }
-    }
+    return w;
   };
-
-  // Online-autotuning mode: one shared selector, re-plan every repetition.
-  if (spec.autotune && (spec.vector || overlap >= 2 || spec.collect_trace)) {
-    throw std::invalid_argument(
-        "run_sim: autotune mode is not combinable with vector, overlap or "
-        "collect_trace");
-  }
-  std::optional<autotune::OnlineSelector> own_selector;
-  autotune::OnlineSelector* selector = nullptr;
-  std::vector<int> rep_algos;
-  std::vector<int> rep_groups;
-  if (spec.autotune) {
-    if (spec.selector != nullptr) {
-      selector = spec.selector;
-    } else {
-      own_selector.emplace(autotune::Mode::kAdapt);
-      selector = &*own_selector;
+  const auto best_rep = [&](const auto& f) {
+    double b = kInf;
+    for (std::size_t rep = 0; rep < run.reps; ++rep) {
+      b = std::min(b, f(rep));
     }
-    rep_algos.assign(reps, 0);
-    rep_groups.assign(reps, 0);
-  }
-  auto autotune_main = [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    const std::size_t total = static_cast<std::size_t>(p) * spec.block;
-    rt::Buffer sbuf = world.alloc_buffer(total);
-    rt::Buffer rbuf = world.alloc_buffer(total);
-    for (int rep = 0; rep < reps; ++rep) {
-      // The barrier separates this round's plan creation from the previous
-      // round's completions: every rank consults the selector against the
-      // same profiler state, so all ranks resolve the same algorithm (the
-      // selector's determinism contract).
-      co_await rt::barrier(world);
-      coll::AlltoallDesc desc;
-      desc.block = spec.block;  // algorithm left empty: selector decides
-      plan::PlanOptions popts;
-      popts.inner = spec.inner;
-      popts.autotune = selector;
-      plan::CollectivePlan pl =
-          plan::make_plan(world, machine, spec.net, desc, popts);
-      if (me == 0) {
-        rep_algos[rep] = pl.algo_id();
-        rep_groups[rep] = pl.group_size();
-      }
-      start[rep][me] = world.now();
-      co_await pl.execute(rt::ConstView(sbuf.view()), rbuf.view());
-      end[rep][me] = world.now();
-    }
+    return b;
   };
-
-  // Vector (alltoallv) mode: identical protocol, irregular counts.
-  coll::AlltoallvSkew vskew;
-  if (spec.vector) {
-    if (overlap >= 2) {
-      throw std::invalid_argument(
-          "run_sim: vector mode is not supported with overlap >= 2");
-    }
-    vskew = vector_skew(p, spec.block, spec.vector_imbalance, spec.seed);
-  }
-  auto vector_main = [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    std::vector<std::size_t> scounts(p), rcounts(p);
-    for (int d = 0; d < p; ++d) {
-      scounts[d] =
-          vector_count(me, d, p, spec.block, spec.vector_imbalance, spec.seed);
-      rcounts[d] =
-          vector_count(d, me, p, spec.block, spec.vector_imbalance, spec.seed);
-    }
-    const auto sdispls = coll::displs_from_counts(scounts);
-    const auto rdispls = coll::displs_from_counts(rcounts);
-    rt::Buffer sbuf = world.alloc_buffer(
-        std::accumulate(scounts.begin(), scounts.end(), std::size_t{0}));
-    rt::Buffer rbuf = world.alloc_buffer(
-        std::accumulate(rcounts.begin(), rcounts.end(), std::size_t{0}));
-
-    std::optional<plan::CollectivePlan> pl;
-    std::optional<rt::LocalityComms> lc;
-    coll::Options opts;
-    opts.inner = spec.inner;
-    if (spec.use_plan || spec.vector_tuned) {
-      coll::AlltoallvDesc desc;
-      desc.send_counts = scounts;
-      desc.recv_counts = rcounts;
-      if (!spec.vector_tuned) {
-        desc.algo = spec.vector_algo;
-      }
-      desc.skew = vskew;  // exact global signature, identical on every rank
-      plan::PlanOptions popts;
-      popts.group_size = g;
-      popts.inner = spec.inner;
-      pl.emplace(plan::make_plan(world, machine, spec.net, desc, popts));
-    } else if (coll::needs_locality(spec.vector_algo)) {
-      lc.emplace(rt::build_locality_comms(
-          world, machine, g, coll::needs_leader_comms(spec.vector_algo)));
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      coll::Trace trace;
-      coll::Trace* tr = spec.collect_trace ? &trace : nullptr;
-      co_await rt::barrier(world);
-      start[rep][me] = world.now();
-      if (pl) {
-        co_await pl->execute(rt::ConstView(sbuf.view()), rbuf.view(), tr);
-      } else {
-        opts.trace = tr;
-        co_await coll::run_alltoallv(spec.vector_algo, world,
-                                     lc ? &*lc : nullptr,
-                                     rt::ConstView(sbuf.view()), scounts,
-                                     sdispls, rbuf.view(), rcounts, rdispls,
-                                     opts);
-      }
-      end[rep][me] = world.now();
-      if (spec.collect_trace) {
-        traces[rep][me] = trace;
-      }
-    }
+  const auto elapsed = [&](std::size_t rep) {
+    return worst([&](const RankSample& s) { return s.end[rep] - s.start[rep]; });
   };
-
-  auto rank_main = [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    if (spec.algo == coll::Algo::kSystemMpi) {
-      if (auto* sc = dynamic_cast<sim::SimComm*>(&world)) {
-        sc->set_cost_scale(spec.net.vendor_factor);
-      }
-    }
-    const std::size_t total = static_cast<std::size_t>(p) * spec.block;
-    rt::Buffer sbuf = world.alloc_buffer(total);
-    rt::Buffer rbuf = world.alloc_buffer(total);
-
-    // Setup happens here, outside the timed repetitions, either way: the
-    // plan path packages selection, communicator construction and scratch
-    // reuse behind execute(); the legacy path builds the bundle itself.
-    std::optional<plan::CollectivePlan> pl;
-    std::optional<rt::LocalityComms> lc;
-    coll::Options opts;
-    opts.inner = spec.inner;
-    if (spec.use_plan) {
-      coll::AlltoallDesc desc;
-      desc.block = spec.block;
-      desc.algo = spec.algo;
-      plan::PlanOptions popts;
-      popts.group_size = g;
-      popts.inner = spec.inner;
-      pl.emplace(plan::make_plan(world, machine, spec.net, desc, popts));
-    } else if (coll::needs_locality(spec.algo)) {
-      lc.emplace(rt::build_locality_comms(
-          world, machine, g, coll::needs_leader_comms(spec.algo)));
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      coll::Trace trace;
-      coll::Trace* tr = spec.collect_trace ? &trace : nullptr;
-      co_await rt::barrier(world);
-      start[rep][me] = world.now();
-      if (pl) {
-        co_await pl->execute(rt::ConstView(sbuf.view()), rbuf.view(), tr);
-      } else {
-        opts.trace = tr;
-        co_await coll::run_alltoall(spec.algo, world, lc ? &*lc : nullptr,
-                                    rt::ConstView(sbuf.view()), rbuf.view(),
-                                    spec.block, opts);
-      }
-      end[rep][me] = world.now();
-      if (spec.collect_trace) {
-        traces[rep][me] = trace;
-      }
-    }
-  };
-
-  if (spec.autotune) {
-    cluster.run(autotune_main);
-  } else if (overlap >= 2) {
-    cluster.run(overlap_main);
-  } else if (spec.vector) {
-    cluster.run(vector_main);
-  } else {
-    cluster.run(rank_main);
-  }
 
   RunResult res;
-  res.seconds = std::numeric_limits<double>::infinity();
-  res.phase_seconds.fill(std::numeric_limits<double>::infinity());
-  for (int rep = 0; rep < reps; ++rep) {
-    const double t0 = *std::min_element(start[rep].begin(), start[rep].end());
-    const double t1 = *std::max_element(end[rep].begin(), end[rep].end());
-    res.seconds = std::min(res.seconds, t1 - t0);
-    if (spec.collect_trace) {
-      for (int ph = 0; ph < coll::kNumPhases; ++ph) {
-        double mx = 0.0;
-        for (int r = 0; r < p; ++r) {
-          mx = std::max(mx, traces[rep][r].seconds[ph]);
-        }
-        res.phase_seconds[ph] = std::min(res.phase_seconds[ph], mx);
-      }
+  res.seconds = best_rep([&](std::size_t rep) {
+    if (!run.one_process) {
+      // Process clocks share no epoch, so the cross-rank span is
+      // meaningless; each rank's post-barrier elapsed time is the
+      // wall-clock equivalent (the autotune profiler's metric).
+      return elapsed(rep);
+    }
+    double t0 = kInf;
+    double t1 = -kInf;
+    for (const RankSample& s : ranks) {
+      t0 = std::min(t0, s.start[rep]);
+      t1 = std::max(t1, s.end[rep]);
+    }
+    return t1 - t0;
+  });
+  if (run.spec.collect_trace) {
+    for (std::size_t ph = 0; ph < kPhases; ++ph) {
+      res.phase_seconds[ph] = best_rep([&](std::size_t rep) {
+        return worst([&](const RankSample& s) {
+          return s.phases[rep * kPhases + ph];
+        });
+      });
     }
   }
-  if (!spec.collect_trace) {
-    res.phase_seconds.fill(0.0);
-  }
-  if (overlap >= 2) {
-    res.critical_path_seconds = std::numeric_limits<double>::infinity();
-    res.op_seconds.assign(overlap,
-                          std::numeric_limits<double>::infinity());
-    for (int rep = 0; rep < reps; ++rep) {
-      res.critical_path_seconds =
-          std::min(res.critical_path_seconds,
-                   *std::max_element(cpath[rep].begin(), cpath[rep].end()));
-      for (int k = 0; k < overlap; ++k) {
-        res.op_seconds[k] = std::min(
-            res.op_seconds[k], *std::max_element(op_secs[rep][k].begin(),
-                                                 op_secs[rep][k].end()));
-      }
+  if (run.overlap >= 2) {
+    const auto n = static_cast<std::size_t>(run.overlap);
+    res.critical_path_seconds = best_rep([&](std::size_t rep) {
+      return worst([&](const RankSample& s) { return s.cpath[rep]; });
+    });
+    res.op_seconds.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      res.op_seconds[k] = best_rep([&](std::size_t rep) {
+        return worst([&](const RankSample& s) { return s.op_secs[rep * n + k]; });
+      });
     }
-  }
-  if (overlap < 2) {
+  } else {
     // Per-rep trajectory: max over ranks of each rank's *own* elapsed time
     // — the same quantity the plan layer records into the autotune
     // profiler. Unlike the span above (max end - min start), a rank's own
@@ -759,20 +528,39 @@ RunResult run_sim(const RunSpec& spec) {
     // back-to-back exchanges genuinely pipeline through residual skew, so
     // in-session rep times differ from a fresh single-shot run — compare
     // trajectories only against trajectories measured the same way.
-    res.rep_seconds.resize(reps);
-    for (int rep = 0; rep < reps; ++rep) {
-      double worst = 0.0;
-      for (int r = 0; r < p; ++r) {
-        worst = std::max(worst, end[rep][r] - start[rep][r]);
-      }
-      res.rep_seconds[rep] = worst;
+    res.rep_seconds.resize(run.reps);
+    for (std::size_t rep = 0; rep < run.reps; ++rep) {
+      res.rep_seconds[rep] = elapsed(rep);
     }
   }
-  if (spec.autotune) {
-    res.rep_algos = std::move(rep_algos);
-    res.rep_groups = std::move(rep_groups);
+  res.rep_algos = ranks.front().algos;
+  res.rep_groups = ranks.front().groups;
+  return res;
+}
+
+}  // namespace
+
+RunResult run_sim(const RunSpec& spec) {
+  const auto wall0 = std::chrono::steady_clock::now();
+  validate(spec);
+  Run run(spec);
+  if (spec.vector) {
+    // O(p^2): once per call, never per rank (p reaches 3584).
+    run.skew = vector_skew(run.machine.total_ranks(), spec.block,
+                           spec.vector_imbalance, spec.seed);
   }
-  res.messages = cluster.messages_sent();
+  std::optional<autotune::OnlineSelector> own_selector;
+  if (spec.autotune) {
+    run.selector = spec.selector != nullptr
+                       ? spec.selector
+                       : &own_selector.emplace(autotune::Mode::kAdapt);
+  }
+
+  const Launch got = spec.backend == "net"   ? launch_net(run)
+                     : spec.backend == "smp" ? launch_smp(run)
+                                             : launch_sim(run);
+  RunResult res = fold(run, got.ranks);
+  res.messages = got.messages;
   res.sim_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

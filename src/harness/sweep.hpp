@@ -1,9 +1,16 @@
 #pragma once
 /// \file sweep.hpp
 /// Benchmark driver: runs one (machine, network, algorithm, block size)
-/// configuration in the discrete-event simulator and reports the paper's
-/// metric — the minimum over repetitions of the collective's elapsed time
-/// (max end over ranks minus min start over ranks, after a barrier).
+/// configuration on one backend — the discrete-event simulator (virtual
+/// time), smp rank threads or net rank processes (wall clock) — and
+/// reports the paper's metric: the minimum over repetitions of the
+/// collective's elapsed time, each repetition timed after a barrier.
+///
+/// One per-rank body serves every backend. It executes the chosen mode
+/// (single exchange, alltoallv, overlap batch or online autotuning)
+/// through persistent plans and records only its own clock; a thin
+/// launcher per backend runs it on every rank, and one fold combines the
+/// per-rank samples into a RunResult.
 
 #include <array>
 #include <cstdint>
@@ -24,16 +31,17 @@ namespace mca2a::bench {
 struct RunSpec {
   topo::MachineDesc machine;
   model::NetParams net;
-  /// Execution backend. "sim" (default) runs the spec in a fresh
-  /// discrete-event simulation; "net" runs it over the real TCP backend —
-  /// the calling process must be one rank of a net job (launched by
-  /// tools/a2arun, A2A_NET_* set) whose size equals machine.total_ranks(),
-  /// and every rank of the job must issue the identical run_sim calls.
-  /// apply_env() reads A2A_BACKEND, so existing figure benches can be
-  /// pointed at real sockets without code changes. Times are wall-clock:
-  /// `seconds` becomes min over reps of (max over ranks of each rank's own
-  /// elapsed span) since process clocks share no epoch, and `messages`
-  /// counts transmitted frames. net/vendor_factor knobs are ignored.
+  /// Execution backend; apply_env() reads A2A_BACKEND, so every figure
+  /// bench runs on any of them without code changes.
+  ///  - "sim" (default): a fresh discrete-event simulation; virtual time.
+  ///  - "smp": one OS thread per rank in this process (machine is only the
+  ///    locality view; keep it test-scale); wall clock.
+  ///  - "net": the real TCP backend. The calling process must be one rank
+  ///    of a net job (launched by tools/a2arun, A2A_NET_* set) whose size
+  ///    equals machine.total_ranks(), and every rank of the job must issue
+  ///    the identical run_sim calls.
+  /// On smp and net the `net` model only informs plan selection, and
+  /// vendor_factor is ignored.
   std::string backend = "sim";
   coll::Algo algo = coll::Algo::kNodeAware;
   coll::Inner inner = coll::Inner::kPairwise;
@@ -46,15 +54,8 @@ struct RunSpec {
   /// lets A2A_BENCH_REPS / A2A_NOISE restore the paper's exact protocol.
   int reps = 1;
   std::uint64_t seed = 1;
-  /// Move real payload bytes (only sensible at test scale).
-  bool carry_data = false;
   /// Collect per-phase timings (Figures 13-16).
   bool collect_trace = false;
-  /// Execute through a persistent plan (plan/plan.hpp): algorithm setup,
-  /// communicator construction and scratch allocation happen once per rank
-  /// before the timed repetitions. The figure benches enable this; direct
-  /// run_sim callers default to the legacy per-run path.
-  bool use_plan = false;
   /// Nonblocking overlap: when >= 2, each timed repetition runs `overlap`
   /// independent exchanges of the spec's shape — each through its own
   /// persistent plan and tag stream — batched in a plan::Schedule
@@ -73,8 +74,8 @@ struct RunSpec {
   /// the count matrix is generated deterministically from `seed` with a
   /// max/mean imbalance of `vector_imbalance` (see vector_count). The
   /// algorithms' count metadata must genuinely travel, so vector runs
-  /// force carry_data (real payloads — keep the machine small). Not
-  /// combinable with overlap >= 2.
+  /// carry real payloads on the simulator too (keep the machine small).
+  /// Not combinable with overlap >= 2.
   bool vector = false;
   /// Which alltoallv algorithm a vector run times (ignored when
   /// vector_tuned is set).
@@ -82,17 +83,18 @@ struct RunSpec {
   /// Target max/mean imbalance factor of the generated counts (>= 1;
   /// realized imbalance caps at the rank count — see vector_count).
   double vector_imbalance = 1.0;
-  /// Let the skew-aware tuner pick the algorithm (through the plan path,
-  /// with the exact global skew signature of the generated matrix).
+  /// Let the skew-aware tuner pick the algorithm (with the exact global
+  /// skew signature of the generated matrix).
   bool vector_tuned = false;
   /// Online-autotuning mode: `algo` is ignored; every repetition re-plans
-  /// `block` through one shared adapt-mode OnlineSelector (algorithm left
-  /// empty), separated from the previous repetition's completions by a
-  /// barrier — so exploration and exploitation evolve across the reps
-  /// exactly as the selector's determinism contract requires. Per-rep
-  /// times and resolved algorithms land in RunResult::rep_seconds /
-  /// rep_algos (the convergence trajectory). Not combinable with
-  /// vector/overlap/collect_trace.
+  /// `block` through one adapt-mode OnlineSelector (algorithm left empty),
+  /// separated from the previous repetition's completions by a barrier —
+  /// so exploration and exploitation evolve across the reps exactly as
+  /// the selector's determinism contract requires. On sim and smp every
+  /// rank consults the selector; on net rank 0 does and broadcasts its
+  /// choice. Per-rep times and resolved algorithms land in
+  /// RunResult::rep_seconds / rep_algos (the convergence trajectory). Not
+  /// combinable with vector/overlap/collect_trace.
   bool autotune = false;
   /// Optional selector for autotune runs (e.g. warmed across several
   /// run_sim calls, or inspected afterwards); null = a fresh adapt-mode
@@ -101,13 +103,17 @@ struct RunSpec {
 };
 
 struct RunResult {
-  /// min over reps of (max rank end - min rank start).
+  /// min over reps of (max rank end - min rank start). On net, whose
+  /// process clocks share no epoch: min over reps of (max over ranks of
+  /// each rank's own elapsed time).
   double seconds = 0.0;
   /// Per-phase maxima over ranks, min over reps (breakdown figures).
   std::array<double, coll::kNumPhases> phase_seconds{};
-  /// Messages injected during the whole run (all reps).
+  /// Messages sent during the whole run (all reps): simulated messages on
+  /// sim, ring and overflow mailbox sends on smp (none are counted under
+  /// A2A_SMP_MAILBOX=mutex), TCP frames on net.
   std::uint64_t messages = 0;
-  /// Host wall time spent simulating (diagnostics).
+  /// Host wall time of the whole call (diagnostics).
   double sim_wall_seconds = 0.0;
   /// Overlap runs only: per-exchange elapsed time, max over ranks, min
   /// over reps (index = exchange position in the schedule).
@@ -142,10 +148,12 @@ struct RunResult {
   static double percentile_of(const std::vector<double>& samples, double q);
 };
 
-/// Run the spec in a fresh simulated cluster.
+/// Run the spec on spec.backend. Throws std::invalid_argument on an unknown
+/// backend or an incompatible mode combination, before any rank starts.
 RunResult run_sim(const RunSpec& spec);
 
-/// Apply environment overrides: A2A_BENCH_REPS (int), A2A_NOISE (sigma).
+/// Apply environment overrides: A2A_BENCH_REPS (int), A2A_NOISE (sigma),
+/// A2A_BACKEND (sim|smp|net).
 void apply_env(RunSpec& spec);
 
 /// Deterministic skewed count matrix used by vector (alltoallv) runs:

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -662,23 +663,55 @@ int run_harness() {
   spec.net = mca2a::model::test_params();
   spec.block = 512;
 
-  // Direct algorithm, then the plan path on the same world: the second
-  // call must reuse the process-global mesh (a fresh bootstrap would hang).
+  // Two calls on the same world: the second must reuse the
+  // process-global mesh (a fresh bootstrap would hang).
   spec.algo = mca2a::coll::Algo::kPairwiseDirect;
   const mca2a::bench::RunResult direct = mca2a::bench::run_sim(spec);
   CHECK(direct.seconds > 0.0);
   CHECK(direct.messages > 0);
 
   spec.algo = mca2a::coll::Algo::kNodeAware;
-  spec.use_plan = true;
   spec.reps = 2;
   const mca2a::bench::RunResult planned = mca2a::bench::run_sim(spec);
   CHECK(planned.seconds > 0.0);
   CHECK(planned.rep_seconds.size() == 2);
 
+  // Phase breakdown: Node-Aware's inter-node exchange is a timed phase.
+  spec.collect_trace = true;
+  const mca2a::bench::RunResult traced = mca2a::bench::run_sim(spec);
+  CHECK(traced.phase_seconds[static_cast<int>(
+            mca2a::coll::Phase::kInterA2A)] > 0.0);
+  spec.collect_trace = false;
+
+  // Overlap: two exchanges batched in one Schedule per rep.
+  spec.reps = 1;
+  spec.overlap = 2;
+  const mca2a::bench::RunResult overlapped = mca2a::bench::run_sim(spec);
+  CHECK(overlapped.seconds > 0.0);
+  CHECK(overlapped.op_seconds.size() == 2);
+  CHECK(overlapped.critical_path_seconds > 0.0);
+
+  // Vector + overlap is rejected on every rank, before any traffic.
+  spec.vector = true;
+  bool rejected = false;
+  try {
+    (void)mca2a::bench::run_sim(spec);
+  } catch (const std::invalid_argument&) {
+    rejected = true;
+  }
+  CHECK(rejected);
+
+  // Alltoallv: a skewed count matrix through the hierarchical plan.
+  spec.overlap = 1;
+  spec.vector_algo = mca2a::coll::AlltoallvAlgo::kHierarchical;
+  spec.vector_imbalance = 4.0;
+  const mca2a::bench::RunResult vec = mca2a::bench::run_sim(spec);
+  CHECK(vec.seconds > 0.0);
+  CHECK(vec.messages > 0);
+  spec.vector = false;
+
   // Online autotuning over real sockets: rank 0's selector decides, the
   // decision is broadcast, and every rank reports the same trajectory.
-  spec.use_plan = false;
   spec.autotune = true;
   spec.reps = 4;
   const mca2a::bench::RunResult tuned = mca2a::bench::run_sim(spec);

@@ -12,6 +12,7 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "autotune/autotune.hpp"
@@ -758,7 +759,6 @@ TEST(AutotuneHarness, ConvergesToBestStaticWithinFivePercent) {
     st.group_size = g;
     st.block = block;
     st.reps = execs;
-    st.use_plan = true;
     const bench::RunResult r = bench::run_sim(st);
     double sum = 0.0;
     for (std::size_t i = 1; i < r.rep_seconds.size(); ++i) {
@@ -781,17 +781,92 @@ TEST(AutotuneHarness, ConvergesToBestStaticWithinFivePercent) {
 }
 
 TEST(AutotuneHarness, RejectsIncompatibleModes) {
+  // Mode validation runs once, before any backend launches a rank.
+  for (const char* backend : {"sim", "smp"}) {
+    bench::RunSpec spec;
+    spec.backend = backend;
+    spec.machine = topo::generic(1, 4).desc();
+    spec.net = model::test_params();
+    spec.autotune = true;
+    spec.vector = true;
+    EXPECT_THROW(bench::run_sim(spec), std::invalid_argument) << backend;
+    spec.vector = false;
+    spec.overlap = 2;
+    EXPECT_THROW(bench::run_sim(spec), std::invalid_argument) << backend;
+    spec.overlap = 1;
+    spec.collect_trace = true;
+    EXPECT_THROW(bench::run_sim(spec), std::invalid_argument) << backend;
+    spec.autotune = false;
+    spec.overlap = 2;
+    EXPECT_THROW(bench::run_sim(spec), std::invalid_argument) << backend;
+    spec.collect_trace = false;
+    spec.vector = true;
+    EXPECT_THROW(bench::run_sim(spec), std::invalid_argument) << backend;
+  }
+}
+
+// --- harness on the smp backend ----------------------------------------------
+
+bench::RunSpec smp_spec() {
   bench::RunSpec spec;
-  spec.machine = topo::generic(1, 4).desc();
+  spec.backend = "smp";
+  spec.machine = topo::generic(2, 4).desc();
   spec.net = model::test_params();
-  spec.autotune = true;
-  spec.vector = true;
-  EXPECT_THROW(bench::run_sim(spec), std::invalid_argument);
-  spec.vector = false;
-  spec.overlap = 2;
-  EXPECT_THROW(bench::run_sim(spec), std::invalid_argument);
-  spec.overlap = 1;
+  spec.algo = coll::Algo::kNodeAware;
+  spec.block = 64;
+  return spec;
+}
+
+TEST(Harness, SmpSingleExchange) {
+  bench::RunSpec spec = smp_spec();
+  spec.reps = 3;
+  const bench::RunResult r = bench::run_sim(spec);
+  EXPECT_EQ(r.rep_seconds.size(), 3u);
+  EXPECT_GT(r.seconds, 0.0);
+  EXPECT_GT(r.messages, 0u);
+}
+
+TEST(Harness, SmpPhaseBreakdown) {
+  bench::RunSpec spec = smp_spec();
   spec.collect_trace = true;
+  const bench::RunResult r = bench::run_sim(spec);
+  EXPECT_GT(r.phase_seconds[static_cast<int>(coll::Phase::kInterA2A)], 0.0);
+}
+
+TEST(Harness, SmpVector) {
+  bench::RunSpec spec = smp_spec();
+  spec.vector = true;
+  spec.vector_algo = coll::AlltoallvAlgo::kHierarchical;
+  spec.vector_imbalance = 4.0;
+  const bench::RunResult r = bench::run_sim(spec);
+  EXPECT_GT(r.seconds, 0.0);
+  EXPECT_GT(r.messages, 0u);
+}
+
+TEST(Harness, SmpOverlap) {
+  bench::RunSpec spec = smp_spec();
+  spec.overlap = 2;
+  const bench::RunResult r = bench::run_sim(spec);
+  EXPECT_EQ(r.op_seconds.size(), 2u);
+  EXPECT_GT(r.critical_path_seconds, 0.0);
+  EXPECT_TRUE(r.rep_seconds.empty());
+}
+
+TEST(Harness, SmpAutotuneSharesOneSelector) {
+  // Every rank thread consults the one selector; all must resolve the
+  // same algorithm each round or the exchange would deadlock.
+  bench::RunSpec spec = smp_spec();
+  spec.autotune = true;
+  spec.reps = 4;
+  const bench::RunResult r = bench::run_sim(spec);
+  EXPECT_EQ(r.rep_algos.size(), 4u);
+  EXPECT_EQ(r.rep_groups.size(), 4u);
+  EXPECT_EQ(r.rep_seconds.size(), 4u);
+}
+
+TEST(Harness, RejectsUnknownBackend) {
+  bench::RunSpec spec = smp_spec();
+  spec.backend = "mpi";
   EXPECT_THROW(bench::run_sim(spec), std::invalid_argument);
 }
 

@@ -25,6 +25,7 @@
 #include "coll_ext/alltoallv.hpp"
 #include "coll_ext/ext_tuner.hpp"
 #include "coll_ext/op_desc.hpp"
+#include "harness/sweep.hpp"
 #include "plan/cache.hpp"
 #include "plan/plan.hpp"
 #include "plan/tuning_table.hpp"
@@ -387,6 +388,74 @@ TEST(CollectivePlan, AlltoallvMatchesDirectOnBothBackends) {
         }
       }
     });
+  }
+}
+
+TEST(CollectivePlan, AlltoallvVirtualTimeMatchesDirectPath) {
+  // The harness times alltoallv only through plans; this pins that path to
+  // the direct algorithms' virtual time and message count, two
+  // back-to-back executions on a skewed matrix (one hot pair per row
+  // carrying 4x the mean).
+  const topo::Machine machine = topo::generic(2, 8);
+  const int p = machine.total_ranks();
+  const std::size_t mean = 64;
+  const double imbalance = 4.0;
+  const int g = 4;
+  const coll::AlltoallvSkew skew = bench::vector_skew(p, mean, imbalance, 1);
+  for (coll::AlltoallvAlgo algo :
+       {coll::AlltoallvAlgo::kPairwise, coll::AlltoallvAlgo::kNonblocking,
+        coll::AlltoallvAlgo::kHierarchical,
+        coll::AlltoallvAlgo::kMultileaderNodeAware}) {
+    const auto timed = [&](bool use_plan, std::uint64_t& messages) {
+      const auto body = [&](Comm& world) -> Task<void> {
+        const int me = world.rank();
+        coll::AlltoallvDesc desc;
+        desc.send_counts.resize(p);
+        desc.recv_counts.resize(p);
+        for (int d = 0; d < p; ++d) {
+          desc.send_counts[d] =
+              bench::vector_count(me, d, p, mean, imbalance, 1);
+          desc.recv_counts[d] =
+              bench::vector_count(d, me, p, mean, imbalance, 1);
+        }
+        desc.algo = algo;
+        desc.skew = skew;
+        Buffer send = world.alloc_buffer(desc.send_total());
+        Buffer recv = world.alloc_buffer(desc.recv_total());
+        const auto sdispls = coll::displs_from_counts(desc.send_counts);
+        const auto rdispls = coll::displs_from_counts(desc.recv_counts);
+        std::optional<plan::CollectivePlan> pl;
+        std::optional<rt::LocalityComms> lc;
+        if (use_plan) {
+          plan::PlanOptions popts;
+          popts.group_size = g;
+          pl.emplace(plan::make_plan(world, machine, model::test_params(),
+                                     desc, popts));
+        } else if (coll::needs_locality(algo)) {
+          lc.emplace(rt::build_locality_comms(world, machine, g,
+                                              coll::needs_leader_comms(algo)));
+        }
+        for (int rep = 0; rep < 2; ++rep) {
+          co_await rt::barrier(world);
+          if (pl) {
+            co_await pl->execute(rt::ConstView(send.view()), recv.view());
+          } else {
+            co_await coll::run_alltoallv(
+                algo, world, lc ? &*lc : nullptr, rt::ConstView(send.view()),
+                desc.send_counts, sdispls, recv.view(), desc.recv_counts,
+                rdispls);
+          }
+        }
+      };
+      return test::run_sim(machine, body, model::test_params(),
+                           /*carry_data=*/true, /*seed=*/1, &messages);
+    };
+    std::uint64_t direct_msgs = 0;
+    std::uint64_t plan_msgs = 0;
+    const double direct = timed(false, direct_msgs);
+    const double planned = timed(true, plan_msgs);
+    EXPECT_DOUBLE_EQ(direct, planned) << coll::alltoallv_algo_name(algo);
+    EXPECT_EQ(direct_msgs, plan_msgs) << coll::alltoallv_algo_name(algo);
   }
 }
 

@@ -5,16 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "core/tuner.hpp"
-#include "harness/sweep.hpp"
 #include "plan/cache.hpp"
 #include "plan/plan.hpp"
 #include "plan/sharded_cache.hpp"
 #include "plan/tuning_table.hpp"
 #include "runtime/collectives.hpp"
+#include "runtime/comm_bundle.hpp"
 #include "test_util.hpp"
 
 namespace mca2a {
@@ -87,25 +88,54 @@ TEST(Plan, RepeatedExecuteCorrectOnThreads) {
 }
 
 TEST(Plan, VirtualTimeMatchesDirectPath) {
-  // The plan path must be performance-transparent: the simulated collective
-  // time through a plan equals the legacy per-run path bit for bit, for
-  // every algorithm and also across repetitions (scratch recycling must not
-  // change what the model charges).
+  // The plan path must be performance-transparent: three back-to-back
+  // executions through a plan charge the virtual time and messages of the
+  // direct algorithm bit for bit, for every algorithm (scratch recycling
+  // across repetitions must not change what the model charges).
+  const topo::Machine machine = topo::generic(2, 8);
+  const std::size_t block = 64;
   for (const AlgoCase& c : algo_cases()) {
-    bench::RunSpec spec;
-    spec.machine = topo::generic(2, 8).desc();
-    spec.net = model::test_params();
-    spec.algo = c.algo;
-    spec.group_size = c.group_size;
-    spec.block = 64;
-    spec.reps = 3;
-    spec.use_plan = false;
-    const bench::RunResult direct = bench::run_sim(spec);
-    spec.use_plan = true;
-    const bench::RunResult planned = bench::run_sim(spec);
-    EXPECT_DOUBLE_EQ(direct.seconds, planned.seconds)
-        << coll::algo_name(c.algo);
-    EXPECT_EQ(direct.messages, planned.messages) << coll::algo_name(c.algo);
+    const int g = c.group_size == 0 ? machine.ppn() : c.group_size;
+    const auto timed = [&](bool use_plan, std::uint64_t& messages) {
+      const auto body = [&](Comm& world) -> Task<void> {
+        const std::size_t total = static_cast<std::size_t>(world.size()) *
+                                  block;
+        rt::Buffer send = world.alloc_buffer(total);
+        rt::Buffer recv = world.alloc_buffer(total);
+        std::optional<plan::CollectivePlan> pl;
+        std::optional<rt::LocalityComms> lc;
+        if (use_plan) {
+          coll::AlltoallDesc desc;
+          desc.block = block;
+          desc.algo = c.algo;
+          plan::PlanOptions popts;
+          popts.group_size = g;
+          pl.emplace(plan::make_plan(world, machine, model::test_params(),
+                                     desc, popts));
+        } else if (coll::needs_locality(c.algo)) {
+          lc.emplace(rt::build_locality_comms(
+              world, machine, g, coll::needs_leader_comms(c.algo)));
+        }
+        for (int rep = 0; rep < 3; ++rep) {
+          co_await rt::barrier(world);
+          if (pl) {
+            co_await pl->execute(rt::ConstView(send.view()), recv.view());
+          } else {
+            co_await coll::run_alltoall(c.algo, world, lc ? &*lc : nullptr,
+                                        rt::ConstView(send.view()),
+                                        recv.view(), block, {});
+          }
+        }
+      };
+      return test::run_sim(machine, body, model::test_params(),
+                           /*carry_data=*/false, /*seed=*/1, &messages);
+    };
+    std::uint64_t direct_msgs = 0;
+    std::uint64_t plan_msgs = 0;
+    const double direct = timed(false, direct_msgs);
+    const double planned = timed(true, plan_msgs);
+    EXPECT_DOUBLE_EQ(direct, planned) << coll::algo_name(c.algo);
+    EXPECT_EQ(direct_msgs, plan_msgs) << coll::algo_name(c.algo);
   }
 }
 

@@ -54,18 +54,24 @@ inline ::testing::AssertionResult check_recv(const rt::Buffer& buf, int me,
 }
 
 /// Run `body` as every rank of a simulated cluster (payloads carried).
-/// Returns the final virtual time.
+/// Returns the final virtual time; `messages`, when given, receives the
+/// number of messages the run sent.
 inline double run_sim(const topo::Machine& machine,
                       const std::function<rt::Task<void>(rt::Comm&)>& body,
                       model::NetParams net = model::test_params(),
-                      bool carry_data = true, std::uint64_t seed = 1) {
+                      bool carry_data = true, std::uint64_t seed = 1,
+                      std::uint64_t* messages = nullptr) {
   sim::ClusterConfig cfg;
   cfg.machine = machine.desc();
   cfg.net = std::move(net);
   cfg.carry_data = carry_data;
   cfg.noise_seed = seed;
   sim::Cluster cluster(cfg);
-  return cluster.run(body);
+  const double t = cluster.run(body);
+  if (messages != nullptr) {
+    *messages = cluster.messages_sent();
+  }
+  return t;
 }
 
 /// Run `body` as every rank of a flat simulated machine.

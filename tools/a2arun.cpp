@@ -224,11 +224,17 @@ pid_t spawn_rank(const Options& o, int rank, const std::string& host,
     // -tt forces a remote pty, so killing the local ssh client hangs up
     // the tty and SIGHUPs the remote rank instead of orphaning it.
     std::string cmd = "env";
+    // Append piece by piece: `" " + std::string` temporaries trip GCC 12's
+    // -Wrestrict false positive in Release builds.
     for (const auto& [k, v] : env) {
-      cmd += " " + k + "=" + shell_quote(v);
+      cmd += ' ';
+      cmd += k;
+      cmd += '=';
+      cmd += shell_quote(v);
     }
     for (const std::string& a : o.prog) {
-      cmd += " " + shell_quote(a);
+      cmd += ' ';
+      cmd += shell_quote(a);
     }
     ::execlp("ssh", "ssh", "-tt", "-o", "BatchMode=yes", host.c_str(),
              cmd.c_str(), static_cast<char*>(nullptr));
