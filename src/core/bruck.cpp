@@ -44,7 +44,7 @@ rt::Task<void> alltoall_bruck(rt::Comm& comm, rt::ConstView send,
 
   // Phase 2: exchange the blocks whose index has the current bit set. The
   // selected indices are enumerated on the fly (i in [pof2, p) with the
-  // pof2 bit set) so a warm persistent plan performs no allocation at all.
+  // pof2 bit set) so this phase allocates nothing in a warm persistent plan.
   const std::size_t half = (static_cast<std::size_t>(p) / 2 + 1) * block;
   rt::ScratchBuffer pack = rt::alloc_scratch(comm, scratch, half);
   rt::ScratchBuffer unpack = rt::alloc_scratch(comm, scratch, half);

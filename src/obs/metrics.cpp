@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
@@ -9,16 +10,107 @@
 
 namespace mca2a::obs {
 
+namespace detail {
+
+namespace {
+
+static_assert(kMetricSlots <= 64, "slot ownership is one 64-bit mask");
+
+/// Bit i set: slot i is owned by a live thread. The acq_rel claim and
+/// release carry the previous owner's last relaxed slot store to the next
+/// owner's first load, so a recycled slot keeps accumulating exactly.
+std::atomic<std::uint64_t> g_slot_owners{0};
+
+/// Returns the calling thread's slot at thread exit. Later updates from
+/// that thread (other thread_local destructors) use the fallback slot.
+struct SlotRelease {
+  SlotRelease() = default;
+  SlotRelease(const SlotRelease&) = delete;
+  SlotRelease& operator=(const SlotRelease&) = delete;
+  ~SlotRelease() {
+    const int s = t_metric_slot;
+    t_metric_slot = kFallbackSlot;
+    if (s >= 0 && s < kMetricSlots) {
+      g_slot_owners.fetch_and(~(std::uint64_t{1} << s),
+                              std::memory_order_acq_rel);
+    }
+  }
+};
+
+}  // namespace
+
+int claim_metric_slot() noexcept {
+  std::uint64_t owners = g_slot_owners.load(std::memory_order_relaxed);
+  for (;;) {
+    const std::uint64_t free = ~owners;
+    if (free == 0) {
+      t_metric_slot = kFallbackSlot;
+      return kFallbackSlot;
+    }
+    const int s = std::countr_zero(free);
+    if (g_slot_owners.compare_exchange_weak(owners,
+                                            owners | (std::uint64_t{1} << s),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_relaxed)) {
+      t_metric_slot = s;
+      thread_local SlotRelease release;
+      (void)release;
+      return s;
+    }
+  }
+}
+
+}  // namespace detail
+
+std::uint64_t Counter::value() const noexcept {
+  std::uint64_t n = 0;
+  for (const Cell& c : cells_) {
+    n += c.v.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+std::array<std::uint64_t, Histogram::kBuckets> Histogram::totals()
+    const noexcept {
+  std::array<std::uint64_t, kBuckets> t{};
+  for (const Slot& s : slots_) {
+    for (int b = 0; b < kBuckets; ++b) {
+      t[b] += s.buckets[b].load(std::memory_order_relaxed);
+    }
+  }
+  return t;
+}
+
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& b : buckets_) {
-    n += b.load(std::memory_order_relaxed);
+  for (const std::uint64_t b : totals()) {
+    n += b;
+  }
+  return n;
+}
+
+std::uint64_t Histogram::sum() const noexcept {
+  std::uint64_t n = 0;
+  for (const Slot& s : slots_) {
+    n += s.sum.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+std::uint64_t Histogram::bucket(int b) const noexcept {
+  std::uint64_t n = 0;
+  for (const Slot& s : slots_) {
+    n += s.buckets[b].load(std::memory_order_relaxed);
   }
   return n;
 }
 
 std::uint64_t Histogram::quantile_bound(double q) const noexcept {
-  const std::uint64_t n = count();
+  const std::array<std::uint64_t, kBuckets> t = totals();
+  std::uint64_t n = 0;
+  for (const std::uint64_t b : t) {
+    n += b;
+  }
   if (n == 0) {
     return 0;
   }
@@ -34,7 +126,7 @@ std::uint64_t Histogram::quantile_bound(double q) const noexcept {
   }
   std::uint64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
-    seen += buckets_[b].load(std::memory_order_relaxed);
+    seen += t[b];
     if (seen >= rank) {
       return bucket_bound(b);
     }
@@ -108,10 +200,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     e.sum = h->sum();
     e.p50 = h->quantile_bound(0.50);
     e.p99 = h->quantile_bound(0.99);
+    const std::array<std::uint64_t, Histogram::kBuckets> t = h->totals();
     for (int b = 0; b < Histogram::kBuckets; ++b) {
-      const std::uint64_t n = h->bucket(b);
-      if (n != 0) {
-        e.buckets.emplace_back(Histogram::bucket_bound(b), n);
+      if (t[b] != 0) {
+        e.buckets.emplace_back(Histogram::bucket_bound(b), t[b]);
       }
     }
     s.histograms.push_back(std::move(e));
@@ -169,16 +261,20 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) {
-    c->v_.store(0, std::memory_order_relaxed);
+    for (Counter::Cell& cell : c->cells_) {
+      cell.v.store(0, std::memory_order_relaxed);
+    }
   }
   for (auto& [name, g] : gauges_) {
     g->v_.store(0, std::memory_order_relaxed);
   }
   for (auto& [name, h] : histograms_) {
-    for (auto& b : h->buckets_) {
-      b.store(0, std::memory_order_relaxed);
+    for (Histogram::Slot& slot : h->slots_) {
+      for (auto& b : slot.buckets) {
+        b.store(0, std::memory_order_relaxed);
+      }
+      slot.sum.store(0, std::memory_order_relaxed);
     }
-    h->sum_.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -1,17 +1,28 @@
 #pragma once
 /// \file metrics.hpp
 /// Unified metrics registry: typed counters, gauges and log-bucketed
-/// histograms with O(1) lock-free hot paths.
+/// histograms with O(1) hot paths that write only the calling thread's own
+/// cache lines.
 ///
 /// The registry is the common export surface for the counters the subsystems
 /// used to hoard privately (plan cache hits, tag-stream draws, scratch-arena
 /// bytes, autotune decisions, per-level wire bytes). Registration (name
 /// lookup) takes a mutex and may allocate; call sites therefore register
 /// once — typically through a function-local static reference — and then
-/// increment through plain relaxed atomics. Because the instruments never
-/// touch a rank clock or allocate on the increment path, keeping them
+/// update through per-thread slots (below). Because the instruments never
+/// touch a rank clock or allocate on the update path, keeping them
 /// always-on perturbs neither simulated virtual time nor warm-execute
 /// allocation counts.
+///
+/// Per-thread slots: counters and histograms keep one cache line (a
+/// histogram: one padded block) per slot, and every thread claims a slot
+/// index on its first update and returns it at thread exit. An owned slot
+/// is bumped with a relaxed load and store — no lock prefix, no cache line
+/// shared with another core. Threads beyond kMetricSlots share one
+/// fallback slot updated with fetch_add. Readers (value(), count(), sum(),
+/// snapshot()) sum the slots; the sums are exact once the writers are
+/// quiet, i.e. every update happens-before the read (after a join or a
+/// barrier), and a running read sees some mix of completed updates.
 ///
 /// Snapshots are queryable in-process (tests, benches) and, when the
 /// A2A_METRICS environment knob names a file, serialized at process exit as
@@ -30,19 +41,55 @@
 
 namespace mca2a::obs {
 
-/// Monotonically increasing 64-bit counter.
+namespace detail {
+
+/// Slots owned by one thread each; slot index kMetricSlots is the shared
+/// fallback for threads that found every owned slot taken.
+inline constexpr int kMetricSlots = 64;
+inline constexpr int kFallbackSlot = kMetricSlots;
+
+/// The calling thread's slot: -1 until its first update claims one.
+inline constinit thread_local int t_metric_slot = -1;
+
+/// Claim a free slot for the calling thread (kFallbackSlot when none is
+/// free) and arrange its release at thread exit.
+int claim_metric_slot() noexcept;
+
+inline int metric_slot() noexcept {
+  const int s = t_metric_slot;
+  return s >= 0 ? s : claim_metric_slot();
+}
+
+/// Add `n` to `cell` from slot `slot`: a plain load and store when the
+/// slot is this thread's own, an atomic read-modify-write when shared.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n,
+                 int slot) noexcept {
+  if (slot == kFallbackSlot) {
+    cell.fetch_add(n, std::memory_order_relaxed);
+  } else {
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  }
+}
+
+}  // namespace detail
+
+/// Monotonically increasing 64-bit counter, one cache line per slot.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    v_.fetch_add(n, std::memory_order_relaxed);
+    const int s = detail::metric_slot();
+    detail::bump(cells_[s].v, n, s);
   }
-  std::uint64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
+  /// Sum over the slots; exact once the writers are quiet.
+  std::uint64_t value() const noexcept;
 
  private:
   friend class MetricsRegistry;
-  std::atomic<std::uint64_t> v_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> v{0};
+  };
+  std::array<Cell, detail::kMetricSlots + 1> cells_{};
 };
 
 /// Last-written value, with a lock-free running-maximum update.
@@ -70,7 +117,8 @@ class Gauge {
 
 /// Histogram over non-negative integers with logarithmic (power-of-two)
 /// buckets: bucket 0 holds the value 0, bucket i >= 1 holds values in
-/// [2^(i-1), 2^i). One relaxed fetch_add per observation.
+/// [2^(i-1), 2^i). One padded bucket block per slot; an observation bumps
+/// one bucket and the sum in the calling thread's block.
 class Histogram {
  public:
   /// 0 plus one bucket per bit of a 64-bit value.
@@ -93,25 +141,30 @@ class Histogram {
   }
 
   void observe(std::uint64_t v) noexcept {
-    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    const int s = detail::metric_slot();
+    Slot& slot = slots_[s];
+    detail::bump(slot.buckets[bucket_of(v)], 1, s);
+    detail::bump(slot.sum, v, s);
   }
 
+  /// Sums over the slots; exact once the writers are quiet.
   std::uint64_t count() const noexcept;
-  std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bucket(int b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
+  std::uint64_t sum() const noexcept;
+  std::uint64_t bucket(int b) const noexcept;
   /// Upper bound of the bucket holding the q-th quantile sample (q in
   /// [0, 1], nearest-rank over the bucketed distribution); 0 when empty.
   std::uint64_t quantile_bound(double q) const noexcept;
 
  private:
   friend class MetricsRegistry;
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_{0};
+  struct alignas(64) Slot {
+    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
+    std::atomic<std::uint64_t> sum{0};
+  };
+  /// Every bucket summed over the slots.
+  std::array<std::uint64_t, kBuckets> totals() const noexcept;
+
+  std::array<Slot, detail::kMetricSlots + 1> slots_{};
 };
 
 /// Point-in-time view of every registered instrument, sorted by name.
@@ -167,7 +220,10 @@ class MetricsRegistry {
   void write_json(std::ostream& os) const;
 
   /// Zero every instrument, keeping registrations (cached references stay
-  /// valid). Test isolation helper.
+  /// valid). Test isolation helper. Requires quiet writers: an update
+  /// racing the reset may be lost or may survive it, and an owned slot's
+  /// next update must happen-after the reset (a join or a barrier) to
+  /// start from zero.
   void reset();
 
  private:

@@ -41,14 +41,14 @@ void CollectiveHandle::reset() noexcept {
   if (!st_) {
     return;
   }
-  if (!st_->op->done()) {
+  if (!st_->op.done()) {
     // Abandoning a started operation: abort the coroutine mid-exchange.
     // Peers that already matched its traffic are left hanging — this is a
     // bug in the caller, hence the assert; the abort merely avoids leaking
     // the frame.
     assert(!"CollectiveHandle dropped before the operation completed");
     --st_->plan->in_flight_;
-    st_->op->abort();
+    st_->op.abort();
   }
   st_.reset();
 }
@@ -77,6 +77,7 @@ void CollectivePlan::move_from(CollectivePlan&& other) {
   recv_total_ = other.recv_total_;
   arena_ = std::move(other.arena_);
   executions_ = other.executions_;
+  exec_micros_ = other.exec_micros_;
   autotune_ = other.autotune_;
   profile_key_ = std::move(other.profile_key_);
   in_flight_ = 0;
@@ -182,12 +183,12 @@ CollectiveHandle CollectivePlan::launch(rt::ConstView send, rt::MutView recv,
     require_verified(verify(*this, tag_stream), "CollectivePlan::start");
   }
   auto st = std::make_shared<CollectiveHandle::State>();
-  st->op = std::make_shared<rt::AsyncOp>();
   st->plan = this;
   st->stream = tag_stream;
   st->started_at = world_->now();
   ++in_flight_;
-  rt::spawn_detached(run_started(st, send, recv, trace), st->op);
+  rt::spawn_detached(run_started(st, send, recv, trace),
+                     std::shared_ptr<rt::AsyncOp>(st, &st->op));
   return CollectiveHandle(std::move(st));
 }
 
@@ -210,10 +211,8 @@ rt::Task<void> CollectivePlan::run_started(
   }
   ++executions_;
   static obs::Counter& m_execs = obs::metrics().counter("plan.executions");
-  static obs::Histogram& m_micros =
-      obs::metrics().histogram("plan.exec_micros");
   m_execs.add();
-  m_micros.observe(
+  exec_micros_->observe(
       static_cast<std::uint64_t>((st->finished_at - st->started_at) * 1e6));
   if (autotune_ != nullptr) {
     // Every successful completion — execute(), start()/wait(), Schedule
@@ -338,6 +337,12 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
   p.world_ = &world;
   p.machine_ = std::make_shared<const topo::Machine>(machine);
   p.desc_ = std::move(desc);
+  // Keyed by backend and op so virtual and wall microseconds never pool.
+  std::string micros_name = "plan.exec_micros.";
+  micros_name += world.backend_name();
+  micros_name += '.';
+  micros_name += coll::op_kind_name(p.desc_.kind());
+  p.exec_micros_ = &obs::metrics().histogram(micros_name);
   p.opts_.inner = opts.inner;
   p.opts_.batch_window = opts.batch_window;
   p.opts_.system_small_threshold = opts.system_small_threshold;

@@ -77,6 +77,10 @@ namespace mca2a::autotune {
 class OnlineSelector;
 }
 
+namespace mca2a::obs {
+class Histogram;
+}
+
 namespace mca2a::plan {
 
 class CollectivePlan;
@@ -108,7 +112,7 @@ class CollectiveHandle {
   bool valid() const noexcept { return st_ != nullptr; }
   /// True once the operation has completed (also when it failed — wait()
   /// reports the error). Never advances time: a poll, not a progress call.
-  bool test() const noexcept { return st_ && st_->op->done(); }
+  bool test() const noexcept { return st_ && st_->op.done(); }
 
   /// Await completion. Multiple coroutines may wait on one handle (the
   /// Schedule does); an operation that ended with an exception rethrows it
@@ -118,7 +122,7 @@ class CollectiveHandle {
     if (!st_) {
       throw std::logic_error("CollectiveHandle::wait: invalid handle");
     }
-    return st_->op->wait();
+    return st_->op.wait();
   }
 
   /// Tag stream (runtime/tags.hpp) this operation's traffic runs in; -1
@@ -139,8 +143,11 @@ class CollectiveHandle {
  private:
   friend class CollectivePlan;
 
+  /// The operation's only heap allocation. The detached frame holds the
+  /// AsyncOp through an aliasing shared_ptr into this State; the State
+  /// never holds that alias itself (it would own itself in a cycle).
   struct State {
-    std::shared_ptr<rt::AsyncOp> op;
+    rt::AsyncOp op;
     CollectivePlan* plan = nullptr;
     int stream = 0;
     double started_at = 0.0;
@@ -188,7 +195,9 @@ struct PlanOptions {
 /// A planned collective of any kind: the descriptor, the resolved
 /// algorithm, the locality communicators it needs, and a reusable scratch
 /// arena. Created by make_plan; executed as many times as you like with
-/// zero construction (and, warm, zero allocation) per call.
+/// zero construction per call and, warm, one heap allocation per started
+/// operation (the handle's shared state; coroutine frames and scratch are
+/// recycled).
 class CollectivePlan {
  public:
   /// Plans are movable, but never while an operation is in flight: the
@@ -337,6 +346,8 @@ class CollectivePlan {
   std::size_t recv_total_ = 0;
   rt::ScratchArena arena_;
   std::uint64_t executions_ = 0;
+  /// `plan.exec_micros.<backend>.<op>`, resolved once at plan time.
+  obs::Histogram* exec_micros_ = nullptr;
   /// Online-autotuning hook: when set, every successful completion records
   /// its elapsed seconds under profile_key_ (resolved once at plan time).
   autotune::OnlineSelector* autotune_ = nullptr;

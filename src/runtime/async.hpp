@@ -32,7 +32,8 @@ struct SpawnTask;
 }
 
 /// Completion state of one detached task. Create with
-/// std::make_shared<AsyncOp>() and pass to spawn_detached.
+/// std::make_shared<AsyncOp>() (or embed it in a shared object and pass an
+/// aliasing shared_ptr) and pass to spawn_detached.
 class AsyncOp {
  public:
   AsyncOp() = default;
@@ -50,7 +51,11 @@ class AsyncOp {
     explicit WaitAwaiter(AsyncOp& op) noexcept : op_(&op) {}
     bool await_ready() const noexcept { return op_->done_; }
     void await_suspend(std::coroutine_handle<> h) {
-      op_->waiters_.push_back(h);
+      if (!op_->first_waiter_) {
+        op_->first_waiter_ = h;
+      } else {
+        op_->more_waiters_.push_back(h);
+      }
     }
     void await_resume() const {
       if (op_->error_) {
@@ -85,7 +90,10 @@ class AsyncOp {
 
   bool done_ = false;
   std::exception_ptr error_;
-  std::vector<std::coroutine_handle<>> waiters_;
+  /// Waiters in wait order: the first inline (the common single-waiter
+  /// case never allocates), later ones spilled to the vector.
+  std::coroutine_handle<> first_waiter_{};
+  std::vector<std::coroutine_handle<>> more_waiters_;
   std::coroutine_handle<> frame_{};
 };
 

@@ -43,11 +43,16 @@ void first_touch(Buffer& b) {
 }  // namespace
 
 Buffer ScratchArena::take(const Comm& comm, std::size_t bytes) {
-  auto it = free_.find(bytes);
-  if (it != free_.end()) {
-    Buffer b = std::move(it->second);
-    free_.erase(it);
-    --pooled_;
+  // Newest first: the most recently returned buffer is the warmest.
+  auto it = std::find_if(free_.rbegin(), free_.rend(), [bytes](const Buffer& b) {
+    return b.size() == bytes;
+  });
+  if (it != free_.rend()) {
+    Buffer b = std::move(*it);
+    if (it != free_.rbegin()) {
+      *it = std::move(free_.back());
+    }
+    free_.pop_back();
     pooled_bytes_ -= bytes;
     outstanding_bytes_ += bytes;
     ++reuses_;
@@ -86,14 +91,12 @@ void ScratchArena::give_back(Buffer b) {
   // Clamped: a buffer adopted from outside (moved-in handles) may not have
   // been counted out by this arena's take().
   outstanding_bytes_ -= std::min(bytes, outstanding_bytes_);
-  free_.emplace(bytes, std::move(b));
-  ++pooled_;
+  free_.push_back(std::move(b));
   pooled_bytes_ += bytes;
 }
 
 void ScratchArena::clear() {
   free_.clear();
-  pooled_ = 0;
   pooled_bytes_ = 0;
 }
 

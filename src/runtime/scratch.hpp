@@ -19,7 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "runtime/buffer.hpp"
 #include "runtime/comm.hpp"
@@ -47,7 +47,7 @@ class ScratchArena {
   /// Buffers served from the pool.
   std::uint64_t reuses() const noexcept { return reuses_; }
   /// Buffers currently resting in the pool.
-  std::size_t pooled() const noexcept { return pooled_; }
+  std::size_t pooled() const noexcept { return free_.size(); }
   /// Total bytes currently resting in the pool.
   std::size_t pooled_bytes() const noexcept { return pooled_bytes_; }
   /// Bytes handed out by take() and not yet returned.
@@ -61,10 +61,12 @@ class ScratchArena {
   void clear();
 
  private:
-  std::unordered_multimap<std::size_t, Buffer> free_;
+  /// Pooled buffers, searched by exact size. A plan's pool holds only a
+  /// handful, and a warm take()/give_back() pair moves a Buffer in and out
+  /// of capacity the vector already has — no allocation either way.
+  std::vector<Buffer> free_;
   std::uint64_t allocations_ = 0;
   std::uint64_t reuses_ = 0;
-  std::size_t pooled_ = 0;
   std::size_t pooled_bytes_ = 0;
   std::size_t outstanding_bytes_ = 0;
   std::size_t high_water_bytes_ = 0;

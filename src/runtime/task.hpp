@@ -17,9 +17,18 @@
 ///  * A root task may register a live counter; the counter is decremented
 ///    exactly once when the task finishes (used by the simulator to detect
 ///    completion and deadlock).
+///  * Frames are recycled: every promise allocates its frame from a
+///    thread-local free list per 64-byte size class (up to 2 KiB, at most
+///    kFramePoolCap blocks per class; larger frames and blocks beyond the
+///    cap go to the global allocator). A warm collective therefore creates
+///    and destroys its sub-task frames without touching the heap. A thread
+///    releases its lists when it exits; frames freed after that go straight
+///    back to the allocator. Under AddressSanitizer a pooled block stays
+///    poisoned, so a use of a destroyed frame is still reported.
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <stdexcept>
@@ -32,6 +41,18 @@ class Task;
 
 namespace detail {
 
+/// Pooled blocks per size class and thread; frames beyond it are freed.
+inline constexpr std::size_t kFramePoolCap = 32;
+
+/// Allocate a coroutine frame of `bytes` from the calling thread's pool.
+void* frame_alloc(std::size_t bytes);
+/// Return a frame allocated by frame_alloc (on any thread) to the calling
+/// thread's pool, or to the global allocator when its class is full.
+void frame_free(void* frame, std::size_t bytes) noexcept;
+/// Blocks the calling thread's pool holds for frames of `bytes` (0 for
+/// sizes the pool does not serve).
+std::size_t frame_pool_cached(std::size_t bytes) noexcept;
+
 /// State shared by all task promises: the continuation to transfer to at
 /// final-suspend, an optional live counter (root tasks), and any exception.
 class PromiseBase {
@@ -39,6 +60,11 @@ class PromiseBase {
   std::coroutine_handle<> continuation{};
   int* live_counter = nullptr;
   std::exception_ptr exception{};
+
+  static void* operator new(std::size_t bytes) { return frame_alloc(bytes); }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    frame_free(frame, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -1,6 +1,7 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -718,14 +719,45 @@ std::uint32_t Cluster::subcomm_impl(std::uint32_t parent_id,
   return it->second;
 }
 
+double add_repeated(double clock, double each, std::size_t times) noexcept {
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  while (times > 0) {
+    if (std::isnormal(clock) && clock > 0.0 && each > 0.0) {
+      int ex = 0;
+      std::frexp(clock, &ex);  // clock in [2^(ex-1), 2^ex): ulp 2^(ex-53)
+      const double ulps = std::ldexp(each, 53 - ex);  // exact: a 2^k scale
+      if (ulps < 0x1p53) {
+        const double whole = std::floor(ulps);
+        const double frac = ulps - whole;
+        if (frac != 0.5) {
+          const auto step =
+              static_cast<std::uint64_t>(whole) + (frac > 0.5 ? 1 : 0);
+          if (step == 0) {
+            return clock;  // below half an ulp: every addition is a no-op
+          }
+          const auto bits = std::bit_cast<std::uint64_t>(clock);
+          const std::uint64_t room = kMantissa - (bits & kMantissa);
+          const std::uint64_t n = std::min<std::uint64_t>(times, room / step);
+          if (n > 0) {
+            clock = std::bit_cast<double>(bits + n * step);
+            times -= n;
+            continue;
+          }
+        }
+      }
+    }
+    clock += each;
+    --times;
+  }
+  return clock;
+}
+
 void Cluster::charge_copies_impl(int world_rank, std::size_t bytes,
                                  std::size_t times) {
-  // One add per copy, as a chain of charge_copy calls would round.
+  // Bit-identical to a chain of `times` charge_copy calls.
   const double each = model::pack_time(cfg_.net, bytes);
   double& clock = ranks_[world_rank].clock;
-  for (std::size_t i = 0; i < times; ++i) {
-    clock += each;
-  }
+  clock = add_repeated(clock, each, times);
 }
 
 void Cluster::set_cost_scale_impl(std::uint32_t comm_id, double scale) {

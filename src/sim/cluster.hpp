@@ -46,6 +46,14 @@ class SimDeadlockError : public std::runtime_error {
   int stuck_ranks_;
 };
 
+/// `clock` after `times` dependent additions of `each` (`clock += each`
+/// repeated), bit for bit, in O(binades crossed) instead of O(times).
+/// Inside one binade every addition rounds to the same whole number of
+/// ulps unless `each` is an exact half-ulp multiple, so the bit pattern
+/// advances in one step up to the binade edge; exact ties, a zero or
+/// subnormal clock and `each` of 2^53 ulps or more take single additions.
+double add_repeated(double clock, double each, std::size_t times) noexcept;
+
 struct ClusterConfig {
   topo::MachineDesc machine;
   model::NetParams net;

@@ -48,8 +48,11 @@ inline void cpu_relax() {
 /// owner. Field groups live on separate cache lines so the producer's
 /// tail publishing never false-shares with the consumer's head cursor.
 struct Mailbox::Lane {
-  // Producer-owned.
+  // Producer-owned: the next sequence number, and the last consumer head
+  // the producer read. The ring has room while tail - cached_head is below
+  // capacity, so the consumer's line is read only when that bound is hit.
   std::uint64_t next_seq = 0;
+  std::uint64_t cached_head = 0;
   // Lamport indices (free-running; slot = index % capacity).
   alignas(64) std::atomic<std::uint64_t> tail{0};
   alignas(64) std::atomic<std::uint64_t> head{0};
@@ -126,9 +129,11 @@ Mailbox::Lane& Mailbox::lane_for_send(int src) {
   Lane* lane = entry.load(std::memory_order_acquire);
   if (lane == nullptr) {
     // Exactly one producer per lane, so the check-then-create needs no
-    // CAS; the release store pairs with the consumer's acquire load.
+    // CAS. The store pairs with the consumer's acquire loads, and is
+    // seq_cst so a sleeper's pre-sleep recheck finds the new lane (see
+    // ring_doorbell()).
     lane = new Lane(cfg_.ring_slots, stride_);
-    entry.store(lane, std::memory_order_release);
+    entry.store(lane, std::memory_order_seq_cst);
   }
   return *lane;
 }
@@ -146,7 +151,12 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
   Lane& lane = lane_for_send(src);
   const std::uint64_t seq = lane.next_seq++;
   const std::uint64_t t = lane.tail.load(std::memory_order_relaxed);
-  if (t - lane.head.load(std::memory_order_acquire) < cfg_.ring_slots) {
+  if (t - lane.cached_head >= cfg_.ring_slots) {
+    // Looks full: refresh from the consumer. The acquire orders the
+    // consumer's reads of the slots it released before our rewrite.
+    lane.cached_head = lane.head.load(std::memory_order_acquire);
+  }
+  if (t - lane.cached_head < cfg_.ring_slots) {
     SlotHeader* s = lane.slot(stride_, cfg_.ring_slots, t);
     s->seq = seq;
     s->tag = tag;
@@ -161,7 +171,8 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
         std::memcpy(s->heap, payload.ptr, payload.len);
       }
     }
-    lane.tail.store(t + 1, std::memory_order_release);
+    // Publish (release for the payload; seq_cst for the doorbell pairing).
+    lane.tail.store(t + 1, std::memory_order_seq_cst);
     static obs::Counter& g_ring =
         obs::metrics().counter("smp.mailbox.ring_sends");
     g_ring.add();
@@ -183,7 +194,7 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
     {
       std::lock_guard<std::mutex> lk(overflow_mu_);
       overflow_.push_back(std::move(m));
-      overflow_count_.fetch_add(1, std::memory_order_relaxed);
+      overflow_count_.fetch_add(1, std::memory_order_seq_cst);
     }
     static obs::Counter& g_over =
         obs::metrics().counter("smp.mailbox.overflow_sends");
@@ -193,11 +204,13 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
 }
 
 void Mailbox::ring_doorbell() {
-  // Dekker pairing with idle(): after this fence and the sleeper's, either
-  // we observe sleepers_ != 0 or the sleeper's recheck observes our
-  // published arrival.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) == 0) {
+  // Dekker pairing with idle(), made of seq_cst accesses on the variables
+  // themselves: we published (seq_cst tail store or overflow increment)
+  // before this seq_cst load; the sleeper registers with a seq_cst
+  // increment before its seq_cst recheck loads. In the single total order
+  // of those accesses, either this load sees the registration or the
+  // recheck sees the arrival — no lost wakeup.
+  if (sleepers_.load(std::memory_order_seq_cst) == 0) {
     return;
   }
   static obs::Counter& g_wakeups =
@@ -413,12 +426,13 @@ std::uint64_t Mailbox::epoch() const {
 }
 
 bool Mailbox::arrivals_visible() const {
-  if (overflow_count_.load(std::memory_order_acquire) != 0) {
+  // seq_cst loads: the sleeper's half of the doorbell pairing.
+  if (overflow_count_.load(std::memory_order_seq_cst) != 0) {
     return true;
   }
   for (const auto& lp : lanes_) {
-    const Lane* lane = lp.load(std::memory_order_acquire);
-    if (lane != nullptr && lane->tail.load(std::memory_order_acquire) !=
+    const Lane* lane = lp.load(std::memory_order_seq_cst);
+    if (lane != nullptr && lane->tail.load(std::memory_order_seq_cst) !=
                                lane->head.load(std::memory_order_relaxed)) {
       return true;
     }
@@ -452,8 +466,7 @@ void Mailbox::idle(std::uint64_t observed_epoch, int& spins) {
   static obs::Counter& g_sleeps = obs::metrics().counter("smp.mailbox.sleeps");
   g_sleeps.add();
   std::unique_lock<std::mutex> lk(wake_mu_);
-  sleepers_.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
   if (!arrivals_visible()) {
     const std::uint64_t e = wake_epoch_;
     wake_cv_.wait(lk, [&] { return wake_epoch_ != e; });

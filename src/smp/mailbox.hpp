@@ -33,13 +33,19 @@
 ///
 /// Sleep/wake contract (ring mode): a receiver that has spun without
 /// progress parks on the mailbox doorbell. The sender's publish and the
-/// receiver's registration are separated by seq_cst fences in the Dekker
-/// pattern — after both fences, either the sender observes `sleepers_ != 0`
-/// (and rings the doorbell under the wake mutex) or the receiver observes
-/// the published arrival during its pre-sleep recheck. Payload
-/// happens-before never relies on those fences; it rides entirely on the
-/// ring's release/release index pair (or the overflow mutex), which is
-/// what keeps the design TSan-provable.
+/// receiver's registration form a Dekker pattern of seq_cst accesses on
+/// the variables themselves (no fences, which TSan cannot model): the
+/// sender publishes with a seq_cst tail store (or overflow-count
+/// increment) and then seq_cst-loads `sleepers_`; the receiver registers
+/// with a seq_cst increment of `sleepers_` and then seq_cst-loads the lane
+/// pointers, tails and overflow count. Either the sender observes
+/// `sleepers_ != 0` (and rings the doorbell under the wake mutex) or the
+/// receiver observes the published arrival during its pre-sleep recheck.
+/// Payload happens-before rides entirely on the ring's release/acquire
+/// index pair (or the overflow mutex), which is what keeps the design
+/// TSan-provable. The producer caches the consumer's head and re-reads it
+/// (acquire) only when the ring looks full, so a send normally touches no
+/// cache line the consumer writes.
 
 #include <atomic>
 #include <condition_variable>
@@ -203,7 +209,7 @@ class Mailbox {
   std::mutex overflow_mu_;
   std::deque<OverflowMsg> overflow_;
   std::atomic<std::size_t> overflow_count_{0};
-  /// Doorbell (see file comment for the fence pairing).
+  /// Doorbell (see file comment for the seq_cst pairing).
   std::atomic<std::uint32_t> sleepers_{0};
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;

@@ -569,5 +569,58 @@ TEST(AsyncOp, MultipleWaitersResumeInOrderAndErrorsRethrow) {
   });
 }
 
+TEST(AsyncOp, SpilledWaitersResumeInWaitOrderAfterFrameDestroyed) {
+  test::run_sim_flat(2, [](Comm& world) -> Task<void> {
+    if (world.size() < 2) {
+      co_return;
+    }
+    const int me = world.rank();
+    if (me != 0) {
+      Buffer msg = Buffer::real(4);
+      co_await world.send(rt::ConstView(msg.view()), 0, 9);
+      co_return;
+    }
+    // The detached task's frame holds a guard that flips `destroyed` when
+    // the frame goes away; every waiter must already see it flipped.
+    struct Guard {
+      bool* flag;
+      ~Guard() { *flag = true; }
+    };
+    bool destroyed = false;
+    auto op = std::make_shared<rt::AsyncOp>();
+    Buffer buf = Buffer::real(4);
+    auto task = [](Comm& w, rt::MutView v, bool* flag) -> Task<void> {
+      Guard g{flag};
+      co_await w.recv(v, 1, 9);
+    }(world, buf.view(), &destroyed);
+    rt::spawn_detached(std::move(task), op);
+    EXPECT_FALSE(op->done());
+
+    // One inline waiter plus spilled ones: order must be wait order.
+    std::vector<int> order;
+    std::vector<bool> saw_destroyed;
+    auto waiter = [](std::shared_ptr<rt::AsyncOp> o, std::vector<int>* out,
+                     std::vector<bool>* seen, const bool* flag,
+                     int id) -> Task<void> {
+      co_await o->wait();
+      out->push_back(id);
+      seen->push_back(*flag);
+    };
+    std::vector<std::shared_ptr<rt::AsyncOp>> waiters;
+    for (int id = 1; id <= 4; ++id) {
+      waiters.push_back(std::make_shared<rt::AsyncOp>());
+      rt::spawn_detached(
+          waiter(op, &order, &saw_destroyed, &destroyed, id), waiters.back());
+    }
+    co_await op->wait();
+    EXPECT_TRUE(destroyed);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(saw_destroyed, (std::vector<bool>(4, true)));
+    for (const auto& w : waiters) {
+      EXPECT_TRUE(w->done());
+    }
+  });
+}
+
 }  // namespace
 }  // namespace mca2a

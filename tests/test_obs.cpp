@@ -16,10 +16,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <iterator>
+#include <latch>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autotune/selector.hpp"
@@ -428,6 +431,87 @@ TEST(Metrics, SnapshotAndJsonRoundTrip) {
   EXPECT_EQ(&reg.counter("b.count"), &reg.counter("b.count"));
 }
 
+TEST(Metrics, CountersExactUnderConcurrentWriters) {
+  obs::MetricsRegistry reg;
+  obs::Counter& c = reg.counter("t.concurrent");
+  obs::Histogram& h = reg.histogram("t.concurrent_hist");
+  // More live threads than owned slots, so some must share the fallback.
+  constexpr int kThreads = obs::detail::kMetricSlots + 8;
+  constexpr std::uint64_t kOps = 100'000;
+
+  // One wave: every thread claims its slot with a first update, waits until
+  // all are live (slots held at once), then finishes its updates.
+  auto wave = [&](std::vector<int>* slots) {
+    std::latch live(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        c.add(1);
+        h.observe(3);
+        (*slots)[static_cast<std::size_t>(t)] = obs::detail::t_metric_slot;
+        live.arrive_and_wait();
+        for (std::uint64_t i = 1; i < kOps; ++i) {
+          c.add(1);
+          h.observe(3);
+        }
+      });
+    }
+    for (std::thread& th : threads) {
+      th.join();
+    }
+  };
+  const std::uint64_t total = kThreads * kOps;
+
+  std::vector<int> first(kThreads, -1);
+  wave(&first);
+  EXPECT_EQ(c.value(), total);
+  EXPECT_EQ(h.count(), total);
+  EXPECT_EQ(h.sum(), 3 * total);
+  EXPECT_EQ(h.bucket(obs::Histogram::bucket_of(3)), total);
+  const auto fallback = std::count(first.begin(), first.end(),
+                                   obs::detail::kFallbackSlot);
+  EXPECT_GE(fallback, 8);
+  // Owned slots are distinct among live threads.
+  std::vector<int> owned;
+  for (const int s : first) {
+    if (s != obs::detail::kFallbackSlot) {
+      owned.push_back(s);
+    }
+  }
+  std::sort(owned.begin(), owned.end());
+  EXPECT_EQ(std::adjacent_find(owned.begin(), owned.end()), owned.end());
+
+  // Exited threads returned their slots: a second wave reuses them and
+  // keeps accumulating on top of the first wave's values.
+  std::vector<int> second(kThreads, -1);
+  wave(&second);
+  EXPECT_EQ(c.value(), 2 * total);
+  EXPECT_EQ(h.count(), 2 * total);
+  EXPECT_EQ(h.sum(), 6 * total);
+  std::vector<int> reused;
+  for (const int s : second) {
+    if (s != obs::detail::kFallbackSlot) {
+      reused.push_back(s);
+    }
+  }
+  std::sort(reused.begin(), reused.end());
+  std::vector<int> common;
+  std::set_intersection(owned.begin(), owned.end(), reused.begin(),
+                        reused.end(), std::back_inserter(common));
+  EXPECT_FALSE(common.empty());
+
+  // reset() zeroes every slot, owned and fallback alike.
+  reg.reset();
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  EXPECT_EQ(h.quantile_bound(0.5), 0u);
+  std::vector<int> third(kThreads, -1);
+  wave(&third);
+  EXPECT_EQ(c.value(), total);
+  EXPECT_EQ(h.sum(), 3 * total);
+}
+
 TEST(Metrics, PercentileHelperNearestRank) {
   using bench::RunResult;
   EXPECT_EQ(RunResult::percentile_of({}, 0.5), 0.0);
@@ -713,6 +797,44 @@ TEST(MetricsWiring, SelectorReportsExplorationFlag) {
   // A fresh selector has zero evidence: the first choice must explore.
   EXPECT_TRUE(explored);
   EXPECT_EQ(m.counter_value("autotune.explorations") - explore0, 1u);
+}
+
+TEST(MetricsWiring, ExecMicrosKeyedByBackendAndOp) {
+  obs::MetricsRegistry& m = obs::metrics();
+  auto count = [&m](const char* name) -> std::uint64_t {
+    const obs::Histogram* h = m.find_histogram(name);
+    return h == nullptr ? 0 : h->count();
+  };
+  const std::uint64_t sim0 = count("plan.exec_micros.sim.alltoall");
+  const std::uint64_t smp0 = count("plan.exec_micros.smp.alltoall");
+  const topo::Machine machine = topo::generic(2, 2);
+  const int p = machine.total_ranks();
+  const std::size_t block = 16;
+  auto body = [&](Comm& world) -> Task<void> {
+    coll::AlltoallDesc d;
+    d.block = block;
+    d.algo = coll::Algo::kPairwiseDirect;
+    plan::CollectivePlan plan =
+        plan::make_plan(world, machine, model::test_params(), d);
+    Buffer send = world.alloc_buffer(block * p);
+    Buffer recv = world.alloc_buffer(block * p);
+    test::fill_send(send, world.rank(), p, block);
+    co_await plan.execute(rt::ConstView(send.view()), recv.view());
+    EXPECT_TRUE(test::check_recv(recv, world.rank(), p, block));
+  };
+
+  test::run_sim(machine, body);
+  EXPECT_EQ(count("plan.exec_micros.sim.alltoall") - sim0,
+            static_cast<std::uint64_t>(p));
+  EXPECT_EQ(count("plan.exec_micros.smp.alltoall") - smp0, 0u);
+
+  test::run_smp(p, body);
+  EXPECT_EQ(count("plan.exec_micros.sim.alltoall") - sim0,
+            static_cast<std::uint64_t>(p));
+  EXPECT_EQ(count("plan.exec_micros.smp.alltoall") - smp0,
+            static_cast<std::uint64_t>(p));
+  // The pooled pre-split instrument is gone.
+  EXPECT_EQ(m.find_histogram("plan.exec_micros"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

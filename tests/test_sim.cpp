@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <queue>
@@ -18,6 +20,7 @@
 
 #include "core/alltoall.hpp"
 #include "model/cost.hpp"
+#include "sim/cluster.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/source_index.hpp"
 #include "test_util.hpp"
@@ -33,6 +36,49 @@ using rt::Request;
 using rt::Task;
 using test::run_sim;
 using test::run_sim_flat;
+
+TEST(SimCharge, SteppedChargeMatchesChain) {
+  // Reference: the dependent chain of additions charge_copies replaced.
+  auto chain = [](double clock, double each, std::size_t times) {
+    for (std::size_t i = 0; i < times; ++i) {
+      clock += each;
+    }
+    return clock;
+  };
+  auto expect_same = [&](double clock, double each, std::size_t times) {
+    const double want = chain(clock, each, times);
+    const double got = sim::add_repeated(clock, each, times);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "clock " << clock << " each " << each << " times " << times;
+  };
+
+  std::mt19937_64 rng(20250117);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exp10(-12, 2);
+  std::uniform_int_distribution<std::size_t> count(0, 3000);
+  for (int i = 0; i < 20000; ++i) {
+    const double clock = unit(rng) * std::pow(10.0, exp10(rng));
+    const double each = unit(rng) * std::pow(10.0, exp10(rng) - 3);
+    expect_same(clock, each, count(rng));
+  }
+  // Edges: zero clock, exact powers of two, binade crossings, exact
+  // half-ulp ties, increments below half an ulp, subnormals, and an
+  // increment larger than the clock.
+  const double ulp1 = std::nextafter(1.0, 2.0) - 1.0;
+  for (const double clock : {0.0, 1.0, 2.0, 0x1p-20, 1.0 - ulp1 / 2, 3.0}) {
+    for (const double each : {clock / 2, ulp1, ulp1 / 2, ulp1 * 1.5,
+                              ulp1 / 4, 1e-9, 3.0, 0x1p60,
+                              std::numeric_limits<double>::denorm_min()}) {
+      for (const std::size_t times : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{7}, std::size_t{4096}}) {
+        expect_same(clock, each, times);
+      }
+    }
+  }
+  expect_same(std::numeric_limits<double>::denorm_min(), 1e-310, 100);
+  expect_same(1e-310, std::numeric_limits<double>::denorm_min(), 100);
+}
 
 TEST(EventQueue, OrdersByTimeThenSequence) {
   sim::EventQueue q;
