@@ -25,7 +25,7 @@ namespace {
 
 bench::RunSpec make_spec(const topo::MachineDesc& machine,
                          const model::NetParams& net, const Series& s,
-                         std::size_t block, bool trace) {
+                         std::size_t block) {
   bench::RunSpec spec;
   spec.machine = machine;
   spec.net = net;
@@ -33,7 +33,6 @@ bench::RunSpec make_spec(const topo::MachineDesc& machine,
   spec.inner = s.inner;
   spec.group_size = s.group_size;
   spec.block = block;
-  spec.collect_trace = trace;
   bench::apply_env(spec);
   return spec;
 }
@@ -104,7 +103,7 @@ void register_size_sweep(bench::Figure& fig, const topo::Machine& machine,
   for (const Series& s : series) {
     for (std::size_t block : sizes) {
       register_point(fig, s.name, static_cast<double>(block),
-                     make_spec(machine.desc(), net, s, block, false));
+                     make_spec(machine.desc(), net, s, block));
     }
   }
 }
@@ -117,7 +116,7 @@ void register_node_sweep(bench::Figure& fig, const std::string& machine_name,
     for (int n : nodes) {
       const topo::Machine machine = topo::by_name(machine_name, n);
       register_point(fig, s.name, static_cast<double>(n),
-                     make_spec(machine.desc(), net, s, block, false));
+                     make_spec(machine.desc(), net, s, block));
     }
   }
 }
@@ -128,7 +127,7 @@ void register_breakdown_sweep(bench::Figure& fig, const topo::Machine& machine,
                               const std::vector<std::size_t>& sizes) {
   for (std::size_t block : sizes) {
     register_phase_point(fig, phases, static_cast<double>(block),
-                         make_spec(machine.desc(), net, algo, block, true));
+                         make_spec(machine.desc(), net, algo, block));
   }
 }
 
@@ -142,7 +141,7 @@ void register_breakdown_node_sweep(bench::Figure& fig,
   for (int n : nodes) {
     const topo::Machine machine = topo::by_name(machine_name, n);
     register_phase_point(fig, phases, static_cast<double>(n),
-                         make_spec(machine.desc(), net, algo, block, true));
+                         make_spec(machine.desc(), net, algo, block));
   }
 }
 
@@ -151,7 +150,7 @@ void register_breakdown_point(bench::Figure& fig, const topo::Machine& machine,
                               const std::vector<PhaseSeries>& phases, double x,
                               std::size_t block) {
   register_phase_point(fig, phases, x,
-                       make_spec(machine.desc(), net, algo, block, true));
+                       make_spec(machine.desc(), net, algo, block));
 }
 
 std::string default_bench_out_dir() {

@@ -65,8 +65,8 @@ void register_node_sweep(bench::Figure& fig, const std::string& machine_name,
                          const std::vector<Series>& series,
                          const std::vector<int>& nodes, std::size_t block);
 
-/// Phase-breakdown point: runs with trace collection and adds the selected
-/// phases as separate figure series.
+/// Phase-breakdown point: adds the selected phases of the run's
+/// RunResult::phase_seconds as separate figure series.
 struct PhaseSeries {
   std::string name;
   coll::Phase phase;

@@ -86,7 +86,8 @@ rt::Task<void> alltoallv_inner(Inner inner, rt::Comm& comm, rt::ConstView send,
 /// group_size == ppn is the classic single-leader hierarchical variant,
 /// smaller groups the multi-leader one. Uses Options::inner for the leader
 /// exchanges, Options::scratch for all staging, Options::trace for
-/// per-phase timings (leaders only, like the fixed-size algorithm).
+/// per-phase timings (fed on leaders only, like the fixed-size algorithm;
+/// both vector algorithms time their phases through coll::PhaseScope).
 rt::Task<void> alltoallv_hierarchical(const rt::LocalityComms& lc,
                                       rt::ConstView send,
                                       std::span<const std::size_t> send_counts,

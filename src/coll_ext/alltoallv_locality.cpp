@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "coll_ext/alltoallv.hpp"
+#include "core/phase.hpp"
 #include "obs/trace.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/scratch.hpp"
@@ -216,13 +217,13 @@ rt::Task<void> scatterv_payload(rt::Comm& world, rt::Comm& local,
 /// member's count vector at the group leader, handle the member early path
 /// entirely (payload up, dense result down), and — at leaders — gather the
 /// members' dense payloads. The kGather phase window (count + payload
-/// gather) is recorded here; `trace` must already be leader-filtered.
+/// gather) is recorded here; `sink` must already be leader-filtered.
 rt::Task<FunnelIngest> funnel_ingest(const rt::LocalityComms& lc,
                                      rt::ConstView send, SizeSpan send_counts,
                                      SizeSpan send_displs, rt::MutView recv,
                                      SizeSpan recv_counts,
                                      SizeSpan recv_displs, const Options& opts,
-                                     Trace* trace) {
+                                     Trace* sink) {
   rt::Comm& world = *lc.world;
   rt::Comm& local = *lc.local_comm;
   const auto P = static_cast<std::size_t>(world.size());
@@ -238,17 +239,15 @@ rt::Task<FunnelIngest> funnel_ingest(const rt::LocalityComms& lc,
     in.cnt_all = rt::alloc_scratch(world, opts.scratch,
                                    static_cast<std::size_t>(g) * P * kC);
   }
-  obs::TraceBuffer* tb = world.tracer();
-  obs::Span gather_span(tb, "gather", "phase", opts.tag_stream,
-                        {{"leader", lc.is_leader ? 1 : 0}});
-  const double t0 = world.now();
+  PhaseScope gather_phase(world, sink, Phase::kGather, opts.tag_stream,
+                          {{"leader", lc.is_leader ? 1 : 0}});
   co_await rt::gather(local, rt::ConstView(cnt_mine.view()),
                       in.cnt_all.view(), /*root=*/0, opts.scratch,
                       opts.tag_stream);
 
   if (!lc.is_leader) {
-    gather_span.close();
-    obs::Span sp(tb, "member-exchange", "phase", opts.tag_stream);
+    gather_phase.close();
+    obs::Span sp(world.tracer(), "member-exchange", "phase", opts.tag_stream);
     co_await member_exchange(lc, send, send_counts, send_displs, recv,
                              recv_counts, recv_displs, opts);
     in.is_member = true;
@@ -268,8 +267,7 @@ rt::Task<FunnelIngest> funnel_ingest(const rt::LocalityComms& lc,
                                  send_displs, in.member_totals[0]);
   co_await gatherv_payload(world, local, ds.view, in.gathered.view(),
                            in.member_off, in.member_totals, gather_tag);
-  gather_span.close();
-  if (trace) trace->add(Phase::kGather, world.now() - t0);
+  gather_phase.close();
   co_return in;
 }
 
@@ -292,22 +290,20 @@ rt::Task<void> alltoallv_hierarchical(const rt::LocalityComms& lc,
   const std::size_t P = static_cast<std::size_t>(p);
   // Leaders only, like the fixed-size algorithm: a member's phase times
   // would mostly measure waiting for its leader.
-  Trace* trace = lc.is_leader ? opts.trace : nullptr;
-  obs::TraceBuffer* tb = world.tracer();
+  Trace* sink = lc.is_leader ? opts.trace : nullptr;
   const int scatter_tag =
       rt::tags::make(rt::tags::kExtAlltoallvScatterv, opts.tag_stream);
 
   // --- count gather + payload funnel (members return inside) ---------------
   FunnelIngest in = co_await funnel_ingest(lc, send, send_counts, send_displs,
                                            recv, recv_counts, recv_displs,
-                                           opts, trace);
+                                           opts, sink);
   if (in.is_member) {
     co_return;
   }
   const std::size_t* cnt = counts_of(in.cnt_all);  // cnt[i*p + w]
   const std::vector<std::size_t>& member_off = in.member_off;
   rt::ScratchBuffer& gathered = in.gathered;
-  double t0 = 0.0;
 
   // --- count alltoall among leaders (block g*g counts) ----------------------
   const std::size_t gg = static_cast<std::size_t>(g) * g;
@@ -325,18 +321,16 @@ rt::Task<void> alltoallv_hierarchical(const rt::LocalityComms& lc,
     }
   }
   world.charge_copy(2 * nreg * gg * kC);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "inter-a2a", "phase", opts.tag_stream, {{"meta", 1}});
+    PhaseScope ph(world, sink, Phase::kInterA2A, opts.tag_stream,
+                  {{"meta", 1}});
     co_await alltoall_inner(opts.inner, *lc.group_cross,
                             rt::ConstView(csend.view()), crecv.view(), gg * kC,
                             opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kInterA2A, world.now() - t0);
   const std::size_t* cr = counts_of(crecv);  // cr[(j*g + i2)*g + m]
 
   // --- pack aggregated per-region blocks ------------------------------------
-  t0 = world.now();
   std::vector<std::size_t> sb(nreg, 0), rb(nreg, 0);
   for (int j = 0; j < nreg; ++j) {
     for (std::size_t e = 0; e < gg; ++e) {
@@ -349,7 +343,7 @@ rt::Task<void> alltoallv_hierarchical(const rt::LocalityComms& lc,
   rt::ScratchBuffer lsend =
       rt::alloc_scratch(world, opts.scratch, sbd.back() + sb.back());
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     std::vector<std::size_t> cur(member_off);  // per-member read cursor
     std::size_t off = 0;
     for (int j = 0; j < nreg; ++j) {
@@ -365,23 +359,20 @@ rt::Task<void> alltoallv_hierarchical(const rt::LocalityComms& lc,
     }
     world.charge_copy(off);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 
   // --- variable-size leader exchange ----------------------------------------
-  t0 = world.now();
   rt::ScratchBuffer lrecv =
       rt::alloc_scratch(world, opts.scratch, rbd.back() + rb.back());
   {
-    obs::Span sp(tb, "inter-a2a", "phase", opts.tag_stream,
-                 {{"bytes", static_cast<std::int64_t>(sbd.back() + sb.back())}});
+    PhaseScope ph(world, sink, Phase::kInterA2A, opts.tag_stream,
+                  {{"bytes",
+                    static_cast<std::int64_t>(sbd.back() + sb.back())}});
     co_await alltoallv_inner(opts.inner, *lc.group_cross,
                              rt::ConstView(lsend.view()), sb, sbd, lrecv.view(),
                              rb, rbd, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kInterA2A, world.now() - t0);
 
   // --- repack into per-member, source-ordered scatter blocks ----------------
-  t0 = world.now();
   // Absolute offset of chunk (region j, source member i2, my member m) in
   // lrecv, filled in layout order.
   std::vector<std::size_t> coff(static_cast<std::size_t>(nreg) * gg);
@@ -404,7 +395,7 @@ rt::Task<void> alltoallv_hierarchical(const rt::LocalityComms& lc,
   rt::ScratchBuffer sc = rt::alloc_scratch(world, opts.scratch,
                                            out_off.back() + out_totals.back());
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     std::size_t off = 0;
     for (int m = 0; m < g; ++m) {
       for (int j = 0; j < nreg; ++j) {
@@ -417,17 +408,15 @@ rt::Task<void> alltoallv_hierarchical(const rt::LocalityComms& lc,
     }
     world.charge_copy(off);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 
   // --- scatter ---------------------------------------------------------------
-  t0 = world.now();
   {
-    obs::Span sp(tb, "scatter", "phase", opts.tag_stream, {{"leader", 1}});
+    PhaseScope ph(world, sink, Phase::kScatter, opts.tag_stream,
+                  {{"leader", 1}});
     co_await scatterv_payload(world, local, rt::ConstView(sc.view()), out_off,
                               out_totals, recv, recv_counts, recv_displs,
                               scatter_tag);
   }
-  if (trace) trace->add(Phase::kScatter, world.now() - t0);
 }
 
 rt::Task<void> alltoallv_multileader_node_aware(
@@ -444,8 +433,7 @@ rt::Task<void> alltoallv_multileader_node_aware(
   const int n = lc.nodes();
   const int ppn = lc.ppn();
   const std::size_t P = static_cast<std::size_t>(p);
-  Trace* trace = lc.is_leader ? opts.trace : nullptr;
-  obs::TraceBuffer* tb = world.tracer();
+  Trace* sink = lc.is_leader ? opts.trace : nullptr;
   const int scatter_tag =
       rt::tags::make(rt::tags::kExtAlltoallvScatterv, opts.tag_stream);
 
@@ -458,14 +446,13 @@ rt::Task<void> alltoallv_multileader_node_aware(
   // --- count gather + payload funnel (members return inside) ---------------
   FunnelIngest in = co_await funnel_ingest(lc, send, send_counts, send_displs,
                                            recv, recv_counts, recv_displs,
-                                           opts, trace);
+                                           opts, sink);
   if (in.is_member) {
     co_return;
   }
   const std::size_t* cnt = counts_of(in.cnt_all);  // cnt[i*p + w]
   const std::vector<std::size_t>& member_off = in.member_off;
   rt::ScratchBuffer& gathered = in.gathered;
-  double t0 = 0.0;
 
   // --- inter-node count alltoall among same-group leaders -------------------
   // Block: g*ppn counts — my g members' bytes for every local rank of the
@@ -483,18 +470,16 @@ rt::Task<void> alltoallv_multileader_node_aware(
     }
   }
   world.charge_copy(2 * n * gp * kC);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "inter-a2a", "phase", opts.tag_stream, {{"meta", 1}});
+    PhaseScope ph(world, sink, Phase::kInterA2A, opts.tag_stream,
+                  {{"meta", 1}});
     co_await alltoall_inner(opts.inner, *lc.leader_cross,
                             rt::ConstView(c2send.view()), c2recv.view(),
                             gp * kC, opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kInterA2A, world.now() - t0);
   const std::size_t* c2r = counts_of(c2recv);  // c2r[(b2*g + i2)*ppn + d]
 
   // --- pack and exchange per-destination-node aggregates --------------------
-  t0 = world.now();
   std::vector<std::size_t> nbs(n, 0), nbr(n, 0);
   for (int b2 = 0; b2 < n; ++b2) {
     for (std::size_t e = 0; e < gp; ++e) {
@@ -507,7 +492,7 @@ rt::Task<void> alltoallv_multileader_node_aware(
   rt::ScratchBuffer bsend =
       rt::alloc_scratch(world, opts.scratch, nbsd.back() + nbs.back());
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     std::vector<std::size_t> cur(member_off);
     std::size_t off = 0;
     for (int b2 = 0; b2 < n; ++b2) {
@@ -523,24 +508,20 @@ rt::Task<void> alltoallv_multileader_node_aware(
     }
     world.charge_copy(off);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
-  t0 = world.now();
   rt::ScratchBuffer brecv =
       rt::alloc_scratch(world, opts.scratch, nbrd.back() + nbr.back());
   {
-    obs::Span sp(tb, "inter-a2a", "phase", opts.tag_stream,
-                 {{"bytes",
-                   static_cast<std::int64_t>(nbsd.back() + nbs.back())}});
+    PhaseScope ph(world, sink, Phase::kInterA2A, opts.tag_stream,
+                  {{"bytes",
+                    static_cast<std::int64_t>(nbsd.back() + nbs.back())}});
     co_await alltoallv_inner(opts.inner, *lc.leader_cross,
                              rt::ConstView(bsend.view()), nbs, nbsd,
                              brecv.view(), nbr, nbrd, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kInterA2A, world.now() - t0);
 
   // --- intra-node count alltoall among this node's leaders ------------------
   // Block: n*g*g counts — what I hold from every node's group-k2... members
   // for the destination group's g members.
-  t0 = world.now();
   const std::size_t ngg = static_cast<std::size_t>(n) * g * g;
   rt::ScratchBuffer c3send =
       rt::alloc_scratch(world, opts.scratch, G * ngg * kC);
@@ -559,16 +540,15 @@ rt::Task<void> alltoallv_multileader_node_aware(
   }
   world.charge_copy(2 * G * ngg * kC);
   {
-    obs::Span sp(tb, "intra-a2a", "phase", opts.tag_stream, {{"meta", 1}});
+    PhaseScope ph(world, sink, Phase::kIntraA2A, opts.tag_stream,
+                  {{"meta", 1}});
     co_await alltoall_inner(opts.inner, *lc.leaders_node,
                             rt::ConstView(c3send.view()), c3recv.view(),
                             ngg * kC, opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kIntraA2A, world.now() - t0);
   const std::size_t* c3r = counts_of(c3recv);  // c3r[((k1*n+b2)*g+i2)*g+e]
 
   // --- pack and exchange per-leader redistribution blocks -------------------
-  t0 = world.now();
   // Absolute offset of chunk (b2, i2, d) in brecv, layout order.
   std::vector<std::size_t> boff(static_cast<std::size_t>(n) * gp);
   {
@@ -590,7 +570,7 @@ rt::Task<void> alltoallv_multileader_node_aware(
   rt::ScratchBuffer dsend =
       rt::alloc_scratch(world, opts.scratch, dbsd.back() + dbs.back());
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     std::size_t off = 0;
     for (int k2 = 0; k2 < G; ++k2) {
       for (int b2 = 0; b2 < n; ++b2) {
@@ -609,22 +589,18 @@ rt::Task<void> alltoallv_multileader_node_aware(
     }
     world.charge_copy(off);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
-  t0 = world.now();
   rt::ScratchBuffer erecv =
       rt::alloc_scratch(world, opts.scratch, dbrd.back() + dbr.back());
   {
-    obs::Span sp(tb, "intra-a2a", "phase", opts.tag_stream,
-                 {{"bytes",
-                   static_cast<std::int64_t>(dbsd.back() + dbs.back())}});
+    PhaseScope ph(world, sink, Phase::kIntraA2A, opts.tag_stream,
+                  {{"bytes",
+                    static_cast<std::int64_t>(dbsd.back() + dbs.back())}});
     co_await alltoallv_inner(opts.inner, *lc.leaders_node,
                              rt::ConstView(dsend.view()), dbs, dbsd,
                              erecv.view(), dbr, dbrd, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kIntraA2A, world.now() - t0);
 
   // --- repack into per-member, source-ordered scatter blocks ----------------
-  t0 = world.now();
   // Absolute offset of chunk (k1, b2, i2, e) in erecv, layout order.
   std::vector<std::size_t> eoff(static_cast<std::size_t>(G) * ngg);
   {
@@ -642,7 +618,7 @@ rt::Task<void> alltoallv_multileader_node_aware(
   rt::ScratchBuffer sc = rt::alloc_scratch(world, opts.scratch,
                                            out_off.back() + out_totals.back());
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     std::size_t off = 0;
     // Source world rank b2*ppn + k1*g + i2 ascends with (b2, k1, i2).
     for (int e = 0; e < g; ++e) {
@@ -660,17 +636,15 @@ rt::Task<void> alltoallv_multileader_node_aware(
     }
     world.charge_copy(off);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 
   // --- scatter ---------------------------------------------------------------
-  t0 = world.now();
   {
-    obs::Span sp(tb, "scatter", "phase", opts.tag_stream, {{"leader", 1}});
+    PhaseScope ph(world, sink, Phase::kScatter, opts.tag_stream,
+                  {{"leader", 1}});
     co_await scatterv_payload(world, local, rt::ConstView(sc.view()), out_off,
                               out_totals, recv, recv_counts, recv_displs,
                               scatter_tag);
   }
-  if (trace) trace->add(Phase::kScatter, world.now() - t0);
 }
 
 }  // namespace mca2a::coll

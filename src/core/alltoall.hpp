@@ -56,13 +56,12 @@ enum class Phase : int {
 inline constexpr int kNumPhases = static_cast<int>(Phase::kCount_);
 std::string_view phase_name(Phase p);
 
-/// Per-rank accumulated phase timings (seconds of comm.now()).
+/// Per-rank accumulated phase timings (seconds of comm.now()), fed by the
+/// algorithms' PhaseScopes (core/phase.hpp).
 struct Trace {
   std::array<double, kNumPhases> seconds{};
 
   void add(Phase p, double dt) { seconds[static_cast<int>(p)] += dt; }
-  double get(Phase p) const { return seconds[static_cast<int>(p)]; }
-  void reset() { seconds.fill(0.0); }
 };
 
 struct Options {

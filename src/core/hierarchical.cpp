@@ -17,7 +17,7 @@
 ///   scatter   S[m][w']       w' = source world rank
 
 #include "core/alltoall.hpp"
-#include "obs/trace.hpp"
+#include "core/phase.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/scratch.hpp"
 
@@ -38,8 +38,7 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
   // leader to get through the exchange. Flight-recorder spans are emitted
   // on every rank — each rank owns its own trace file, so a non-leader's
   // wait *is* the interesting shape there.
-  Trace* trace = lc.is_leader ? opts.trace : nullptr;
-  obs::TraceBuffer* tb = world.tracer();
+  Trace* sink = lc.is_leader ? opts.trace : nullptr;
 
   // --- gather members' send buffers to the leader --------------------------
   rt::ScratchBuffer gathered;
@@ -47,23 +46,18 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
     gathered = rt::alloc_scratch(world, opts.scratch,
                                  static_cast<std::size_t>(g) * psz);
   }
-  double t0 = world.now();
   {
-    obs::Span sp(tb, "gather", "phase", opts.tag_stream,
-                 {{"leader", lc.is_leader ? 1 : 0}});
+    PhaseScope ph(world, sink, Phase::kGather, opts.tag_stream,
+                  {{"leader", lc.is_leader ? 1 : 0}});
     co_await rt::gather(local, send, gathered.view(), /*root=*/0, opts.scratch,
                         opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kGather, world.now() - t0);
 
   if (!lc.is_leader) {
-    t0 = world.now();
-    obs::Span sp(tb, "scatter", "phase", opts.tag_stream,
-                 {{"leader", 0}});
+    PhaseScope ph(world, sink, Phase::kScatter, opts.tag_stream,
+                  {{"leader", 0}});
     co_await rt::scatter(local, rt::ConstView{}, recv, /*root=*/0,
                          opts.scratch, opts.tag_stream);
-    sp.close();
-    if (trace) trace->add(Phase::kScatter, world.now() - t0);
     co_return;
   }
 
@@ -71,8 +65,7 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
   const std::size_t gg = static_cast<std::size_t>(g) * g * s;  // region block
   rt::ScratchBuffer lsend = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(nreg) * gg);
-  t0 = world.now();
-  obs::Span pack_span(tb, "pack", "phase", opts.tag_stream);
+  PhaseScope pack(world, sink, Phase::kPack, opts.tag_stream);
   if (lsend.data() != nullptr && gathered.data() != nullptr) {
     const std::size_t run = static_cast<std::size_t>(g) * s;
     for (int j = 0; j < nreg; ++j) {
@@ -87,28 +80,24 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
   }
   // Each repack moves the leader's whole nreg * g * g * s payload once.
   world.charge_copy(static_cast<std::size_t>(nreg) * gg);
-  pack_span.close();
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
+  pack.close();
 
   // --- all-to-all among leaders (leaders' group_cross spans all leaders) ----
   rt::ScratchBuffer lrecv = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(nreg) * gg);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "inter-a2a", "phase", opts.tag_stream,
-                 {{"bytes", static_cast<std::int64_t>(
-                                static_cast<std::size_t>(nreg) * gg)}});
+    PhaseScope ph(world, sink, Phase::kInterA2A, opts.tag_stream,
+                  {{"bytes", static_cast<std::int64_t>(
+                                 static_cast<std::size_t>(nreg) * gg)}});
     co_await alltoall_inner(opts.inner, *lc.group_cross,
                             rt::ConstView(lsend.view()), lrecv.view(), gg,
                             opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kInterA2A, world.now() - t0);
 
   // --- repack received region blocks into per-member scatter blocks ---------
   rt::ScratchBuffer sc = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(g) * psz);
-  t0 = world.now();
-  obs::Span pack2_span(tb, "pack", "phase", opts.tag_stream);
+  PhaseScope pack2(world, sink, Phase::kPack, opts.tag_stream);
   if (sc.data() != nullptr && lrecv.data() != nullptr) {
     for (int j = 0; j < nreg; ++j) {
       for (int i2 = 0; i2 < g; ++i2) {
@@ -126,17 +115,15 @@ rt::Task<void> alltoall_hierarchical(const rt::LocalityComms& lc,
     }
   }
   world.charge_copy(static_cast<std::size_t>(nreg) * gg);
-  pack2_span.close();
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
+  pack2.close();
 
   // --- scatter per-member results -------------------------------------------
-  t0 = world.now();
   {
-    obs::Span sp(tb, "scatter", "phase", opts.tag_stream, {{"leader", 1}});
+    PhaseScope ph(world, sink, Phase::kScatter, opts.tag_stream,
+                  {{"leader", 1}});
     co_await rt::scatter(local, rt::ConstView(sc.view()), recv, /*root=*/0,
                          opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kScatter, world.now() - t0);
 }
 
 }  // namespace mca2a::coll

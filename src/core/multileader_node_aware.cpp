@@ -20,7 +20,7 @@
 
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "core/phase.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/scratch.hpp"
 
@@ -41,8 +41,7 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
   const std::size_t s = block;
   const std::size_t psz = static_cast<std::size_t>(p) * s;
   // Leaders only: non-leader phase times would measure leader waits.
-  Trace* trace = lc.is_leader ? opts.trace : nullptr;
-  obs::TraceBuffer* tb = world.tracer();
+  Trace* sink = lc.is_leader ? opts.trace : nullptr;
 
   // --- gather member buffers to the leader ----------------------------------
   rt::ScratchBuffer gathered;
@@ -54,22 +53,18 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
     gathered = rt::alloc_scratch(world, opts.scratch,
                                  static_cast<std::size_t>(g) * psz);
   }
-  double t0 = world.now();
   {
-    obs::Span sp(tb, "gather", "phase", opts.tag_stream,
-                 {{"leader", lc.is_leader ? 1 : 0}});
+    PhaseScope ph(world, sink, Phase::kGather, opts.tag_stream,
+                  {{"leader", lc.is_leader ? 1 : 0}});
     co_await rt::gather(local, send, gathered.view(), /*root=*/0, opts.scratch,
                         opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kGather, world.now() - t0);
 
   if (!lc.is_leader) {
-    t0 = world.now();
-    obs::Span sp(tb, "scatter", "phase", opts.tag_stream, {{"leader", 0}});
+    PhaseScope ph(world, sink, Phase::kScatter, opts.tag_stream,
+                  {{"leader", 0}});
     co_await rt::scatter(local, rt::ConstView{}, recv, /*root=*/0,
                          opts.scratch, opts.tag_stream);
-    sp.close();
-    if (trace) trace->add(Phase::kScatter, world.now() - t0);
     co_return;
   }
 
@@ -80,9 +75,8 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
   // --- repack: per-target-node blocks (destinations are contiguous) ---------
   rt::ScratchBuffer bsend = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(n) * node_blk);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     if (bsend.data() != nullptr && gathered.data() != nullptr) {
       for (int b2 = 0; b2 < n; ++b2) {
         for (int i = 0; i < g; ++i) {
@@ -97,29 +91,25 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
     // Each repack moves the leader's whole g * p * s payload once.
     world.charge_copy(static_cast<std::size_t>(g) * psz);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 
   // --- inter-node all-to-all among same-group leaders (block g*ppn*s) -------
   rt::ScratchBuffer crecv = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(n) * node_blk);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "inter-a2a", "phase", opts.tag_stream,
-                 {{"bytes", static_cast<std::int64_t>(
-                                static_cast<std::size_t>(n) * node_blk)}});
+    PhaseScope ph(world, sink, Phase::kInterA2A, opts.tag_stream,
+                  {{"bytes", static_cast<std::int64_t>(
+                                 static_cast<std::size_t>(n) * node_blk)}});
     co_await alltoall_inner(opts.inner, *lc.leader_cross,
                             rt::ConstView(bsend.view()), crecv.view(), node_blk,
                             opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kInterA2A, world.now() - t0);
 
   // --- repack: per-node-local-leader blocks ----------------------------------
   const std::size_t intra_blk = static_cast<std::size_t>(n) * g * g * s;
   rt::ScratchBuffer dsend = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(G) * intra_blk);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     if (dsend.data() != nullptr && crecv.data() != nullptr) {
       const std::size_t run = static_cast<std::size_t>(g) * s;
       for (int k2 = 0; k2 < G; ++k2) {
@@ -139,28 +129,24 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
     }
     world.charge_copy(static_cast<std::size_t>(G) * intra_blk);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 
   // --- intra-node all-to-all among this node's leaders (block n*g*g*s) ------
   rt::ScratchBuffer erecv = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(G) * intra_blk);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "intra-a2a", "phase", opts.tag_stream,
-                 {{"bytes", static_cast<std::int64_t>(
-                                static_cast<std::size_t>(G) * intra_blk)}});
+    PhaseScope ph(world, sink, Phase::kIntraA2A, opts.tag_stream,
+                  {{"bytes", static_cast<std::int64_t>(
+                                 static_cast<std::size_t>(G) * intra_blk)}});
     co_await alltoall_inner(opts.inner, *lc.leaders_node,
                             rt::ConstView(dsend.view()), erecv.view(),
                             intra_blk, opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kIntraA2A, world.now() - t0);
 
   // --- repack into per-member, source-ordered scatter blocks ----------------
   rt::ScratchBuffer sc = rt::alloc_scratch(
       world, opts.scratch, static_cast<std::size_t>(g) * psz);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, sink, Phase::kPack, opts.tag_stream);
     if (sc.data() != nullptr && erecv.data() != nullptr) {
       for (int k1 = 0; k1 < G; ++k1) {
         for (int b2 = 0; b2 < n; ++b2) {
@@ -182,16 +168,14 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
     }
     world.charge_copy(static_cast<std::size_t>(G) * intra_blk);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 
   // --- scatter ---------------------------------------------------------------
-  t0 = world.now();
   {
-    obs::Span sp(tb, "scatter", "phase", opts.tag_stream, {{"leader", 1}});
+    PhaseScope ph(world, sink, Phase::kScatter, opts.tag_stream,
+                  {{"leader", 1}});
     co_await rt::scatter(local, rt::ConstView(sc.view()), recv, /*root=*/0,
                          opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kScatter, world.now() - t0);
 }
 
 }  // namespace mca2a::coll

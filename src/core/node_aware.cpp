@@ -17,7 +17,7 @@
 ///   unpack:        recv[j*g+i'] = T3[i'][j]
 
 #include "core/alltoall.hpp"
-#include "obs/trace.hpp"
+#include "core/phase.hpp"
 #include "runtime/scratch.hpp"
 
 namespace mca2a::coll {
@@ -32,26 +32,21 @@ rt::Task<void> alltoall_node_aware(const rt::LocalityComms& lc,
   const int nreg = lc.regions();
   const std::size_t s = block;
   const std::size_t psz = static_cast<std::size_t>(world.size()) * s;
-  Trace* trace = opts.trace;
-  obs::TraceBuffer* tb = world.tracer();
 
   // --- phase 1: inter-region exchange (block g*s) ---------------------------
   rt::ScratchBuffer t1 = rt::alloc_scratch(world, opts.scratch, psz);
-  double t0 = world.now();
   {
-    obs::Span sp(tb, "inter-a2a", "phase", opts.tag_stream,
-                 {{"bytes", static_cast<std::int64_t>(psz)}});
+    PhaseScope ph(world, opts.trace, Phase::kInterA2A, opts.tag_stream,
+                  {{"bytes", static_cast<std::int64_t>(psz)}});
     co_await alltoall_inner(opts.inner, cross, send, t1.view(),
                             static_cast<std::size_t>(g) * s, opts.scratch,
                             opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kInterA2A, world.now() - t0);
 
   // --- pack per-local-peer blocks -------------------------------------------
   rt::ScratchBuffer t2 = rt::alloc_scratch(world, opts.scratch, psz);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "pack", "phase", opts.tag_stream);
+    PhaseScope ph(world, opts.trace, Phase::kPack, opts.tag_stream);
     if (t1.data() != nullptr && t2.data() != nullptr) {
       for (int i = 0; i < g; ++i) {
         for (int j = 0; j < nreg; ++j) {
@@ -64,24 +59,20 @@ rt::Task<void> alltoall_node_aware(const rt::LocalityComms& lc,
     // Each repack moves all g * nreg = p blocks once.
     world.charge_copy(psz);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 
   // --- phase 2: intra-region redistribution (block nreg*s) ------------------
   rt::ScratchBuffer t3 = rt::alloc_scratch(world, opts.scratch, psz);
-  t0 = world.now();
   {
-    obs::Span sp(tb, "intra-a2a", "phase", opts.tag_stream,
-                 {{"bytes", static_cast<std::int64_t>(psz)}});
+    PhaseScope ph(world, opts.trace, Phase::kIntraA2A, opts.tag_stream,
+                  {{"bytes", static_cast<std::int64_t>(psz)}});
     co_await alltoall_inner(opts.inner, local, rt::ConstView(t2.view()),
                             t3.view(), static_cast<std::size_t>(nreg) * s,
                             opts.scratch, opts.tag_stream);
   }
-  if (trace) trace->add(Phase::kIntraA2A, world.now() - t0);
 
   // --- unpack into source-rank order -----------------------------------------
-  t0 = world.now();
   {
-    obs::Span sp(tb, "unpack", "phase", opts.tag_stream);
+    PhaseScope ph(world, opts.trace, Phase::kPack, opts.tag_stream);
     if (t3.data() != nullptr && recv.ptr != nullptr) {
       for (int i2 = 0; i2 < g; ++i2) {
         for (int j = 0; j < nreg; ++j) {
@@ -93,7 +84,6 @@ rt::Task<void> alltoall_node_aware(const rt::LocalityComms& lc,
     }
     world.charge_copy(psz);
   }
-  if (trace) trace->add(Phase::kPack, world.now() - t0);
 }
 
 }  // namespace mca2a::coll

@@ -122,17 +122,16 @@ struct Run {
 struct RankSample {
   std::vector<double> start;    ///< clock once the rep's work may begin
   std::vector<double> end;      ///< clock once the rep's work completed
-  std::vector<double> phases;   ///< collect_trace: kNumPhases per rep
+  std::vector<double> phases;   ///< kNumPhases per rep
   std::vector<double> cpath;    ///< overlap: Schedule::critical_path()
   std::vector<double> op_secs;  ///< overlap: `overlap` exchanges per rep
   std::vector<int> algos;       ///< autotune: resolved coll::Algo value
   std::vector<int> groups;      ///< autotune: resolved group size
 
   explicit RankSample(const Run& run)
-      : start(run.reps, 0.0), end(run.reps, 0.0) {
-    if (run.spec.collect_trace) {
-      phases.assign(run.reps * kPhases, 0.0);
-    }
+      : start(run.reps, 0.0),
+        end(run.reps, 0.0),
+        phases(run.reps * kPhases, 0.0) {
     if (run.overlap >= 2) {
       cpath.assign(run.reps, 0.0);
       op_secs.assign(run.reps * static_cast<std::size_t>(run.overlap), 0.0);
@@ -169,20 +168,13 @@ void validate(const RunSpec& spec) {
                                 "\" (expected \"sim\", \"smp\" or \"net\")");
   }
   const bool overlapped = spec.overlap >= 2;
-  if (overlapped && spec.collect_trace) {
-    // The overlap path reports per-op and critical-path times instead of
-    // phase traces; silently returning zeroed phases would read as data.
-    throw std::invalid_argument(
-        "run_sim: collect_trace is not supported with overlap >= 2");
-  }
   if (overlapped && spec.vector) {
     throw std::invalid_argument(
         "run_sim: vector mode is not supported with overlap >= 2");
   }
-  if (spec.autotune && (spec.vector || overlapped || spec.collect_trace)) {
+  if (spec.autotune && (spec.vector || overlapped)) {
     throw std::invalid_argument(
-        "run_sim: autotune mode is not combinable with vector, overlap or "
-        "collect_trace");
+        "run_sim: autotune mode is not combinable with vector or overlap");
   }
 }
 
@@ -327,14 +319,10 @@ rt::Task<void> exchange_reps(rt::Comm& world, const Run& run,
     coll::Trace trace;
     co_await rt::barrier(world);
     out.start[rep] = world.now();
-    co_await pl.execute(rt::ConstView(sbuf.view()), rbuf.view(),
-                        run.spec.collect_trace ? &trace : nullptr);
+    co_await pl.execute(rt::ConstView(sbuf.view()), rbuf.view(), &trace);
     out.end[rep] = world.now();
-    if (run.spec.collect_trace) {
-      std::copy(trace.seconds.begin(), trace.seconds.end(),
-                out.phases.begin() +
-                    static_cast<std::ptrdiff_t>(rep * kPhases));
-    }
+    std::copy(trace.seconds.begin(), trace.seconds.end(),
+              out.phases.begin() + static_cast<std::ptrdiff_t>(rep * kPhases));
   }
 }
 
@@ -499,14 +487,12 @@ RunResult fold(const Run& run, const std::vector<RankSample>& ranks) {
     }
     return t1 - t0;
   });
-  if (run.spec.collect_trace) {
-    for (std::size_t ph = 0; ph < kPhases; ++ph) {
-      res.phase_seconds[ph] = best_rep([&](std::size_t rep) {
-        return worst([&](const RankSample& s) {
-          return s.phases[rep * kPhases + ph];
-        });
+  for (std::size_t ph = 0; ph < kPhases; ++ph) {
+    res.phase_seconds[ph] = best_rep([&](std::size_t rep) {
+      return worst([&](const RankSample& s) {
+        return s.phases[rep * kPhases + ph];
       });
-    }
+    });
   }
   if (run.overlap >= 2) {
     const auto n = static_cast<std::size_t>(run.overlap);

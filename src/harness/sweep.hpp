@@ -54,8 +54,6 @@ struct RunSpec {
   /// lets A2A_BENCH_REPS / A2A_NOISE restore the paper's exact protocol.
   int reps = 1;
   std::uint64_t seed = 1;
-  /// Collect per-phase timings (Figures 13-16).
-  bool collect_trace = false;
   /// Nonblocking overlap: when >= 2, each timed repetition runs `overlap`
   /// independent exchanges of the spec's shape — each through its own
   /// persistent plan and tag stream — batched in a plan::Schedule
@@ -94,7 +92,7 @@ struct RunSpec {
   /// rank consults the selector; on net rank 0 does and broadcasts its
   /// choice. Per-rep times and resolved algorithms land in
   /// RunResult::rep_seconds / rep_algos (the convergence trajectory). Not
-  /// combinable with vector/overlap/collect_trace.
+  /// combinable with vector/overlap.
   bool autotune = false;
   /// Optional selector for autotune runs (e.g. warmed across several
   /// run_sim calls, or inspected afterwards); null = a fresh adapt-mode
@@ -107,7 +105,9 @@ struct RunResult {
   /// process clocks share no epoch: min over reps of (max over ranks of
   /// each rank's own elapsed time).
   double seconds = 0.0;
-  /// Per-phase maxima over ranks, min over reps (breakdown figures).
+  /// Per-phase maxima over ranks, min over reps (breakdown figures; see
+  /// CollectivePlan::start for which ranks record phases). Single-exchange
+  /// and vector modes only: zero in overlap and autotune modes.
   std::array<double, coll::kNumPhases> phase_seconds{};
   /// Messages sent during the whole run (all reps): simulated messages on
   /// sim, ring and overflow mailbox sends on smp (none are counted under

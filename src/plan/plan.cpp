@@ -131,26 +131,23 @@ CollectiveHandle CollectivePlan::start(rt::ConstView send, rt::MutView recv,
   return launch(send, recv, trace, world_->acquire_tag_stream());
 }
 
-CollectiveHandle CollectivePlan::start_inplace(rt::MutView data,
-                                               coll::Trace* trace) {
+CollectiveHandle CollectivePlan::start_inplace(rt::MutView data) {
   validate_inplace(data);
   check_can_start();
-  return launch(rt::ConstView{}, data, trace, world_->acquire_tag_stream());
+  return launch(rt::ConstView{}, data, nullptr, world_->acquire_tag_stream());
 }
 
 CollectiveHandle CollectivePlan::start_in_stream(rt::ConstView send,
                                                  rt::MutView recv,
-                                                 coll::Trace* trace,
                                                  int tag_stream) {
   validate_extents(send, recv);
-  return launch(send, recv, trace, tag_stream);
+  return launch(send, recv, nullptr, tag_stream);
 }
 
 CollectiveHandle CollectivePlan::start_inplace_in_stream(rt::MutView data,
-                                                         coll::Trace* trace,
                                                          int tag_stream) {
   validate_inplace(data);
-  return launch(rt::ConstView{}, data, trace, tag_stream);
+  return launch(rt::ConstView{}, data, nullptr, tag_stream);
 }
 
 void CollectivePlan::validate_inplace(rt::MutView data) const {
@@ -227,9 +224,8 @@ rt::Task<void> CollectivePlan::execute(rt::ConstView send, rt::MutView recv,
   co_await h.wait();
 }
 
-rt::Task<void> CollectivePlan::execute_inplace(rt::MutView data,
-                                               coll::Trace* trace) {
-  CollectiveHandle h = start_inplace(data, trace);
+rt::Task<void> CollectivePlan::execute_inplace(rt::MutView data) {
+  CollectiveHandle h = start_inplace(data);
   co_await h.wait();
 }
 

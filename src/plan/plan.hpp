@@ -235,16 +235,18 @@ class CollectivePlan {
   ///               reduction (send is copied in first; see start_inplace).
   /// Buffers must stay valid until the handle completes. At most one
   /// operation per plan may be in flight (std::logic_error otherwise).
-  /// `trace` optionally collects per-phase timings (alltoall and the
-  /// locality alltoallv algorithms; leaders only for the latter).
+  /// `trace` optionally collects per-phase timings of the locality
+  /// algorithms: on leaders for Hierarchical, Multileader, Multileader +
+  /// Node-Aware and both locality alltoallv algorithms; on every rank for
+  /// Node-Aware and Locality-Aware. Like the buffers, it must stay valid
+  /// until the handle completes.
   CollectiveHandle start(rt::ConstView send, rt::MutView recv,
                          coll::Trace* trace = nullptr);
 
   /// Allreduce only: start reducing `data` in place (the MPI_IN_PLACE
   /// form, no staging copy). Throws std::invalid_argument for other op
   /// kinds or on a bad extent.
-  CollectiveHandle start_inplace(rt::MutView data,
-                                 coll::Trace* trace = nullptr);
+  CollectiveHandle start_inplace(rt::MutView data);
 
   /// Blocking form: start(...) then await the handle. Kept as the simple
   /// entry point; identical results and timing to the nonblocking form.
@@ -252,7 +254,7 @@ class CollectivePlan {
                          coll::Trace* trace = nullptr);
 
   /// Blocking form of start_inplace.
-  rt::Task<void> execute_inplace(rt::MutView data, coll::Trace* trace = nullptr);
+  rt::Task<void> execute_inplace(rt::MutView data);
 
   /// Operations currently in flight on this plan (0 or 1).
   int in_flight() const noexcept { return in_flight_; }
@@ -319,10 +321,8 @@ class CollectivePlan {
   /// rank-local (op completion order differs across ranks) and must not
   /// influence which stream an op gets.
   CollectiveHandle start_in_stream(rt::ConstView send, rt::MutView recv,
-                                   coll::Trace* trace, int tag_stream);
-  CollectiveHandle start_inplace_in_stream(rt::MutView data,
-                                           coll::Trace* trace,
-                                           int tag_stream);
+                                   int tag_stream);
+  CollectiveHandle start_inplace_in_stream(rt::MutView data, int tag_stream);
   CollectiveHandle launch(rt::ConstView send, rt::MutView recv,
                           coll::Trace* trace, int tag_stream);
   rt::Task<void> run_started(std::shared_ptr<CollectiveHandle::State> st,

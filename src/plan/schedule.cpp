@@ -104,10 +104,8 @@ rt::Task<void> Schedule::drive(int i) {
   // dependency-completion order, which is rank-local and must not decide
   // which stream an op gets.
   CollectiveHandle h =
-      op.inplace
-          ? op.plan->start_inplace_in_stream(op.recv, nullptr, op.tag_stream)
-          : op.plan->start_in_stream(op.send, op.recv, nullptr,
-                                     op.tag_stream);
+      op.inplace ? op.plan->start_inplace_in_stream(op.recv, op.tag_stream)
+                 : op.plan->start_in_stream(op.send, op.recv, op.tag_stream);
   op.stats.started_at = h.started_at();
   try {
     co_await h.wait();

@@ -12,7 +12,6 @@ namespace mca2a::plan {
 
 namespace {
 
-constexpr char kHeaderV1[] = "mca2a-tuning-table v1";
 constexpr char kHeaderV2[] = "mca2a-tuning-table v2";
 constexpr char kHeaderV3[] = "mca2a-tuning-table v3";
 
@@ -209,9 +208,8 @@ TuningTable TuningTable::load(std::istream& is) {
   if (!std::getline(is, line)) {
     throw std::runtime_error("TuningTable::load: empty input");
   }
-  const bool v1 = line == kHeaderV1;
   const bool v3 = line == kHeaderV3;
-  if (!v1 && !v3 && line != kHeaderV2) {
+  if (!v3 && line != kHeaderV2) {
     throw std::runtime_error("TuningTable::load: bad header: '" + line + "'");
   }
   TuningTable table;
@@ -231,16 +229,10 @@ TuningTable TuningTable::load(std::istream& is) {
     }
     std::istringstream ls(line);
     TuningKey key;
-    std::string tag = "a2a";
+    std::string tag;
     Entry e;
-    const bool ok =
-        v1 ? static_cast<bool>(ls >> key.machine >> key.nodes >> key.ppn >>
-                               key.block >> e.algo >> e.group_size >>
-                               e.predicted_seconds)
-           : static_cast<bool>(ls >> key.machine >> key.nodes >> key.ppn >>
-                               tag >> key.block >> e.algo >> e.group_size >>
-                               e.predicted_seconds);
-    if (!ok) {
+    if (!(ls >> key.machine >> key.nodes >> key.ppn >> tag >> key.block >>
+          e.algo >> e.group_size >> e.predicted_seconds)) {
       throw std::runtime_error("TuningTable::load: malformed line: '" + line +
                                "'");
     }

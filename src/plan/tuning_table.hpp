@@ -17,8 +17,7 @@
 ///
 /// File format (v2): a version header line, then one entry per line
 /// ("machine nodes ppn op block algo group_size predicted_seconds"), where
-/// `op` is coll::op_kind_tag ("a2a", "ag", "ar", "a2av"). PR-1-era v1
-/// files (no op column) still load; their entries are all-to-all.
+/// `op` is coll::op_kind_tag ("a2a", "ag", "ar", "a2av").
 ///
 /// v3 adds a measured-profile section: after the decision entries, one
 /// "prof ..." line per autotune::ExecutionProfiler entry (see
@@ -26,7 +25,7 @@
 /// knowledge ships in the same artifact as the model's memoized decisions.
 /// save() emits the v3 header only when the profile section is non-empty —
 /// tables without measurements keep round-tripping as v2, readable by
-/// older code. v1/v2 files load with an empty profile.
+/// older code. v2 files load with an empty profile.
 ///
 /// The table is keyed by machine *shape*, not network parameters: entries
 /// are only meaningful for the NetParams they were computed with, which is
@@ -136,10 +135,9 @@ class TuningTable {
   /// Write the table as text: v3 when the profile section is non-empty,
   /// v2 otherwise (see the file comment).
   void save(std::ostream& os) const;
-  /// Parse a table written by save() — or by a PR-1-era save (v1 header,
-  /// no op column: entries load as alltoall), or an op-tagged v2 (no
-  /// profile section). Throws std::runtime_error on a bad header, unknown
-  /// op tag, out-of-range algorithm index, or malformed line.
+  /// Parse a table written by save(): v3, or v2 (no profile section).
+  /// Throws std::runtime_error on a bad header (v1 included), unknown op
+  /// tag, out-of-range algorithm index, or malformed line.
   static TuningTable load(std::istream& is);
 
   /// File convenience wrappers. save_file returns false when the file could

@@ -250,7 +250,6 @@ TEST(Harness, TraceCollectsPhases) {
   spec.net = model::test_params();
   spec.algo = coll::Algo::kNodeAware;
   spec.block = 64;
-  spec.collect_trace = true;
   const bench::RunResult r = bench::run_sim(spec);
   EXPECT_GT(r.phase_seconds[static_cast<int>(coll::Phase::kInterA2A)], 0.0);
   EXPECT_GT(r.phase_seconds[static_cast<int>(coll::Phase::kIntraA2A)], 0.0);

@@ -957,24 +957,14 @@ TEST(TuningTable, AllreduceHitRechecksRabenseifnerEligibility) {
   EXPECT_EQ(table.choose_allreduce(machine, net, 65536, 8).algo, first.algo);
 }
 
-TEST(TuningTable, LoadsPr1EraUntaggedTables) {
-  // A v1 file has no op column; every entry is an all-to-all decision.
+TEST(TuningTable, RejectsV1UntaggedTables) {
+  // The untagged v1 format (no op column) is no longer read: its header is
+  // a bad header, whatever the lines below it hold.
   std::stringstream ss(
       "mca2a-tuning-table v1\n"
       "dane 8 112 64 3 112 0.5\n"
       "dane 8 112 1024 6 112 0.25\n");
-  plan::TuningTable loaded = plan::TuningTable::load(ss);
-  EXPECT_EQ(loaded.size(), 2u);
-  const auto e = loaded.lookup(topo::dane(8), 64);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->algo, static_cast<coll::Algo>(3));
-  EXPECT_EQ(e->group_size, 112);
-  EXPECT_DOUBLE_EQ(e->predicted_seconds, 0.5);
-  // And it re-saves in the tagged v2 format.
-  std::stringstream out;
-  loaded.save(out);
-  EXPECT_NE(out.str().find("mca2a-tuning-table v2"), std::string::npos);
-  EXPECT_NE(out.str().find(" a2a "), std::string::npos);
+  EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
 }
 
 TEST(TuningTable, LoadRejectsBadOpTagsAndPerOpRanges) {
@@ -991,8 +981,9 @@ TEST(TuningTable, LoadRejectsBadOpTagsAndPerOpRanges) {
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
-    // v1 lines must still be range-checked as alltoall.
-    std::stringstream ss("mca2a-tuning-table v1\ndane 8 112 64 99 4 0.5\n");
+    // Algorithm index out of range for alltoall.
+    std::stringstream ss(
+        "mca2a-tuning-table v2\ndane 8 112 a2a 64 99 4 0.5\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
 }

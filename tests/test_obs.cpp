@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <iterator>
@@ -705,6 +706,129 @@ TEST(TraceExport, TracingDoesNotPerturbVirtualTime) {
   // Bit-for-bit: event recording reads rank clocks, never advances them.
   EXPECT_EQ(t_off, t_on);
   EXPECT_EQ(t_off, t_off2);
+}
+
+// ---------------------------------------------------------------------------
+// One phase probe: the breakdown sink and the phase spans share a window
+// ---------------------------------------------------------------------------
+
+/// Per phase, the summed durations of one rank's `phase`-category spans
+/// named phase_name(p), summed in close order (the order the sink adds).
+std::array<double, coll::kNumPhases> phase_span_seconds(
+    const obs::TraceBuffer& tb) {
+  std::array<double, coll::kNumPhases> sums{};
+  std::map<int, std::vector<const obs::TraceEvent*>> open;  // per lane
+  for (const obs::TraceEvent& e : tb.events()) {
+    if (e.type == obs::EventType::kBegin) {
+      open[e.lane].push_back(&e);
+      continue;
+    }
+    if (e.type != obs::EventType::kEnd) {
+      continue;
+    }
+    std::vector<const obs::TraceEvent*>& lane = open[e.lane];
+    if (lane.empty()) {
+      ADD_FAILURE() << "unbalanced end on lane " << e.lane;
+      continue;
+    }
+    const obs::TraceEvent* b = lane.back();
+    lane.pop_back();
+    for (int ph = 0; ph < coll::kNumPhases; ++ph) {
+      if (b->cat == "phase" &&
+          b->name == coll::phase_name(static_cast<coll::Phase>(ph))) {
+        sums[static_cast<std::size_t>(ph)] += e.ts - b->ts;
+      }
+    }
+  }
+  return sums;
+}
+
+struct PhaseCase {
+  const char* label;
+  std::optional<coll::Algo> algo;             ///< alltoall case
+  std::optional<coll::AlltoallvAlgo> valgo;   ///< alltoallv case
+  int group;
+  bool every_rank;  ///< Node-Aware / Locality-Aware feed every rank's sink
+};
+
+/// Non-uniform alltoallv counts: bytes rank s sends rank d.
+std::size_t skewed_count(int s, int d) {
+  return 1 + static_cast<std::size_t>((3 * s + 5 * d) % 7);
+}
+
+TEST(PhaseScope, SpanDurationsEqualSink) {
+  const topo::Machine machine = topo::generic(2, 4);
+  const int p = machine.total_ranks();
+  const std::vector<PhaseCase> cases = {
+      {"Hierarchical", coll::Algo::kHierarchical, std::nullopt, 4, false},
+      {"Multileader", coll::Algo::kMultileader, std::nullopt, 2, false},
+      {"Node-Aware", coll::Algo::kNodeAware, std::nullopt, 4, true},
+      {"Locality-Aware", coll::Algo::kLocalityAware, std::nullopt, 2, true},
+      {"MLNA", coll::Algo::kMultileaderNodeAware, std::nullopt, 2, false},
+      {"v-Hierarchical", std::nullopt, coll::AlltoallvAlgo::kHierarchical, 2,
+       false},
+      {"v-MLNA", std::nullopt, coll::AlltoallvAlgo::kMultileaderNodeAware, 2,
+       false},
+  };
+  for (const PhaseCase& c : cases) {
+    std::vector<coll::Trace> sinks(static_cast<std::size_t>(p));
+    std::vector<char> leader(static_cast<std::size_t>(p), 0);
+    obs::TraceRecorder rec;
+    obs::set_active_recorder(&rec);
+    test::run_sim(machine, [&](Comm& world) -> Task<void> {
+      const int me = world.rank();
+      coll::Trace* sink = &sinks[static_cast<std::size_t>(me)];
+      plan::PlanOptions popts;
+      popts.group_size = c.group;
+      Buffer send;
+      Buffer recv;
+      std::optional<plan::CollectivePlan> pl;
+      if (c.algo) {
+        coll::AlltoallDesc d;
+        d.block = 32;
+        d.algo = c.algo;
+        pl.emplace(plan::make_plan(world, machine, model::test_params(), d,
+                                   popts));
+        send = world.alloc_buffer(d.block * p);
+        recv = world.alloc_buffer(d.block * p);
+      } else {
+        coll::AlltoallvDesc d;
+        for (int r = 0; r < p; ++r) {
+          d.send_counts.push_back(skewed_count(me, r));
+          d.recv_counts.push_back(skewed_count(r, me));
+        }
+        d.algo = c.valgo;
+        send = world.alloc_buffer(d.send_total());
+        recv = world.alloc_buffer(d.recv_total());
+        pl.emplace(plan::make_plan(world, machine, model::test_params(),
+                                   std::move(d), popts));
+      }
+      leader[static_cast<std::size_t>(me)] = pl->bundle()->is_leader ? 1 : 0;
+      co_await pl->execute(rt::ConstView(send.view()), recv.view(), sink);
+    });
+    obs::set_active_recorder(nullptr);
+
+    for (int r = 0; r < p; ++r) {
+      const coll::Trace& sink = sinks[static_cast<std::size_t>(r)];
+      if (!c.every_rank && leader[static_cast<std::size_t>(r)] == 0) {
+        for (const double s : sink.seconds) {
+          EXPECT_EQ(s, 0.0) << c.label << ": member rank " << r;
+        }
+        continue;
+      }
+      const obs::TraceBuffer* tb = rec.stream("sim", r);
+      ASSERT_NE(tb, nullptr) << c.label << ": rank " << r;
+      EXPECT_GT(sink.seconds[static_cast<int>(coll::Phase::kInterA2A)], 0.0)
+          << c.label << ": rank " << r;
+      const auto spans = phase_span_seconds(*tb);
+      for (int ph = 0; ph < coll::kNumPhases; ++ph) {
+        EXPECT_EQ(spans[static_cast<std::size_t>(ph)],
+                  sink.seconds[static_cast<std::size_t>(ph)])
+            << c.label << ": rank " << r << " phase "
+            << coll::phase_name(static_cast<coll::Phase>(ph));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

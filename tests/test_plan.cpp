@@ -550,12 +550,14 @@ TEST(TuningTable, LoadRejectsGarbage) {
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
-    std::stringstream ss("mca2a-tuning-table v1\ndane 8 112 not-a-number\n");
+    std::stringstream ss(
+        "mca2a-tuning-table v2\ndane 8 112 a2a not-a-number\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
     // Algorithm index out of range.
-    std::stringstream ss("mca2a-tuning-table v1\ndane 8 112 64 99 4 0.5\n");
+    std::stringstream ss(
+        "mca2a-tuning-table v2\ndane 8 112 a2a 64 99 4 0.5\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
 }
