@@ -3,8 +3,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,14 +23,6 @@
 namespace mca2a::net {
 
 namespace {
-
-/// Discard sink for payload bytes beyond a truncated receive buffer: the
-/// stream must stay framed even when the application posted too little.
-std::byte* thrash_buffer(std::size_t& cap) {
-  static thread_local std::vector<std::byte> thrash(64 * 1024);
-  cap = thrash.size();
-  return thrash.data();
-}
 
 /// Truncation diagnostic: enough context to identify the offending message
 /// (matching site, comm-rank source, tag, sizes) from the thrown error.
@@ -67,6 +61,17 @@ std::string route_source_ip(const Address& toward) {
   return local_address(fd.get()).host;
 }
 
+/// True when `local_ranks` processes fit the CPUs the calling thread may
+/// run on, i.e. a polling wait takes no CPU from another rank.
+bool ranks_fit_cpus(int local_ranks) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return false;
+  }
+  return local_ranks <= CPU_COUNT(&set);
+}
+
 }  // namespace
 
 Endpoint::Endpoint(NetOptions opts)
@@ -86,6 +91,8 @@ Endpoint::Endpoint(NetOptions opts)
     rail_rx_.push_back(&reg.counter(base + "rx_bytes"));
     rail_retry_.push_back(&reg.counter(base + "tx_retries"));
   }
+  tx_calls_ = &reg.counter("net.tx_calls");
+  rx_calls_ = &reg.counter("net.rx_calls");
   frames_tx_ = &reg.counter("net.frames_tx");
   frames_rx_ = &reg.counter("net.frames_rx");
   eager_tx_ = &reg.counter("net.eager_tx");
@@ -101,6 +108,7 @@ Endpoint::Endpoint(NetOptions opts)
   }
 
   build_mesh();
+  reg.gauge("net.busy_poll").set(busy_poll_ ? 1 : 0);
 }
 
 Endpoint::~Endpoint() {
@@ -131,6 +139,7 @@ void Endpoint::build_mesh() {
   if (opts_.size == 1) {
     Fd{opts_.rendezvous_fd};  // consume an inherited listener, if any
     opts_.rendezvous_fd = -1;
+    busy_poll_ = ranks_fit_cpus(1);
     return;  // all traffic is self-delivery
   }
 
@@ -165,6 +174,16 @@ void Endpoint::build_mesh() {
     table = rendezvous_exchange(opts_, self);
   }
   opts_.rendezvous_fd = -1;  // rendezvous_exchange owned and closed it
+
+  // Progress mode: poll when every rank on this host (same first
+  // advertised address as ours) can have a CPU of our affinity mask;
+  // an oversubscribed host keeps its waiters asleep in epoll_wait.
+  const std::string& host = self.addrs.front().host;
+  const auto local_ranks =
+      std::count_if(table.begin(), table.end(), [&](const PeerInfo& p) {
+        return !p.addrs.empty() && p.addrs.front().host == host;
+      });
+  busy_poll_ = ranks_fit_cpus(static_cast<int>(local_ranks));
 
   // Connect to every lower-ranked peer (all rails), then accept from every
   // higher-ranked one. Every listener already existed before the table was
@@ -677,7 +696,7 @@ void Endpoint::drive_until(const std::function<bool()>& done,
       throw std::runtime_error(fatal_msg_ + std::string(" (during ") + what +
                                ")");
     }
-    progress(200);
+    progress(busy_poll_ ? 0 : 200);
   }
 }
 
@@ -689,8 +708,7 @@ void Endpoint::progress(int timeout_ms) {
     if (errno == EINTR) {
       return;
     }
-    fatal_ = true;
-    fatal_msg_ = "net: epoll_wait failed";
+    fail("net: epoll_wait failed");
     return;
   }
   for (int i = 0; i < n; ++i) {
@@ -709,64 +727,71 @@ void Endpoint::progress(int timeout_ms) {
 void Endpoint::handle_readable(int ci) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
   while (c.open) {
+    // A frame that still owes its destination half a staging buffer or
+    // more is read straight into it, so large bodies are not copied twice;
+    // everything else goes through staging, one read taking whatever the
+    // socket holds.
+    const std::size_t due = c.rx_in_payload && c.rx_payload_got < c.rx_dest.len
+                                ? c.rx_dest.len - c.rx_payload_got
+                                : 0;
+    const bool direct = due >= kStageBytes / 2;
+    std::byte* dst =
+        direct ? c.rx_dest.ptr + c.rx_payload_got : rx_stage_.get();
+    const std::size_t want = direct ? due : kStageBytes;
+    const ssize_t n = ::read(c.fd.get(), dst, want);
+    rx_calls_->add(1);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;
+    }
+    if (n <= 0) {
+      conn_lost(ci);
+      return;
+    }
+    const auto got = static_cast<std::size_t>(n);
+    rail_rx_[static_cast<std::size_t>(c.rail)]->add(got);
+    if (direct) {
+      c.rx_payload_got += got;
+      if (c.rx_payload_got == c.rx_frame.bytes) {
+        finish_rx(ci);
+      }
+    } else {
+      consume(ci, dst, got);
+    }
+    if (got < want) {
+      return;  // short read: drained; epoll reports later bytes again
+    }
+  }
+}
+
+void Endpoint::consume(int ci, const std::byte* p, std::size_t n) {
+  Conn& c = conns_[static_cast<std::size_t>(ci)];
+  while (n > 0 && c.open) {
+    std::size_t take;
     if (!c.rx_in_payload) {
-      const std::size_t need = kHeaderBytes - c.rx_header_got;
-      const ssize_t n =
-          ::read(c.fd.get(), c.rx_header + c.rx_header_got, need);
-      if (n == 0) {
-        conn_lost(ci);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          return;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        conn_lost(ci);
-        return;
-      }
-      c.rx_header_got += static_cast<std::size_t>(n);
+      take = std::min(n, kHeaderBytes - c.rx_header_got);
+      std::memcpy(c.rx_header + c.rx_header_got, p, take);
+      c.rx_header_got += take;
       if (c.rx_header_got == kHeaderBytes) {
         on_frame(ci);
       }
     } else {
-      // Stream payload: into the matched destination while it lasts, into
-      // the discard sink beyond it (truncated receives stay framed).
-      const std::size_t total = c.rx_frame.bytes;
-      std::size_t got = c.rx_payload_got;
-      std::byte* dst;
-      std::size_t cap;
-      if (got < c.rx_dest.len) {
-        dst = c.rx_dest.ptr + got;
-        cap = c.rx_dest.len - got;
-      } else {
-        dst = thrash_buffer(cap);
+      // Payload bytes land in the matched destination while it lasts and
+      // are dropped beyond it, so a truncated receive stays framed.
+      take = std::min<std::size_t>(n, c.rx_frame.bytes - c.rx_payload_got);
+      if (c.rx_payload_got < c.rx_dest.len) {
+        std::memcpy(c.rx_dest.ptr + c.rx_payload_got, p,
+                    std::min(take, c.rx_dest.len - c.rx_payload_got));
       }
-      const std::size_t want = std::min<std::size_t>(cap, total - got);
-      const ssize_t n = ::read(c.fd.get(), dst, want);
-      if (n == 0) {
-        conn_lost(ci);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          return;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        conn_lost(ci);
-        return;
-      }
-      c.rx_payload_got += static_cast<std::size_t>(n);
-      rail_rx_[static_cast<std::size_t>(c.rail)]->add(
-          static_cast<std::uint64_t>(n));
-      if (c.rx_payload_got == total) {
+      c.rx_payload_got += take;
+      if (c.rx_payload_got == c.rx_frame.bytes) {
         finish_rx(ci);
       }
     }
+    p += take;
+    n -= take;
   }
 }
 
@@ -776,9 +801,7 @@ void Endpoint::on_frame(int ci) {
   try {
     h = decode(c.rx_header);
   } catch (const std::exception& e) {
-    fatal_ = true;
-    fatal_msg_ = std::string("net: ") + e.what();
-    conn_lost(ci);
+    reject_frame(ci, e.what());
     return;
   }
   frames_rx_->add(1);
@@ -791,9 +814,7 @@ void Endpoint::on_frame(int ci) {
 
   switch (h.kind) {
     case FrameKind::kHello: {
-      fatal_ = true;
-      fatal_msg_ = "net: unexpected hello after bootstrap";
-      conn_lost(ci);
+      reject_frame(ci, "net: unexpected hello after bootstrap");
       return;
     }
     case FrameKind::kBye: {
@@ -801,6 +822,15 @@ void Endpoint::on_frame(int ci) {
       return;
     }
     case FrameKind::kEager: {
+      if (h.bytes > opts_.eager_max) {
+        reject_frame(ci, "net: eager frame of " + std::to_string(h.bytes) +
+                             " B from rank " + std::to_string(c.peer) +
+                             " exceeds this rank's eager limit of " +
+                             std::to_string(opts_.eager_max) +
+                             " B (every rank must use the same "
+                             "A2A_NET_EAGER)");
+        return;
+      }
       CommState& cs = comm_state(h.comm_key);
       const std::uint32_t opid = match_posted(cs, h.src, h.tag);
       if (h.bytes == 0) {
@@ -865,8 +895,7 @@ void Endpoint::on_frame(int ci) {
     case FrameKind::kCts: {
       if (h.token >= ops_.size() || !ops_[h.token].in_use ||
           ops_[h.token].kind != Op::Kind::kSend) {
-        fatal_ = true;
-        fatal_msg_ = "net: CTS for unknown send operation";
+        reject_frame(ci, "net: CTS for unknown send operation");
         return;
       }
       send_data_frames(static_cast<std::uint32_t>(h.token), h.token2);
@@ -875,12 +904,37 @@ void Endpoint::on_frame(int ci) {
     case FrameKind::kData: {
       auto it = rndv_recvs_.find(h.token);
       if (it == rndv_recvs_.end()) {
-        fatal_ = true;
-        fatal_msg_ = "net: data frame for unknown rendezvous token";
+        reject_frame(ci, "net: data frame for unknown rendezvous token");
         return;
       }
       RndvRecv& rr = it->second;
       const std::uint64_t off = h.token2;
+      // A sender cuts a body into one fixed layout: the whole body at
+      // offset 0, or stripes of ceil(bytes / rails) with a shorter last
+      // one (send_data_frames). A chunk off that layout, or one whose
+      // slot was already claimed, is rejected: an overlapping or repeated
+      // chunk could complete the receive with bytes never written, and an
+      // oversized one could make `remaining` wrap so it never completes.
+      const auto rails = static_cast<std::uint64_t>(opts_.rails);
+      const std::uint64_t stripe =  // ceil without overflow: any kRts size
+          rr.bytes / rails + (rr.bytes % rails != 0 ? 1 : 0);
+      std::uint64_t claim = 0;  // layout slots this chunk fills
+      if (off == 0 && h.bytes == rr.bytes) {
+        claim = ~std::uint64_t{0};
+      } else if (off < rr.bytes && off % stripe == 0 &&
+                 h.bytes == std::min(stripe, rr.bytes - off)) {
+        claim = std::uint64_t{1} << (off / stripe);
+      }
+      if (h.bytes == 0 || claim == 0 || (rr.seen & claim) != 0) {
+        reject_frame(ci, "net: data frame out of bounds (" +
+                             std::to_string(h.bytes) + " B at offset " +
+                             std::to_string(off) + " of a " +
+                             std::to_string(rr.bytes) + " B message, " +
+                             std::to_string(rr.remaining) +
+                             " B due): not a fresh chunk of the body");
+        return;
+      }
+      rr.seen |= claim;
       std::size_t avail = 0;
       if (off < rr.dest.len) {
         avail = std::min<std::size_t>(h.bytes, rr.dest.len -
@@ -966,7 +1020,7 @@ void Endpoint::finish_rx(int ci) {
   } else if (h.kind == FrameKind::kData) {
     auto it = rndv_recvs_.find(h.token);
     // The token is guaranteed live: it is only erased below, after its
-    // last data byte, and on_frame validated it for this frame.
+    // last data byte, and on_frame validated it and the chunk's bounds.
     RndvRecv& rr = it->second;
     rr.remaining -= h.bytes;
     if (rr.remaining == 0) {
@@ -1016,86 +1070,107 @@ void Endpoint::enqueue(int ci, const FrameHeader& h, rt::ConstView payload,
   f.flow_id = flow;
   c.txq.push_back(std::move(f));
   frames_tx_->add(1);
-  handle_writable(ci);  // opportunistic flush; EPOLLOUT arms on EAGAIN
+  // Opportunistic flush, unless the socket is known full: then EPOLLOUT
+  // is armed and a write now would only return EAGAIN.
+  if (!c.want_out) {
+    handle_writable(ci);
+  }
 }
 
 void Endpoint::handle_writable(int ci) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
   while (c.open && !c.txq.empty()) {
-    TxFrame& f = c.txq.front();
-    if (tracer_ != nullptr && !f.span_open && f.header_sent == 0 &&
-        f.payload.len > 0) {
-      f.span_open = tracer_->begin(
-          "net.send", "net", ci + 1,
-          {{"bytes", static_cast<std::int64_t>(f.payload.len)},
-           {"peer", c.peer},
-           {"rail", c.rail}});
-      if (f.span_open && f.flow_id != 0) {
-        tracer_->flow_start(f.flow_id, ci + 1);
-        f.flow_id = 0;  // one arrow per message, even across retries
+    // Gather the unsent header and payload of the queued frames, oldest
+    // first, into one sendmsg. A traced flush stops before a second
+    // payload frame: a net.send span opens before its frame's first byte
+    // leaves (its flow arrow starts inside it) and spans on one lane only
+    // nest, so at most one may be open at a time.
+    iovec iov[kMaxIov];
+    std::size_t niov = 0;
+    std::size_t want = 0;
+    bool traced = false;
+    for (TxFrame& f : c.txq) {
+      if (niov + 2 > kMaxIov) {
+        break;
       }
-    }
-    bool blocked = false;
-    while (f.header_sent < kHeaderBytes) {
-      // MSG_NOSIGNAL everywhere we write a socket: a dead peer must come
-      // back as EPIPE -> conn_lost() -> the documented runtime_error, not
-      // as a SIGPIPE that kills the whole rank process.
-      const ssize_t n = ::send(c.fd.get(), f.header + f.header_sent,
-                               kHeaderBytes - f.header_sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          blocked = true;
+      if (tracer_ != nullptr && f.payload.len > 0) {
+        if (traced) {
           break;
         }
-        if (errno == EINTR) {
-          continue;
+        traced = true;
+        if (!f.span_open && f.sent == 0) {
+          f.span_open = tracer_->begin(
+              "net.send", "net", ci + 1,
+              {{"bytes", static_cast<std::int64_t>(f.payload.len)},
+               {"peer", c.peer},
+               {"rail", c.rail}});
+          if (f.span_open && f.flow_id != 0) {
+            tracer_->flow_start(f.flow_id, ci + 1);
+            f.flow_id = 0;  // one arrow per message, even across retries
+          }
         }
-        conn_lost(ci);
-        return;
       }
-      f.header_sent += static_cast<std::size_t>(n);
+      if (f.sent < kHeaderBytes) {
+        iov[niov++] = iovec{f.header + f.sent, kHeaderBytes - f.sent};
+      }
+      const std::size_t body_sent =
+          f.sent > kHeaderBytes ? f.sent - kHeaderBytes : 0;
+      if (body_sent < f.payload.len) {
+        iov[niov++] =
+            iovec{const_cast<std::byte*>(f.payload.ptr) + body_sent,
+                  f.payload.len - body_sent};
+      }
+      want += kHeaderBytes + f.payload.len - f.sent;
     }
-    if (blocked) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    // MSG_NOSIGNAL everywhere we write a socket: a dead peer must come
+    // back as EPIPE -> conn_lost() -> the documented runtime_error, not
+    // as a SIGPIPE that kills the whole rank process.
+    const ssize_t n = ::sendmsg(c.fd.get(), &msg, MSG_NOSIGNAL);
+    tx_calls_->add(1);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      conn_lost(ci);
+      return;
+    }
+    const std::size_t sent = n < 0 ? 0 : static_cast<std::size_t>(n);
+    if (sent > 0) {
+      rail_tx_[static_cast<std::size_t>(c.rail)]->add(sent);
+    }
+    // Advance the frames by the bytes the kernel took.
+    for (std::size_t left = sent; left > 0;) {
+      TxFrame& f = c.txq.front();
+      const std::size_t rest = kHeaderBytes + f.payload.len - f.sent;
+      if (left < rest) {
+        f.sent += left;
+        break;
+      }
+      left -= rest;
+      // Frame fully handed to the kernel.
+      if (f.span_open) {
+        tracer_->end(ci + 1);
+      }
+      if (f.send_op != UINT32_MAX) {
+        Op& op = ops_[f.send_op];
+        if (op.frames_left > 0) {
+          --op.frames_left;
+        }
+        if (op.cts_seen && op.frames_left == 0) {
+          op.complete = true;
+        }
+      }
+      c.txq.pop_front();
+    }
+    if (sent < want) {
+      // Short write: the socket is full. Wait for EPOLLOUT rather than
+      // spend another call just to see EAGAIN.
       rail_retry_[static_cast<std::size_t>(c.rail)]->add(1);
       break;
     }
-    while (f.payload_sent < f.payload.len) {
-      const ssize_t n =
-          ::send(c.fd.get(), f.payload.ptr + f.payload_sent,
-                 f.payload.len - f.payload_sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          blocked = true;
-          break;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        conn_lost(ci);
-        return;
-      }
-      f.payload_sent += static_cast<std::size_t>(n);
-      rail_tx_[static_cast<std::size_t>(c.rail)]->add(
-          static_cast<std::uint64_t>(n));
-    }
-    if (blocked) {
-      rail_retry_[static_cast<std::size_t>(c.rail)]->add(1);
-      break;
-    }
-    // Frame fully handed to the kernel.
-    if (f.span_open) {
-      tracer_->end(ci + 1);
-    }
-    if (f.send_op != UINT32_MAX) {
-      Op& op = ops_[f.send_op];
-      if (op.frames_left > 0) {
-        --op.frames_left;
-      }
-      if (op.cts_seen && op.frames_left == 0) {
-        op.complete = true;
-      }
-    }
-    c.txq.pop_front();
   }
   const bool need_out = c.open && !c.txq.empty();
   if (need_out != c.want_out) {
@@ -1120,6 +1195,18 @@ void Endpoint::update_epoll(int ci) {
 }
 
 // --- failure and teardown ----------------------------------------------------
+
+void Endpoint::fail(std::string msg) {
+  if (!fatal_) {
+    fatal_ = true;
+    fatal_msg_ = std::move(msg);
+  }
+}
+
+void Endpoint::reject_frame(int ci, std::string msg) {
+  fail(std::move(msg));
+  conn_lost(ci);  // the stream past a bad frame cannot be trusted
+}
 
 void Endpoint::conn_lost(int ci) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
@@ -1176,9 +1263,8 @@ void Endpoint::mark_peer_dead(int peer_rank) {
   peer.dead = true;
   // A peer vanished mid-run: no pending or future operation can be trusted
   // to complete, so the whole endpoint fails loudly instead of hanging.
-  fatal_ = true;
-  fatal_msg_ = "net: connection to rank " + std::to_string(peer_rank) +
-               " lost (peer closed mid-message or crashed)";
+  fail("net: connection to rank " + std::to_string(peer_rank) +
+       " lost (peer closed mid-message or crashed)");
   for (int conn : peer.conns) {
     if (conn >= 0) {
       conn_lost(conn);

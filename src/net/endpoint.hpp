@@ -30,12 +30,35 @@
 /// guarantee the in-process backends provide; kData frames are tagged
 /// with (receiver token, offset) and may arrive on any rail in any order.
 ///
+/// Datapath: a flush gathers the unsent header and payload of every
+/// queued frame of a connection into one ::sendmsg (at most kMaxIov pieces
+/// per call); a short write means the socket is full, so the flush arms
+/// EPOLLOUT and stops. Reads go into one staging buffer shared by every
+/// connection (kStageBytes, never zero-filled), and headers and payloads
+/// are parsed out of it before the next read; once a frame still owes its
+/// destination at least half the staging size, the bytes are read
+/// straight into that buffer, so the bulk of a large rendezvous body is
+/// not copied twice. A short read means the socket is drained (epoll is
+/// level-triggered and reports later bytes again).
+///
+/// Progress mode: a wait polls (epoll_wait with a zero timeout) when this
+/// host runs no more rank processes than this process may run on — the
+/// bootstrap-table entries sharing this rank's first advertised address
+/// against CPU_COUNT of sched_getaffinity — and sleeps in epoll_wait
+/// otherwise, so an oversubscribed job leaves the CPUs to whoever holds
+/// work. The choice is made once, at bootstrap (gauge net.busy_poll).
+///
 /// Failure model: an EOF or reset on any connection *before* the peer's
 /// kBye marks that peer dead; every pending or future operation that
 /// depends on it completes with an error (surfaced as std::runtime_error
-/// from the wait), never a hang. Orderly shutdown (Endpoint::shutdown)
-/// exchanges kBye over every rail and drains, so a clean exit leaks
-/// neither processes nor file descriptors.
+/// from the wait), never a hang. A frame that breaks the protocol's bounds
+/// (an eager frame over eager_max, a data chunk that is not a fresh piece
+/// of the sender's layout — the whole body, or one stripe of
+/// ceil(bytes / rails), each accepted once) fails the endpoint the same
+/// way, so a receive completes only once every byte of it was written.
+/// Orderly shutdown (Endpoint::shutdown) exchanges kBye over every rail
+/// and drains, so a clean exit leaks neither processes nor file
+/// descriptors.
 
 #include <chrono>
 #include <cstddef>
@@ -113,13 +136,18 @@ class Endpoint {
   void abort_for_test() noexcept;
 
  private:
+  /// Most iovec pieces one flush hands to ::sendmsg (two per frame).
+  static constexpr int kMaxIov = 32;
+  /// Receive staging size; frames owing their destination at least half
+  /// of it are read straight into that destination.
+  static constexpr std::size_t kStageBytes = 64 * 1024;
+
   // One queued outgoing frame. `payload` points into the user buffer for
   // rendezvous data (zero-copy), into `owned` for eager copies.
   struct TxFrame {
     std::byte header[kHeaderBytes];
-    std::size_t header_sent = 0;
     rt::ConstView payload{};
-    std::size_t payload_sent = 0;
+    std::size_t sent = 0;  ///< header + payload bytes handed to the kernel
     std::vector<std::byte> owned;
     std::uint32_t send_op = UINT32_MAX;  ///< op to credit when fully sent
     bool span_open = false;              ///< net.send span in flight
@@ -210,6 +238,7 @@ class Endpoint {
     rt::MutView dest{};     ///< clamped to the posted buffer
     std::uint64_t bytes = 0;
     std::uint64_t remaining = 0;
+    std::uint64_t seen = 0;  ///< layout slots claimed (bit i: stripe i)
     bool overflow = false;  ///< message larger than the posted buffer
     int peer_world = -1;
     std::uint64_t flow_id = 0;  ///< emitted when the last chunk lands
@@ -234,6 +263,9 @@ class Endpoint {
   void progress(int timeout_ms);
   void drive_until(const std::function<bool()>& done, const char* what);
   void handle_readable(int ci);
+  /// Parse `n` staged bytes: assemble headers, copy payload bytes into
+  /// the frame's destination (dropping those past a truncated one).
+  void consume(int ci, const std::byte* p, std::size_t n);
   void handle_writable(int ci);
   void on_frame(int ci);         ///< header complete: route by kind
   void finish_rx(int ci);        ///< payload complete
@@ -241,6 +273,10 @@ class Endpoint {
                std::vector<std::byte> owned, std::uint32_t send_op,
                std::uint64_t flow = 0);
   void update_epoll(int ci);
+  /// Fail the endpoint with `msg` (the first failure's message wins).
+  void fail(std::string msg);
+  /// A frame broke the protocol: fail with `msg`, stop reading `ci`.
+  void reject_frame(int ci, std::string msg);
   void conn_lost(int ci);
   /// Unexpected EOF/reset: the whole endpoint fails (every pending and
   /// future wait throws) — a clean error beats a silent hang.
@@ -276,14 +312,24 @@ class Endpoint {
   std::unordered_map<std::uint64_t, RndvRecv> rndv_recvs_;
   std::uint64_t next_rndv_token_ = 1;
   bool shut_down_ = false;
+  /// Waits poll instead of sleeping: this host's ranks fit our CPUs.
+  bool busy_poll_ = false;
   bool fatal_ = false;
   std::string fatal_msg_;
+  /// Receive staging shared by every connection: consume() parses each
+  /// staged byte before the next read, so nothing lives here across reads.
+  /// Not zero-filled, so pages no read reaches are never touched.
+  std::unique_ptr<std::byte[]> rx_stage_ =
+      std::make_unique_for_overwrite<std::byte[]>(kStageBytes);
 
-  // Observability: per-rail tx/rx byte and retry counters plus frame
-  // totals, registered once; the flight-recorder stream for this rank.
+  // Observability: per-rail tx/rx byte and retry counters, syscall and
+  // frame totals, registered once; the flight-recorder stream for this
+  // rank.
   std::vector<obs::Counter*> rail_tx_;
   std::vector<obs::Counter*> rail_rx_;
   std::vector<obs::Counter*> rail_retry_;
+  obs::Counter* tx_calls_ = nullptr;
+  obs::Counter* rx_calls_ = nullptr;
   obs::Counter* frames_tx_ = nullptr;
   obs::Counter* frames_rx_ = nullptr;
   obs::Counter* eager_tx_ = nullptr;

@@ -6,7 +6,12 @@
 /// tests/net/net_grid.cpp covers under tools/a2arun).
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sched.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -107,6 +112,167 @@ TEST(NetWire, BadMagicAndKindThrow) {
   std::memcpy(bad, buf, sizeof(buf));
   bad[0] = std::byte{0x09};  // kind 9: out of range, magic intact
   EXPECT_THROW(net::decode(bad), std::runtime_error);
+}
+
+/// Write one frame (header, then payload) on a fake peer's blocking
+/// socket; a rank that already hung up may cut the write short.
+void write_frame(int fd, const net::FrameHeader& h, std::size_t payload) {
+  std::byte hdr[net::kHeaderBytes];
+  net::encode(h, hdr);
+  const std::vector<std::byte> body(payload);
+  try {
+    net::write_all(fd, hdr, sizeof(hdr));
+    net::write_all(fd, body.data(), body.size());
+  } catch (const std::exception&) {
+  }
+}
+
+/// Read frames on a fake peer's blocking socket, skipping payloads, until
+/// one of `kind` arrives; throws after 10 s of silence.
+net::FrameHeader read_frame_of(int fd, net::FrameKind kind) {
+  for (;;) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 10000) <= 0) {
+      throw std::runtime_error("fake peer: no frame from rank 0");
+    }
+    std::byte hdr[net::kHeaderBytes];
+    net::read_all(fd, hdr, sizeof(hdr));
+    const net::FrameHeader h = net::decode(hdr);
+    if (h.kind == net::FrameKind::kEager || h.kind == net::FrameKind::kData) {
+      std::vector<std::byte> skip(h.bytes);
+      net::read_all(fd, skip.data(), skip.size());
+    }
+    if (h.kind == kind) {
+      return h;
+    }
+  }
+}
+
+TEST(NetWire, OutOfBoundsFramesAreFatal) {
+  // A fake rank 1 speaks the wire protocol by hand to a real rank 0 and
+  // sends one frame per case that breaks the protocol's bounds. It keeps
+  // its sockets open until rank 0's wait returned, so the error must come
+  // from the bounds check, not from peer loss. Two rails: a 100 B body is
+  // then either one 100 B chunk or two 50 B stripes.
+  constexpr std::size_t kEagerMax = 1024;
+  struct Chunk {
+    std::uint64_t off;
+    std::uint64_t bytes;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Chunk> chunks;  ///< kData chunks of a `body` B rendezvous
+    std::uint64_t eager = 0;    ///< else: one unexpected kEager of this size
+    std::uint64_t body = 100;
+  };
+  const std::vector<Case> cases = {
+      {"chunk past its message", {{50, 100}}},
+      {"chunk over the bytes due", {{0, 60}, {40, 60}}},
+      {"empty chunk", {{0, 0}}},
+      {"repeated stripe", {{0, 50}, {0, 50}}},
+      {"whole body over a stripe", {{50, 50}, {0, 100}}},
+      {"misaligned stripe", {{25, 50}}},
+      {"chunk of a 2^64-1 B body", {{0, 50}}, 0, ~std::uint64_t{0}},
+      {"eager over the limit", {}, kEagerMax + 1},
+      {"huge eager", {}, std::uint64_t{1} << 40},
+  };
+  for (const Case& tc : cases) {
+    auto [listener, port] = net::listen_tcp("127.0.0.1", 0, 8);
+    const int rend_fd = listener.release();
+    std::atomic<bool> verdict{false};
+    std::string error;
+    std::thread rank0([&] {
+      try {
+        net::NetOptions opts;
+        opts.rank = 0;
+        opts.size = 2;
+        opts.rendezvous = net::Address{"127.0.0.1", port};
+        opts.rendezvous_fd = rend_fd;
+        opts.rails = 2;
+        opts.eager_max = kEagerMax;
+        opts.timeout_s = 30.0;
+        auto world = net::NetComm::connect_world(opts);
+        Buffer key = Buffer::real(4);
+        Buffer r = Buffer::real(100);
+        try {
+          // The eager frame tells the fake peer the world's comm key.
+          const Request reqs[] = {world->isend(key.view(), 1, 1),
+                                  world->irecv(r.view(), 1, 2)};
+          world->wait_try(reqs);
+        } catch (const std::runtime_error& e) {
+          error = e.what();
+        } catch (const std::exception& e) {
+          error = std::string("not a runtime_error: ") + e.what();
+        }
+        verdict = true;
+      } catch (const std::exception& e) {
+        error = std::string("rank 0 bootstrap: ") + e.what();
+        verdict = true;
+      }
+    });
+    try {
+      auto [data_listener, data_port] = net::listen_tcp("127.0.0.1", 0, 8);
+      net::NetOptions opts;
+      opts.rank = 1;
+      opts.size = 2;
+      opts.rendezvous = net::Address{"127.0.0.1", port};
+      opts.timeout_s = 30.0;
+      net::PeerInfo self{1, {net::Address{"127.0.0.1", data_port}}};
+      const std::vector<net::PeerInfo> table =
+          net::rendezvous_exchange(opts, self);
+      net::Fd fd = net::connect_tcp(table[0].addrs[0], 30.0);
+      net::Fd rail1 = net::connect_tcp(table[0].addrs[0], 30.0);
+      net::FrameHeader hello;
+      hello.kind = net::FrameKind::kHello;
+      hello.src = 1;
+      write_frame(fd.get(), hello, 0);
+      hello.rail = 1;
+      write_frame(rail1.get(), hello, 0);
+      const std::uint64_t comm_key =
+          read_frame_of(fd.get(), net::FrameKind::kEager).comm_key;
+      net::FrameHeader h;
+      h.comm_key = comm_key;
+      h.src = 1;  // the sender's world-comm rank
+      if (tc.chunks.empty()) {
+        h.kind = net::FrameKind::kEager;
+        h.tag = 3;  // nothing posted: the frame would park as unexpected
+        h.bytes = tc.eager;
+        write_frame(fd.get(), h, std::min<std::uint64_t>(tc.eager, 4096));
+      } else {
+        h.kind = net::FrameKind::kRts;
+        h.tag = 2;
+        h.bytes = tc.body;
+        h.token = 7;
+        write_frame(fd.get(), h, 0);
+        const net::FrameHeader cts =
+            read_frame_of(fd.get(), net::FrameKind::kCts);
+        for (const Chunk& ch : tc.chunks) {
+          net::FrameHeader d;
+          d.kind = net::FrameKind::kData;
+          d.bytes = ch.bytes;
+          d.token = cts.token2;
+          d.token2 = ch.off;
+          write_frame(fd.get(), d, ch.bytes);
+        }
+      }
+      // Hold the connection open until rank 0's wait returned (bounded,
+      // so a missing check fails the test instead of hanging it).
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!verdict && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << tc.name << ": fake peer: " << e.what();
+    }
+    rank0.join();
+    EXPECT_NE(error.find("net: "), std::string::npos)
+        << tc.name << ": wait did not fail (\"" << error << "\")";
+    EXPECT_NE(error.find("frame"), std::string::npos)
+        << tc.name << ": " << error;
+    EXPECT_EQ(error.find("lost"), std::string::npos)
+        << tc.name << ": " << error;
+  }
 }
 
 TEST(NetBootstrap, OptionsValidate) {
@@ -254,6 +420,204 @@ TEST(NetP2P, SelfSend) {
   });
 }
 
+/// Sum of a per-rail counter over the first `rails` rails.
+std::uint64_t rail_total(const char* field, int rails) {
+  std::uint64_t sum = 0;
+  for (int r = 0; r < rails; ++r) {
+    sum += obs::metrics().counter_value("net.rail." + std::to_string(r) +
+                                        "." + field);
+  }
+  return sum;
+}
+
+TEST(NetP2P, EagerPingPongOneSyscallPerFrame) {
+  // A frame leaves in one sendmsg (header and payload gathered) and a
+  // 1 KiB frame arrives in one staged read, whose short count says the
+  // socket is drained. Shutdown adds one EOF read per connection.
+  const auto& reg = obs::metrics();
+  const std::uint64_t tx0 = reg.counter_value("net.tx_calls");
+  const std::uint64_t rx0 = reg.counter_value("net.rx_calls");
+  const std::uint64_t ftx0 = reg.counter_value("net.frames_tx");
+  const std::uint64_t frx0 = reg.counter_value("net.frames_rx");
+  run_net_threads(2, [](Comm& c) -> Task<void> {
+    const int peer = 1 - c.rank();
+    Buffer b = Buffer::real(1024);
+    for (int i = 0; i < 200; ++i) {
+      if (i % 2 == c.rank()) {
+        co_await c.send(b.view(), peer, 1);
+      } else {
+        co_await c.recv(b.view(), peer, 1);
+      }
+    }
+  });
+  const std::uint64_t tx_calls = reg.counter_value("net.tx_calls") - tx0;
+  const std::uint64_t rx_calls = reg.counter_value("net.rx_calls") - rx0;
+  const std::uint64_t frames_tx = reg.counter_value("net.frames_tx") - ftx0;
+  const std::uint64_t frames_rx = reg.counter_value("net.frames_rx") - frx0;
+  EXPECT_GE(frames_tx, 200u);
+  EXPECT_GT(tx_calls, 0u);
+  EXPECT_LE(tx_calls, frames_tx);
+  EXPECT_GT(rx_calls, 0u);
+  EXPECT_LT(rx_calls, 2 * frames_rx);
+}
+
+TEST(NetP2P, UnpostedBurstStraddlesStagingReads) {
+  // Rank 0 fires two bursts at rank 1 before rank 1 posts a receive:
+  // eager frames around the header size and up to the eager limit, and
+  // rendezvous bodies on both sides of the direct-read size (half the
+  // 64 KiB staging buffer). The first burst queues 8 MiB of eager frames,
+  // more than a loopback connection buffers with default TCP memory
+  // limits (about 4 MiB), so the sender hits short writes; headers and
+  // payloads straddle the receiver's staging reads. The first burst parks
+  // as unexpected, the second meets posted receives, and every message
+  // must land in its receive in per-pair FIFO order, intact.
+  constexpr std::size_t kEagerMax = 16 * 1024;
+  constexpr std::size_t kDirect = 32 * 1024;
+  auto burst = [&](int rounds, int rndv_every) {
+    std::vector<std::size_t> sizes;
+    for (int r = 0; r < rounds; ++r) {
+      sizes.insert(sizes.end(), {0, 1, 47, 48, 49, 4095, kEagerMax});
+      if (r % rndv_every == 0) {
+        sizes.insert(sizes.end(), {kDirect - 1, kDirect + 1});
+      }
+    }
+    return sizes;
+  };
+  const std::vector<std::size_t> first = burst(400, 16);
+  const std::vector<std::size_t> second = burst(32, 4);
+  std::vector<std::size_t> sizes = first;
+  sizes.insert(sizes.end(), second.begin(), second.end());
+  const std::uint64_t retries0 = rail_total("tx_retries", 2);
+  // The ranks are threads of this process: the sender raises the flag
+  // once the first burst and its marker are queued, and the receiver
+  // reads nothing before that.
+  std::atomic<bool> queued{false};
+  run_net_threads(2, [&](Comm& c) -> Task<void> {
+    auto byte_of = [](std::size_t m, std::size_t k) {
+      return test::pattern(static_cast<int>(m), 1, k);
+    };
+    std::vector<Buffer> bufs;
+    for (const std::size_t bytes : sizes) {
+      bufs.push_back(Buffer::real(bytes));
+    }
+    if (c.rank() == 0) {
+      for (std::size_t m = 0; m < bufs.size(); ++m) {
+        for (std::size_t k = 0; k < bufs[m].size(); ++k) {
+          bufs[m].data()[k] = byte_of(m, k);
+        }
+      }
+      std::vector<Request> reqs;
+      for (std::size_t m = 0; m < bufs.size(); ++m) {
+        reqs.push_back(c.isend(bufs[m].view(), 1, 5));
+        if (m + 1 == first.size()) {
+          reqs.push_back(c.isend(rt::ConstView{}, 1, 6));  // burst marker
+          queued = true;
+        }
+      }
+      co_await c.wait_all(reqs);
+      co_return;
+    }
+    // Read up to the marker: the first burst parks as unexpected.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!queued) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        throw std::runtime_error("sender never queued the first burst");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    co_await c.recv(rt::MutView{}, 0, 6);
+    std::vector<Request> reqs;
+    for (Buffer& b : bufs) {
+      reqs.push_back(c.irecv(b.view(), 0, 5));
+    }
+    co_await c.wait_all(reqs);
+    for (std::size_t m = 0; m < bufs.size(); ++m) {
+      for (std::size_t k = 0; k < bufs[m].size(); ++k) {
+        if (bufs[m].data()[k] != byte_of(m, k)) {
+          throw std::runtime_error("message " + std::to_string(m) + " (" +
+                                   std::to_string(bufs[m].size()) +
+                                   " B) corrupt or out of order at byte " +
+                                   std::to_string(k));
+        }
+      }
+    }
+  });
+  EXPECT_GT(rail_total("tx_retries", 2), retries0)
+      << "the burst never filled the socket";
+}
+
+TEST(NetP2P, TruncatedStagedReceiveKeepsStreamFramed) {
+  // Receives posted before their messages arrive, on one rail so every
+  // frame shares one stream: the bytes past each truncated buffer are
+  // dropped from the staging buffer, never written past the posted view,
+  // and the message queued right behind must arrive intact. Cases: an
+  // eager frame, a rendezvous body cut to a staged remainder, and one
+  // whose kept part (200 KiB, more than a staging read plus the 32 KiB
+  // direct-read size) is read straight into the user buffer.
+  run_net_threads(
+      2,
+      [](Comm& c) -> Task<void> {
+        struct Cut {
+          std::size_t bytes;
+          std::size_t posted;
+        };
+        constexpr std::size_t kGuard = 64;
+        constexpr std::byte kFill{0xEE};
+        const Cut cuts[] = {{4096, 8}, {20 << 10, 8}, {256 << 10, 200 << 10}};
+        for (const Cut& cut : cuts) {
+          Buffer big = Buffer::real(cut.bytes);
+          Buffer next = Buffer::real(1024);
+          if (c.rank() == 0) {
+            co_await c.recv(rt::MutView{}, 1, 5);  // both receives posted
+            for (std::size_t k = 0; k < big.size(); ++k) {
+              big.data()[k] = test::pattern(0, 1, k);
+            }
+            for (std::size_t k = 0; k < next.size(); ++k) {
+              next.data()[k] = test::pattern(0, 2, k);
+            }
+            const Request reqs[] = {c.isend(big.view(), 1, 4),
+                                    c.isend(next.view(), 1, 4)};
+            co_await c.wait_all(reqs);
+            continue;
+          }
+          Buffer small = Buffer::real(cut.posted + kGuard);
+          std::fill(small.data(), small.data() + small.size(), kFill);
+          const Request cut_req =
+              c.irecv(rt::MutView{small.data(), cut.posted}, 0, 4);
+          const Request next_req = c.irecv(next.view(), 0, 4);
+          co_await c.send(rt::ConstView{}, 0, 5);
+          bool threw = false;
+          try {
+            co_await c.wait(cut_req);
+          } catch (const std::runtime_error&) {
+            threw = true;
+          }
+          if (!threw) {
+            throw std::runtime_error("truncation did not throw");
+          }
+          co_await c.wait(next_req);
+          for (std::size_t k = 0; k < small.size(); ++k) {
+            const std::byte want =
+                k < cut.posted ? test::pattern(0, 1, k) : kFill;
+            if (small.data()[k] != want) {
+              throw std::runtime_error(
+                  "truncated receive wrong at byte " + std::to_string(k) +
+                  " of a " + std::to_string(cut.posted) + " B buffer");
+            }
+          }
+          for (std::size_t k = 0; k < next.size(); ++k) {
+            if (next.data()[k] != test::pattern(0, 2, k)) {
+              throw std::runtime_error(
+                  "message after a truncated one corrupt at byte " +
+                  std::to_string(k));
+            }
+          }
+        }
+      },
+      /*rails=*/1);
+}
+
 TEST(NetSubcomm, IsolationAndDeterministicKeys) {
   run_net_threads(4, [](Comm& c) -> Task<void> {
     // Same tag on world and on the even/odd subcomm; never cross-matches.
@@ -350,6 +714,43 @@ TEST(NetObs, CountersAndBackendName) {
   });
   EXPECT_GT(reg.counter_value("net.eager_tx"), eager0);
   EXPECT_GT(reg.counter_value("net.frames_tx"), frames0);
+}
+
+TEST(NetObs, BusyPollFollowsCpuAffinity) {
+  // The progress mode is picked at bootstrap: poll when this host's ranks
+  // fit the CPUs a rank may run on. Rank threads inherit the launching
+  // thread's affinity mask, so pinned to one CPU two ranks must sleep in
+  // epoll_wait; with the mask restored (two CPUs or more) they poll.
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) {
+    ++first;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  struct RestoreMask {
+    const cpu_set_t& mask;
+    ~RestoreMask() { ::sched_setaffinity(0, sizeof(mask), &mask); }
+  };
+  auto exchange = [](Comm& c) -> Task<void> {
+    const int peer = 1 - c.rank();
+    Buffer s = Buffer::real(64);
+    Buffer r = Buffer::real(64);
+    co_await c.sendrecv(s.view(), peer, 8, r.view(), peer, 8);
+  };
+  const auto& reg = obs::metrics();
+  {
+    RestoreMask restore{saved};
+    ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+    run_net_threads(2, exchange);
+    EXPECT_EQ(reg.gauge_value("net.busy_poll"), 0);
+  }
+  if (CPU_COUNT(&saved) >= 2) {
+    run_net_threads(2, exchange);
+    EXPECT_EQ(reg.gauge_value("net.busy_poll"), 1);
+  }
 }
 
 }  // namespace

@@ -10,11 +10,12 @@ Checkers (each can be run alone with --only):
                 send/recv/isend/irecv calls whose tag argument is a bare
                 integer literal — both are how silent tag collisions (and
                 cross-matched messages) were introduced historically.
-  msg-nosignal  Every socket write in src/net/ must go through ::send(...,
-                MSG_NOSIGNAL): a dead peer has to surface as EPIPE ->
-                conn_lost() -> runtime_error, not as a SIGPIPE that kills
-                the rank process. Bare ::write/::writev/::sendto/::sendmsg
-                on sockets are flagged too (no MSG_NOSIGNAL path).
+  msg-nosignal  Every socket write in src/net/ must go through ::send or
+                ::sendmsg with MSG_NOSIGNAL in its flags: a dead peer has
+                to surface as EPIPE -> conn_lost() -> runtime_error, not
+                as a SIGPIPE that kills the rank process. ::write,
+                ::writev and ::sendto on sockets are flagged
+                unconditionally (the endpoint never needs them).
   env-knob      The process environment is read in exactly one place
                 (src/runtime/env.cpp); every other getenv() call is
                 flagged. Every `A2A_*` knob the code reads (a quoted
@@ -212,17 +213,19 @@ def check_msg_nosignal(root, files):
             fn = m.group(1)
             args, _ = call_args(text, m.end() - 1)
             line = line_of(text, m.start())
-            if fn == "send":
-                if args is None or "MSG_NOSIGNAL" not in args:
+            if fn in ("send", "sendmsg"):
+                # Both take the flags last; MSG_NOSIGNAL must be among them.
+                parts = split_top_level(args) if args is not None else []
+                if not parts or "MSG_NOSIGNAL" not in parts[-1]:
                     findings.append(Finding(
                         "msg-nosignal", rel, line,
-                        "::send() without MSG_NOSIGNAL: a dead peer raises "
-                        "SIGPIPE and kills the rank process"))
+                        "::%s() without MSG_NOSIGNAL: a dead peer raises "
+                        "SIGPIPE and kills the rank process" % fn))
             else:
                 findings.append(Finding(
                     "msg-nosignal", rel, line,
-                    "::%s() on a net-backend fd: use ::send(..., "
-                    "MSG_NOSIGNAL) so peer death surfaces as EPIPE" % fn))
+                    "::%s() on a net-backend fd: use ::send or ::sendmsg "
+                    "with MSG_NOSIGNAL so peer death surfaces as EPIPE" % fn))
     return findings
 
 

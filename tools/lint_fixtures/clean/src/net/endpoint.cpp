@@ -1,9 +1,10 @@
 // Fixture: well-behaved net code. Socket writes carry MSG_NOSIGNAL (even
-// split across lines), tags come from tags::make, diagnostics go to
-// stderr. A send() mention in a comment or string must not trip anything:
-// ::write(fd, ...) in prose is fine too.
+// split across lines, and on a gathered sendmsg), tags come from
+// tags::make, diagnostics go to stderr. A send() mention in a comment or
+// string must not trip anything: ::write(fd, ...) in prose is fine too.
 #include <cstdio>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include "runtime/tags.hpp"
 
 void pump(int fd, const char* p, unsigned long n, int stream) {
@@ -16,4 +17,9 @@ void pump(int fd, const char* p, unsigned long n, int stream) {
   }
   char buf[64];
   std::snprintf(buf, sizeof(buf), "sent %ld", r);
+  iovec iov{buf, sizeof(buf)};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  (void)::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
