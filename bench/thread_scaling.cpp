@@ -1,31 +1,28 @@
-/// Thread-scaling study for the shared-memory backend's mailbox
-/// transports: wall-clock time of one alltoall / alltoallv exchange as the
-/// rank-thread count grows, with the lock-free SPSC ring transport and the
-/// mutex-guarded baseline as paired series. The config is passed to the
-/// cluster explicitly (never through the environment), so both transports
-/// run in one process under identical conditions; the gap between the
-/// paired curves is the mailbox's contribution to many-core scaling.
+/// Thread-scaling study for the shared-memory backend: wall-clock time of
+/// one alltoall / alltoallv exchange as the rank-thread count grows, so the
+/// mailbox rings' contribution to many-core scaling shows as the slope of
+/// each curve.
+///
+/// Every point runs through the harness (bench::run_sim, backend "smp") on
+/// a one-node generic machine of `t` rank threads, 64 B per rank pair:
+/// alltoall with the nonblocking direct algorithm, alltoallv with the
+/// nonblocking algorithm on a uniform count matrix (imbalance 1 — the
+/// count/displacement machinery is the point). Each point is the harness
+/// metric: the minimum over repetitions, each timed behind a barrier, of
+/// (last rank's end - first rank's start); the first repetition warms the
+/// plan and the scratch pool.
 ///
 /// Thread counts sweep 4 -> max(16, hardware_concurrency) by doubling
 /// (A2A_FAST: 4 and 8 only); counts above the core count run
-/// oversubscribed, which is exactly where the ring's wait-free send path
-/// pulls away from a contended mutex+futex. Each point is the max over
-/// ranks of per-exchange elapsed time, averaged over a few repetitions
-/// behind barriers.
+/// oversubscribed.
 ///
 /// Always writes machine-readable BENCH_thread_scaling.json (into
 /// $A2A_BENCH_JSON if set, else the build tree's bench/ directory); --list
 /// and --help work like every other figure bench.
 
 #include "bench_common.hpp"
-#include "coll_ext/alltoallv.hpp"
-#include "core/alltoall.hpp"
-#include "runtime/collectives.hpp"
 #include "runtime/env.hpp"
-#include "smp/smp_runtime.hpp"
 #include <algorithm>
-#include <chrono>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -34,93 +31,31 @@ using namespace mca2a;
 namespace {
 
 constexpr std::size_t kBlock = 64;  ///< bytes per rank pair
-constexpr int kReps = 3;
+constexpr int kReps = 4;            ///< one warm-up plus three timed
 
-double max_over_ranks(const std::vector<double>& elapsed) {
-  double worst = 0.0;
-  for (double e : elapsed) {
-    worst = std::max(worst, e);
-  }
-  return worst;
-}
-
-/// One alltoall exchange on `p` rank threads under `cfg`; max over ranks
-/// of elapsed seconds, averaged over kReps timed runs after one warmup.
-double smp_alltoall_seconds(int p, const smp::MailboxConfig& cfg) {
-  std::vector<double> elapsed(p, 0.0);
-  smp::run_threads(p, cfg, [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    rt::Buffer send = rt::Buffer::real(kBlock * static_cast<std::size_t>(p));
-    rt::Buffer recv = rt::Buffer::real(kBlock * static_cast<std::size_t>(p));
-    for (std::byte& b : send.typed<std::byte>()) {
-      b = static_cast<std::byte>(me);
-    }
-    double total = 0.0;
-    for (int rep = 0; rep < kReps + 1; ++rep) {
-      co_await rt::barrier(world);
-      const auto t0 = std::chrono::steady_clock::now();
-      co_await coll::alltoall_nonblocking(world, send.view(), recv.view(),
-                                          kBlock);
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (rep > 0) {  // rep 0 is warmup
-        total += secs;
-      }
-    }
-    elapsed[me] = total / kReps;
-  });
-  return max_over_ranks(elapsed);
-}
-
-/// Same for a uniform alltoallv (kBlock bytes per pair, nonblocking
-/// direct algorithm — the count/displacement machinery is the point).
-double smp_alltoallv_seconds(int p, const smp::MailboxConfig& cfg) {
-  std::vector<double> elapsed(p, 0.0);
-  smp::run_threads(p, cfg, [&](rt::Comm& world) -> rt::Task<void> {
-    const int me = world.rank();
-    const std::vector<std::size_t> counts(static_cast<std::size_t>(p), kBlock);
-    const auto displs = coll::displs_from_counts(counts);
-    rt::Buffer send = rt::Buffer::real(kBlock * static_cast<std::size_t>(p));
-    rt::Buffer recv = rt::Buffer::real(kBlock * static_cast<std::size_t>(p));
-    for (std::byte& b : send.typed<std::byte>()) {
-      b = static_cast<std::byte>(me);
-    }
-    double total = 0.0;
-    for (int rep = 0; rep < kReps + 1; ++rep) {
-      co_await rt::barrier(world);
-      const auto t0 = std::chrono::steady_clock::now();
-      co_await coll::run_alltoallv(coll::AlltoallvAlgo::kNonblocking, world,
-                                   nullptr, rt::ConstView(send.view()), counts,
-                                   displs, recv.view(), counts, displs);
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (rep > 0) {
-        total += secs;
-      }
-    }
-    elapsed[me] = total / kReps;
-  });
-  return max_over_ranks(elapsed);
-}
-
-void register_point(bench::Figure& fig, const char* op, const char* transport,
-                    const smp::MailboxConfig& cfg, int threads) {
-  const std::string series = std::string(op) + " " + transport;
+void register_point(bench::Figure& fig, bool vector, int threads) {
+  bench::RunSpec spec;
+  spec.backend = "smp";
+  spec.machine = topo::generic(1, threads).desc();
+  spec.net = model::test_params();
+  spec.block = kBlock;
+  spec.reps = kReps;
+  spec.algo = coll::Algo::kNonblockingDirect;
+  spec.vector = vector;
+  spec.vector_algo = coll::AlltoallvAlgo::kNonblocking;
+  spec.vector_imbalance = 1.0;
+  const std::string series = vector ? "alltoallv" : "alltoall";
   const std::string bname =
       "thread_scaling/" + series + "/t" + std::to_string(threads);
-  const bool vector = std::string_view(op) == "alltoallv";
   benchmark::RegisterBenchmark(
       bname.c_str(),
-      [&fig, series, cfg, threads, vector](benchmark::State& state) {
-        double secs = 0.0;
+      [&fig, series, threads, spec](benchmark::State& state) {
+        bench::RunResult res;
         for (auto _ : state) {
-          secs = vector ? smp_alltoallv_seconds(threads, cfg)
-                        : smp_alltoall_seconds(threads, cfg);
-          state.SetIterationTime(secs);
+          res = bench::run_sim(spec);
+          state.SetIterationTime(res.seconds);
         }
-        fig.add(series, static_cast<double>(threads), secs);
+        fig.add(series, static_cast<double>(threads), res.seconds);
       })
       ->UseManualTime()
       ->Iterations(1)
@@ -132,8 +67,8 @@ void register_point(bench::Figure& fig, const char* op, const char* transport,
 int main(int argc, char** argv) {
   const bool fast = rt::env::get_flag("A2A_FAST");
   bench::Figure fig("thread_scaling",
-                    "Mailbox transport scaling: ring vs mutex, one exchange "
-                    "per point (smp backend, 64 B per rank pair)",
+                    "Mailbox scaling: one exchange per point (smp backend, "
+                    "64 B per rank pair)",
                     "Rank threads");
   std::vector<int> threads;
   if (fast) {
@@ -148,14 +83,9 @@ int main(int argc, char** argv) {
       threads.push_back(max_t);
     }
   }
-  smp::MailboxConfig ring;  // the defaults: kind = kRing
-  smp::MailboxConfig mutex;
-  mutex.kind = smp::MailboxKind::kMutex;
   for (int t : threads) {
-    register_point(fig, "alltoall", "ring", ring, t);
-    register_point(fig, "alltoall", "mutex", mutex, t);
-    register_point(fig, "alltoallv", "ring", ring, t);
-    register_point(fig, "alltoallv", "mutex", mutex, t);
+    register_point(fig, /*vector=*/false, t);
+    register_point(fig, /*vector=*/true, t);
   }
   // figure_main always writes BENCH_thread_scaling.json (build tree by
   // default, $A2A_BENCH_JSON overrides).

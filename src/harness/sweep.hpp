@@ -110,8 +110,7 @@ struct RunResult {
   /// and vector modes only: zero in overlap and autotune modes.
   std::array<double, coll::kNumPhases> phase_seconds{};
   /// Messages sent during the whole run (all reps): simulated messages on
-  /// sim, ring and overflow mailbox sends on smp (none are counted under
-  /// A2A_SMP_MAILBOX=mutex), TCP frames on net.
+  /// sim, ring and overflow mailbox sends on smp, TCP frames on net.
   std::uint64_t messages = 0;
   /// Host wall time of the whole call (diagnostics).
   double sim_wall_seconds = 0.0;

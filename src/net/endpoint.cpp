@@ -477,7 +477,6 @@ rt::Request Endpoint::post_recv(std::uint64_t comm_key,
   op.tag = tag;
 
   CommState& cs = comm_state(comm_key);
-  op.post_seq = cs.next_post_seq++;
   // Match the earliest eligible unexpected message (arrival order).
   for (auto it = cs.unexpected.begin(); it != cs.unexpected.end(); ++it) {
     const bool src_ok = src == rt::kAnySource || src == it->src;

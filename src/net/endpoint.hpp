@@ -199,7 +199,6 @@ class Endpoint {
     int src = 0;        ///< in-comm rank or rt::kAnySource
     int src_world = -1; ///< resolved world rank, -1 for any-source
     int tag = 0;
-    std::uint64_t post_seq = 0;
     bool matched = false;       ///< consumed from the posted queue
     std::size_t received = 0;
     std::size_t rndv_remaining = 0;
@@ -229,7 +228,6 @@ class Endpoint {
   struct CommState {
     std::deque<std::uint32_t> posted;  ///< recv op ids, post order
     std::deque<Unexpected> unexpected; ///< arrival order
-    std::uint64_t next_post_seq = 0;
   };
 
   // A rendezvous receive in flight, keyed by receiver token.

@@ -1,46 +1,10 @@
 #include "runtime/scratch.hpp"
 
 #include <algorithm>
-#include <string_view>
 
 #include "obs/metrics.hpp"
-#include "runtime/env.hpp"
 
 namespace mca2a::rt {
-
-namespace {
-
-/// A2A_SMP_NUMA=first_touch: after an uninitialized scratch allocation,
-/// write one byte per page from the allocating (rank) thread so the pages
-/// fault in on its NUMA node, instead of wherever a zeroing memset (or a
-/// later remote writer) happened to run. `none` (default) leaves placement
-/// to the allocator.
-bool first_touch_enabled() {
-  static const bool on = [] {
-    static constexpr std::string_view kModes[] = {"none", "first_touch"};
-    return env::get_choice("A2A_SMP_NUMA", kModes, 0) == 1;
-  }();
-  return on;
-}
-
-constexpr std::size_t kPageBytes = 4096;
-
-void first_touch(Buffer& b) {
-  std::byte* p = b.data();
-  if (p == nullptr) {
-    return;
-  }
-  std::size_t pages = 0;
-  for (std::size_t off = 0; off < b.size(); off += kPageBytes) {
-    p[off] = std::byte{0};
-    ++pages;
-  }
-  static obs::Counter& g_pages =
-      obs::metrics().counter("scratch.first_touch_pages");
-  g_pages.add(pages);
-}
-
-}  // namespace
 
 Buffer ScratchArena::take(const Comm& comm, std::size_t bytes) {
   // Newest first: the most recently returned buffer is the warmest.
@@ -76,11 +40,7 @@ Buffer ScratchArena::take(const Comm& comm, std::size_t bytes) {
   // Fresh scratch may come back uninitialized (the backend's choice);
   // recycled pool buffers above are already dirty, so contents being
   // unspecified is uniform across both paths.
-  Buffer b = comm.alloc_scratch_buffer(bytes);
-  if (first_touch_enabled()) {
-    first_touch(b);
-  }
-  return b;
+  return comm.alloc_scratch_buffer(bytes);
 }
 
 void ScratchArena::give_back(Buffer b) {

@@ -85,11 +85,7 @@ std::byte* slot_payload(SlotHeader* s) {
 }  // namespace
 
 MailboxConfig MailboxConfig::from_env() {
-  static constexpr std::string_view kKinds[] = {"ring", "mutex"};
   MailboxConfig cfg;
-  cfg.kind = rt::env::get_choice("A2A_SMP_MAILBOX", kKinds, 0) == 0
-                 ? MailboxKind::kRing
-                 : MailboxKind::kMutex;
   cfg.ring_slots = static_cast<std::uint32_t>(
       rt::env::get_size("A2A_SMP_RING_SLOTS", cfg.ring_slots, 2, 1u << 20));
   cfg.ring_inline = static_cast<std::uint32_t>(
@@ -102,12 +98,8 @@ MailboxConfig MailboxConfig::from_env() {
 Mailbox::Mailbox(int comm_size, const MailboxConfig& cfg)
     : cfg_(cfg),
       comm_size_(comm_size),
-      stride_(align_up(sizeof(SlotHeader) + cfg.ring_inline, 64)) {
-  if (cfg_.kind == MailboxKind::kRing) {
-    lanes_ = std::vector<std::atomic<Lane*>>(
-        static_cast<std::size_t>(comm_size));
-  }
-}
+      stride_(align_up(sizeof(SlotHeader) + cfg.ring_inline, 64)),
+      lanes_(static_cast<std::size_t>(comm_size)) {}
 
 Mailbox::~Mailbox() {
   for (auto& lp : lanes_) {
@@ -139,15 +131,6 @@ Mailbox::Lane& Mailbox::lane_for_send(int src) {
 }
 
 void Mailbox::send(int src, int tag, rt::ConstView payload) {
-  if (cfg_.kind == MailboxKind::kMutex) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (accept(src, tag, payload, nullptr)) {
-      mutex_epoch_.fetch_add(1, std::memory_order_relaxed);
-      cv_.notify_all();
-    }
-    return;
-  }
-
   Lane& lane = lane_for_send(src);
   const std::uint64_t seq = lane.next_seq++;
   const std::uint64_t t = lane.tail.load(std::memory_order_relaxed);
@@ -238,14 +221,14 @@ bool Mailbox::match_posted(int src, int tag, rt::ConstView payload) {
     // Truncation is the receiver's error (like MPI_ERR_TRUNCATE): flag it
     // so the receiver's wait throws, rather than failing in this thread.
     r->error = true;
-    r->complete.store(true, std::memory_order_release);
+    r->complete = true;
     return true;
   }
   if (r->buf.ptr != nullptr && payload.ptr != nullptr && payload.len > 0) {
     std::memcpy(r->buf.ptr, payload.ptr, payload.len);
   }
   r->received = payload.len;
-  r->complete.store(true, std::memory_order_release);
+  r->complete = true;
   return true;
 }
 
@@ -363,9 +346,6 @@ void Mailbox::pump_lane(int src, Lane& lane) {
 }
 
 void Mailbox::drain() {
-  if (cfg_.kind == MailboxKind::kMutex) {
-    return;
-  }
   if (overflow_count_.load(std::memory_order_acquire) != 0) {
     drain_overflow();
   }
@@ -383,14 +363,7 @@ void Mailbox::drain() {
 }
 
 bool Mailbox::post_or_match(PostedRecv* r) {
-  if (cfg_.kind == MailboxKind::kRing) {
-    drain();
-  }
-  // Ring mode: matching state is owner-thread-only; no lock needed.
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-  if (cfg_.kind == MailboxKind::kMutex) {
-    lock.lock();
-  }
+  drain();
   auto it = std::find_if(
       arrived_.begin(), arrived_.end(), [&](const UnexpectedMsg& m) {
         const bool src_ok = r->src == rt::kAnySource || r->src == m.src;
@@ -407,22 +380,15 @@ bool Mailbox::post_or_match(PostedRecv* r) {
       std::memcpy(r->buf.ptr, payload.ptr, payload.len);
     }
     r->received = it->bytes;
-    r->complete.store(true, std::memory_order_release);
+    r->complete = true;
     arrived_.erase(it);
     return true;
   }
-  r->post_seq = next_post_seq_++;
   r->error = false;
   r->received = 0;
-  r->complete.store(false, std::memory_order_relaxed);
+  r->complete = false;
   posted_.push_back(r);
   return false;
-}
-
-std::uint64_t Mailbox::epoch() const {
-  return cfg_.kind == MailboxKind::kMutex
-             ? mutex_epoch_.load(std::memory_order_acquire)
-             : 0;
 }
 
 bool Mailbox::arrivals_visible() const {
@@ -440,17 +406,7 @@ bool Mailbox::arrivals_visible() const {
   return false;
 }
 
-void Mailbox::idle(std::uint64_t observed_epoch, int& spins) {
-  if (cfg_.kind == MailboxKind::kMutex) {
-    // The epoch was captured before the caller's completion check, so a
-    // delivery in between leaves the predicate already true: no lost
-    // wakeup, no sleep-past-completion.
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] {
-      return mutex_epoch_.load(std::memory_order_relaxed) != observed_epoch;
-    });
-    return;
-  }
+void Mailbox::idle(int& spins) {
   ++spins;
   if (spins <= cfg_.spin) {
     // Mostly pause (SMT-friendly), periodically yield (oversubscription-

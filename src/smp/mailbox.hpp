@@ -2,50 +2,45 @@
 /// \file mailbox.hpp
 /// Matching queues for the shared-memory backend.
 ///
-/// Every (communicator, rank) pair owns one Mailbox. Two interchangeable
-/// transports sit behind the same matching semantics, selected per cluster
-/// by `A2A_SMP_MAILBOX` (see MailboxConfig):
-///
-///  * `ring` (default) — one bounded lock-free SPSC ring per source rank.
-///    A lane belongs to exactly one (src, dst, comm) triple, so the
-///    single-producer/single-consumer invariant holds by construction:
-///    the producer is src's rank thread, the consumer is the owning
-///    rank's thread. Producers publish with a release store of the tail
-///    index, consumers acquire it; head mirrors the protocol in the other
-///    direction (Lamport ring). When a lane is full the sender falls back
-///    to a mutex-guarded unbounded overflow list — sends stay eager and
-///    never block, which the backend's buffered-send semantics require
-///    (both peers of a pairwise exchange may send before either
-///    receives). Every message carries a per-lane sequence number; the
-///    consumer merges ring and overflow arrivals back into strict
-///    per-pair order before matching, so FIFO and non-overtaking survive
-///    the two-path transport.
-///
-///  * `mutex` — the original mutex-per-mailbox design, kept as the
-///    baseline the thread-scaling bench and the ordering property tests
-///    compare against.
+/// Every (communicator, rank) pair owns one Mailbox, and messages reach it
+/// through one bounded lock-free SPSC ring per source rank. A lane belongs
+/// to exactly one (src, dst, comm) triple, so the single-producer/
+/// single-consumer invariant holds by construction: the producer is src's
+/// rank thread, the consumer is the owning rank's thread. Producers
+/// publish with a release store of the tail index, consumers acquire it;
+/// head mirrors the protocol in the other direction (Lamport ring). A
+/// payload larger than the slot's inline budget travels as a heap block
+/// whose ownership passes through the ring. When a lane is full the sender
+/// falls back to a mutex-guarded unbounded overflow list — sends stay
+/// eager and never block, which the backend's buffered-send semantics
+/// require (both peers of a pairwise exchange may send before either
+/// receives). Every message carries a per-lane sequence number; the
+/// consumer merges ring and overflow arrivals back into strict per-pair
+/// order before matching, so FIFO and non-overtaking survive the two-path
+/// transport.
 ///
 /// Matching state (posted receives, unmatched arrivals) is owned by the
-/// receiving rank's thread and, in ring mode, is touched by no one else:
-/// matching itself needs no lock. MPI matching rules apply in both modes:
-/// (source, tag) with wildcards, FIFO among eligible candidates, and
-/// non-overtaking delivery between a fixed pair of ranks.
+/// receiving rank's thread and touched by no one else: matching itself
+/// needs no lock, and every write into a receive buffer happens on its
+/// owner's thread. MPI matching rules apply: (source, tag) with wildcards,
+/// FIFO among eligible candidates, and non-overtaking delivery between a
+/// fixed pair of ranks.
 ///
-/// Sleep/wake contract (ring mode): a receiver that has spun without
-/// progress parks on the mailbox doorbell. The sender's publish and the
-/// receiver's registration form a Dekker pattern of seq_cst accesses on
-/// the variables themselves (no fences, which TSan cannot model): the
-/// sender publishes with a seq_cst tail store (or overflow-count
-/// increment) and then seq_cst-loads `sleepers_`; the receiver registers
-/// with a seq_cst increment of `sleepers_` and then seq_cst-loads the lane
-/// pointers, tails and overflow count. Either the sender observes
-/// `sleepers_ != 0` (and rings the doorbell under the wake mutex) or the
-/// receiver observes the published arrival during its pre-sleep recheck.
-/// Payload happens-before rides entirely on the ring's release/acquire
-/// index pair (or the overflow mutex), which is what keeps the design
-/// TSan-provable. The producer caches the consumer's head and re-reads it
-/// (acquire) only when the ring looks full, so a send normally touches no
-/// cache line the consumer writes.
+/// Sleep/wake contract: a receiver that has spun without progress parks on
+/// the mailbox doorbell. The sender's publish and the receiver's
+/// registration form a Dekker pattern of seq_cst accesses on the variables
+/// themselves (no fences, which TSan cannot model): the sender publishes
+/// with a seq_cst tail store (or overflow-count increment) and then
+/// seq_cst-loads `sleepers_`; the receiver registers with a seq_cst
+/// increment of `sleepers_` and then seq_cst-loads the lane pointers,
+/// tails and overflow count. Either the sender observes `sleepers_ != 0`
+/// (and rings the doorbell under the wake mutex) or the receiver observes
+/// the published arrival during its pre-sleep recheck. Payload
+/// happens-before rides entirely on the ring's release/acquire index pair
+/// (or the overflow mutex), which is what keeps the design TSan-provable.
+/// The producer caches the consumer's head and re-reads it (acquire) only
+/// when the ring looks full, so a send normally touches no cache line the
+/// consumer writes.
 
 #include <atomic>
 #include <condition_variable>
@@ -66,11 +61,10 @@ class TraceBuffer;
 
 namespace mca2a::smp {
 
-/// Receiver-side distributed-tracing hook for one mailbox (ring mode
-/// only: accept() then runs exclusively on the owning rank's thread, the
-/// single writer its TraceBuffer requires — mutex mode delivers on the
-/// *sender's* thread and must stay untraced). Installed under the
-/// cluster registry lock before the communicator id is published.
+/// Receiver-side distributed-tracing hook for one mailbox: accept() runs
+/// exclusively on the owning rank's thread, the single writer its
+/// TraceBuffer requires. Installed under the cluster registry lock before
+/// the communicator id is published.
 struct MailboxTraceContext {
   obs::TraceBuffer* tracer = nullptr;  ///< the owning rank's stream
   std::uint64_t comm_key = 0;          ///< session-salted communicator id
@@ -78,14 +72,11 @@ struct MailboxTraceContext {
   int owner = 0;                       ///< owning rank, in-comm
 };
 
-/// Which transport a cluster's mailboxes use.
-enum class MailboxKind : int { kRing = 0, kMutex };
-
 /// Per-cluster mailbox tuning, normally read once from the environment at
 /// SmpCluster construction; tests and benches pass explicit configs so a
-/// mutex-vs-ring comparison never mutates the environment of live threads.
+/// tiny-ring or fixed-spin run never mutates the environment of live
+/// threads.
 struct MailboxConfig {
-  MailboxKind kind = MailboxKind::kRing;
   /// SPSC ring capacity in messages, per (src, dst, comm) lane.
   std::uint32_t ring_slots = 64;
   /// Payload bytes stored inline in a ring slot; larger messages travel
@@ -95,21 +86,19 @@ struct MailboxConfig {
   /// doorbell (0 = park immediately; oversubscribed runs want it small).
   int spin = 64;
 
-  /// Read A2A_SMP_MAILBOX / A2A_SMP_RING_SLOTS / A2A_SMP_RING_INLINE /
-  /// A2A_SMP_SPIN via rt::env (fail-fast validation).
+  /// Read A2A_SMP_RING_SLOTS / A2A_SMP_RING_INLINE / A2A_SMP_SPIN via
+  /// rt::env (fail-fast validation).
   static MailboxConfig from_env();
 };
 
 /// A receive posted by the owning rank, waiting for a matching message.
-/// `complete` is the only cross-thread field in ring mode (and pairs
-/// release/acquire with `error`/`received`, written before the release
-/// store); in mutex mode the delivering sender writes all three.
+/// Owner-thread-only: the rank that posted it also completes it, inside
+/// its own drain(), so no field needs atomicity.
 struct PostedRecv {
   rt::MutView buf{};
   int src = 0;  // rank in comm or rt::kAnySource
   int tag = 0;
-  std::uint64_t post_seq = 0;
-  std::atomic<bool> complete{false};
+  bool complete = false;
   bool error = false;        // truncation, reported at the receiver's wait
   std::size_t received = 0;  // actual message size
   std::uint32_t serial = 1;
@@ -138,14 +127,13 @@ class Mailbox {
   Mailbox& operator=(const Mailbox&) = delete;
 
   /// Producer side, called from `src`'s rank thread: enqueue a message.
-  /// Never blocks (eager buffered semantics). Ring mode publishes into
-  /// the lane ring or, when full, the overflow list; mutex mode matches
-  /// a posted receive directly (copying payload) or parks it unexpected.
+  /// Never blocks (eager buffered semantics): publishes into the lane ring
+  /// (inline, or as a heap block past `ring_inline`) or, when the lane is
+  /// full, the overflow list.
   void send(int src, int tag, rt::ConstView payload);
 
   /// Owner side: pull every visible arrival into matching state,
-  /// completing posted receives in order. No-op in mutex mode (senders
-  /// match eagerly there).
+  /// completing posted receives in order.
   void drain();
 
   /// Owner side: drain, then match `r` against an already-arrived
@@ -154,17 +142,10 @@ class Mailbox {
   /// already-arrived message — the caller is the receiver.
   bool post_or_match(PostedRecv* r);
 
-  /// Owner side: wake-epoch observation for idle(); capture it *before*
-  /// checking completion flags so a completion delivered in between
-  /// cannot be slept through. Ring mode has no epoch (returns 0 — its
-  /// idle() rechecks arrivals instead).
-  std::uint64_t epoch() const;
-
   /// Owner side: one pause of the wait loop. Spins/yields for the
   /// configured budget, then parks on the doorbell until a sender
-  /// publishes (ring) or the epoch moves past `observed_epoch` (mutex).
-  /// `spins` is the caller's running idle-poll counter.
-  void idle(std::uint64_t observed_epoch, int& spins);
+  /// publishes. `spins` is the caller's running idle-poll counter.
+  void idle(int& spins);
 
   /// Owner side, before any traffic: enable receive-side flow stitching
   /// (smp.recv spans + Perfetto arrow heads) for this mailbox.
@@ -200,7 +181,7 @@ class Mailbox {
   int comm_size_ = 0;
   std::size_t stride_ = 0;  // ring slot stride (header + inline, padded)
 
-  // --- ring transport ---------------------------------------------------
+  // --- transport -------------------------------------------------------
   /// One lazily-created lane per source rank; the unique producer
   /// creates it (plain check, release store), the consumer acquires.
   std::vector<std::atomic<Lane*>> lanes_;
@@ -215,18 +196,11 @@ class Mailbox {
   std::condition_variable wake_cv_;
   std::uint64_t wake_epoch_ = 0;  // guarded by wake_mu_
 
-  // --- mutex transport --------------------------------------------------
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> mutex_epoch_{0};  // bumped under mu_
-
-  // --- matching state ---------------------------------------------------
-  /// Ring mode: owner-thread-only, no lock. Mutex mode: guarded by mu_.
+  // --- matching state (owner thread only, no lock) ----------------------
   std::deque<PostedRecv*> posted_;
   std::deque<UnexpectedMsg> arrived_;
-  std::uint64_t next_post_seq_ = 0;
 
-  // --- distributed tracing (ring mode, owner thread only) ---------------
+  // --- distributed tracing (owner thread only) --------------------------
   MailboxTraceContext trace_{};
   /// Per-(src, tag) arrival counters, kept in lockstep with the sender's
   /// per-(dst, tag) counters by the lanes' per-pair FIFO.

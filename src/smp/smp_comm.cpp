@@ -51,8 +51,8 @@ SmpCluster::SmpCluster(int world_size, const MailboxConfig& cfg)
 }
 
 void SmpCluster::install_trace(CommEntry& entry, std::uint32_t comm_id) {
-  if (tracers_.empty() || mailbox_cfg_.kind != MailboxKind::kRing) {
-    return;  // mutex mode delivers on sender threads: no stitching
+  if (tracers_.empty()) {
+    return;
   }
   // Session-salted key: sequential clusters in one process must not reuse
   // flow ids (+1 keeps the key nonzero even for session 0, comm 0).
@@ -109,8 +109,7 @@ SmpComm::SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank,
   // appends under; afterwards the message path never touches comms_.
   std::lock_guard<std::mutex> lock(cluster.registry_mu_);
   entry_ = &cluster.comms_[comm_id];
-  if (!cluster.tracers_.empty() &&
-      cluster.mailbox_cfg_.kind == MailboxKind::kRing) {
+  if (!cluster.tracers_.empty()) {
     // Must match SmpCluster::install_trace's salt formula exactly.
     flow_comm_key_ =
         (static_cast<std::uint64_t>(cluster.trace_session_ + 1) << 32) |
@@ -189,19 +188,16 @@ PostedRecv& SmpComm::op_checked(const rt::Request& r) {
 }
 
 bool SmpComm::wait_try(std::span<const rt::Request> reqs) {
-  // Poll loop: drain this rank's mailbox (ring arrivals complete posted
+  // Poll loop: drain this rank's mailbox (arrivals complete posted
   // receives here, on the owner thread), check the completion flags, and
-  // pause when nothing moved. The epoch is observed *before* the check so
-  // a mutex-mode delivery racing the check cannot be slept through.
+  // pause when nothing moved.
   Mailbox& mb = mailbox(rank_);
   int spins = 0;
   for (;;) {
-    const std::uint64_t epoch = mb.epoch();
     mb.drain();
     bool all = true;
     for (const rt::Request& r : reqs) {
-      if (r.valid() &&
-          !op_checked(r).complete.load(std::memory_order_acquire)) {
+      if (r.valid() && !op_checked(r).complete) {
         all = false;
         break;
       }
@@ -209,7 +205,7 @@ bool SmpComm::wait_try(std::span<const rt::Request> reqs) {
     if (all) {
       break;
     }
-    mb.idle(epoch, spins);
+    mb.idle(spins);
   }
   bool truncated = false;
   for (const rt::Request& r : reqs) {

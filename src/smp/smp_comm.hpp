@@ -3,9 +3,10 @@
 /// Shared-memory (threads-as-ranks) backend.
 ///
 /// Each rank is an OS thread; messages move through per-(src,dst,comm)
-/// lock-free SPSC ring mailboxes (or the mutex-guarded baseline — see
-/// mailbox.hpp and MailboxConfig) with eager (buffered) semantics: sends
-/// never block, receives block until a matching message is delivered. This
+/// lock-free SPSC ring mailboxes (mailbox.hpp) with eager (buffered)
+/// semantics: sends never block, receives block until a matching message
+/// is delivered. Every write into a rank's receive and scratch buffers
+/// happens on that rank's own thread. This
 /// is the backend a downstream user runs on a single many-core box — the
 /// actual deployment target of the paper's intra-node optimizations — and
 /// the backend all correctness tests validate byte-for-byte.
@@ -32,8 +33,8 @@ class SmpCluster {
  public:
   /// Mailbox tuning comes from the environment (MailboxConfig::from_env).
   explicit SmpCluster(int world_size);
-  /// Explicit mailbox tuning — benches and tests compare ring vs mutex
-  /// transports without mutating the environment of live rank threads.
+  /// Explicit mailbox tuning (ring sizes, spin budget) without mutating
+  /// the environment of live rank threads.
   SmpCluster(int world_size, const MailboxConfig& cfg);
   ~SmpCluster();
   SmpCluster(const SmpCluster&) = delete;
@@ -59,9 +60,9 @@ class SmpCluster {
     std::deque<Mailbox> mailboxes;  // stable addresses, one per member
   };
 
-  /// Enable flow stitching on `entry`'s mailboxes (ring mode with tracing
-  /// on; no-op otherwise). Must run before the communicator id is
-  /// published — callers hold registry_mu_ or are the constructor.
+  /// Enable flow stitching on `entry`'s mailboxes (no-op with tracing
+  /// off). Must run before the communicator id is published — callers
+  /// hold registry_mu_ or are the constructor.
   void install_trace(CommEntry& entry, std::uint32_t comm_id);
 
   /// Find or create the caller's next communicator over `world_ranks`
@@ -109,7 +110,7 @@ class SmpComm final : public rt::Comm {
   rt::Buffer alloc_scratch_buffer(std::size_t bytes) const override {
     // Scratch contents are unspecified by contract; skipping the memset
     // leaves the pages untouched so the rank thread's own first write
-    // faults them in on its NUMA node (see ScratchArena's first-touch).
+    // faults them in on its NUMA node.
     return rt::Buffer::real_uninit(bytes);
   }
   void charge_copies(std::size_t, std::size_t) override {}  // real memcpys
@@ -140,7 +141,7 @@ class SmpComm final : public rt::Comm {
   std::deque<PostedRecv> ops_;
   std::vector<std::uint32_t> free_ops_;
 
-  // Sender-side flow stitching (ring mode with tracing on): the same
+  // Sender-side flow stitching (tracing on): the same
   // session-salted comm key the receiving mailbox derives arrow ids from,
   // plus per-(dst, tag) send counters. 0 == stitching off.
   std::uint64_t flow_comm_key_ = 0;

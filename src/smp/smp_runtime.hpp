@@ -15,8 +15,8 @@ namespace mca2a::smp {
 class SmpRuntime {
  public:
   explicit SmpRuntime(int world_size);
-  /// Explicit mailbox tuning (ring-vs-mutex comparisons; tiny rings for
-  /// backpressure tests) instead of the environment's.
+  /// Explicit mailbox tuning (tiny rings for backpressure tests, a fixed
+  /// spin budget) instead of the environment's.
   SmpRuntime(int world_size, const MailboxConfig& cfg);
 
   int world_size() const noexcept { return cluster_.world_size(); }

@@ -1,10 +1,11 @@
 /// Concurrency stress and ordering-property tests for the many-core smp
 /// fast path: the lock-free SPSC ring mailboxes (against an in-test
-/// matching oracle and the mutex baseline), wildcard floods, ring-full
-/// overflow, concurrent collectives on overlapping sub-communicators, and
-/// cross-thread hammering of the sharded plan cache and profiler.
+/// matching oracle), the ring/overflow send split, wildcard floods,
+/// ring-full overflow, concurrent collectives on overlapping
+/// sub-communicators, and cross-thread hammering of the sharded plan cache
+/// and profiler.
 ///
-/// The MailboxOrder oracle works because ring-mode drain order is
+/// The MailboxOrder oracle works because the mailbox drain order is
 /// deterministic once sends are quiesced (mailbox.cpp): overflow is folded
 /// into the per-lane reorder stashes first, then lanes are pumped in
 /// source order, each in strict per-pair sequence order — so the arrival
@@ -13,9 +14,8 @@
 /// quiesce with a std::barrier between the send and receive phases and pin
 /// the predicted match order for every seeded script, on the default ring
 /// and on deliberately tiny rings that force the overflow and heap-payload
-/// paths. Mutex-mode arrival order is send-interleaving order
-/// (nondeterministic across sources), so for that transport the same
-/// floods assert completeness and per-source FIFO only.
+/// paths. The unquiesced wildcard floods assert completeness and
+/// per-source FIFO, the guarantees that hold under any live interleaving.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@
 
 #include "autotune/profiler.hpp"
 #include "core/alltoall.hpp"
+#include "obs/metrics.hpp"
 #include "plan/plan.hpp"
 #include "plan/sharded_cache.hpp"
 #include "runtime/collectives.hpp"
@@ -114,7 +115,7 @@ Script make_script(int ranks, int msgs_per_sender, unsigned seed) {
   return s;
 }
 
-/// Run one scripted flood under `cfg` and assert the ring transport
+/// Run one scripted flood under `cfg` and assert the mailbox
 /// reproduces the oracle's match order exactly.
 void run_oracle_case(int ranks, const smp::MailboxConfig& cfg, unsigned seed) {
   const Script script = make_script(ranks, 30, seed);
@@ -220,11 +221,68 @@ TEST(MailboxOrder, RingFullNeverBlocksAndKeepsOrder) {
   });
 }
 
+TEST(MailboxOrder, HeapPayloadIsARingSendOnlyAFullLaneOverflows) {
+  // A payload past ring_inline still takes a ring slot (as a heap block)
+  // and counts in ring_sends; only a send into a full lane spills to the
+  // overflow list. The receiver stays parked behind the barrier until all
+  // three sends are in, so the two-slot lane is full for the third.
+  smp::MailboxConfig cfg;
+  cfg.ring_slots = 2;
+  cfg.ring_inline = 8;
+  constexpr std::size_t kLens[] = {300, 4, 100};
+  constexpr int kN = 3;
+  const auto ring = [] {
+    return obs::metrics().counter_value("smp.mailbox.ring_sends");
+  };
+  const auto overflow = [] {
+    return obs::metrics().counter_value("smp.mailbox.overflow_sends");
+  };
+  std::uint64_t ring_after[kN] = {};
+  std::uint64_t overflow_after[kN] = {};
+  std::barrier<> sent(2);
+  smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
+    Buffer b = Buffer::real(512);
+    if (c.rank() == 0) {
+      const std::uint64_t ring0 = ring();
+      const std::uint64_t overflow0 = overflow();
+      for (int i = 0; i < kN; ++i) {
+        for (std::size_t k = 0; k < kLens[i]; ++k) {
+          b.data()[k] = test::pattern(0, i, k);
+        }
+        co_await c.send(b.view(0, kLens[i]), 1, 0);
+        ring_after[i] = ring() - ring0;
+        overflow_after[i] = overflow() - overflow0;
+      }
+      sent.arrive_and_wait();
+    } else {
+      sent.arrive_and_wait();
+      for (int i = 0; i < kN; ++i) {
+        // Exact-size receives: an out-of-order arrival would truncate or
+        // fail the pattern check.
+        co_await c.recv(b.view(0, kLens[i]), 0, 0);
+        for (std::size_t k = 0; k < kLens[i]; ++k) {
+          EXPECT_EQ(b.data()[k], test::pattern(0, i, k))
+              << "msg " << i << " byte " << k;
+          if (testing::Test::HasFailure()) {
+            co_return;
+          }
+        }
+      }
+    }
+  });
+  EXPECT_EQ(ring_after[0], 1u);  // 300 B > ring_inline: heap block, ring slot
+  EXPECT_EQ(overflow_after[0], 0u);
+  EXPECT_EQ(ring_after[1], 2u);
+  EXPECT_EQ(overflow_after[1], 0u);
+  EXPECT_EQ(ring_after[2], 2u);  // both slots taken: the lane is full
+  EXPECT_EQ(overflow_after[2], 1u);
+}
+
 // --- concurrent floods (no quiesce: live sleep/wake and drain paths) --------
 
 /// Ranks 1..p-1 flood rank 0 with tagged messages while rank 0 receives
 /// with full wildcards concurrently. Asserts completeness and per-source
-/// FIFO — the guarantees both transports share under live interleaving.
+/// FIFO — the guarantees that survive live interleaving.
 void run_wildcard_flood(const smp::MailboxConfig& cfg) {
   constexpr int kRanks = 8;
   constexpr int kMsgs = 50;
@@ -271,12 +329,6 @@ TEST(ConcurrencyStress, WildcardFloodRingNoSpin) {
   // delivery exercises the Dekker sleep/wake pairing.
   smp::MailboxConfig cfg;
   cfg.spin = 0;
-  run_wildcard_flood(cfg);
-}
-
-TEST(ConcurrencyStress, WildcardFloodMutexBaseline) {
-  smp::MailboxConfig cfg;
-  cfg.kind = smp::MailboxKind::kMutex;
   run_wildcard_flood(cfg);
 }
 

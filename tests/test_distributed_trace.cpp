@@ -137,7 +137,7 @@ TEST(SmpFlowStitch, EveryArrowStartsOnceAndFinishesOnce) {
   constexpr int kMsgs = 5;
   obs::TraceRecorder rec;
   obs::set_active_recorder(&rec);
-  smp::MailboxConfig cfg;  // defaults: ring transport (stitching active)
+  smp::MailboxConfig cfg;  // default sizing
   smp::run_threads(kRanks, cfg, [&](Comm& world) -> Task<void> {
     const int me = world.rank();
     const int dst = (me + 1) % kRanks;
@@ -182,36 +182,6 @@ TEST(SmpFlowStitch, EveryArrowStartsOnceAndFinishesOnce) {
   EXPECT_EQ(starts, ends);  // same ids, each exactly once on both sides
   for (const auto& [id, n] : starts) {
     EXPECT_EQ(n, 1) << "flow " << id << " started " << n << " times";
-  }
-}
-
-TEST(SmpFlowStitch, MutexTransportStaysUnstitched) {
-  // Mutex-mode accept() runs on the *sender's* thread; pushing receive
-  // events there would break the trace buffer's single-writer contract,
-  // so stitching must stay off entirely.
-  obs::TraceRecorder rec;
-  obs::set_active_recorder(&rec);
-  smp::MailboxConfig cfg;
-  cfg.kind = smp::MailboxKind::kMutex;
-  smp::run_threads(2, cfg, [&](Comm& world) -> Task<void> {
-    std::array<std::byte, 8> buf{};
-    if (world.rank() == 0) {
-      world.isend(rt::ConstView{buf.data(), buf.size()}, 1, 0);
-    } else {
-      const std::array<rt::Request, 1> reqs{
-          world.irecv(rt::MutView{buf.data(), buf.size()}, 0, 0)};
-      world.wait_try(reqs);
-    }
-    co_return;
-  });
-  obs::set_active_recorder(nullptr);
-  for (int r = 0; r < 2; ++r) {
-    const obs::TraceBuffer* tb = rec.stream("smp", r);
-    ASSERT_NE(tb, nullptr);
-    for (const obs::TraceEvent& e : tb->events()) {
-      EXPECT_NE(e.type, obs::EventType::kFlowStart);
-      EXPECT_NE(e.type, obs::EventType::kFlowEnd);
-    }
   }
 }
 
