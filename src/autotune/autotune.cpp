@@ -15,8 +15,6 @@ namespace mca2a::autotune {
 
 namespace {
 
-constexpr char kTableHeaderPrefix[] = "mca2a-tuning-table v";
-
 struct GlobalState {
   Mode mode = Mode::kOff;
   std::string path;
@@ -93,17 +91,17 @@ bool save_global_profile() {
   }
   // A valid (entry-less) TuningTable v3 file: plan::TuningTable::load
   // reads it back, and so does load_profile_stream.
-  os << kTableHeaderPrefix << "3\n";
+  os << kTableHeader << "\n";
   write_profile_section(os, st.selector->profiler());
   return static_cast<bool>(os);
 }
 
 void load_profile_stream(std::istream& is, ExecutionProfiler& out) {
   std::string line;
-  if (!std::getline(is, line) ||
-      line.rfind(kTableHeaderPrefix, 0) != 0) {
+  if (!std::getline(is, line) || line != kTableHeader) {
     throw std::runtime_error(
-        "autotune: not a tuning-table stream (bad header: '" + line + "')");
+        "autotune: not a v3 tuning-table stream (bad header: '" + line +
+        "')");
   }
   while (std::getline(is, line)) {
     if (line.rfind("prof ", 0) != 0) {

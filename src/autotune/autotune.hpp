@@ -51,9 +51,9 @@ const std::string& global_profile_path();
 bool save_global_profile();
 
 /// Parse a TuningTable v3 stream's profile section into `out`, ignoring
-/// decision entries and v1/v2 streams (which have no profiles). Throws
-/// std::runtime_error on a stream that is not a tuning table at all or on
-/// a malformed profile line. (plan::TuningTable::load is the full parser;
+/// decision entries. Throws std::runtime_error on a stream whose header is
+/// not kTableHeader (earlier table versions included) or on a malformed
+/// profile line. (plan::TuningTable::load is the full parser;
 /// this lenient reader keeps the autotune layer below plan/.)
 void load_profile_stream(std::istream& is, ExecutionProfiler& out);
 

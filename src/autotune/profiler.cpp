@@ -1,7 +1,6 @@
 #include "autotune/profiler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <iomanip>
 #include <limits>
@@ -9,12 +8,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
-#include "runtime/env.hpp"
 
 namespace mca2a::autotune {
 
@@ -52,30 +48,7 @@ bool key_less(const ProfileKey& a, const ProfileKey& b) {
                   b.group_size, b.backend);
 }
 
-/// Process-wide default shard count: A2A_PROF_SHARDS, with 0/unset meaning
-/// min(hardware_concurrency, 16).
-std::size_t default_shard_count() {
-  static const std::size_t n = [] {
-    const auto v = static_cast<std::size_t>(
-        rt::env::get_int("A2A_PROF_SHARDS", 0, 0, 1024));
-    if (v != 0) {
-      return v;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return std::min<std::size_t>(hw == 0 ? 1 : hw, 16);
-  }();
-  return n;
-}
-
 }  // namespace
-
-/// One internal shard: a mutex-guarded slice of the accumulator plus its
-/// own revision counter (summed by revision()).
-struct ExecutionProfiler::Shard {
-  mutable std::mutex mu;
-  std::unordered_map<ProfileKey, SampleStats, ProfileKeyHash> map;
-  std::atomic<std::uint64_t> revision{0};
-};
 
 ProfileKey make_profile_key(const topo::Machine& machine, coll::OpKind op,
                             std::size_t size_key, int algo, int group_size,
@@ -120,75 +93,21 @@ void SampleStats::merge(const SampleStats& other) {
   n += other.n;
 }
 
-ExecutionProfiler::ExecutionProfiler(std::size_t shards) {
-  const std::size_t n = shards == 0 ? default_shard_count() : shards;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ExecutionProfiler::~ExecutionProfiler() = default;
-
 ExecutionProfiler::ExecutionProfiler(const ExecutionProfiler& other) {
-  // Shard-by-shard copy under each source shard's lock: the copy keeps the
-  // same shard count and per-shard contents, so its snapshots fold in the
-  // same order and stay bit-identical to the original's.
-  shards_.reserve(other.shards_.size());
-  for (const auto& sp : other.shards_) {
-    auto ns = std::make_unique<Shard>();
-    std::lock_guard<std::mutex> lk(sp->mu);
-    ns->map = sp->map;
-    ns->revision.store(sp->revision.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    shards_.push_back(std::move(ns));
-  }
+  std::lock_guard<std::mutex> lk(other.mu_);
+  map_ = other.map_;
+  revision_ = other.revision_;
 }
 
 ExecutionProfiler& ExecutionProfiler::operator=(
     const ExecutionProfiler& other) {
   if (this != &other) {
     ExecutionProfiler copy(other);
-    shards_.swap(copy.shards_);
+    std::lock_guard<std::mutex> lk(mu_);
+    map_.swap(copy.map_);
+    revision_ = copy.revision_;
   }
   return *this;
-}
-
-ExecutionProfiler::ExecutionProfiler(ExecutionProfiler&& other) noexcept
-    : shards_(std::move(other.shards_)) {
-  // Leave the moved-from profiler usable (it may still be queried or
-  // recorded into); a failed shard allocation here terminates, which is
-  // the usual noexcept-move bargain.
-  other.shards_.clear();
-  other.shards_.push_back(std::make_unique<Shard>());
-}
-
-ExecutionProfiler& ExecutionProfiler::operator=(
-    ExecutionProfiler&& other) noexcept {
-  if (this != &other) {
-    shards_.swap(other.shards_);
-  }
-  return *this;
-}
-
-ExecutionProfiler::Shard& ExecutionProfiler::my_shard() const {
-  // Threads pin to shards round-robin on first touch of each profiler; the
-  // pin is sticky, so one thread's samples for one profiler always land in
-  // the same shard. A single-threaded feed therefore populates exactly one
-  // shard and the snapshot fold reduces to the identity. The pin list may
-  // retain entries for destroyed profilers; a recycled address just
-  // inherits the old pin, which the modulo keeps in range.
-  thread_local std::vector<std::pair<const ExecutionProfiler*, std::size_t>>
-      pins;
-  for (const auto& [owner, idx] : pins) {
-    if (owner == this) {
-      return *shards_[idx % shards_.size()];
-    }
-  }
-  static std::atomic<std::size_t> rr{0};
-  const std::size_t idx = rr.fetch_add(1, std::memory_order_relaxed);
-  pins.emplace_back(this, idx);
-  return *shards_[idx % shards_.size()];
 }
 
 void ExecutionProfiler::record(const ProfileKey& key, double seconds) {
@@ -197,10 +116,9 @@ void ExecutionProfiler::record(const ProfileKey& key, double seconds) {
   }
   static obs::Counter& samples = obs::metrics().counter("autotune.samples");
   samples.add();
-  Shard& s = my_shard();
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.map[key].add(seconds);
-  s.revision.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mu_);
+  map_[key].add(seconds);
+  ++revision_;
 }
 
 void ExecutionProfiler::merge_entry(const ProfileKey& key,
@@ -208,10 +126,9 @@ void ExecutionProfiler::merge_entry(const ProfileKey& key,
   if (stats.n == 0) {
     return;
   }
-  Shard& s = my_shard();
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.map[key].merge(stats);
-  s.revision.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mu_);
+  map_[key].merge(stats);
+  ++revision_;
 }
 
 void ExecutionProfiler::merge(const ExecutionProfiler& other) {
@@ -223,83 +140,46 @@ void ExecutionProfiler::merge(const ExecutionProfiler& other) {
 
 std::optional<SampleStats> ExecutionProfiler::lookup(
     const ProfileKey& key) const {
-  // Fold in shard index order: the fixed order makes repeated lookups of a
-  // quiesced profiler return identical bits (Chan merging is exact but not
-  // FP-associative).
-  SampleStats acc;
-  bool found = false;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> lk(sp->mu);
-    const auto it = sp->map.find(key);
-    if (it != sp->map.end()) {
-      acc.merge(it->second);
-      found = true;
-    }
-  }
-  if (!found) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
     return std::nullopt;
   }
-  return acc;
+  return it->second;
 }
 
 std::uint64_t ExecutionProfiler::samples(const ProfileKey& key) const {
-  std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> lk(sp->mu);
-    const auto it = sp->map.find(key);
-    total += it == sp->map.end() ? 0 : it->second.n;
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = map_.find(key);
+  return it == map_.end() ? 0 : it->second.n;
 }
 
 std::size_t ExecutionProfiler::size() const {
-  // Distinct keys across shards (one key may have entries in several
-  // shards when several threads recorded it).
-  std::unordered_set<ProfileKey, ProfileKeyHash> keys;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> lk(sp->mu);
-    for (const auto& [key, stats] : sp->map) {
-      keys.insert(key);
-    }
-  }
-  return keys.size();
+  std::lock_guard<std::mutex> lk(mu_);
+  return map_.size();
 }
 
 std::uint64_t ExecutionProfiler::total_samples() const {
+  std::lock_guard<std::mutex> lk(mu_);
   std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> lk(sp->mu);
-    for (const auto& [key, stats] : sp->map) {
-      total += stats.n;
-    }
+  for (const auto& [key, stats] : map_) {
+    total += stats.n;
   }
   return total;
 }
 
 std::uint64_t ExecutionProfiler::revision() const {
-  // Sum of monotone per-shard counters, each read once: monotone for any
-  // single observer, which is all the staleness checks need.
-  std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    total += sp->revision.load(std::memory_order_relaxed);
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  return revision_;
 }
 
 std::vector<std::pair<ProfileKey, SampleStats>> ExecutionProfiler::snapshot()
     const {
-  // Per-key accumulators merged in shard index order (each shard holds at
-  // most one entry per key, so within-shard map order is irrelevant);
-  // fixed fold order + the final sort = deterministic, repeatable bytes.
-  std::unordered_map<ProfileKey, SampleStats, ProfileKeyHash> acc;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> lk(sp->mu);
-    for (const auto& [key, stats] : sp->map) {
-      acc[key].merge(stats);
-    }
-  }
   std::vector<std::pair<ProfileKey, SampleStats>> out;
-  out.assign(acc.begin(), acc.end());
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    out.assign(map_.begin(), map_.end());
+  }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return key_less(a.first, b.first);
   });

@@ -13,15 +13,11 @@
 /// parallel-variance formula) — which is how profiles gathered by
 /// different processes, or across restarts, combine.
 ///
-/// Concurrency: the accumulator is sharded. Each recording thread pins
-/// itself (round-robin, sticky per profiler) to one internal shard and
-/// takes that shard's short mutex for an O(1) map update, so the threads
-/// backend's rank threads sharing one profiler never serialize on a global
-/// lock. Readers fold the shards *in shard index order*; because Welford /
-/// Chan merging is exact but not floating-point-associative, the fixed
-/// fold order is what makes repeated snapshots byte-identical — and a
-/// single-threaded feed pins one shard, making the fold the identity and
-/// the snapshot bit-identical to a serial (global-mutex) reference.
+/// Concurrency: one mutex guards the map; a record is an O(1) update under
+/// it, so rank threads sharing one profiler may record and read
+/// concurrently. Each key's statistics live in one accumulator, so a
+/// quiesced profiler's snapshots are byte-identical, and so are two
+/// profilers fed the same per-key sample sequences in any interleaving.
 ///
 /// Profiles persist as the v3 section of plan::TuningTable
 /// (plan/tuning_table.hpp): the model's memoized *decisions* and the
@@ -30,7 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -94,20 +90,11 @@ struct SampleStats {
 
 class ExecutionProfiler {
  public:
-  /// `shards` = 0 picks the environment default: A2A_PROF_SHARDS when set,
-  /// else min(hardware_concurrency, 16). Tests pass an explicit count so
-  /// shard-merge behavior is exercised even on small machines.
-  explicit ExecutionProfiler(std::size_t shards = 0);
-  ~ExecutionProfiler();
-  /// Copies preserve shard count and per-shard contents bit-for-bit.
+  ExecutionProfiler() = default;
+  /// Copies take each profiler's lock in turn, so either side may be
+  /// recording meanwhile.
   ExecutionProfiler(const ExecutionProfiler& other);
-  /// Requires writers of *this* to be quiesced (readers of `other` are
-  /// safe), like any standard-container assignment.
   ExecutionProfiler& operator=(const ExecutionProfiler& other);
-  ExecutionProfiler(ExecutionProfiler&& other) noexcept;
-  ExecutionProfiler& operator=(ExecutionProfiler&& other) noexcept;
-
-  std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Fold one measured execution (elapsed seconds on one rank) into the
   /// key's statistics. Non-finite or negative samples are dropped (a
@@ -130,25 +117,24 @@ class ExecutionProfiler {
   /// Total samples folded in across all keys.
   std::uint64_t total_samples() const;
   /// Bumped on every record/merge; cheap staleness check for cached
-  /// derivations (the selector's calibration cache keys on it). Sum of
-  /// per-shard counters — monotone for any single observer.
+  /// derivations (the selector's calibration cache keys on it).
   std::uint64_t revision() const;
 
-  /// Stable copy of every (key, stats) pair: shards folded in index order
-  /// (fixed fold order — see the file comment), then sorted by key fields
-  /// so iteration (and serialization) order is deterministic.
+  /// Stable copy of every (key, stats) pair, sorted by key fields so
+  /// iteration (and serialization) order is deterministic.
   std::vector<std::pair<ProfileKey, SampleStats>> snapshot() const;
 
  private:
-  struct Shard;
-
-  /// The calling thread's shard for this profiler (sticky round-robin).
-  Shard& my_shard() const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::unordered_map<ProfileKey, SampleStats, ProfileKeyHash> map_;
+  std::uint64_t revision_ = 0;
 };
 
 // --- serialization (the TuningTable v3 profile section) ----------------------
+
+/// First line of every tuning-table stream (plan/tuning_table.hpp): the
+/// decision entries, then the profile section below (possibly empty).
+inline constexpr std::string_view kTableHeader = "mca2a-tuning-table v3";
 
 /// One entry per line, sorted (deterministic files):
 ///   prof <machine> <nodes> <ppn> <op> <size_key> <algo> <group> <backend>

@@ -169,7 +169,7 @@ class OnlineSelector {
   Config cfg_;
   ExecutionProfiler profiler_;
 
-  // choose_*/calibration bookkeeping (distinct from the profiler's locks;
+  // choose_*/calibration bookkeeping (distinct from the profiler's lock;
   // record() never takes it). The explore/exploit tallies are relaxed
   // atomics — pure statistics, never ordering anything — so the hot
   // decision tail of pick() stays off this mutex.

@@ -41,39 +41,35 @@ PlanCache::PlanCache(std::size_t capacity)
 PlanKey PlanCache::key_of(const rt::Comm& world, const coll::OpDesc& desc,
                           const PlanOptions& opts) {
   PlanKey key;
-  // The alltoall algorithm can arrive via the descriptor or via the legacy
-  // PlanOptions knob; make_plan resolves descriptor-first, so fold the knob
-  // into the descriptor key the same way — otherwise the same logical plan
-  // would occupy two cache slots depending on the caller's route.
-  if (desc.kind() == coll::OpKind::kAlltoall &&
-      !desc.alltoall().algo.has_value() && opts.algo.has_value()) {
-    coll::AlltoallDesc d = desc.alltoall();
-    d.algo = *opts.algo;
-    key.desc = coll::OpDesc(std::move(d)).key();
-  } else {
-    key.desc = desc.key();
-  }
+  key.desc = desc.key();
   // Options that cannot affect the plan are neutralized in the key, so
   // irrelevant values cannot split (or evict) otherwise-identical entries:
-  // inner/batch_window/system_small_threshold only reach alltoall plans,
-  // and group_size only matters when an algorithm is named explicitly (the
-  // tuner picks its own group size and ignores the option).
-  if (desc.kind() == coll::OpKind::kAlltoall) {
-    key.inner = static_cast<int>(opts.inner);
+  // batch_window/system_small_threshold only reach alltoall plans, inner
+  // reaches the locality alltoall and alltoallv families, and group_size
+  // only matters when an algorithm is named explicitly (the tuner picks its
+  // own group size and ignores the option).
+  const coll::OpKind kind = desc.kind();
+  if (kind == coll::OpKind::kAlltoall) {
     key.batch_window = opts.batch_window;
     key.system_small_threshold = opts.system_small_threshold;
   }
+  if (kind == coll::OpKind::kAlltoall || kind == coll::OpKind::kAlltoallv) {
+    key.inner = static_cast<int>(opts.inner);
+  }
   const bool explicit_algo = [&] {
-    switch (desc.kind()) {
+    switch (kind) {
       case coll::OpKind::kAlltoall:
-        return desc.alltoall().algo.has_value() || opts.algo.has_value();
+        return desc.alltoall().algo.has_value();
+      case coll::OpKind::kAlltoallv:
+        return desc.alltoallv().algo.has_value();
       case coll::OpKind::kAllgather:
         return desc.allgather().algo.has_value();
       case coll::OpKind::kAllreduce:
         return desc.allreduce().algo.has_value();
-      default:
-        return false;  // alltoallv never builds locality comms
+      case coll::OpKind::kCount_:
+        break;
     }
+    return false;
   }();
   if (explicit_algo) {
     // Kept raw: make_plan reads 0 as "one group per node", but folding that
@@ -86,49 +82,39 @@ PlanKey PlanCache::key_of(const rt::Comm& world, const coll::OpDesc& desc,
   return key;
 }
 
-std::shared_ptr<CollectivePlan> PlanCache::find_hit(const rt::Comm& world,
-                                                    const coll::OpDesc& desc,
-                                                    const PlanOptions& opts) {
+std::shared_ptr<CollectivePlan> PlanCache::get_or_create(
+    rt::Comm& world, const topo::Machine& machine, const model::NetParams& net,
+    const coll::OpDesc& desc, const PlanOptions& opts) {
   const PlanKey key = key_of(world, desc, opts);
+  const coll::OpKind kind = desc.kind();
+  const int kind_idx = static_cast<int>(kind);
+  CacheMetrics& gm = cache_metrics();
   const auto it = map_.find(key);
-  if (it == map_.end()) {
-    return nullptr;
-  }
   // Alltoallv keys embed only a hash of the count vectors; guard the
   // astronomically-unlikely collision, where returning the resident plan
-  // would silently exchange with the other shape's displacements. Reported
-  // as a miss (nullptr): insert_miss later finds the key resident and
-  // hands the fresh plan back uncached.
-  if (desc.kind() == coll::OpKind::kAlltoallv) {
+  // would silently exchange with the other shape's displacements. It
+  // counts as a miss, and the fresh plan serves its caller uncached.
+  bool collision = false;
+  if (it != map_.end() && kind == coll::OpKind::kAlltoallv) {
     const auto& want = desc.alltoallv();
     const auto& have = it->second->second->desc().alltoallv();
-    if (want.send_counts != have.send_counts ||
-        want.recv_counts != have.recv_counts) {
-      return nullptr;
-    }
+    collision = want.send_counts != have.send_counts ||
+                want.recv_counts != have.recv_counts;
   }
-  const int kind_idx = static_cast<int>(desc.kind());
-  ++stats_.hits;
-  ++stats_.per_op[kind_idx].hits;
-  cache_metrics().hits[kind_idx]->add();
-  lru_.splice(lru_.begin(), lru_, it->second);  // touch
-  return it->second->second;
-}
-
-std::shared_ptr<CollectivePlan> PlanCache::insert_miss(
-    const rt::Comm& world, const coll::OpDesc& desc, const PlanOptions& opts,
-    std::shared_ptr<CollectivePlan> plan) {
-  const PlanKey key = key_of(world, desc, opts);
-  const int kind_idx = static_cast<int>(desc.kind());
-  CacheMetrics& gm = cache_metrics();
+  if (it != map_.end() && !collision) {
+    ++stats_.hits;
+    ++stats_.per_op[kind_idx].hits;
+    gm.hits[kind_idx]->add();
+    lru_.splice(lru_.begin(), lru_, it->second);  // touch
+    return it->second->second;
+  }
+  auto plan = std::make_shared<CollectivePlan>(
+      make_plan(world, machine, net, desc, opts));
   ++stats_.misses;
   ++stats_.per_op[kind_idx].misses;
   ++stats_.constructions;
   gm.misses[kind_idx]->add();
-  if (map_.contains(key)) {
-    // Key resident after all: either the alltoallv collision case or a
-    // racing build that got here second. Keep the resident entry; the
-    // fresh plan serves its caller uncached.
+  if (collision) {
     return plan;
   }
   lru_.emplace_front(key, plan);
@@ -142,35 +128,9 @@ std::shared_ptr<CollectivePlan> PlanCache::insert_miss(
   return plan;
 }
 
-std::shared_ptr<CollectivePlan> PlanCache::get_or_create(
-    rt::Comm& world, const topo::Machine& machine, const model::NetParams& net,
-    const coll::OpDesc& desc, const PlanOptions& opts) {
-  if (auto hit = find_hit(world, desc, opts)) {
-    return hit;
-  }
-  return insert_miss(world, desc, opts,
-                     std::make_shared<CollectivePlan>(
-                         make_plan(world, machine, net, desc, opts)));
-}
-
-std::shared_ptr<CollectivePlan> PlanCache::get_or_create(
-    rt::Comm& world, const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block, const PlanOptions& opts) {
-  coll::AlltoallDesc d;
-  d.block = block;
-  return get_or_create(world, machine, net, coll::OpDesc(std::move(d)), opts);
-}
-
 bool PlanCache::contains(const rt::Comm& world, const coll::OpDesc& desc,
                          const PlanOptions& opts) const {
   return map_.contains(key_of(world, desc, opts));
-}
-
-bool PlanCache::contains(const rt::Comm& world, std::size_t block,
-                         const PlanOptions& opts) const {
-  coll::AlltoallDesc d;
-  d.block = block;
-  return contains(world, coll::OpDesc(std::move(d)), opts);
 }
 
 std::size_t PlanCache::erase_comm(const rt::Comm& world) {

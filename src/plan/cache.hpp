@@ -23,7 +23,10 @@
 /// lived would silently match the dead comm's entries — call erase_comm()
 /// (or clear()) before destroying a communicator the cache has seen.
 ///
-/// Like a Comm, a cache belongs to one rank; it is not thread-safe.
+/// Like a Comm, a cache belongs to one rank; it is not thread-safe. Rank
+/// threads that want caching each own one (a plan never serves another
+/// rank's endpoint anyway); the plan.cache.<op>.{hits,misses,evictions}
+/// registry counters total every cache in the process.
 ///
 /// Autotune interplay: the key also excludes PlanOptions::autotune, and a
 /// plan freezes its resolved algorithm at construction — so under an
@@ -48,10 +51,7 @@
 namespace mca2a::plan {
 
 struct PlanKey {
-  /// coll::OpDesc::key() — op tag + descriptor fields, with the legacy
-  /// PlanOptions::algo knob folded in (see PlanCache::key_of), so a plan
-  /// requested through either route is one cache entry.
-  std::string desc;
+  std::string desc;  ///< coll::OpDesc::key() — op tag + descriptor fields
   int inner = 0;  ///< static_cast<int>(coll::Inner)
   int group_size = 0;
   int batch_window = 0;
@@ -103,32 +103,6 @@ class PlanCache {
       const model::NetParams& net, const coll::OpDesc& desc,
       const PlanOptions& opts = {});
 
-  /// Alltoall shorthand (the PR-1 signature): `block` bytes per rank pair.
-  std::shared_ptr<CollectivePlan> get_or_create(rt::Comm& world,
-                                                const topo::Machine& machine,
-                                                const model::NetParams& net,
-                                                std::size_t block,
-                                                const PlanOptions& opts = {});
-
-  /// Lookup-only half of get_or_create: on a hit, count it, touch the LRU
-  /// and return the resident plan. Returns nullptr on a miss — and on an
-  /// alltoallv count-vector hash collision — without counting anything, so
-  /// a caller (ShardedPlanCache) can drop its lock, build the plan, and
-  /// complete the miss with insert_miss(). find_hit + insert_miss replay
-  /// get_or_create counter for counter.
-  std::shared_ptr<CollectivePlan> find_hit(const rt::Comm& world,
-                                           const coll::OpDesc& desc,
-                                           const PlanOptions& opts = {});
-
-  /// Record the miss a nullptr find_hit reported and cache `plan`,
-  /// evicting least-recently-used entries while over capacity. When the
-  /// key is already resident (the collision case above, or a racing build
-  /// that lost), the resident entry is kept and `plan` is returned
-  /// uncached.
-  std::shared_ptr<CollectivePlan> insert_miss(
-      const rt::Comm& world, const coll::OpDesc& desc, const PlanOptions& opts,
-      std::shared_ptr<CollectivePlan> plan);
-
   const Stats& stats() const noexcept { return stats_; }
   /// Counters for one op kind.
   const OpStats& stats(coll::OpKind op) const noexcept {
@@ -138,8 +112,6 @@ class PlanCache {
   std::size_t capacity() const noexcept { return capacity_; }
   /// True if the keyed plan is resident (no LRU touch, no construction).
   bool contains(const rt::Comm& world, const coll::OpDesc& desc,
-                const PlanOptions& opts = {}) const;
-  bool contains(const rt::Comm& world, std::size_t block,
                 const PlanOptions& opts = {}) const;
 
   /// Drop every entry keyed to `world`. Must be called before destroying a

@@ -357,11 +357,10 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
   switch (p.desc_.kind()) {
     case coll::OpKind::kAlltoall: {
       const auto& d = p.desc_.alltoall();
-      // Resolution order: descriptor algo, then the legacy PlanOptions
-      // knob, then the online autotuner (adapt mode), then a memoizing
-      // table, then the closed-form tuner.
-      if (d.algo || opts.algo) {
-        p.algo_ = static_cast<int>(d.algo ? *d.algo : *opts.algo);
+      // Resolution order: descriptor algo, then the online autotuner
+      // (adapt mode), then a memoizing table, then the closed-form tuner.
+      if (d.algo) {
+        p.algo_ = static_cast<int>(*d.algo);
         p.group_size_ = explicit_group;
       } else {
         std::optional<coll::Choice> online;

@@ -162,16 +162,14 @@ class CollectiveHandle {
   std::shared_ptr<State> st_;
 };
 
+/// Plan-time knobs beside the descriptor. The algorithm itself is named by
+/// the descriptor's `algo`; leaving it empty lets the tuner pick algorithm
+/// *and* group size from the closed-form cost model, for every op kind.
 struct PlanOptions {
-  /// Alltoall algorithm to plan for when the descriptor leaves its own
-  /// `algo` empty (legacy knob; ignored by the other op kinds). nullopt
-  /// lets the tuner pick (algorithm *and* group size) from the closed-form
-  /// cost model — for every op kind.
-  std::optional<coll::Algo> algo;
   /// Leader/group width for the locality algorithms; 0 means one group or
   /// leader per node (ppn). Ignored when the tuner picks.
   int group_size = 0;
-  /// Inner exchange used by the locality all-to-all algorithms.
+  /// Inner exchange used by the locality alltoall and alltoallv algorithms.
   coll::Inner inner = coll::Inner::kPairwise;
   /// Window for the batched algorithm.
   int batch_window = 32;

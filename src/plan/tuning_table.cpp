@@ -10,13 +10,6 @@
 
 namespace mca2a::plan {
 
-namespace {
-
-constexpr char kHeaderV2[] = "mca2a-tuning-table v2";
-constexpr char kHeaderV3[] = "mca2a-tuning-table v3";
-
-}  // namespace
-
 std::size_t TuningKeyHash::operator()(const TuningKey& k) const noexcept {
   std::size_t h = std::hash<std::string>{}(k.machine);
   const auto mix = [&h](std::size_t v) {
@@ -187,10 +180,7 @@ coll::AlltoallvChoice TuningTable::choose_alltoallv(
 // --- serialization -----------------------------------------------------------
 
 void TuningTable::save(std::ostream& os) const {
-  // Measurement-free tables keep the v2 header so older readers (and
-  // pinned round-trip tests) see exactly what they always did; the v3
-  // header announces the trailing profile section.
-  os << (profile_.empty() ? kHeaderV2 : kHeaderV3) << "\n";
+  os << autotune::kTableHeader << "\n";
   // max_digits10 so predicted times survive the text round-trip exactly.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   for (const auto& [key, e] : entries_) {
@@ -198,9 +188,7 @@ void TuningTable::save(std::ostream& os) const {
        << coll::op_kind_tag(key.op) << ' ' << key.block << ' ' << e.algo << ' '
        << e.group_size << ' ' << e.predicted_seconds << "\n";
   }
-  if (!profile_.empty()) {
-    autotune::write_profile_section(os, profile_);
-  }
+  autotune::write_profile_section(os, profile_);
 }
 
 TuningTable TuningTable::load(std::istream& is) {
@@ -208,8 +196,7 @@ TuningTable TuningTable::load(std::istream& is) {
   if (!std::getline(is, line)) {
     throw std::runtime_error("TuningTable::load: empty input");
   }
-  const bool v3 = line == kHeaderV3;
-  if (!v3 && line != kHeaderV2) {
+  if (line != autotune::kTableHeader) {
     throw std::runtime_error("TuningTable::load: bad header: '" + line + "'");
   }
   TuningTable table;
@@ -218,11 +205,6 @@ TuningTable TuningTable::load(std::istream& is) {
       continue;
     }
     if (line.rfind("prof ", 0) == 0) {
-      if (!v3) {
-        throw std::runtime_error(
-            "TuningTable::load: profile line in a pre-v3 table: '" + line +
-            "'");
-      }
       auto [pkey, pstats] = autotune::parse_profile_line(line);
       table.profile_.merge_entry(pkey, pstats);
       continue;

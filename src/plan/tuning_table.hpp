@@ -15,17 +15,14 @@
 /// for a given computer, system MPI, process count, and data size" turned
 /// into a precomputed artifact.
 ///
-/// File format (v2): a version header line, then one entry per line
-/// ("machine nodes ppn op block algo group_size predicted_seconds"), where
-/// `op` is coll::op_kind_tag ("a2a", "ag", "ar", "a2av").
-///
-/// v3 adds a measured-profile section: after the decision entries, one
-/// "prof ..." line per autotune::ExecutionProfiler entry (see
-/// autotune/profiler.hpp for the line format), so warmed online-autotuning
-/// knowledge ships in the same artifact as the model's memoized decisions.
-/// save() emits the v3 header only when the profile section is non-empty —
-/// tables without measurements keep round-tripping as v2, readable by
-/// older code. v2 files load with an empty profile.
+/// File format (v3): the autotune::kTableHeader line, then one entry per
+/// line ("machine nodes ppn op block algo group_size predicted_seconds"),
+/// where `op` is coll::op_kind_tag ("a2a", "ag", "ar", "a2av"), then the
+/// measured-profile section: one "prof ..." line per
+/// autotune::ExecutionProfiler entry (see autotune/profiler.hpp for the
+/// line format), so warmed online-autotuning knowledge ships in the same
+/// artifact as the model's memoized decisions. The profile section may be
+/// empty. Only v3 loads; earlier headers are bad headers.
 ///
 /// The table is keyed by machine *shape*, not network parameters: entries
 /// are only meaningful for the NetParams they were computed with, which is
@@ -132,12 +129,11 @@ class TuningTable {
     return profile_;
   }
 
-  /// Write the table as text: v3 when the profile section is non-empty,
-  /// v2 otherwise (see the file comment).
+  /// Write the table as v3 text (see the file comment).
   void save(std::ostream& os) const;
-  /// Parse a table written by save(): v3, or v2 (no profile section).
-  /// Throws std::runtime_error on a bad header (v1 included), unknown op
-  /// tag, out-of-range algorithm index, or malformed line.
+  /// Parse a table written by save(). Throws std::runtime_error on a bad
+  /// header (anything but v3), unknown op tag, out-of-range algorithm
+  /// index, or malformed line.
   static TuningTable load(std::istream& is);
 
   /// File convenience wrappers. save_file returns false when the file could

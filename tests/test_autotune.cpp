@@ -1,6 +1,6 @@
 /// Tests for the online autotuning subsystem (src/autotune/): Welford
 /// statistics and exact profile merging, TuningTable v3 round trips and
-/// v2/v1 migration, candidate pruning, selector explore/exploit behavior
+/// pre-v3 rejection, candidate pruning, selector explore/exploit behavior
 /// and its off-mode bit-for-bit pin, completion-driven recording on both
 /// backends, convergence of the harness's autotune mode, and cost-model
 /// calibration recovering known ground-truth scales.
@@ -204,7 +204,7 @@ TEST(ExecutionProfiler, SnapshotSerializationIgnoresInsertionOrder) {
 
 TEST(ExecutionProfiler, CopyPreservesSnapshotBytes) {
   const topo::Machine machine = topo::generic(2, 4);
-  ExecutionProfiler p(4);
+  ExecutionProfiler p;
   std::mt19937 rng(7);
   for (int i = 0; i < 100; ++i) {
     p.record(key_for(machine, 16ul << (rng() % 5), static_cast<int>(rng() % 3),
@@ -212,7 +212,6 @@ TEST(ExecutionProfiler, CopyPreservesSnapshotBytes) {
              1e-5 * static_cast<double>(rng() % 1000 + 1));
   }
   const ExecutionProfiler copy(p);
-  EXPECT_EQ(copy.shard_count(), p.shard_count());
   EXPECT_EQ(copy.revision(), p.revision());
   std::ostringstream a, b;
   autotune::write_profile_section(a, p);
@@ -326,13 +325,20 @@ TEST(ExecutionProfiler, NetProfileLineRoundTrip) {
 
 // --- TuningTable v3 ----------------------------------------------------------
 
-TEST(TuningTableV3, EmptyProfileKeepsV2Header) {
+TEST(TuningTableV3, EmptyProfileRoundTripsAsV3) {
   const topo::Machine machine = topo::dane(8);
   plan::TuningTable table;
-  table.choose(machine, model::omni_path(), 64);
+  const coll::Choice c64 = table.choose(machine, model::omni_path(), 64);
   std::stringstream ss;
   table.save(ss);
-  EXPECT_EQ(ss.str().rfind("mca2a-tuning-table v2", 0), 0u);
+  EXPECT_EQ(ss.str().rfind("mca2a-tuning-table v3\n", 0), 0u);
+  const plan::TuningTable loaded = plan::TuningTable::load(ss);
+  EXPECT_EQ(loaded.size(), 1u);
+  EXPECT_TRUE(loaded.profile().empty());
+  const auto hit = loaded.lookup(machine, 64);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->algo, c64.algo);
+  EXPECT_EQ(hit->group_size, c64.group_size);
 }
 
 TEST(TuningTableV3, ProfileRoundTripsThroughV3) {
@@ -396,17 +402,16 @@ TEST(TuningTableV3, NetProfileRoundTripsThroughTable) {
   EXPECT_EQ(smp_stats->mean, 1e-4);
 }
 
-TEST(TuningTableV3, V2FilesLoadV1FilesAreRejected) {
+TEST(TuningTableV3, PreV3HeadersAreRejected) {
   {
     std::stringstream ss("mca2a-tuning-table v1\ndane 8 112 64 3 112 0.5\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
+    // v2 is a bad header too, although its entry lines read like v3's.
     std::stringstream ss(
         "mca2a-tuning-table v2\ndane 8 112 ag 64 1 112 0.5\n");
-    const plan::TuningTable t = plan::TuningTable::load(ss);
-    EXPECT_EQ(t.size(), 1u);
-    EXPECT_TRUE(t.profile().empty());
+    EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
     // v3 with no profile lines is fine too.
@@ -444,15 +449,13 @@ TEST(TuningTableV3, LenientProfileStreamLoader) {
   autotune::load_profile_stream(ss, out);
   EXPECT_EQ(out.size(), 1u);
 
-  // v2 streams have no profiles: loads empty, does not throw.
+  // Only v3 streams load: v2 and non-table streams are rejected.
   std::stringstream v2("mca2a-tuning-table v2\ndane 2 112 a2a 64 3 112 0.5\n");
   ExecutionProfiler none;
-  autotune::load_profile_stream(v2, none);
-  EXPECT_TRUE(none.empty());
-
-  // Non-table streams are rejected.
+  EXPECT_THROW(autotune::load_profile_stream(v2, none), std::runtime_error);
   std::stringstream junk("not a table\n");
   EXPECT_THROW(autotune::load_profile_stream(junk, none), std::runtime_error);
+  EXPECT_TRUE(none.empty());
 }
 
 // --- candidate pruning -------------------------------------------------------

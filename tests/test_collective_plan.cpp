@@ -6,8 +6,8 @@
 /// times bit-for-bit), execute argument validation, cross-op PlanCache
 /// behavior (coexistence, LRU across kinds, per-op counters), zero
 /// post-warmup allocations (including the Bruck rotation buffers), the
-/// extension tuner, and the op-tagged v2 TuningTable serialization with
-/// backward-compatible v1 loading. The nonblocking layer itself
+/// extension tuner, and the op-tagged TuningTable serialization (v3 only;
+/// older headers are rejected). The nonblocking layer itself
 /// (concurrency, tag streams, Schedule) is covered in test_handles.cpp.
 
 #include <gtest/gtest.h>
@@ -725,37 +725,6 @@ TEST(PlanCache, ServesAllOpKindsWithPerOpCounters) {
   });
 }
 
-TEST(PlanCache, DescriptorAndLegacyRoutesShareOneEntry) {
-  // The alltoall algorithm can be named in the descriptor or via the legacy
-  // PlanOptions knob; both routes must resolve to the same cache entry, or
-  // construction-exactly-once silently breaks when callers migrate.
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache;
-    const model::NetParams net = model::test_params();
-    plan::PlanOptions legacy;
-    legacy.algo = coll::Algo::kBruckDirect;
-    auto via_opts = cache.get_or_create(world, machine, net, 64, legacy);
-    coll::AlltoallDesc d;
-    d.block = 64;
-    d.algo = coll::Algo::kBruckDirect;
-    auto via_desc =
-        cache.get_or_create(world, machine, net, coll::OpDesc(d), {});
-    EXPECT_EQ(via_opts.get(), via_desc.get());
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().constructions, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_TRUE(cache.contains(world, coll::OpDesc(d)));
-    EXPECT_TRUE(cache.contains(world, 64, legacy));
-    // A descriptor algorithm beats the knob in make_plan, so it must also
-    // beat it in the key: desc + redundant knob is still the same entry.
-    cache.get_or_create(world, machine, net, coll::OpDesc(d), legacy);
-    EXPECT_EQ(cache.stats().constructions, 1u);
-    EXPECT_EQ(cache.stats().hits, 2u);
-    co_return;
-  });
-}
-
 TEST(PlanCache, LruEvictsAcrossOpKinds) {
   const topo::Machine machine = topo::generic(1, 2);
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
@@ -971,19 +940,19 @@ TEST(TuningTable, LoadRejectsBadOpTagsAndPerOpRanges) {
   {
     // Unknown op tag.
     std::stringstream ss(
-        "mca2a-tuning-table v2\ndane 8 112 bcast 64 0 1 0.5\n");
+        "mca2a-tuning-table v3\ndane 8 112 bcast 64 0 1 0.5\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
     // Algorithm index valid for alltoall but out of range for allgather.
     std::stringstream ss(
-        "mca2a-tuning-table v2\ndane 8 112 ag 64 7 1 0.5\n");
+        "mca2a-tuning-table v3\ndane 8 112 ag 64 7 1 0.5\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
     // Algorithm index out of range for alltoall.
     std::stringstream ss(
-        "mca2a-tuning-table v2\ndane 8 112 a2a 64 99 4 0.5\n");
+        "mca2a-tuning-table v3\ndane 8 112 a2a 64 99 4 0.5\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
 }

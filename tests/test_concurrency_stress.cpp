@@ -2,8 +2,8 @@
 /// fast path: the lock-free SPSC ring mailboxes (against an in-test
 /// matching oracle), the ring/overflow send split, wildcard floods,
 /// ring-full overflow, concurrent collectives on overlapping
-/// sub-communicators, and cross-thread hammering of the sharded plan cache
-/// and profiler.
+/// sub-communicators, per-rank plan caches thrashing beside the shared
+/// cache metrics, and cross-thread hammering of one shared profiler.
 ///
 /// The MailboxOrder oracle works because the mailbox drain order is
 /// deterministic once sends are quiesced (mailbox.cpp): overflow is folded
@@ -31,8 +31,8 @@
 #include "autotune/profiler.hpp"
 #include "core/alltoall.hpp"
 #include "obs/metrics.hpp"
+#include "plan/cache.hpp"
 #include "plan/plan.hpp"
-#include "plan/sharded_cache.hpp"
 #include "runtime/collectives.hpp"
 #include "smp/mailbox.hpp"
 #include "smp/smp_runtime.hpp"
@@ -367,56 +367,71 @@ TEST(ConcurrencyStress, OverlappingSubcommCollectives) {
   });
 }
 
-// --- sharded hot-path state under cross-thread hammering --------------------
+// --- tuning state under cross-thread hammering ------------------------------
 
-TEST(ConcurrencyStress, SharedShardedCacheHammer) {
-  // Eight rank threads share one ShardedPlanCache sized to thrash: five
-  // rotating plan keys per thread against four-entry shards forces
-  // evictions under concurrent insert, while the block-16 plan executes a
-  // verified exchange every round.
+TEST(ConcurrencyStress, PerRankCacheHammer) {
+  // Eight rank threads, each owning a four-entry PlanCache: block 16 is
+  // re-fetched after every other key so it stays resident (hits), while
+  // the other four keys thrash the three remaining slots (misses and
+  // evictions), and the block-16 plan executes a verified exchange every
+  // round. Every cache bumps the same plan.cache.a2a.* registry counters;
+  // their deltas must equal the per-cache stats() summed.
   constexpr int kRanks = 8;
   constexpr int kRounds = 6;
   const topo::Machine machine = topo::generic(1, kRanks);
   const std::vector<std::size_t> blocks{4, 8, 16, 32, 64};
-  plan::ShardedPlanCache cache(16, 4);
-  ASSERT_EQ(cache.shard_count(), 4u);
-  std::atomic<std::uint64_t> gets{0};
+  const auto pairwise = [](std::size_t block) {
+    return coll::AlltoallDesc{.block = block,
+                              .algo = coll::Algo::kPairwiseDirect};
+  };
+  obs::Counter& reg_hits = obs::metrics().counter("plan.cache.a2a.hits");
+  obs::Counter& reg_misses = obs::metrics().counter("plan.cache.a2a.misses");
+  obs::Counter& reg_evictions =
+      obs::metrics().counter("plan.cache.a2a.evictions");
+  const std::uint64_t hits0 = reg_hits.value();
+  const std::uint64_t misses0 = reg_misses.value();
+  const std::uint64_t evictions0 = reg_evictions.value();
+  std::vector<plan::PlanCache::Stats> per_rank(kRanks);
   smp::run_threads(kRanks, [&](Comm& world) -> Task<void> {
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kPairwiseDirect;  // plan construction is local
+    plan::PlanCache cache(4);
     const int p = world.size();
     Buffer send = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
     Buffer recv = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
     test::fill_send(send, world.rank(), p, 16);
     for (int round = 0; round < kRounds; ++round) {
       for (const std::size_t block : blocks) {
+        cache.get_or_create(world, machine, model::test_params(),
+                            pairwise(block));
         auto plan = cache.get_or_create(world, machine, model::test_params(),
-                                        block, popts);
-        gets.fetch_add(1, std::memory_order_relaxed);
+                                        pairwise(16));
         if (block == 16) {
           co_await plan->execute(rt::ConstView(send.view()), recv.view());
           EXPECT_TRUE(test::check_recv(recv, world.rank(), p, 16));
         }
       }
     }
-    co_await rt::barrier(world);
-    // Entries key on this endpoint's address; drop them before the
-    // communicator dies (the cache outlives run_threads).
-    cache.erase_comm(world);
+    per_rank[static_cast<std::size_t>(world.rank())] = cache.stats();
   });
-  const plan::PlanCache::Stats st = cache.stats();
-  EXPECT_EQ(st.hits + st.misses, gets.load());
-  EXPECT_EQ(st.constructions, st.misses);
-  EXPECT_GT(st.evictions, 0u);
-  EXPECT_EQ(cache.size(), 0u);
+  plan::PlanCache::Stats sum;
+  for (const plan::PlanCache::Stats& st : per_rank) {
+    EXPECT_EQ(st.hits + st.misses, 2 * kRounds * blocks.size());
+    EXPECT_EQ(st.constructions, st.misses);
+    sum.hits += st.hits;
+    sum.misses += st.misses;
+    sum.evictions += st.evictions;
+  }
+  EXPECT_GT(sum.hits, 0u);
+  EXPECT_GT(sum.evictions, 0u);
+  EXPECT_EQ(reg_hits.value() - hits0, sum.hits);
+  EXPECT_EQ(reg_misses.value() - misses0, sum.misses);
+  EXPECT_EQ(reg_evictions.value() - evictions0, sum.evictions);
 }
 
-TEST(ConcurrencyStress, ProfilerShardMergeBitIdentical) {
-  // Eight writer threads with disjoint keys against a shared 8-shard
-  // profiler, vs a serial profiler fed the identical per-key sequences:
-  // the merged snapshot serialization must match byte for byte (Chan
-  // merging is exact, and the fixed shard fold order plus sticky
-  // thread->shard pinning make it reproducible).
+TEST(ConcurrencyStress, ProfilerConcurrentWritersMatchSerial) {
+  // Eight writer threads with disjoint keys against one shared profiler,
+  // vs a serial profiler fed the identical per-key sequences: the snapshot
+  // serialization must match byte for byte (each key's samples arrive in
+  // the same order either way, whatever the cross-key interleaving).
   constexpr int kThreads = 8;
   constexpr int kSamples = 200;
   const topo::Machine machine = topo::generic(2, 4);
@@ -430,7 +445,7 @@ TEST(ConcurrencyStress, ProfilerShardMergeBitIdentical) {
                          static_cast<unsigned>(i) * 2654435761u;
     return 1e-6 * static_cast<double>(mix % 100000 + 1);
   };
-  autotune::ExecutionProfiler shared(kThreads);
+  autotune::ExecutionProfiler shared;
   {
     std::vector<std::thread> writers;
     writers.reserve(kThreads);
@@ -446,7 +461,7 @@ TEST(ConcurrencyStress, ProfilerShardMergeBitIdentical) {
       w.join();
     }
   }
-  autotune::ExecutionProfiler serial(kThreads);
+  autotune::ExecutionProfiler serial;
   for (int t = 0; t < kThreads; ++t) {
     const autotune::ProfileKey k = key_for(t);
     for (int i = 0; i < kSamples; ++i) {
@@ -466,16 +481,16 @@ TEST(ConcurrencyStress, ProfilerShardMergeBitIdentical) {
 }
 
 TEST(ConcurrencyStress, ProfilerSameKeyMultiWriterExact) {
-  // All threads hammer ONE key: per-key stats then span shards, and the
-  // exact (order-independent) fields must still come out right while the
-  // order-dependent ones stay reproducible across snapshots.
+  // All threads hammer ONE key: the exact (order-independent) fields must
+  // come out right, and the order-dependent ones stay reproducible across
+  // snapshots of the quiesced profiler.
   constexpr int kThreads = 8;
   constexpr int kSamples = 100;
   const topo::Machine machine = topo::generic(2, 4);
   const autotune::ProfileKey key = autotune::make_profile_key(
       machine, coll::OpKind::kAlltoallv, 4096, /*algo=*/0, /*group_size=*/1,
       "test");
-  autotune::ExecutionProfiler prof(kThreads);
+  autotune::ExecutionProfiler prof;
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {

@@ -12,7 +12,6 @@
 #include "core/tuner.hpp"
 #include "plan/cache.hpp"
 #include "plan/plan.hpp"
-#include "plan/sharded_cache.hpp"
 #include "plan/tuning_table.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/comm_bundle.hpp"
@@ -47,10 +46,10 @@ Task<void> plan_and_check(Comm& world, const topo::Machine& machine,
   const int me = world.rank();
   const int p = world.size();
   plan::PlanOptions popts;
-  popts.algo = c.algo;
   popts.group_size = c.group_size;
-  plan::AlltoallPlan plan =
-      plan::make_plan(world, machine, model::test_params(), block, popts);
+  plan::AlltoallPlan plan = plan::make_plan(
+      world, machine, model::test_params(),
+      coll::AlltoallDesc{.block = block, .algo = c.algo}, popts);
   EXPECT_EQ(plan.algo(), c.algo);
   EXPECT_EQ(coll::needs_locality(c.algo), plan.bundle() != nullptr);
 
@@ -151,10 +150,8 @@ TEST(Plan, ConstructsCommunicatorsExactlyOnce) {
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     const int me = world.rank();
     plan::PlanCache cache;
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kNodeAware;
-    auto plan = cache.get_or_create(world, machine, model::test_params(), 16,
-                                    popts);
+    const coll::AlltoallDesc desc{.block = 16, .algo = coll::Algo::kNodeAware};
+    auto plan = cache.get_or_create(world, machine, model::test_params(), desc);
     co_await rt::barrier(world);  // every rank has built its plan
     if (me == 0) {
       after_create = rt::locality_build_count();
@@ -165,8 +162,8 @@ TEST(Plan, ConstructsCommunicatorsExactlyOnce) {
     for (int it = 0; it < 5; ++it) {
       // Re-fetch from the cache each iteration, as a service handling
       // requests would: every fetch after the first must be a hit.
-      auto again = cache.get_or_create(world, machine, model::test_params(),
-                                       16, popts);
+      auto again =
+          cache.get_or_create(world, machine, model::test_params(), desc);
       EXPECT_EQ(again.get(), plan.get());
       co_await again->execute(rt::ConstView(send.view()), recv.view());
       EXPECT_TRUE(test::check_recv(recv, me, p, 16));
@@ -188,10 +185,11 @@ TEST(Plan, ZeroConstructionOnRepeatedExecuteThreads) {
   test::run_smp(p, [&](Comm& world) -> Task<void> {
     const int me = world.rank();
     plan::PlanOptions popts;
-    popts.algo = coll::Algo::kMultileaderNodeAware;
     popts.group_size = 2;
+    const coll::AlltoallDesc desc{.block = 8,
+                                  .algo = coll::Algo::kMultileaderNodeAware};
     plan::AlltoallPlan plan =
-        plan::make_plan(world, machine, model::test_params(), 8, popts);
+        plan::make_plan(world, machine, model::test_params(), desc, popts);
     rt::Buffer send = world.alloc_buffer(static_cast<std::size_t>(p) * 8);
     rt::Buffer recv = world.alloc_buffer(static_cast<std::size_t>(p) * 8);
     test::fill_send(send, me, p, 8);
@@ -215,10 +213,10 @@ TEST(Plan, ScratchArenaRecyclesAfterFirstExecute) {
       const int me = world.rank();
       const int p = world.size();
       plan::PlanOptions popts;
-      popts.algo = algo;
       popts.group_size = 2;
-      plan::AlltoallPlan plan =
-          plan::make_plan(world, machine, model::test_params(), 16, popts);
+      plan::AlltoallPlan plan = plan::make_plan(
+          world, machine, model::test_params(),
+          coll::AlltoallDesc{.block = 16, .algo = algo}, popts);
       rt::Buffer send = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
       rt::Buffer recv = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
       test::fill_send(send, me, p, 16);
@@ -250,31 +248,35 @@ TEST(Plan, ScratchArenaRecyclesAfterFirstExecute) {
 // Cache policy
 // ---------------------------------------------------------------------------
 
+/// Pairwise alltoall: a plan that builds no locality communicators.
+coll::OpDesc pairwise(std::size_t block) {
+  return coll::AlltoallDesc{.block = block,
+                            .algo = coll::Algo::kPairwiseDirect};
+}
+
 TEST(PlanCache, LruEvictsOldestKey) {
   const topo::Machine machine = topo::generic(1, 2);
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     plan::PlanCache cache(2);
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kPairwiseDirect;
     const model::NetParams net = model::test_params();
 
-    cache.get_or_create(world, machine, net, 4, popts);
-    auto p8 = cache.get_or_create(world, machine, net, 8, popts);
+    cache.get_or_create(world, machine, net, pairwise(4));
+    auto p8 = cache.get_or_create(world, machine, net, pairwise(8));
     EXPECT_EQ(cache.size(), 2u);
 
     // Touch block=4 so block=8 becomes least recently used...
-    cache.get_or_create(world, machine, net, 4, popts);
+    cache.get_or_create(world, machine, net, pairwise(4));
     // ...then overflow: block=8 must be the one evicted.
-    cache.get_or_create(world, machine, net, 16, popts);
+    cache.get_or_create(world, machine, net, pairwise(16));
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(cache.contains(world, 4, popts));
-    EXPECT_FALSE(cache.contains(world, 8, popts));
-    EXPECT_TRUE(cache.contains(world, 16, popts));
+    EXPECT_TRUE(cache.contains(world, pairwise(4)));
+    EXPECT_FALSE(cache.contains(world, pairwise(8)));
+    EXPECT_TRUE(cache.contains(world, pairwise(16)));
 
     // An evicted key reconstructs; shared_ptrs handed out earlier survive.
     EXPECT_EQ(p8->block(), 8u);
-    cache.get_or_create(world, machine, net, 8, popts);
+    cache.get_or_create(world, machine, net, pairwise(8));
     EXPECT_EQ(cache.stats().constructions, 4u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().evictions, 2u);
@@ -285,31 +287,50 @@ TEST(PlanCache, LruEvictsOldestKey) {
 TEST(PlanCache, DistinguishesTuningOptions) {
   // Every PlanOptions field that changes execution must split the key —
   // notably batch_window and system_small_threshold, which are invisible
-  // in the (algo, block, group) triple.
-  const topo::Machine machine = topo::generic(1, 2);
+  // in the (algo, block, group) triple, and the group size and inner
+  // exchange of a locality alltoallv.
+  const topo::Machine machine = topo::generic(2, 4);
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     plan::PlanCache cache;
     const model::NetParams net = model::test_params();
+    const auto a2a = [](coll::Algo algo) {
+      return coll::AlltoallDesc{.block = 4, .algo = algo};
+    };
     plan::PlanOptions a;
-    a.algo = coll::Algo::kBatchedDirect;
     a.batch_window = 16;
     plan::PlanOptions b = a;
     b.batch_window = 64;
-    cache.get_or_create(world, machine, net, 4, a);
-    cache.get_or_create(world, machine, net, 4, b);
+    cache.get_or_create(world, machine, net, a2a(coll::Algo::kBatchedDirect),
+                        a);
+    cache.get_or_create(world, machine, net, a2a(coll::Algo::kBatchedDirect),
+                        b);
     plan::PlanOptions c;
-    c.algo = coll::Algo::kSystemMpi;
     plan::PlanOptions d = c;
     d.system_small_threshold = 64;
-    cache.get_or_create(world, machine, net, 4, c);
-    cache.get_or_create(world, machine, net, 4, d);
+    cache.get_or_create(world, machine, net, a2a(coll::Algo::kSystemMpi), c);
+    cache.get_or_create(world, machine, net, a2a(coll::Algo::kSystemMpi), d);
     plan::PlanOptions e;
-    e.algo = coll::Algo::kNodeAware;
     plan::PlanOptions f = e;
     f.inner = coll::Inner::kBruck;
-    cache.get_or_create(world, machine, net, 4, e);
-    cache.get_or_create(world, machine, net, 4, f);
-    EXPECT_EQ(cache.stats().constructions, 6u);
+    cache.get_or_create(world, machine, net, a2a(coll::Algo::kNodeAware), e);
+    cache.get_or_create(world, machine, net, a2a(coll::Algo::kNodeAware), f);
+
+    coll::AlltoallvDesc v;
+    v.send_counts.assign(static_cast<std::size_t>(world.size()), 4);
+    v.recv_counts = v.send_counts;
+    v.algo = coll::AlltoallvAlgo::kHierarchical;
+    plan::PlanOptions g;
+    g.group_size = 2;
+    plan::PlanOptions h = g;
+    h.group_size = 4;
+    plan::PlanOptions i = g;
+    i.inner = coll::Inner::kNonblocking;
+    auto pg = cache.get_or_create(world, machine, net, v, g);
+    auto ph = cache.get_or_create(world, machine, net, v, h);
+    cache.get_or_create(world, machine, net, v, i);
+    EXPECT_EQ(pg->group_size(), 2);
+    EXPECT_EQ(ph->group_size(), 4);
+    EXPECT_EQ(cache.stats().constructions, 9u);
     EXPECT_EQ(cache.stats().hits, 0u);
     co_return;
   });
@@ -319,23 +340,21 @@ TEST(PlanCache, EraseCommDropsOnlyThatCommunicator) {
   const topo::Machine machine = topo::generic(1, 2);
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     plan::PlanCache cache;
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kPairwiseDirect;
     const model::NetParams net = model::test_params();
-    cache.get_or_create(world, machine, net, 4, popts);
-    cache.get_or_create(world, machine, net, 8, popts);
+    cache.get_or_create(world, machine, net, pairwise(4));
+    cache.get_or_create(world, machine, net, pairwise(8));
     std::vector<int> members{0, 1};
     std::unique_ptr<Comm> sub = world.create_subcomm(members);
-    cache.get_or_create(*sub, machine, net, 4, popts);
+    cache.get_or_create(*sub, machine, net, pairwise(4));
     EXPECT_EQ(cache.size(), 3u);
 
     // Before destroying `sub`, its entries must be purged so a later Comm
     // reusing the address can't alias them.
     EXPECT_EQ(cache.erase_comm(*sub), 1u);
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_TRUE(cache.contains(world, 4, popts));
-    EXPECT_TRUE(cache.contains(world, 8, popts));
-    EXPECT_FALSE(cache.contains(*sub, 4, popts));
+    EXPECT_TRUE(cache.contains(world, pairwise(4)));
+    EXPECT_TRUE(cache.contains(world, pairwise(8)));
+    EXPECT_FALSE(cache.contains(*sub, pairwise(4)));
     co_return;
   });
 }
@@ -344,84 +363,15 @@ TEST(PlanCache, DistinguishesCommunicators) {
   const topo::Machine machine = topo::generic(1, 2);
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     plan::PlanCache cache;
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kPairwiseDirect;
     const model::NetParams net = model::test_params();
-    cache.get_or_create(world, machine, net, 4, popts);
+    cache.get_or_create(world, machine, net, pairwise(4));
     // Same shape, different communicator identity: a subcomm spanning the
     // same ranks must get its own plan.
     std::vector<int> members{0, 1};
     std::unique_ptr<Comm> sub = world.create_subcomm(members);
-    cache.get_or_create(*sub, machine, net, 4, popts);
+    cache.get_or_create(*sub, machine, net, pairwise(4));
     EXPECT_EQ(cache.stats().constructions, 2u);
     EXPECT_EQ(cache.size(), 2u);
-    co_return;
-  });
-}
-
-TEST(ShardedPlanCache, SingleThreadReplayMatchesPlainCache) {
-  // One thread sticks to one shard, so a deterministic replay through a
-  // ShardedPlanCache must count exactly what a plain PlanCache of that
-  // shard's capacity counts — hits, misses, constructions, evictions and
-  // the per-op slices. This is the pre-shard/post-shard accounting pin.
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::ShardedPlanCache sharded(3, 1);
-    plan::PlanCache plain(3);
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kPairwiseDirect;
-    const model::NetParams net = model::test_params();
-    // A replay with re-references (hits), rotation past capacity
-    // (evictions) and re-faults of evicted keys.
-    const std::size_t script[] = {4, 8, 4, 16, 32, 8, 4, 64, 32, 4, 8};
-    for (const std::size_t block : script) {
-      sharded.get_or_create(world, machine, net, block, popts);
-      plain.get_or_create(world, machine, net, block, popts);
-    }
-    const plan::PlanCache::Stats a = sharded.stats();
-    const plan::PlanCache::Stats b = plain.stats();
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.constructions, b.constructions);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_GT(a.evictions, 0u);
-    for (std::size_t op = 0; op < coll::kNumOpKinds; ++op) {
-      EXPECT_EQ(a.per_op[op].hits, b.per_op[op].hits) << "op " << op;
-      EXPECT_EQ(a.per_op[op].misses, b.per_op[op].misses) << "op " << op;
-    }
-    EXPECT_EQ(sharded.size(), plain.size());
-    co_return;
-  });
-}
-
-TEST(ShardedPlanCache, CapacitySplitAndEviction) {
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::ShardedPlanCache cache(8, 4);
-    EXPECT_EQ(cache.shard_count(), 4u);
-    EXPECT_EQ(cache.capacity(), 8u);  // 4 shards x 2 plans
-    // The at-least-one-plan floor: capacity 2 over 8 shards rounds up.
-    plan::ShardedPlanCache floored(2, 8);
-    EXPECT_EQ(floored.shard_count(), 8u);
-    EXPECT_EQ(floored.capacity(), 8u);
-
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kPairwiseDirect;
-    const model::NetParams net = model::test_params();
-    // This thread's shard holds 2 plans; three rotating keys must evict,
-    // and the evicted plan's shared_ptr stays valid.
-    auto p4 = cache.get_or_create(world, machine, net, 4, popts);
-    cache.get_or_create(world, machine, net, 8, popts);
-    cache.get_or_create(world, machine, net, 16, popts);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(p4->block(), 4u);
-
-    EXPECT_EQ(cache.erase_comm(world), 2u);
-    EXPECT_EQ(cache.size(), 0u);
-    // Counters survive both erase_comm and clear.
-    cache.clear();
-    EXPECT_EQ(cache.stats().constructions, 3u);
     co_return;
   });
 }
@@ -470,10 +420,8 @@ TEST(Plan, RejectsMismatchedWorldAndBadBuffers) {
     co_return;
   });
   test::run_smp(1, [&](Comm& world) -> Task<void> {
-    plan::PlanOptions popts;
-    popts.algo = coll::Algo::kPairwiseDirect;
     plan::AlltoallPlan plan = plan::make_plan(
-        world, topo::generic(1, 1), model::test_params(), 8, popts);
+        world, topo::generic(1, 1), model::test_params(), pairwise(8));
     rt::Buffer ok = rt::Buffer::real(8);
     rt::Buffer bad = rt::Buffer::real(4);
     EXPECT_THROW(
@@ -551,13 +499,13 @@ TEST(TuningTable, LoadRejectsGarbage) {
   }
   {
     std::stringstream ss(
-        "mca2a-tuning-table v2\ndane 8 112 a2a not-a-number\n");
+        "mca2a-tuning-table v3\ndane 8 112 a2a not-a-number\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
   {
     // Algorithm index out of range.
     std::stringstream ss(
-        "mca2a-tuning-table v2\ndane 8 112 a2a 64 99 4 0.5\n");
+        "mca2a-tuning-table v3\ndane 8 112 a2a 64 99 4 0.5\n");
     EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
   }
 }
