@@ -383,15 +383,18 @@ Endpoint::CommState& Endpoint::comm_state(std::uint64_t key) {
   return comms_[key];
 }
 
-std::uint64_t Endpoint::intern_comm(std::span<const int> members) {
-  std::vector<int> key(members.begin(), members.end());
-  const std::uint32_t occurrence = comm_uses_[key]++;
+rt::SubcommRegistry::Creation Endpoint::create_comm(
+    std::span<const int> parent, std::span<const int> members, int caller,
+    std::uint64_t* key) {
+  const rt::SubcommRegistry::Creation c =
+      subcomms_.create(parent, members, caller);
   std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv1a(h, static_cast<std::uint64_t>(key.size()));
-  for (int m : key) {
+  h = fnv1a(h, static_cast<std::uint64_t>(c.world_ranks.size()));
+  for (int m : c.world_ranks) {
     h = fnv1a(h, static_cast<std::uint64_t>(m));
   }
-  return fnv1a(h, occurrence);
+  *key = fnv1a(h, c.occurrence);
+  return c;
 }
 
 // --- posting -----------------------------------------------------------------

@@ -79,6 +79,7 @@
 #include "obs/clock_sync.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/subcomm_registry.hpp"
 
 namespace mca2a::obs {
 class Counter;
@@ -120,12 +121,16 @@ class Endpoint {
   /// release them. Throws std::runtime_error on truncation or peer loss.
   void wait(std::span<const rt::Request> reqs);
 
-  /// Deterministic communicator key for `members` (world ranks, comm
-  /// order): the k-th key drawn for a given member list is identical on
-  /// every member process as long as they create communicators in the
-  /// same order — the collective contract, same rule as the smp backend's
-  /// registry.
-  std::uint64_t intern_comm(std::span<const int> members);
+  /// This process's next communicator over `members`, ranks of `parent`
+  /// (world rank of each parent rank) where the caller is rank `caller`,
+  /// validated and counted by rt::SubcommRegistry. `*key` receives its
+  /// wire key: an FNV hash of the world-rank list plus the occurrence, so
+  /// the k-th key drawn for a list is identical on every member process as
+  /// long as they create communicators in the same order — the collective
+  /// contract.
+  rt::SubcommRegistry::Creation create_comm(std::span<const int> parent,
+                                            std::span<const int> members,
+                                            int caller, std::uint64_t* key);
 
   /// Orderly shutdown: exchange kBye on every rail, drain, close all fds.
   /// Idempotent; swallows peer-loss errors (the destructor calls it).
@@ -306,7 +311,7 @@ class Endpoint {
   std::deque<Op> ops_;
   std::vector<std::uint32_t> free_ops_;
   std::unordered_map<std::uint64_t, CommState> comms_;
-  std::map<std::vector<int>, std::uint32_t> comm_uses_;
+  rt::SubcommRegistry subcomms_;
   std::unordered_map<std::uint64_t, RndvRecv> rndv_recvs_;
   std::uint64_t next_rndv_token_ = 1;
   bool shut_down_ = false;

@@ -20,8 +20,11 @@ std::unique_ptr<NetComm> NetComm::connect_world(NetOptions opts) {
   auto ep = std::make_shared<Endpoint>(std::move(opts));
   std::vector<int> members(static_cast<std::size_t>(ep->world_size()));
   std::iota(members.begin(), members.end(), 0);
-  const std::uint64_t key = ep->intern_comm(members);
-  const int rank = ep->world_rank();
+  // The world is this process's first creation over every rank, so a
+  // later subcomm over the same list draws a fresh key.
+  std::uint64_t key = 0;
+  const int rank =
+      ep->create_comm(members, members, ep->world_rank(), &key).rank;
   auto comm = std::unique_ptr<NetComm>(
       new NetComm(std::move(ep), key, std::move(members), rank));
   comm->is_world_ = true;
@@ -114,26 +117,12 @@ obs::TraceBuffer* NetComm::tracer() const noexcept { return ep_->tracer(); }
 
 std::unique_ptr<rt::Comm> NetComm::create_subcomm(
     std::span<const int> members) {
-  std::vector<int> world;
-  world.reserve(members.size());
-  int my_rank = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const int m = members[i];
-    if (m < 0 || m >= size_) {
-      throw std::invalid_argument("net: subcomm member out of range");
-    }
-    if (m == rank_) {
-      my_rank = static_cast<int>(i);
-    }
-    world.push_back(members_[static_cast<std::size_t>(m)]);
-  }
-  if (my_rank < 0) {
-    throw std::invalid_argument(
-        "net: create_subcomm members must include the calling rank");
-  }
-  const std::uint64_t key = ep_->intern_comm(world);
-  return std::unique_ptr<rt::Comm>(
-      new NetComm(ep_, key, std::move(world), my_rank));
+  std::uint64_t key = 0;
+  const rt::SubcommRegistry::Creation c =
+      ep_->create_comm(members_, members, rank_, &key);
+  return std::unique_ptr<rt::Comm>(new NetComm(
+      ep_, key, std::vector<int>(c.world_ranks.begin(), c.world_ranks.end()),
+      c.rank));
 }
 
 }  // namespace mca2a::net

@@ -152,6 +152,16 @@ class Comm {
   /// list need not be sorted: the new communicator's rank numbering follows
   /// the order of `members` (member i becomes rank i). Every listed member
   /// must make an identical call; ranks not listed must not call.
+  ///
+  /// No communication: a rank's k-th creation over a given list of world
+  /// ranks joins the k-th communicator over that list, so members must
+  /// create communicators in the same order (rt::SubcommRegistry). Every
+  /// backend checks the list in this order and throws:
+  ///  * std::invalid_argument for an empty list;
+  ///  * std::out_of_range for a member outside [0, size());
+  ///  * std::invalid_argument for a duplicate member;
+  ///  * std::invalid_argument when rank() is not listed.
+  /// A call that throws creates nothing and counts no creation.
   virtual std::unique_ptr<Comm> create_subcomm(std::span<const int> members) = 0;
 
   /// This rank's flight-recorder stream (obs/trace.hpp), or nullptr when

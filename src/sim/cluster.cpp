@@ -664,59 +664,20 @@ void Cluster::on_data_arrival(std::uint32_t msg_id) {
 // Sub-communicators, misc
 // --------------------------------------------------------------------------
 
-std::uint32_t Cluster::subcomm_impl(std::uint32_t parent_id,
-                                    int my_rank_in_parent,
-                                    std::span<const int> members,
-                                    int* my_new_rank) {
-  CommEntry& parent = comms_[parent_id];
-  const int parent_size = static_cast<int>(parent.world_ranks.size());
-  if (members.empty()) {
-    throw std::invalid_argument("create_subcomm: empty member list");
-  }
-  std::vector<int> world;
-  world.reserve(members.size());
-  int my_idx = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const int m = members[i];
-    if (m < 0 || m >= parent_size) {
-      throw std::out_of_range("create_subcomm: member rank out of range");
-    }
-    if (m == my_rank_in_parent) {
-      if (my_idx != -1) {
-        throw std::invalid_argument("create_subcomm: duplicate member");
-      }
-      my_idx = static_cast<int>(i);
-    }
-    world.push_back(parent.world_ranks[m]);
-  }
-  if (my_idx == -1) {
-    throw std::invalid_argument(
-        "create_subcomm: calling rank not in member list");
-  }
-  {
-    std::vector<int> sorted = world;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-      throw std::invalid_argument("create_subcomm: duplicate member");
-    }
-  }
-
-  // Fresh context per creation: my k-th creation with this member list maps
-  // to the k-th global communicator for the list.
-  const int me_world = parent.world_ranks[my_rank_in_parent];
-  const std::uint32_t occurrence = ranks_[me_world].subcomm_uses[world]++;
-  auto [it, inserted] = comm_registry_.try_emplace(
-      std::make_pair(world, occurrence),
-      static_cast<std::uint32_t>(comms_.size()));
-  if (inserted) {
+rt::SubcommRegistry::Creation Cluster::subcomm_impl(
+    std::uint32_t parent_id, int my_rank_in_parent,
+    std::span<const int> members) {
+  const rt::SubcommRegistry::Creation c = subcomms_.create(
+      comms_[parent_id].world_ranks, members, my_rank_in_parent);
+  if (c.fresh) {
+    assert(c.comm == comms_.size());
     CommEntry entry;
-    entry.world_ranks = world;
-    entry.endpoints.resize(world.size());
-    entry.cost_scale = parent.cost_scale;
+    entry.world_ranks.assign(c.world_ranks.begin(), c.world_ranks.end());
+    entry.endpoints.resize(c.world_ranks.size());
+    entry.cost_scale = comms_[parent_id].cost_scale;
     comms_.push_back(std::move(entry));
   }
-  *my_new_rank = my_idx;
-  return it->second;
+  return c;
 }
 
 double add_repeated(double clock, double each, std::size_t times) noexcept {

@@ -12,7 +12,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <random>
 #include <span>
@@ -25,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/subcomm_registry.hpp"
 #include "runtime/task.hpp"
 #include "sim/engine.hpp"
 #include "sim/source_index.hpp"
@@ -171,10 +171,6 @@ class Cluster {
     /// messages; serializes receive-side per-message CPU costs so that a
     /// funnel rank (e.g. a gather root) pays for every byte it touches.
     double cpu_free = 0.0;
-    /// How many times this rank has created a subcomm with a given world-rank
-    /// member list; the k-th creation joins the k-th global communicator for
-    /// that list (fresh context per creation, like MPI, with no handshake).
-    std::map<std::vector<int>, std::uint32_t> subcomm_uses;
   };
 
   // --- SimComm entry points -------------------------------------------------
@@ -185,8 +181,9 @@ class Cluster {
   bool wait_try_impl(int world_rank, std::span<const rt::Request> reqs);
   void wait_suspend_impl(int world_rank, std::span<const rt::Request> reqs,
                          std::coroutine_handle<> h);
-  std::uint32_t subcomm_impl(std::uint32_t parent_id, int my_rank_in_parent,
-                             std::span<const int> members, int* my_new_rank);
+  rt::SubcommRegistry::Creation subcomm_impl(std::uint32_t parent_id,
+                                             int my_rank_in_parent,
+                                             std::span<const int> members);
   void charge_copies_impl(int world_rank, std::size_t bytes,
                           std::size_t times);
   void set_cost_scale_impl(std::uint32_t comm_id, double scale);
@@ -234,10 +231,8 @@ class Cluster {
   std::vector<double> nic_out_;   // per node
   std::vector<double> mem_chan_;  // per global NUMA domain
 
-  std::vector<CommEntry> comms_;
-  /// (member list, occurrence) -> communicator id.
-  std::map<std::pair<std::vector<int>, std::uint32_t>, std::uint32_t>
-      comm_registry_;
+  std::vector<CommEntry> comms_;  ///< by communicator id; 0 is the world
+  rt::SubcommRegistry subcomms_;
 
   std::vector<OpRec> ops_;
   std::uint32_t free_op_ = kNil;

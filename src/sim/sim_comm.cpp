@@ -12,10 +12,9 @@ int SimComm::world_rank() const {
 
 std::unique_ptr<rt::Comm> SimComm::create_subcomm(
     std::span<const int> members) {
-  int my_new_rank = -1;
-  const std::uint32_t id =
-      cluster_->subcomm_impl(comm_id_, rank_, members, &my_new_rank);
-  return std::make_unique<SimComm>(*cluster_, id, my_new_rank,
+  const rt::SubcommRegistry::Creation c =
+      cluster_->subcomm_impl(comm_id_, rank_, members);
+  return std::make_unique<SimComm>(*cluster_, c.comm, c.rank,
                                    static_cast<int>(members.size()));
 }
 

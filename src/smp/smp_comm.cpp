@@ -14,7 +14,6 @@ SmpCluster::SmpCluster(int world_size, const MailboxConfig& cfg)
   if (world_size < 1) {
     throw std::invalid_argument("SmpCluster: world size must be >= 1");
   }
-  subcomm_uses_.resize(world_size);
   CommEntry& world_entry = comms_.emplace_back();
   world_entry.world_ranks.resize(world_size);
   for (int r = 0; r < world_size; ++r) {
@@ -77,29 +76,23 @@ SmpCluster::~SmpCluster() {
 
 rt::Comm& SmpCluster::world(int rank) { return *world_comms_.at(rank); }
 
-std::uint32_t SmpCluster::intern_comm(std::vector<int> world_ranks,
-                                      int caller_world_rank) {
-  // Occurrence counter is private to the calling rank's thread.
-  const std::uint32_t occurrence =
-      subcomm_uses_[caller_world_rank][world_ranks]++;
+std::pair<std::uint32_t, int> SmpCluster::create_comm(
+    const CommEntry& parent, int caller, std::span<const int> members) {
   std::lock_guard<std::mutex> lock(registry_mu_);
-  auto key = std::make_pair(std::move(world_ranks), occurrence);
-  auto it = registry_.find(key);
-  if (it != registry_.end()) {
-    return it->second;
+  const rt::SubcommRegistry::Creation c =
+      subcomms_.create(parent.world_ranks, members, caller);
+  if (c.fresh) {
+    CommEntry& entry = comms_.emplace_back();
+    entry.world_ranks.assign(c.world_ranks.begin(), c.world_ranks.end());
+    const int comm_size = static_cast<int>(entry.world_ranks.size());
+    for (int r = 0; r < comm_size; ++r) {
+      entry.mailboxes.emplace_back(comm_size, mailbox_cfg_);
+    }
+    // Stitching contexts land before the id is published (we still hold
+    // registry_mu_): no rank can send through an uninstrumented mailbox.
+    install_trace(entry, c.comm);
   }
-  const auto id = static_cast<std::uint32_t>(comms_.size());
-  CommEntry& entry = comms_.emplace_back();
-  entry.world_ranks = key.first;
-  const int comm_size = static_cast<int>(key.first.size());
-  for (int r = 0; r < comm_size; ++r) {
-    entry.mailboxes.emplace_back(comm_size, mailbox_cfg_);
-  }
-  // Stitching contexts land before the id is published (we still hold
-  // registry_mu_): no rank can send through an uninstrumented mailbox.
-  install_trace(entry, id);
-  registry_.emplace(std::move(key), id);
-  return id;
+  return {c.comm, c.rank};
 }
 
 SmpComm::SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank,
@@ -239,33 +232,8 @@ double SmpComm::now() const {
 
 std::unique_ptr<rt::Comm> SmpComm::create_subcomm(
     std::span<const int> members) {
-  if (members.empty()) {
-    throw std::invalid_argument("create_subcomm: empty member list");
-  }
-  const std::vector<int>& parent = entry_->world_ranks;
-  std::vector<int> world;
-  world.reserve(members.size());
-  int my_idx = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const int m = members[i];
-    if (m < 0 || m >= static_cast<int>(parent.size())) {
-      throw std::out_of_range("create_subcomm: member rank out of range");
-    }
-    if (m == rank_) {
-      if (my_idx != -1) {
-        throw std::invalid_argument("create_subcomm: duplicate member");
-      }
-      my_idx = static_cast<int>(i);
-    }
-    world.push_back(parent[m]);
-  }
-  if (my_idx == -1) {
-    throw std::invalid_argument(
-        "create_subcomm: calling rank not in member list");
-  }
-  const std::uint32_t id =
-      cluster_->intern_comm(std::move(world), parent[rank_]);
-  return std::make_unique<SmpComm>(*cluster_, id, my_idx,
+  const auto [comm_id, rank] = cluster_->create_comm(*entry_, rank_, members);
+  return std::make_unique<SmpComm>(*cluster_, comm_id, rank,
                                    static_cast<int>(members.size()));
 }
 

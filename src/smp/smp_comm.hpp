@@ -18,10 +18,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/subcomm_registry.hpp"
 #include "smp/mailbox.hpp"
 
 namespace mca2a::smp {
@@ -65,23 +68,19 @@ class SmpCluster {
   /// hold registry_mu_ or are the constructor.
   void install_trace(CommEntry& entry, std::uint32_t comm_id);
 
-  /// Find or create the caller's next communicator over `world_ranks`
-  /// (thread-safe). Every creation by a rank counts as a fresh context:
-  /// the caller's k-th creation with a given member list joins the k-th
-  /// global communicator for that list, mirroring MPI's ordered,
-  /// handshake-free communicator construction.
-  std::uint32_t intern_comm(std::vector<int> world_ranks,
-                            int caller_world_rank);
+  /// Id of the caller's next communicator over `members`, ranks of
+  /// `parent` where the caller is rank `caller`, and the caller's rank in
+  /// it (thread-safe; rt::SubcommRegistry holds the k-th-creation rule).
+  /// Creates the communicator's entry on its first creation.
+  std::pair<std::uint32_t, int> create_comm(const CommEntry& parent,
+                                            int caller,
+                                            std::span<const int> members);
 
   int world_size_;
   MailboxConfig mailbox_cfg_;
   std::mutex registry_mu_;
-  std::map<std::pair<std::vector<int>, std::uint32_t>, std::uint32_t>
-      registry_;
-  std::deque<CommEntry> comms_;  // stable addresses
-  /// Per-rank creation counters; each entry is touched only by its owning
-  /// rank's thread.
-  std::vector<std::map<std::vector<int>, std::uint32_t>> subcomm_uses_;
+  rt::SubcommRegistry subcomms_;  // guarded by registry_mu_
+  std::deque<CommEntry> comms_;   // stable addresses
   std::vector<std::unique_ptr<SmpComm>> world_comms_;
   std::chrono::steady_clock::time_point epoch_;
 

@@ -26,13 +26,6 @@ Machine::Machine(MachineDesc desc) : desc_(std::move(desc)) {
   ppn_ = desc_.cores_per_node();
 }
 
-int Machine::world_rank(int node, int local) const {
-  if (node < 0 || node >= desc_.nodes || local < 0 || local >= ppn_) {
-    throw std::out_of_range("Machine::world_rank out of range");
-  }
-  return node * ppn_ + local;
-}
-
 Level Machine::level(int a, int b) const {
   check(a);
   check(b);

@@ -71,7 +71,12 @@ class Machine {
            local_rank(rank) / desc_.cores_per_numa;
   }
   /// World rank of node-local index `local` on node `node`.
-  int world_rank(int node, int local) const;
+  int world_rank(int node, int local) const {
+    if (node < 0 || node >= desc_.nodes || local < 0 || local >= ppn_) {
+      throw std::out_of_range("Machine::world_rank out of range");
+    }
+    return node * ppn_ + local;
+  }
 
   /// Locality level of the pair (a, b).
   Level level(int a, int b) const;

@@ -423,13 +423,6 @@ TEST(TuningTableV3, PreV3HeadersAreRejected) {
   }
 }
 
-TEST(TuningTableV3, ProfileLinesInPreV3TablesAreRejected) {
-  std::stringstream ss(
-      "mca2a-tuning-table v2\nprof dane 2 112 a2a 64 3 112 sim 1 1.0 0.0 "
-      "1.0\n");
-  EXPECT_THROW(plan::TuningTable::load(ss), std::runtime_error);
-}
-
 TEST(TuningTableV3, BadProfileLinesAreRejected) {
   std::stringstream ss(
       "mca2a-tuning-table v3\nprof dane 2 112 a2a 64 99 112 sim 1 1.0 0.0 "

@@ -645,6 +645,80 @@ TEST(NetSubcomm, IsolationAndDeterministicKeys) {
   });
 }
 
+/// One create_subcomm contract on every backend: each bad member list
+/// throws the same exception type on every rank, and the ranks can still
+/// create a communicator afterwards.
+class SubcommContract : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SubcommContract, BadListsThrowAlikeOnEveryRank) {
+  constexpr int kRanks = 3;
+  struct BadList {
+    const char* what;
+    std::vector<int> (*members)(int rank);
+    const char* expect;
+  };
+  static const BadList kBad[] = {
+      {"empty", [](int) { return std::vector<int>{}; }, "invalid_argument"},
+      {"member past the end",
+       [](int) { return std::vector<int>{0, 1, 2, 3}; }, "out_of_range"},
+      {"negative member", [](int) { return std::vector<int>{0, 1, -1, 2}; },
+       "out_of_range"},
+      {"range checked before duplicates",
+       [](int) { return std::vector<int>{0, 1, 1, 2, 5}; }, "out_of_range"},
+      {"duplicate member", [](int) { return std::vector<int>{0, 1, 2, 1}; },
+       "invalid_argument"},
+      {"caller not listed",
+       [](int rank) { return std::vector<int>{(rank + 1) % kRanks}; },
+       "invalid_argument"},
+  };
+  constexpr std::size_t kCases = std::size(kBad);
+  std::vector<std::string> got(kRanks * kCases);
+  const auto body = [&](Comm& c) -> Task<void> {
+    for (std::size_t i = 0; i < kCases; ++i) {
+      std::string& kind = got[static_cast<std::size_t>(c.rank()) * kCases + i];
+      try {
+        (void)c.create_subcomm(kBad[i].members(c.rank()));
+        kind = "none";
+      } catch (const std::out_of_range&) {
+        kind = "out_of_range";
+      } catch (const std::invalid_argument&) {
+        kind = "invalid_argument";
+      } catch (...) {
+        kind = "other";
+      }
+    }
+    // A rejected list counts no creation: the ranks still agree.
+    auto sub = c.create_subcomm(std::vector<int>{2, 1, 0});
+    Buffer out = Buffer::real(sizeof(int));
+    Buffer in = Buffer::real(sizeof(int));
+    out.typed<int>()[0] = c.rank();
+    const int next = (sub->rank() + 1) % kRanks;
+    const int prev = (sub->rank() + kRanks - 1) % kRanks;
+    co_await sub->sendrecv(out.view(), next, 4, in.view(), prev, 4);
+    EXPECT_EQ(in.typed<int>()[0], 2 - prev);
+  };
+  const std::string& backend = GetParam();
+  if (backend == "sim") {
+    test::run_sim_flat(kRanks, body);
+  } else if (backend == "smp") {
+    test::run_smp(kRanks, body);
+  } else {
+    run_net_threads(kRanks, body);
+  }
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t i = 0; i < kCases; ++i) {
+      EXPECT_EQ(got[static_cast<std::size_t>(r) * kCases + i], kBad[i].expect)
+          << kBad[i].what << ", rank " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SubcommContract,
+                         ::testing::Values("sim", "smp", "net"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
+
 TEST(NetTeardown, PeerLossErrorsInsteadOfHanging) {
   run_net_threads(3, [](Comm& c) -> Task<void> {
     auto& nc = static_cast<net::NetComm&>(c);

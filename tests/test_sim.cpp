@@ -728,6 +728,16 @@ TEST(SimSubcomm, NotAMemberThrows) {
                std::invalid_argument);
 }
 
+TEST(SimSubcomm, KthCreationJoinsKthCommunicator) {
+  for (const test::KthCreationCase& kase : test::kth_creation_cases()) {
+    SCOPED_TRACE(kase.name);
+    run_sim_flat(2, [&](Comm& c) -> Task<void> {
+      const test::CommPair p = kase.make(c);
+      co_await test::expect_separate_contexts(c, *p.first, *p.second);
+    });
+  }
+}
+
 TEST(SimStats, CountsMessages) {
   sim::ClusterConfig cfg;
   cfg.machine = topo::generic(1, 4).desc();

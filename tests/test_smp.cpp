@@ -156,23 +156,19 @@ TEST(SmpSubcomm, SplitAndCommunicate) {
 
 TEST(SmpSubcomm, ParentAndChildTrafficDoNotMix) {
   run_smp(2, [](Comm& c) -> Task<void> {
-    std::vector<int> both{0, 1};
-    auto sub = c.create_subcomm(both);
-    Buffer b = Buffer::real(4);
-    const int peer = 1 - c.rank();
-    // Same tag on parent and child communicators.
-    if (c.rank() == 0) {
-      b.typed<int>()[0] = 111;
-      co_await c.send(b.view(), peer, 9);
-      b.typed<int>()[0] = 222;
-      co_await sub->send(b.view(), peer, 9);
-    } else {
-      co_await sub->recv(b.view(), 0, 9);
-      EXPECT_EQ(b.typed<int>()[0], 222);
-      co_await c.recv(b.view(), 0, 9);
-      EXPECT_EQ(b.typed<int>()[0], 111);
-    }
+    auto sub = c.create_subcomm(std::vector<int>{0, 1});
+    co_await test::expect_separate_contexts(c, c, *sub);
   });
+}
+
+TEST(SmpSubcomm, KthCreationJoinsKthCommunicator) {
+  for (const test::KthCreationCase& kase : test::kth_creation_cases()) {
+    SCOPED_TRACE(kase.name);
+    run_smp(2, [&](Comm& c) -> Task<void> {
+      const test::CommPair p = kase.make(c);
+      co_await test::expect_separate_contexts(c, *p.first, *p.second);
+    });
+  }
 }
 
 TEST(SmpStress, ManyRanksAllToAllTraffic) {

@@ -6,6 +6,9 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "model/presets.hpp"
 #include "runtime/buffer.hpp"
@@ -84,6 +87,80 @@ inline double run_sim_flat(
 inline void run_smp(int ranks,
                     const std::function<rt::Task<void>(rt::Comm&)>& body) {
   smp::run_threads(ranks, body);
+}
+
+/// Two communicators over world ranks {0, 1} held by one rank.
+using CommPair =
+    std::pair<std::unique_ptr<rt::Comm>, std::unique_ptr<rt::Comm>>;
+
+/// Ways two ranks come to hold the same two separate communicators under
+/// the k-th-creation rule: a rank's k-th creation over a world-rank list
+/// joins the k-th communicator over that list.
+struct KthCreationCase {
+  const char* name;
+  std::function<CommPair(rt::Comm& world)> make;
+};
+
+inline std::vector<KthCreationCase> kth_creation_cases() {
+  return {
+      {"lists A and B created in opposite orders",
+       [](rt::Comm& world) {
+         const std::vector<int> a{0, 1};
+         const std::vector<int> b{1, 0};
+         CommPair p;
+         if (world.rank() == 0) {
+           p.first = world.create_subcomm(a);
+           p.second = world.create_subcomm(b);
+         } else {
+           p.second = world.create_subcomm(b);
+           p.first = world.create_subcomm(a);
+         }
+         return p;
+       }},
+      {"one list created twice",
+       [](rt::Comm& world) {
+         const std::vector<int> both{0, 1};
+         CommPair p;
+         p.first = world.create_subcomm(both);
+         p.second = world.create_subcomm(both);
+         return p;
+       }},
+      {"a sub-communicator of a sub-communicator",
+       [](rt::Comm& world) {
+         // Rank 0 reaches world list [0, 1] through [1, 0]; rank 1
+         // creates it from the world directly.
+         const std::vector<int> reversed{1, 0};
+         CommPair p;
+         p.first = world.create_subcomm(reversed);
+         p.second = world.rank() == 0
+                        ? p.first->create_subcomm(reversed)
+                        : world.create_subcomm(std::vector<int>{0, 1});
+         return p;
+       }},
+  };
+}
+
+/// Both ranks send one value on `a` and another on `b` with the same tag,
+/// then receive on `b` before `a`: a message that crossed communicators
+/// lands in the wrong receive.
+inline rt::Task<void> expect_separate_contexts(rt::Comm& world, rt::Comm& a,
+                                               rt::Comm& b) {
+  constexpr int kTag = 9;
+  const int me = world.rank();
+  rt::Buffer out = rt::Buffer::real(2 * sizeof(int));
+  out.typed<int>()[0] = 10 * me + 1;
+  out.typed<int>()[1] = 10 * me + 2;
+  const rt::Request on_a =
+      a.isend(out.view(0, sizeof(int)), 1 - a.rank(), kTag);
+  const rt::Request on_b =
+      b.isend(out.view(sizeof(int), sizeof(int)), 1 - b.rank(), kTag);
+  rt::Buffer in = rt::Buffer::real(sizeof(int));
+  co_await b.recv(in.view(), 1 - b.rank(), kTag);
+  EXPECT_EQ(in.typed<int>()[0], 10 * (1 - me) + 2) << "rank " << me << " on b";
+  co_await a.recv(in.view(), 1 - a.rank(), kTag);
+  EXPECT_EQ(in.typed<int>()[0], 10 * (1 - me) + 1) << "rank " << me << " on a";
+  co_await a.wait(on_a);
+  co_await b.wait(on_b);
 }
 
 }  // namespace mca2a::test
