@@ -13,8 +13,10 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -380,7 +382,7 @@ Endpoint::Conn& Endpoint::rail0(int peer) {
 }
 
 Endpoint::CommState& Endpoint::comm_state(std::uint64_t key) {
-  return comms_[key];
+  return comms_.try_emplace(key, match_pool_).first->second;
 }
 
 rt::SubcommRegistry::Creation Endpoint::create_comm(
@@ -480,33 +482,13 @@ rt::Request Endpoint::post_recv(std::uint64_t comm_key,
   op.tag = tag;
 
   CommState& cs = comm_state(comm_key);
-  // Match the earliest eligible unexpected message (arrival order).
-  for (auto it = cs.unexpected.begin(); it != cs.unexpected.end(); ++it) {
-    const bool src_ok = src == rt::kAnySource || src == it->src;
-    const bool tag_ok = tag == rt::kAnyTag || tag == it->tag;
-    if (!src_ok || !tag_ok) {
-      continue;
-    }
-    op.matched = true;
-    if (it->rndv) {
-      const int peer = it->peer_world;
-      const std::uint64_t token = it->sender_token;
-      const std::uint64_t bytes = it->bytes;
-      const std::uint64_t flow = it->flow_id;
-      cs.unexpected.erase(it);
-      start_rndv_recv(slot, peer, token, bytes, flow);
+  if (const std::optional<Unexpected> u = cs.take_unexpected(src, tag)) {
+    if (u->rndv) {
+      start_rndv_recv(slot, u->peer_world, u->sender_token, u->bytes,
+                      u->flow_id);
     } else {
-      op.received = std::min<std::size_t>(it->bytes, buf.len);
-      if (it->bytes > buf.len) {
-        op.error = true;
-        op.error_msg = trunc_msg("unexpected", it->src, it->tag, it->bytes,
-                                 buf.len);
-      }
-      if (op.received > 0) {
-        std::memcpy(buf.ptr, it->payload.data(), op.received);
-      }
-      op.complete = true;
-      cs.unexpected.erase(it);
+      deliver(op, "unexpected", u->src, u->tag,
+              rt::ConstView{u->payload.data(), u->bytes});
     }
     return rt::Request{slot, op.serial};
   }
@@ -523,50 +505,35 @@ rt::Request Endpoint::post_recv(std::uint64_t comm_key,
       return rt::Request{slot, op.serial};
     }
   }
-  cs.posted.push_back(slot);
+  cs.post(src, tag, slot);
   return rt::Request{slot, op.serial};
 }
 
 void Endpoint::deliver_eager_local(std::uint64_t comm_key, int src, int tag,
                                    rt::ConstView payload) {
   CommState& cs = comm_state(comm_key);
-  const std::uint32_t opid = match_posted(cs, src, tag);
-  if (opid != UINT32_MAX) {
-    Op& op = ops_[opid];
-    op.received = std::min<std::size_t>(payload.len, op.rbuf.len);
-    if (payload.len > op.rbuf.len) {
-      op.error = true;
-      op.error_msg = trunc_msg("self", src, tag, payload.len, op.rbuf.len);
-    }
-    if (op.received > 0) {
-      std::memcpy(op.rbuf.ptr, payload.ptr, op.received);
-    }
-    op.complete = true;
+  if (const std::optional<std::uint32_t> opid = cs.take_posted(src, tag)) {
+    deliver(ops_[*opid], "self", src, tag, payload);
     return;
   }
-  Unexpected u;
-  u.src = src;
-  u.tag = tag;
-  u.bytes = payload.len;
+  Unexpected u{.src = src, .tag = tag, .bytes = payload.len};
   if (payload.len > 0) {
     u.payload.assign(payload.ptr, payload.ptr + payload.len);
   }
-  cs.unexpected.push_back(std::move(u));
+  cs.park(src, tag, std::move(u));
 }
 
-std::uint32_t Endpoint::match_posted(CommState& cs, int src, int tag) {
-  for (auto it = cs.posted.begin(); it != cs.posted.end(); ++it) {
-    Op& op = ops_[*it];
-    const bool src_ok = op.src == rt::kAnySource || op.src == src;
-    const bool tag_ok = op.tag == rt::kAnyTag || op.tag == tag;
-    if (src_ok && tag_ok) {
-      const std::uint32_t id = *it;
-      cs.posted.erase(it);
-      ops_[id].matched = true;
-      return id;
-    }
+void Endpoint::deliver(Op& op, const char* site, int src, int tag,
+                       rt::ConstView payload) {
+  op.received = std::min<std::size_t>(payload.len, op.rbuf.len);
+  if (payload.len > op.rbuf.len) {
+    op.error = true;
+    op.error_msg = trunc_msg(site, src, tag, payload.len, op.rbuf.len);
   }
-  return UINT32_MAX;
+  if (op.received > 0) {
+    std::memcpy(op.rbuf.ptr, payload.ptr, op.received);
+  }
+  op.complete = true;
 }
 
 void Endpoint::start_rndv_recv(std::uint32_t recv_op, int peer_world,
@@ -814,6 +781,19 @@ void Endpoint::on_frame(int ci) {
   c.rx_recv_op = UINT32_MAX;
   c.rx_flow_id = 0;
 
+  // A matching frame's source and tag go to the matcher, which keeps
+  // negative values for its wildcards and free slots.
+  if ((h.kind == FrameKind::kEager || h.kind == FrameKind::kRts) &&
+      (h.src < 0 || h.src >= opts_.size || h.tag < 0)) {
+    reject_frame(ci, "net: matching frame from rank " +
+                         std::to_string(c.peer) + " names source " +
+                         std::to_string(h.src) + " and tag " +
+                         std::to_string(h.tag) +
+                         " (a source is a rank below the world size " +
+                         std::to_string(opts_.size) + ", a tag is >= 0)");
+    return;
+  }
+
   switch (h.kind) {
     case FrameKind::kHello: {
       reject_frame(ci, "net: unexpected hello after bootstrap");
@@ -834,22 +814,17 @@ void Endpoint::on_frame(int ci) {
         return;
       }
       CommState& cs = comm_state(h.comm_key);
-      const std::uint32_t opid = match_posted(cs, h.src, h.tag);
+      const std::optional<std::uint32_t> opid = cs.take_posted(h.src, h.tag);
       if (h.bytes == 0) {
-        if (opid != UINT32_MAX) {
-          Op& op = ops_[opid];
-          op.received = 0;
-          op.complete = true;
+        if (opid) {
+          deliver(ops_[*opid], "eager", h.src, h.tag, rt::ConstView{});
         } else {
-          Unexpected u;
-          u.src = h.src;
-          u.tag = h.tag;
-          cs.unexpected.push_back(std::move(u));
+          cs.park(h.src, h.tag, Unexpected{.src = h.src, .tag = h.tag});
         }
         return;
       }
-      if (opid != UINT32_MAX) {
-        Op& op = ops_[opid];
+      if (opid) {
+        Op& op = ops_[*opid];
         op.received = std::min<std::size_t>(h.bytes, op.rbuf.len);
         if (h.bytes > op.rbuf.len) {
           op.error = true;
@@ -857,7 +832,7 @@ void Endpoint::on_frame(int ci) {
               trunc_msg("eager", h.src, h.tag, h.bytes, op.rbuf.len);
         }
         c.rx_dest = rt::MutView{op.rbuf.ptr, op.received};
-        c.rx_recv_op = opid;
+        c.rx_recv_op = *opid;
       } else {
         c.rx_owned.resize(h.bytes);
         c.rx_dest = rt::MutView{c.rx_owned.data(), h.bytes};
@@ -878,19 +853,14 @@ void Endpoint::on_frame(int ci) {
     case FrameKind::kRts: {
       CommState& cs = comm_state(h.comm_key);
       const std::uint64_t flow = next_rx_flow(h.comm_key, c.peer, h.tag);
-      const std::uint32_t opid = match_posted(cs, h.src, h.tag);
-      if (opid != UINT32_MAX) {
-        start_rndv_recv(opid, c.peer, h.token, h.bytes, flow);
+      if (const std::optional<std::uint32_t> opid =
+              cs.take_posted(h.src, h.tag)) {
+        start_rndv_recv(*opid, c.peer, h.token, h.bytes, flow);
       } else {
-        Unexpected u;
-        u.src = h.src;
-        u.tag = h.tag;
-        u.rndv = true;
-        u.bytes = h.bytes;
-        u.peer_world = c.peer;
-        u.sender_token = h.token;
-        u.flow_id = flow;
-        cs.unexpected.push_back(std::move(u));
+        cs.park(h.src, h.tag,
+                Unexpected{.src = h.src, .tag = h.tag, .rndv = true,
+                           .bytes = h.bytes, .peer_world = c.peer,
+                           .sender_token = h.token, .flow_id = flow});
       }
       return;
     }
@@ -995,28 +965,16 @@ void Endpoint::finish_rx(int ci) {
       // streaming into the staging buffer; it must match NOW — parking
       // unmatched would let the pair's next frame overtake this one.
       CommState& cs = comm_state(h.comm_key);
-      const std::uint32_t opid = match_posted(cs, h.src, h.tag);
-      if (opid != UINT32_MAX) {
-        Op& op = ops_[opid];
-        op.received = std::min<std::size_t>(h.bytes, op.rbuf.len);
-        if (h.bytes > op.rbuf.len) {
-          op.error = true;
-          op.error_msg =
-              trunc_msg("late-eager", h.src, h.tag, h.bytes, op.rbuf.len);
-        }
-        if (op.received > 0) {
-          std::memcpy(op.rbuf.ptr, c.rx_owned.data(), op.received);
-        }
-        op.complete = true;
+      if (const std::optional<std::uint32_t> opid =
+              cs.take_posted(h.src, h.tag)) {
+        deliver(ops_[*opid], "late-eager", h.src, h.tag,
+                rt::ConstView{c.rx_owned.data(), h.bytes});
         c.rx_owned.clear();
       } else {
-        Unexpected u;
-        u.src = h.src;
-        u.tag = h.tag;
-        u.bytes = h.bytes;
-        u.payload = std::move(c.rx_owned);
-        c.rx_owned = {};
-        cs.unexpected.push_back(std::move(u));
+        cs.park(h.src, h.tag,
+                Unexpected{.src = h.src, .tag = h.tag,
+                           .payload = std::exchange(c.rx_owned, {}),
+                           .bytes = h.bytes});
       }
     }
   } else if (h.kind == FrameKind::kData) {
@@ -1278,18 +1236,17 @@ void Endpoint::on_peer_finished(int peer_rank) {
   // The peer exited cleanly; any receive still expecting data from it is
   // an application-level mismatch — error it rather than hang.
   for (auto& [key, cs] : comms_) {
-    for (auto it = cs.posted.begin(); it != cs.posted.end();) {
-      Op& op = ops_[*it];
-      if (op.src_world == peer_rank) {
-        op.complete = true;
-        op.error = true;
-        op.error_msg = "net: rank " + std::to_string(peer_rank) +
-                       " finished while a receive from it was pending";
-        it = cs.posted.erase(it);
-      } else {
-        ++it;
+    cs.erase_posted_if([&](std::uint32_t id) {
+      Op& op = ops_[id];
+      if (op.src_world != peer_rank) {
+        return false;
       }
-    }
+      op.complete = true;
+      op.error = true;
+      op.error_msg = "net: rank " + std::to_string(peer_rank) +
+                     " finished while a receive from it was pending";
+      return true;
+    });
   }
   for (auto it = rndv_recvs_.begin(); it != rndv_recvs_.end();) {
     if (it->second.peer_world == peer_rank) {

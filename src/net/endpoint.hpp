@@ -4,8 +4,8 @@
 ///
 /// One Endpoint per rank process: it owns every data socket of the mesh
 /// (rails × peers, built by the bootstrap), one epoll instance driving
-/// them all, and the MPI matching state of every communicator that routes
-/// through it. The engine is single-threaded by design — the rank program
+/// them all, and the MPI matching state (one rt::MatchQueue) of every
+/// communicator that routes through it. The engine is single-threaded by design — the rank program
 /// runs on the process's main thread and *is* the progress thread: every
 /// blocking wait (rt::Comm::wait_try) spins the epoll loop, which flushes
 /// outgoing frames, reads incoming ones and completes operations, exactly
@@ -52,10 +52,12 @@
 /// kBye marks that peer dead; every pending or future operation that
 /// depends on it completes with an error (surfaced as std::runtime_error
 /// from the wait), never a hang. A frame that breaks the protocol's bounds
-/// (an eager frame over eager_max, a data chunk that is not a fresh piece
-/// of the sender's layout — the whole body, or one stripe of
-/// ceil(bytes / rails), each accepted once) fails the endpoint the same
-/// way, so a receive completes only once every byte of it was written.
+/// (a kEager or kRts whose source is not a rank below the world size or
+/// whose tag is negative, an eager frame over eager_max, a data chunk that
+/// is not a fresh piece of the sender's layout — the whole body, or one
+/// stripe of ceil(bytes / rails), each accepted once) fails the endpoint
+/// the same way, so a receive completes only once every byte of it was
+/// written.
 /// Orderly shutdown (Endpoint::shutdown) exchanges kBye over every rail
 /// and drains, so a clean exit leaks neither processes nor file
 /// descriptors.
@@ -79,6 +81,7 @@
 #include "obs/clock_sync.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/match.hpp"
 #include "runtime/subcomm_registry.hpp"
 
 namespace mca2a::obs {
@@ -204,9 +207,7 @@ class Endpoint {
     int src = 0;        ///< in-comm rank or rt::kAnySource
     int src_world = -1; ///< resolved world rank, -1 for any-source
     int tag = 0;
-    bool matched = false;       ///< consumed from the posted queue
     std::size_t received = 0;
-    std::size_t rndv_remaining = 0;
     // Send fields.
     rt::ConstView sbuf{};
     int dst_world = -1;
@@ -221,7 +222,7 @@ class Endpoint {
     int tag = 0;
     bool rndv = false;
     // Eager: copied payload. Rendezvous: size + sender handle.
-    std::vector<std::byte> payload;
+    std::vector<std::byte> payload{};
     std::size_t bytes = 0;
     int peer_world = -1;
     std::uint64_t sender_token = 0;
@@ -229,11 +230,9 @@ class Endpoint {
   };
 
   // Matching state of one communicator key (created on demand — a peer
-  // may send before this process created the matching sub-communicator).
-  struct CommState {
-    std::deque<std::uint32_t> posted;  ///< recv op ids, post order
-    std::deque<Unexpected> unexpected; ///< arrival order
-  };
+  // may send before this process created the matching sub-communicator):
+  // posted receives are op ids.
+  using CommState = rt::MatchQueue<std::uint32_t, Unexpected>;
 
   // A rendezvous receive in flight, keyed by receiver token.
   struct RndvRecv {
@@ -289,8 +288,10 @@ class Endpoint {
 
   // --- matching ------------------------------------------------------------
   CommState& comm_state(std::uint64_t key);
-  /// First posted receive in `cs` matching (src, tag), or UINT32_MAX.
-  std::uint32_t match_posted(CommState& cs, int src, int tag);
+  /// Copy `payload` into receive `op` and complete it; a message longer
+  /// than the buffer is flagged as a truncation at `site` from (src, tag).
+  static void deliver(Op& op, const char* site, int src, int tag,
+                      rt::ConstView payload);
   void deliver_eager_local(std::uint64_t comm_key, int src, int tag,
                            rt::ConstView payload);
   void start_rndv_recv(std::uint32_t recv_op, int peer_world,
@@ -310,6 +311,7 @@ class Endpoint {
   std::vector<Peer> peers_;
   std::deque<Op> ops_;
   std::vector<std::uint32_t> free_ops_;
+  CommState::Pool match_pool_;  ///< nodes of every communicator's queue
   std::unordered_map<std::uint64_t, CommState> comms_;
   rt::SubcommRegistry subcomms_;
   std::unordered_map<std::uint64_t, RndvRecv> rndv_recvs_;

@@ -81,17 +81,11 @@ void NetComm::aggregate_cluster_metrics() {
 
 void NetComm::shutdown() noexcept { ep_->shutdown(); }
 
-rt::Request NetComm::isend(rt::ConstView buf, int dst, int tag) {
-  if (dst < 0 || dst >= size_) {
-    throw std::invalid_argument("net: isend destination out of range");
-  }
+rt::Request NetComm::do_isend(rt::ConstView buf, int dst, int tag) {
   return ep_->post_send(comm_key_, members_, rank_, dst, tag, buf);
 }
 
-rt::Request NetComm::irecv(rt::MutView buf, int src, int tag) {
-  if (src != rt::kAnySource && (src < 0 || src >= size_)) {
-    throw std::invalid_argument("net: irecv source out of range");
-  }
+rt::Request NetComm::do_irecv(rt::MutView buf, int src, int tag) {
   return ep_->post_recv(comm_key_, members_, src, tag, buf);
 }
 

@@ -41,8 +41,6 @@ class NetComm final : public rt::Comm {
 
   ~NetComm() override;
 
-  rt::Request isend(rt::ConstView buf, int dst, int tag) override;
-  rt::Request irecv(rt::MutView buf, int src, int tag) override;
   bool wait_try(std::span<const rt::Request> reqs) override;
   [[noreturn]] void wait_suspend(std::span<const rt::Request> reqs,
                                  std::coroutine_handle<> h) override;
@@ -64,6 +62,9 @@ class NetComm final : public rt::Comm {
  private:
   NetComm(std::shared_ptr<Endpoint> ep, std::uint64_t comm_key,
           std::vector<int> members, int rank);
+
+  rt::Request do_isend(rt::ConstView buf, int dst, int tag) override;
+  rt::Request do_irecv(rt::MutView buf, int src, int tag) override;
 
   /// World teardown under A2A_CLUSTER_METRICS: gather every rank's metric
   /// deltas over a fresh subcomm; rank 0 writes the combined JSON.

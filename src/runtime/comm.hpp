@@ -1,17 +1,21 @@
 #pragma once
 /// \file comm.hpp
 /// The abstract communicator: an MPI-flavoured endpoint every backend
-/// (shared-memory threads, discrete-event simulator) implements.
+/// implements — shared-memory threads (smp/), the discrete-event simulator
+/// (sim/) and processes over TCP (net/).
 ///
 /// Semantics follow MPI-3 point-to-point matching:
 ///  * a message is matched by (source, tag) within a communicator;
 ///  * kAnySource / kAnyTag wildcards are honoured on the receive side;
 ///  * messages between a fixed (sender, receiver) pair are non-overtaking;
-///  * receives match in post order (FIFO) among eligible candidates.
+///  * an arriving message takes the earliest-posted eligible receive, and a
+///    new receive the earliest-arrived eligible message.
+/// rt::MatchQueue (runtime/match.hpp) implements that rule for all three.
 ///
 /// All blocking operations are expressed as awaitables so the same algorithm
-/// coroutine runs on both backends: the threads backend completes awaiters
-/// synchronously, the simulator suspends them until virtual time advances.
+/// coroutine runs on every backend: the smp and net backends complete
+/// awaiters synchronously, the simulator suspends them until virtual time
+/// advances.
 
 #include <array>
 #include <coroutine>
@@ -94,18 +98,23 @@ class Comm {
   int size() const noexcept { return size_; }
 
   // --- nonblocking point-to-point -----------------------------------------
+  //
+  // One argument contract on every backend, checked here before the
+  // backend queues anything: a rank outside [0, size()) throws
+  // std::out_of_range, then a negative tag throws std::invalid_argument.
+  // irecv also accepts kAnySource and kAnyTag.
 
   /// Start a nonblocking send of `buf` to rank `dst` with tag `tag`.
-  virtual Request isend(ConstView buf, int dst, int tag) = 0;
+  Request isend(ConstView buf, int dst, int tag);
   /// Start a nonblocking receive into `buf` from `src` (or kAnySource) with
   /// tag `tag` (or kAnyTag). `buf.len` must be >= the matched message size.
-  virtual Request irecv(MutView buf, int src, int tag) = 0;
+  Request irecv(MutView buf, int src, int tag);
 
   // --- completion (used by the awaiters; rarely called directly) ----------
 
-  /// Try to complete all requests. The threads backend blocks until they are
-  /// complete and returns true; the simulator polls and returns whether all
-  /// are already complete. Completed requests are released.
+  /// Try to complete all requests. The smp and net backends block until
+  /// they are complete and return true; the simulator polls and returns
+  /// whether all are already complete. Completed requests are released.
   virtual bool wait_try(std::span<const Request> reqs) = 0;
   /// Simulator only: park `h` until all requests complete.
   virtual void wait_suspend(std::span<const Request> reqs,
@@ -113,17 +122,18 @@ class Comm {
 
   // --- environment ---------------------------------------------------------
 
-  /// Current time in seconds: wall clock on the threads backend, virtual
-  /// time on the simulator.
+  /// Current time in seconds: wall clock on the smp and net backends,
+  /// virtual time on the simulator.
   virtual double now() const = 0;
 
-  /// Short stable backend identifier ("sim", "smp"), one whitespace-free
-  /// token. Keys measured performance profiles (autotune/): wall-clock and
-  /// virtual-time samples must never pool, so every backend overrides.
+  /// Short stable backend identifier ("sim", "smp", "net"), one
+  /// whitespace-free token. Keys measured performance profiles
+  /// (autotune/): wall-clock and virtual-time samples must never pool, so
+  /// every backend overrides.
   virtual std::string_view backend_name() const noexcept { return "host"; }
 
-  /// Allocate a scratch buffer: real on the threads backend, virtual or real
-  /// on the simulator depending on its carry-data configuration.
+  /// Allocate a scratch buffer: real on the smp and net backends, virtual
+  /// or real on the simulator depending on its carry-data configuration.
   virtual Buffer alloc_buffer(std::size_t bytes) const = 0;
 
   /// Allocate scratch whose initial contents are UNSPECIFIED — the
@@ -206,6 +216,10 @@ class Comm {
 
  protected:
   Comm(int rank, int size) noexcept : rank_(rank), size_(size) {}
+
+  /// Backend halves of isend/irecv, called with checked arguments.
+  virtual Request do_isend(ConstView buf, int dst, int tag) = 0;
+  virtual Request do_irecv(MutView buf, int src, int tag) = 0;
 
   int rank_;
   int size_;

@@ -1,9 +1,9 @@
-#include "sim/source_index.hpp"
+#include "runtime/match.hpp"
 
 #include <bit>
 #include <utility>
 
-namespace mca2a::sim {
+namespace mca2a::rt {
 
 std::size_t SourceIndex::home(int src) const noexcept {
   // Fibonacci hashing: consecutive and strided ranks both spread evenly.
@@ -85,4 +85,18 @@ void SourceIndex::release_if_drained(SourceQueues& q) noexcept {
   --live_;
 }
 
-}  // namespace mca2a::sim
+void SourceIndex::release_drained() noexcept {
+  // A release shifts later members of the probe run back, possibly into
+  // slot i itself, so slot i is looked at again; nothing moves before it.
+  for (std::size_t i = 0; i < slots_.size();) {
+    SourceQueues& q = slots_[i];
+    if (q.src != SourceQueues::kFree && q.posted.empty() &&
+        q.unexpected.empty()) {
+      release_if_drained(q);
+    } else {
+      ++i;
+    }
+  }
+}
+
+}  // namespace mca2a::rt

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "sim/sim_comm.hpp"
 
@@ -22,13 +23,9 @@ Cluster::Cluster(ClusterConfig cfg)
   mem_chan_.assign(machine_.nodes() * machine_.desc().numa_per_node(), 0.0);
 
   // Communicator 0 is the world.
-  CommEntry world_entry;
-  world_entry.world_ranks.resize(n);
-  for (int r = 0; r < n; ++r) {
-    world_entry.world_ranks[r] = r;
-  }
-  world_entry.endpoints.resize(n);
-  comms_.push_back(std::move(world_entry));
+  std::vector<int> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  add_comm(all, 1.0);
 
   world_comms_.reserve(n);
   for (int r = 0; r < n; ++r) {
@@ -97,7 +94,7 @@ double Cluster::noise() {
 std::uint32_t Cluster::alloc_op() {
   if (free_op_ != kNil) {
     std::uint32_t id = free_op_;
-    free_op_ = ops_[id].next;
+    free_op_ = ops_[id].next_free;
     OpRec& op = ops_[id];
     std::uint32_t serial = op.serial;  // preserved across reuse
     op = OpRec{};
@@ -111,14 +108,14 @@ std::uint32_t Cluster::alloc_op() {
 void Cluster::release_op(std::uint32_t id) {
   OpRec& op = ops_[id];
   ++op.serial;  // invalidate outstanding Requests
-  op.next = free_op_;
+  op.next_free = free_op_;
   free_op_ = id;
 }
 
 std::uint32_t Cluster::alloc_msg() {
   if (free_msg_ != kNil) {
     std::uint32_t id = free_msg_;
-    free_msg_ = msgs_[id].next;
+    free_msg_ = msgs_[id].next_free;
     msgs_[id] = MsgRec{};
     return id;
   }
@@ -129,7 +126,7 @@ std::uint32_t Cluster::alloc_msg() {
 void Cluster::release_msg(std::uint32_t id) {
   MsgRec& m = msgs_[id];
   m.payload.reset();
-  m.next = free_msg_;
+  m.next_free = free_msg_;
   free_msg_ = id;
 }
 
@@ -162,119 +159,17 @@ Cluster::OpRec& Cluster::op_checked(const rt::Request& r) {
 }
 
 // --------------------------------------------------------------------------
-// Matching
+// Communicators
 // --------------------------------------------------------------------------
 
-Cluster::Endpoint& Cluster::endpoint(std::uint32_t comm_id, int rank_in_comm) {
-  return comms_[comm_id].endpoints[rank_in_comm];
-}
-
-template <typename Rec>
-void Cluster::fifo_push(std::vector<Rec>& pool, Fifo& f, std::uint32_t id) {
-  pool[id].next = kNil;
-  if (f.tail == kNil) {
-    f.head = id;
-  } else {
-    pool[f.tail].next = id;
+void Cluster::add_comm(std::span<const int> world_ranks, double cost_scale) {
+  CommEntry& entry = comms_.emplace_back();
+  entry.world_ranks.assign(world_ranks.begin(), world_ranks.end());
+  entry.endpoints.reserve(world_ranks.size());
+  for (std::size_t r = 0; r < world_ranks.size(); ++r) {
+    entry.endpoints.emplace_back(match_pool_);
   }
-  f.tail = id;
-}
-
-template <typename Rec>
-void Cluster::fifo_unlink(std::vector<Rec>& pool, Fifo& f, std::uint32_t id,
-                          std::uint32_t prev) {
-  if (prev == kNil) {
-    f.head = pool[id].next;
-  } else {
-    pool[prev].next = pool[id].next;
-  }
-  if (f.tail == id) {
-    f.tail = prev;
-  }
-}
-
-std::uint32_t Cluster::match_posted(Endpoint& ep, int src, int tag) {
-  if (ep.posted_total == 0) {
-    return kNil;
-  }
-  // First tag-matching receive of a FIFO, and its predecessor.
-  auto first = [&](const Fifo& f, std::uint32_t& prev) {
-    prev = kNil;
-    for (std::uint32_t cur = f.head; cur != kNil; cur = ops_[cur].next) {
-      if (ops_[cur].tag == rt::kAnyTag || ops_[cur].tag == tag) {
-        return cur;
-      }
-      prev = cur;
-    }
-    return kNil;
-  };
-  // Candidates: the receives posted for this source and for kAnySource;
-  // the earlier-posted one wins.
-  SourceQueues* q = ep.sources.find(src);
-  std::uint32_t prev = kNil;
-  std::uint32_t any_prev = kNil;
-  const std::uint32_t id = q != nullptr ? first(q->posted, prev) : kNil;
-  const std::uint32_t any = first(ep.any_posted, any_prev);
-  if (any != kNil && (id == kNil || ops_[any].post_seq < ops_[id].post_seq)) {
-    fifo_unlink(ops_, ep.any_posted, any, any_prev);
-    --ep.posted_total;
-    return any;
-  }
-  if (id == kNil) {
-    return kNil;
-  }
-  fifo_unlink(ops_, q->posted, id, prev);
-  ep.sources.release_if_drained(*q);
-  --ep.posted_total;
-  return id;
-}
-
-std::uint32_t Cluster::match_unexpected(Endpoint& ep, int src, int tag) {
-  if (ep.unexpected_total == 0) {
-    return kNil;
-  }
-  // First tag-matching message of a FIFO, and its predecessor.
-  auto first = [&](const Fifo& f, std::uint32_t& prev) {
-    prev = kNil;
-    for (std::uint32_t cur = f.head; cur != kNil; cur = msgs_[cur].next) {
-      if (tag == rt::kAnyTag || msgs_[cur].tag == tag) {
-        return cur;
-      }
-      prev = cur;
-    }
-    return kNil;
-  };
-
-  SourceQueues* q = nullptr;
-  std::uint32_t id = kNil;
-  std::uint32_t prev = kNil;
-  if (src != rt::kAnySource) {
-    q = ep.sources.find(src);
-    if (q == nullptr) {
-      return kNil;
-    }
-    id = first(q->unexpected, prev);
-  } else {
-    // Wildcard source: earliest arrival across all live sources (free
-    // slots hold empty FIFOs).
-    for (SourceQueues& s : ep.sources.slots()) {
-      std::uint32_t p = kNil;
-      const std::uint32_t i = first(s.unexpected, p);
-      if (i != kNil &&
-          (id == kNil || msgs_[i].arrival_seq < msgs_[id].arrival_seq)) {
-        q = &s;
-        id = i;
-        prev = p;
-      }
-    }
-  }
-  if (id == kNil) {
-    return kNil;
-  }
-  fifo_unlink(msgs_, q->unexpected, id, prev);
-  ep.sources.release_if_drained(*q);
-  --ep.unexpected_total;
-  return id;
+  entry.cost_scale = cost_scale;
 }
 
 // --------------------------------------------------------------------------
@@ -284,13 +179,6 @@ std::uint32_t Cluster::match_unexpected(Endpoint& ep, int src, int tag) {
 rt::Request Cluster::isend_impl(std::uint32_t comm_id, int my_rank_in_comm,
                                 rt::ConstView buf, int dst, int tag) {
   CommEntry& entry = comms_[comm_id];
-  const int size = static_cast<int>(entry.world_ranks.size());
-  if (dst < 0 || dst >= size) {
-    throw std::out_of_range("isend: destination rank out of range");
-  }
-  if (tag < 0) {
-    throw std::invalid_argument("isend: tag must be >= 0");
-  }
   const int src_world = entry.world_ranks[my_rank_in_comm];
   const int dst_world = entry.world_ranks[dst];
   const Level level = machine_.level(src_world, dst_world);
@@ -382,18 +270,11 @@ rt::Request Cluster::isend_impl(std::uint32_t comm_id, int my_rank_in_comm,
 rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
                                 rt::MutView buf, int src, int tag) {
   CommEntry& entry = comms_[comm_id];
-  const int size = static_cast<int>(entry.world_ranks.size());
-  if (src != rt::kAnySource && (src < 0 || src >= size)) {
-    throw std::out_of_range("irecv: source rank out of range");
-  }
-  if (tag != rt::kAnyTag && tag < 0) {
-    throw std::invalid_argument("irecv: tag must be >= 0 or kAnyTag");
-  }
   const int me_world = entry.world_ranks[my_rank_in_comm];
   const model::NetParams& net = cfg_.net;
   const double scale = entry.cost_scale;
   RankState& rs = ranks_[me_world];
-  Endpoint& ep = endpoint(comm_id, my_rank_in_comm);
+  Endpoint& ep = entry.endpoints[my_rank_in_comm];
 
   // Posting cost (queue insertion / descriptor setup).
   rs.clock += scale * net.match_base;
@@ -402,13 +283,12 @@ rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
   OpRec& op = ops_[op_id];
   op.rank_world = me_world;
   op.buf = buf;
-  op.tag = tag;
   op.post_time = rs.clock;
 
-  const std::uint32_t scanned = ep.unexpected_total;
-  const std::uint32_t msg_id = match_unexpected(ep, src, tag);
-  if (msg_id != kNil) {
-    MsgRec& m = msgs_[msg_id];
+  const std::uint32_t scanned = ep.unexpected();
+  if (const std::optional<std::uint32_t> msg_id =
+          ep.take_unexpected(src, tag)) {
+    MsgRec& m = msgs_[*msg_id];
     if (m.rendezvous) {
       // Matched a waiting RTS: return the CTS and start the transfer.
       m.matched_recv = op_id;
@@ -416,17 +296,12 @@ rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
           std::max(rs.clock, m.deliver_time) +
           scale * model::match_time(net, scanned) +
           noise() * net.at(m.level).alpha;
-      start_rendezvous_transfer(msg_id, cts_at_sender);
+      start_rendezvous_transfer(*msg_id, cts_at_sender);
     } else {
-      complete_recv(op_id, msg_id, model::match_time(net, scanned));
+      complete_recv(op_id, *msg_id, model::match_time(net, scanned));
     }
   } else {
-    op.post_seq = ep.next_post_seq++;
-    fifo_push(ops_,
-              src == rt::kAnySource ? ep.any_posted
-                                    : ep.sources.find_or_insert(src).posted,
-              op_id);
-    ++ep.posted_total;
+    ep.post(src, tag, op_id);
   }
   return rt::Request{op_id, ops_[op_id].serial};
 }
@@ -571,40 +446,34 @@ void Cluster::on_eager_arrival(std::uint32_t msg_id) {
   }
   m.deliver_time = deliver;
 
-  Endpoint& ep = endpoint(m.comm, m.dst_in_comm);
-  const std::uint32_t scanned = ep.posted_total;
-  const std::uint32_t op_id = match_posted(ep, m.src_in_comm, m.tag);
-  if (op_id != kNil) {
-    complete_recv(op_id, msg_id, model::match_time(cfg_.net, scanned));
+  Endpoint& ep = comms_[m.comm].endpoints[m.dst_in_comm];
+  const std::uint32_t scanned = ep.posted();
+  if (const std::optional<std::uint32_t> op_id =
+          ep.take_posted(m.src_in_comm, m.tag)) {
+    complete_recv(*op_id, msg_id, model::match_time(cfg_.net, scanned));
   } else {
-    m.arrival_seq = ep.next_arrival_seq++;
-    fifo_push(msgs_, ep.sources.find_or_insert(m.src_in_comm).unexpected,
-              msg_id);
-    ++ep.unexpected_total;
+    ep.park(m.src_in_comm, m.tag, msg_id);
   }
 }
 
 void Cluster::on_rts_arrival(std::uint32_t msg_id) {
   MsgRec& m = msgs_[msg_id];
   m.deliver_time = engine_.now();
-  Endpoint& ep = endpoint(m.comm, m.dst_in_comm);
+  Endpoint& ep = comms_[m.comm].endpoints[m.dst_in_comm];
   const double scale = comms_[m.comm].cost_scale;
-  const std::uint32_t scanned = ep.posted_total;
-  const std::uint32_t op_id = match_posted(ep, m.src_in_comm, m.tag);
-  if (op_id != kNil) {
-    m.matched_recv = op_id;
+  const std::uint32_t scanned = ep.posted();
+  if (const std::optional<std::uint32_t> op_id =
+          ep.take_posted(m.src_in_comm, m.tag)) {
+    m.matched_recv = *op_id;
     // The CTS leaves no earlier than both the RTS arrival and the logical
     // time the receiver posted the matching receive.
     const double cts_at_sender =
-        std::max(engine_.now(), ops_[op_id].post_time) +
+        std::max(engine_.now(), ops_[*op_id].post_time) +
         scale * model::match_time(cfg_.net, scanned) +
         noise() * cfg_.net.at(m.level).alpha;
     start_rendezvous_transfer(msg_id, cts_at_sender);
   } else {
-    m.arrival_seq = ep.next_arrival_seq++;
-    fifo_push(msgs_, ep.sources.find_or_insert(m.src_in_comm).unexpected,
-              msg_id);
-    ++ep.unexpected_total;
+    ep.park(m.src_in_comm, m.tag, msg_id);
   }
 }
 
@@ -671,11 +540,7 @@ rt::SubcommRegistry::Creation Cluster::subcomm_impl(
       comms_[parent_id].world_ranks, members, my_rank_in_parent);
   if (c.fresh) {
     assert(c.comm == comms_.size());
-    CommEntry entry;
-    entry.world_ranks.assign(c.world_ranks.begin(), c.world_ranks.end());
-    entry.endpoints.resize(c.world_ranks.size());
-    entry.cost_scale = comms_[parent_id].cost_scale;
-    comms_.push_back(std::move(entry));
+    add_comm(c.world_ranks, comms_[parent_id].cost_scale);
   }
   return c;
 }

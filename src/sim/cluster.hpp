@@ -24,10 +24,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/match.hpp"
 #include "runtime/subcomm_registry.hpp"
 #include "runtime/task.hpp"
 #include "sim/engine.hpp"
-#include "sim/source_index.hpp"
 #include "topo/machine.hpp"
 
 namespace mca2a::sim {
@@ -107,7 +107,7 @@ class Cluster {
  private:
   friend class SimComm;
 
-  static constexpr std::uint32_t kNil = Fifo::kNil;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
 
   struct OpRec {
     bool complete = false;
@@ -115,12 +115,10 @@ class Cluster {
     int rank_world = -1;
     double completion_time = 0.0;
     std::uint32_t waiter = kNil;
-    // Receive-side matching state.
+    // Receive side.
     rt::MutView buf{};
-    int tag = 0;
     double post_time = 0.0;
-    std::uint64_t post_seq = 0;
-    std::uint32_t next = kNil;  // intrusive FIFO link
+    std::uint32_t next_free = kNil;
   };
 
   struct MsgRec {
@@ -138,8 +136,7 @@ class Cluster {
     double deliver_time = 0.0;
     std::unique_ptr<std::byte[]> payload;  // eager + carry_data
     rt::ConstView src_view{};              // rendezvous source buffer
-    std::uint64_t arrival_seq = 0;
-    std::uint32_t next = kNil;  // unexpected FIFO link
+    std::uint32_t next_free = kNil;
   };
 
   struct Waiter {
@@ -150,14 +147,9 @@ class Cluster {
     std::uint32_t next_free = kNil;
   };
 
-  struct Endpoint {
-    SourceIndex sources;  ///< per-source FIFOs of live sources only
-    Fifo any_posted;      ///< receives posted for rt::kAnySource
-    std::uint32_t posted_total = 0;
-    std::uint32_t unexpected_total = 0;
-    std::uint64_t next_post_seq = 0;
-    std::uint64_t next_arrival_seq = 0;
-  };
+  /// Matching state of one rank in one communicator: posted receives are
+  /// op ids, unexpected messages msg ids.
+  using Endpoint = rt::MatchQueue<std::uint32_t, std::uint32_t>;
 
   struct CommEntry {
     std::vector<int> world_ranks;    // index: rank in comm -> world rank
@@ -198,18 +190,9 @@ class Cluster {
                      double match_cost);
   void complete_op(std::uint32_t op_id, double t);
 
-  // --- matching helpers -----------------------------------------------------
-  Endpoint& endpoint(std::uint32_t comm_id, int rank_in_comm);
-  /// Find and unlink the earliest-posted matching recv for (src, tag);
-  /// returns kNil if none.
-  std::uint32_t match_posted(Endpoint& ep, int src, int tag);
-  /// Find and unlink the earliest-arrived matching unexpected message.
-  std::uint32_t match_unexpected(Endpoint& ep, int src, int tag);
-  template <typename Rec>
-  static void fifo_push(std::vector<Rec>& pool, Fifo& f, std::uint32_t id);
-  template <typename Rec>
-  static void fifo_unlink(std::vector<Rec>& pool, Fifo& f, std::uint32_t id,
-                          std::uint32_t prev);
+  // --- communicators -------------------------------------------------------
+  /// Append communicator comms_.size() over `world_ranks`.
+  void add_comm(std::span<const int> world_ranks, double cost_scale);
 
   // --- pools ----------------------------------------------------------------
   std::uint32_t alloc_op();
@@ -231,6 +214,7 @@ class Cluster {
   std::vector<double> nic_out_;   // per node
   std::vector<double> mem_chan_;  // per global NUMA domain
 
+  Endpoint::Pool match_pool_;     ///< nodes of every endpoint's queues
   std::vector<CommEntry> comms_;  ///< by communicator id; 0 is the world
   rt::SubcommRegistry subcomms_;
 

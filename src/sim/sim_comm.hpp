@@ -18,12 +18,6 @@ class SimComm final : public rt::Comm {
   SimComm(Cluster& cluster, std::uint32_t comm_id, int rank, int size)
       : rt::Comm(rank, size), cluster_(&cluster), comm_id_(comm_id) {}
 
-  rt::Request isend(rt::ConstView buf, int dst, int tag) override {
-    return cluster_->isend_impl(comm_id_, rank_, buf, dst, tag);
-  }
-  rt::Request irecv(rt::MutView buf, int src, int tag) override {
-    return cluster_->irecv_impl(comm_id_, rank_, buf, src, tag);
-  }
   bool wait_try(std::span<const rt::Request> reqs) override {
     return cluster_->wait_try_impl(world_rank(), reqs);
   }
@@ -58,6 +52,13 @@ class SimComm final : public rt::Comm {
   Cluster& cluster() noexcept { return *cluster_; }
 
  private:
+  rt::Request do_isend(rt::ConstView buf, int dst, int tag) override {
+    return cluster_->isend_impl(comm_id_, rank_, buf, dst, tag);
+  }
+  rt::Request do_irecv(rt::MutView buf, int src, int tag) override {
+    return cluster_->irecv_impl(comm_id_, rank_, buf, src, tag);
+  }
+
   Cluster* cluster_;
   std::uint32_t comm_id_;
 };

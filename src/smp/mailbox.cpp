@@ -1,15 +1,13 @@
 #include "smp/mailbox.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <map>
 #include <new>
-#include <stdexcept>
+#include <optional>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/comm.hpp"
 #include "runtime/env.hpp"
 
 namespace mca2a::smp {
@@ -80,6 +78,19 @@ namespace {
 
 std::byte* slot_payload(SlotHeader* s) {
   return reinterpret_cast<std::byte*>(s) + sizeof(SlotHeader);
+}
+
+/// Copy `payload` into `r` and complete it. A message larger than the
+/// buffer is the receiver's error (like MPI_ERR_TRUNCATE): flagged here so
+/// the receiver's wait throws, rather than failing in this thread.
+void deliver(PostedRecv& r, rt::ConstView payload) {
+  if (r.buf.len < payload.len) {
+    r.error = true;
+  } else if (r.buf.ptr != nullptr && payload.ptr != nullptr &&
+             payload.len > 0) {
+    std::memcpy(r.buf.ptr, payload.ptr, payload.len);
+  }
+  r.complete = true;
 }
 
 }  // namespace
@@ -164,16 +175,7 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
     // exchange may send before either receives), so spill to the
     // unbounded overflow list. The seq stamp lets the consumer restore
     // per-pair order.
-    OverflowMsg m;
-    m.src = src;
-    m.tag = tag;
-    m.seq = seq;
-    m.bytes = payload.len;
-    m.has_data = payload.ptr != nullptr && payload.len > 0;
-    if (m.has_data) {
-      m.data.reset(new std::byte[payload.len]);
-      std::memcpy(m.data.get(), payload.ptr, payload.len);
-    }
+    OverflowMsg m{src, seq, UnexpectedMsg::hold(tag, payload)};
     {
       std::lock_guard<std::mutex> lk(overflow_mu_);
       overflow_.push_back(std::move(m));
@@ -206,33 +208,17 @@ void Mailbox::ring_doorbell() {
   wake_cv_.notify_all();
 }
 
-bool Mailbox::match_posted(int src, int tag, rt::ConstView payload) {
-  auto it = std::find_if(posted_.begin(), posted_.end(), [&](PostedRecv* r) {
-    const bool src_ok = r->src == rt::kAnySource || r->src == src;
-    const bool tag_ok = r->tag == rt::kAnyTag || r->tag == tag;
-    return src_ok && tag_ok;
-  });
-  if (it == posted_.end()) {
-    return false;
+UnexpectedMsg UnexpectedMsg::hold(int tag, rt::ConstView payload,
+                                  std::unique_ptr<std::byte[]> owned) {
+  UnexpectedMsg m{tag, payload.len, std::move(owned)};
+  if (m.data == nullptr && payload.ptr != nullptr && payload.len > 0) {
+    m.data.reset(new std::byte[payload.len]);
+    std::memcpy(m.data.get(), payload.ptr, payload.len);
   }
-  PostedRecv* r = *it;
-  posted_.erase(it);
-  if (r->buf.len < payload.len) {
-    // Truncation is the receiver's error (like MPI_ERR_TRUNCATE): flag it
-    // so the receiver's wait throws, rather than failing in this thread.
-    r->error = true;
-    r->complete = true;
-    return true;
-  }
-  if (r->buf.ptr != nullptr && payload.ptr != nullptr && payload.len > 0) {
-    std::memcpy(r->buf.ptr, payload.ptr, payload.len);
-  }
-  r->received = payload.len;
-  r->complete = true;
-  return true;
+  return m;
 }
 
-bool Mailbox::accept(int src, int tag, rt::ConstView payload,
+void Mailbox::accept(int src, int tag, rt::ConstView payload,
                      std::unique_ptr<std::byte[]> owned) {
   // Receive-side stitching: the arrival enters matching order here, on the
   // owner thread — the semantic receive point, mirroring the sender's
@@ -250,24 +236,11 @@ bool Mailbox::accept(int src, int tag, rt::ConstView payload,
                          {"tag", tag}});
     trace_.tracer->flow_end(id, 0);
   }
-  if (match_posted(src, tag, payload)) {
-    return true;
+  if (const std::optional<PostedRecv*> r = match_.take_posted(src, tag)) {
+    deliver(**r, payload);
+  } else {
+    match_.park(src, tag, UnexpectedMsg::hold(tag, payload, std::move(owned)));
   }
-  UnexpectedMsg m;
-  m.src = src;
-  m.tag = tag;
-  m.bytes = payload.len;
-  m.has_data = payload.ptr != nullptr && payload.len > 0;
-  if (m.has_data) {
-    if (owned != nullptr) {
-      m.data = std::move(owned);
-    } else {
-      m.data.reset(new std::byte[payload.len]);
-      std::memcpy(m.data.get(), payload.ptr, payload.len);
-    }
-  }
-  arrived_.push_back(std::move(m));
-  return false;
 }
 
 void Mailbox::drain_overflow() {
@@ -282,13 +255,7 @@ void Mailbox::drain_overflow() {
     // the overflow mutex carries the happens-before to us.
     Lane* lane = lanes_[static_cast<std::size_t>(m.src)].load(
         std::memory_order_acquire);
-    UnexpectedMsg u;
-    u.src = m.src;
-    u.tag = m.tag;
-    u.bytes = m.bytes;
-    u.has_data = m.has_data;
-    u.data = std::move(m.data);
-    lane->stash.emplace(m.seq, std::move(u));
+    lane->stash.emplace(m.seq, std::move(m.msg));
   }
 }
 
@@ -312,36 +279,24 @@ void Mailbox::pump_lane(int src, Lane& lane) {
       return;
     }
     SlotHeader* s = lane.slot(stride_, cfg_.ring_slots, h);
+    const rt::ConstView payload{
+        s->has_data ? (s->heap != nullptr ? s->heap : slot_payload(s))
+                    : nullptr,
+        s->bytes};
+    std::unique_ptr<std::byte[]> owned(s->heap);
+    s->heap = nullptr;
     if (s->seq == lane.next_take) {
       ++lane.next_take;
-      const rt::ConstView payload{
-          s->has_data ? (s->heap != nullptr ? s->heap : slot_payload(s))
-                      : nullptr,
-          s->bytes};
-      std::unique_ptr<std::byte[]> owned(s->heap);
-      s->heap = nullptr;
       // Matching copies straight out of the slot; only then is the slot
       // released back to the producer.
       accept(src, s->tag, payload, std::move(owned));
-      lane.head.store(h + 1, std::memory_order_release);
     } else {
       // A predecessor is still in the overflow list: set this slot aside
       // (reorder stash) so the producer regains ring space either way.
-      UnexpectedMsg u;
-      u.src = src;
-      u.tag = s->tag;
-      u.bytes = s->bytes;
-      u.has_data = s->has_data;
-      if (s->heap != nullptr) {
-        u.data.reset(s->heap);
-        s->heap = nullptr;
-      } else if (u.has_data) {
-        u.data.reset(new std::byte[s->bytes]);
-        std::memcpy(u.data.get(), slot_payload(s), s->bytes);
-      }
-      lane.stash.emplace(s->seq, std::move(u));
-      lane.head.store(h + 1, std::memory_order_release);
+      lane.stash.emplace(s->seq,
+                         UnexpectedMsg::hold(s->tag, payload, std::move(owned)));
     }
+    lane.head.store(h + 1, std::memory_order_release);
   }
 }
 
@@ -362,33 +317,13 @@ void Mailbox::drain() {
   }
 }
 
-bool Mailbox::post_or_match(PostedRecv* r) {
+void Mailbox::post_or_match(PostedRecv* r, int src, int tag) {
   drain();
-  auto it = std::find_if(
-      arrived_.begin(), arrived_.end(), [&](const UnexpectedMsg& m) {
-        const bool src_ok = r->src == rt::kAnySource || r->src == m.src;
-        const bool tag_ok = r->tag == rt::kAnyTag || r->tag == m.tag;
-        return src_ok && tag_ok;
-      });
-  if (it != arrived_.end()) {
-    if (r->buf.len < it->bytes) {
-      throw std::runtime_error(
-          "message truncation: receive buffer smaller than incoming message");
-    }
-    const rt::ConstView payload = it->view();
-    if (r->buf.ptr != nullptr && payload.ptr != nullptr && payload.len > 0) {
-      std::memcpy(r->buf.ptr, payload.ptr, payload.len);
-    }
-    r->received = it->bytes;
-    r->complete = true;
-    arrived_.erase(it);
-    return true;
+  if (const std::optional<UnexpectedMsg> m = match_.take_unexpected(src, tag)) {
+    deliver(*r, m->view());
+  } else {
+    match_.post(src, tag, r);
   }
-  r->error = false;
-  r->received = 0;
-  r->complete = false;
-  posted_.push_back(r);
-  return false;
 }
 
 bool Mailbox::arrivals_visible() const {

@@ -19,12 +19,10 @@
 /// order before matching, so FIFO and non-overtaking survive the two-path
 /// transport.
 ///
-/// Matching state (posted receives, unmatched arrivals) is owned by the
-/// receiving rank's thread and touched by no one else: matching itself
-/// needs no lock, and every write into a receive buffer happens on its
-/// owner's thread. MPI matching rules apply: (source, tag) with wildcards,
-/// FIFO among eligible candidates, and non-overtaking delivery between a
-/// fixed pair of ranks.
+/// Matching state (posted receives, unmatched arrivals) is one
+/// rt::MatchQueue owned by the receiving rank's thread and touched by no
+/// one else: matching itself needs no lock, and every write into a receive
+/// buffer happens on its owner's thread.
 ///
 /// Sleep/wake contract: a receiver that has spun without progress parks on
 /// the mailbox doorbell. The sender's publish and the receiver's
@@ -54,6 +52,7 @@
 #include <vector>
 
 #include "runtime/buffer.hpp"
+#include "runtime/match.hpp"
 
 namespace mca2a::obs {
 class TraceBuffer;
@@ -96,25 +95,24 @@ struct MailboxConfig {
 /// its own drain(), so no field needs atomicity.
 struct PostedRecv {
   rt::MutView buf{};
-  int src = 0;  // rank in comm or rt::kAnySource
-  int tag = 0;
   bool complete = false;
-  bool error = false;        // truncation, reported at the receiver's wait
-  std::size_t received = 0;  // actual message size
+  bool error = false;  // truncation, reported at the receiver's wait
   std::uint32_t serial = 1;
   bool in_use = false;
 };
 
 /// A message parked before its receive was posted (payload owned).
 struct UnexpectedMsg {
-  int src = 0;
   int tag = 0;
-  std::size_t bytes = 0;    // logical size
-  bool has_data = false;    // false: virtual payload (or zero bytes)
-  std::unique_ptr<std::byte[]> data;  // bytes long when has_data
+  std::size_t bytes = 0;              // logical size
+  std::unique_ptr<std::byte[]> data;  // null: virtual payload or 0 bytes
 
+  /// `payload` with tag `tag`, held in `owned` when that already carries
+  /// its bytes, else in a copy.
+  static UnexpectedMsg hold(int tag, rt::ConstView payload,
+                            std::unique_ptr<std::byte[]> owned = nullptr);
   rt::ConstView view() const noexcept {
-    return rt::ConstView{has_data ? data.get() : nullptr, bytes};
+    return rt::ConstView{data.get(), bytes};
   }
 };
 
@@ -136,11 +134,11 @@ class Mailbox {
   /// completing posted receives in order.
   void drain();
 
-  /// Owner side: drain, then match `r` against an already-arrived
-  /// message (copy payload, mark complete, return true) or append it to
-  /// the posted list (return false). Throws on truncation of an
-  /// already-arrived message — the caller is the receiver.
-  bool post_or_match(PostedRecv* r);
+  /// Owner side: drain, then match `r`, a receive for (`src`, `tag`),
+  /// against an already-arrived message (copy the payload and mark `r`
+  /// complete) or post it. A truncated message flags `r`'s error either
+  /// way, for the receiver's wait to throw.
+  void post_or_match(PostedRecv* r, int src, int tag);
 
   /// Owner side: one pause of the wait loop. Spins/yields for the
   /// configured budget, then parks on the doorbell until a sender
@@ -161,20 +159,16 @@ class Mailbox {
   /// message (the pre-sleep recheck).
   bool arrivals_visible() const;
   void ring_doorbell();
-  /// Enter one arrival into matching order: complete the first eligible
-  /// posted receive (true), or park it (false). `owned` transfers payload
-  /// ownership when the caller already holds a heap block.
-  bool accept(int src, int tag, rt::ConstView payload,
+  /// Enter one arrival into matching order: complete the earliest-posted
+  /// eligible receive, or park it. `owned` transfers payload ownership
+  /// when the caller already holds a heap block.
+  void accept(int src, int tag, rt::ConstView payload,
               std::unique_ptr<std::byte[]> owned);
-  bool match_posted(int src, int tag, rt::ConstView payload);
 
   struct OverflowMsg {
     int src = 0;
-    int tag = 0;
     std::uint64_t seq = 0;
-    std::size_t bytes = 0;
-    bool has_data = false;
-    std::unique_ptr<std::byte[]> data;
+    UnexpectedMsg msg;
   };
 
   MailboxConfig cfg_;
@@ -197,8 +191,9 @@ class Mailbox {
   std::uint64_t wake_epoch_ = 0;  // guarded by wake_mu_
 
   // --- matching state (owner thread only, no lock) ----------------------
-  std::deque<PostedRecv*> posted_;
-  std::deque<UnexpectedMsg> arrived_;
+  using Matcher = rt::MatchQueue<PostedRecv*, UnexpectedMsg>;
+  Matcher::Pool match_pool_;
+  Matcher match_{match_pool_};
 
   // --- distributed tracing (owner thread only) --------------------------
   MailboxTraceContext trace_{};

@@ -114,13 +114,7 @@ Mailbox& SmpComm::mailbox(int rank_in_comm) const {
   return entry_->mailboxes[static_cast<std::size_t>(rank_in_comm)];
 }
 
-rt::Request SmpComm::isend(rt::ConstView buf, int dst, int tag) {
-  if (dst < 0 || dst >= size_) {
-    throw std::out_of_range("isend: destination rank out of range");
-  }
-  if (tag < 0) {
-    throw std::invalid_argument("isend: tag must be >= 0");
-  }
+rt::Request SmpComm::do_isend(rt::ConstView buf, int dst, int tag) {
   if (flow_comm_key_ != 0 && buf.len > 0 && dst != rank_) {
     // Arrow source inside an smp.send span; the receiving mailbox derives
     // the identical id at accept() time from its mirrored counter.
@@ -143,13 +137,7 @@ rt::Request SmpComm::isend(rt::ConstView buf, int dst, int tag) {
   return rt::Request{};
 }
 
-rt::Request SmpComm::irecv(rt::MutView buf, int src, int tag) {
-  if (src != rt::kAnySource && (src < 0 || src >= size_)) {
-    throw std::out_of_range("irecv: source rank out of range");
-  }
-  if (tag != rt::kAnyTag && tag < 0) {
-    throw std::invalid_argument("irecv: tag must be >= 0 or kAnyTag");
-  }
+rt::Request SmpComm::do_irecv(rt::MutView buf, int src, int tag) {
   std::uint32_t slot;
   if (!free_ops_.empty()) {
     slot = free_ops_.back();
@@ -160,12 +148,10 @@ rt::Request SmpComm::irecv(rt::MutView buf, int src, int tag) {
   }
   PostedRecv& op = ops_[slot];
   op.buf = buf;
-  op.src = src;
-  op.tag = tag;
+  op.complete = false;
   op.error = false;
-  op.received = 0;
   op.in_use = true;
-  mailbox(rank_).post_or_match(&op);
+  mailbox(rank_).post_or_match(&op, src, tag);
   return rt::Request{slot, op.serial};
 }
 

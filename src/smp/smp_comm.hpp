@@ -96,8 +96,6 @@ class SmpComm final : public rt::Comm {
  public:
   SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank, int size);
 
-  rt::Request isend(rt::ConstView buf, int dst, int tag) override;
-  rt::Request irecv(rt::MutView buf, int src, int tag) override;
   bool wait_try(std::span<const rt::Request> reqs) override;
   void wait_suspend(std::span<const rt::Request> reqs,
                     std::coroutine_handle<> h) override;
@@ -125,6 +123,8 @@ class SmpComm final : public rt::Comm {
   }
 
  private:
+  rt::Request do_isend(rt::ConstView buf, int dst, int tag) override;
+  rt::Request do_irecv(rt::MutView buf, int src, int tag) override;
   Mailbox& mailbox(int rank_in_comm) const;
   PostedRecv& op_checked(const rt::Request& r);
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -164,6 +165,8 @@ TEST(NetWire, OutOfBoundsFramesAreFatal) {
     std::vector<Chunk> chunks;  ///< kData chunks of a `body` B rendezvous
     std::uint64_t eager = 0;    ///< else: one unexpected kEager of this size
     std::uint64_t body = 100;
+    int src = 1;  ///< the frames' source (the world has ranks 0 and 1)
+    int tag = 3;  ///< the kEager's tag (nothing posted: it would park)
   };
   const std::vector<Case> cases = {
       {"chunk past its message", {{50, 100}}},
@@ -175,6 +178,12 @@ TEST(NetWire, OutOfBoundsFramesAreFatal) {
       {"chunk of a 2^64-1 B body", {{0, 50}}, 0, ~std::uint64_t{0}},
       {"eager over the limit", {}, kEagerMax + 1},
       {"huge eager", {}, std::uint64_t{1} << 40},
+      {"eager from source -1", {}, 8, 100, -1},
+      {"eager from source INT_MIN", {}, 8, 100,
+       std::numeric_limits<int>::min()},
+      {"eager from source 7 of 2", {}, 8, 100, 7},
+      {"eager with tag -1", {}, 8, 100, 1, -1},
+      {"eager with tag -7", {}, 8, 100, 1, -7},
   };
   for (const Case& tc : cases) {
     auto [listener, port] = net::listen_tcp("127.0.0.1", 0, 8);
@@ -232,10 +241,10 @@ TEST(NetWire, OutOfBoundsFramesAreFatal) {
           read_frame_of(fd.get(), net::FrameKind::kEager).comm_key;
       net::FrameHeader h;
       h.comm_key = comm_key;
-      h.src = 1;  // the sender's world-comm rank
+      h.src = tc.src;
       if (tc.chunks.empty()) {
         h.kind = net::FrameKind::kEager;
-        h.tag = 3;  // nothing posted: the frame would park as unexpected
+        h.tag = tc.tag;
         h.bytes = tc.eager;
         write_frame(fd.get(), h, std::min<std::uint64_t>(tc.eager, 4096));
       } else {
@@ -645,6 +654,18 @@ TEST(NetSubcomm, IsolationAndDeterministicKeys) {
   });
 }
 
+/// Run `body` on `ranks` ranks of `backend`: "sim", "smp" or "net".
+void run_backend(const std::string& backend, int ranks,
+                 const std::function<Task<void>(Comm&)>& body) {
+  if (backend == "sim") {
+    test::run_sim_flat(ranks, body);
+  } else if (backend == "smp") {
+    test::run_smp(ranks, body);
+  } else {
+    run_net_threads(ranks, body);
+  }
+}
+
 /// One create_subcomm contract on every backend: each bad member list
 /// throws the same exception type on every rank, and the ranks can still
 /// create a communicator afterwards.
@@ -697,14 +718,7 @@ TEST_P(SubcommContract, BadListsThrowAlikeOnEveryRank) {
     co_await sub->sendrecv(out.view(), next, 4, in.view(), prev, 4);
     EXPECT_EQ(in.typed<int>()[0], 2 - prev);
   };
-  const std::string& backend = GetParam();
-  if (backend == "sim") {
-    test::run_sim_flat(kRanks, body);
-  } else if (backend == "smp") {
-    test::run_smp(kRanks, body);
-  } else {
-    run_net_threads(kRanks, body);
-  }
+  run_backend(GetParam(), kRanks, body);
   for (int r = 0; r < kRanks; ++r) {
     for (std::size_t i = 0; i < kCases; ++i) {
       EXPECT_EQ(got[static_cast<std::size_t>(r) * kCases + i], kBad[i].expect)
@@ -714,6 +728,170 @@ TEST_P(SubcommContract, BadListsThrowAlikeOnEveryRank) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SubcommContract,
+                         ::testing::Values("sim", "smp", "net"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
+
+/// One point-to-point argument contract on every backend (rt::Comm):
+/// isend and irecv throw before anything is queued — out_of_range for a
+/// rank outside the communicator, then invalid_argument for a negative tag
+/// — and irecv accepts kAnySource and kAnyTag.
+class P2PContract : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(P2PContract, BadArgumentsThrowAlike) {
+  constexpr int kRanks = 3;
+  struct BadCall {
+    const char* what;
+    bool recv;
+    int peer;
+    int tag;
+    const char* expect;
+  };
+  static const BadCall kBad[] = {
+      {"isend past the end", false, kRanks, 4, "out_of_range"},
+      {"isend to rank -1", false, -1, 4, "out_of_range"},
+      {"isend to INT_MIN", false, std::numeric_limits<int>::min(), 4,
+       "out_of_range"},
+      {"isend with tag -5", false, 1, -5, "invalid_argument"},
+      {"isend with kAnyTag", false, 1, rt::kAnyTag, "invalid_argument"},
+      {"isend checks the rank first", false, kRanks, -5, "out_of_range"},
+      {"irecv past the end", true, kRanks, 4, "out_of_range"},
+      {"irecv from rank -2", true, -2, 4, "out_of_range"},
+      {"irecv with tag -5", true, 1, -5, "invalid_argument"},
+      {"irecv checks the rank first", true, kRanks, -5, "out_of_range"},
+  };
+  constexpr std::size_t kCases = std::size(kBad);
+  std::vector<std::string> got(kRanks * kCases);
+  run_backend(GetParam(), kRanks, [&](Comm& c) -> Task<void> {
+    Buffer b = Buffer::real(sizeof(int));
+    for (std::size_t i = 0; i < kCases; ++i) {
+      std::string& kind = got[static_cast<std::size_t>(c.rank()) * kCases + i];
+      try {
+        (void)(kBad[i].recv ? c.irecv(b.view(), kBad[i].peer, kBad[i].tag)
+                            : c.isend(b.view(), kBad[i].peer, kBad[i].tag));
+        kind = "none";
+      } catch (const std::out_of_range&) {
+        kind = "out_of_range";
+      } catch (const std::invalid_argument&) {
+        kind = "invalid_argument";
+      } catch (...) {
+        kind = "other";
+      }
+    }
+    // Nothing was queued: a wildcard receive meets only this ring message.
+    Buffer out = Buffer::real(sizeof(int));
+    Buffer in = Buffer::real(sizeof(int));
+    out.typed<int>()[0] = c.rank();
+    const int next = (c.rank() + 1) % kRanks;
+    const int prev = (c.rank() + kRanks - 1) % kRanks;
+    co_await c.sendrecv(out.view(), next, 4, in.view(), rt::kAnySource,
+                        rt::kAnyTag);
+    EXPECT_EQ(in.typed<int>()[0], prev);
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t i = 0; i < kCases; ++i) {
+      EXPECT_EQ(got[static_cast<std::size_t>(r) * kCases + i], kBad[i].expect)
+          << kBad[i].what << ", rank " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, P2PContract,
+                         ::testing::Values("sim", "smp", "net"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
+
+/// One matching rule on every backend (rt::MatchQueue). Receives posted
+/// before their messages arrive go earliest-posted first; receives posted
+/// after their messages arrived take the earliest arrival. Each phase has
+/// one sender, so the expected matches do not depend on how the traffic of
+/// different sources interleaves.
+class MatchOrder : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MatchOrder, EarliestPostedAndEarliestArrivedWin) {
+  constexpr int kGo = 1;      ///< rank 0 -> a sender: start the phase
+  constexpr int kMarker = 2;  ///< sender -> rank 0: every message is out
+  constexpr int kMsgs = 6;
+  // Both senders send message i with tag kTags[i] and payload {rank, i}.
+  static constexpr int kTags[kMsgs] = {5, 6, 5, 7, 6, 8};
+  struct Recv {
+    int src;
+    int tag;
+    int expect;  ///< index of the message this receive must get
+  };
+  // Phase 1: rank 0 posts these, in this order, before rank 1 sends.
+  static constexpr Recv kPosted[kMsgs] = {
+      {rt::kAnySource, 7, 3},
+      {rt::kAnySource, 5, 0},  // beats the later (1, 5) for message 0
+      {1, 5, 2},
+      {1, rt::kAnyTag, 1},  // beats the later (1, 6) for message 1
+      {1, 6, 4},
+      {rt::kAnySource, rt::kAnyTag, 5},
+  };
+  // Phase 2: rank 0 posts these only after all of rank 2's messages
+  // arrived (its marker follows them on the same pair).
+  static constexpr Recv kUnexpected[kMsgs] = {
+      {rt::kAnySource, 6, 1},  // skips message 0 (tag 5)
+      {2, rt::kAnyTag, 0},
+      {rt::kAnySource, rt::kAnyTag, 2},
+      {2, 6, 4},
+      {rt::kAnySource, 7, 3},
+      {2, 8, 5},
+  };
+  constexpr std::size_t kLen = 2 * sizeof(int);
+  run_backend(GetParam(), 3, [&](Comm& c) -> Task<void> {
+    Buffer token = Buffer::real(kLen);
+    if (c.rank() != 0) {
+      co_await c.recv(token.view(), 0, kGo);
+      Buffer out = Buffer::real(kLen);
+      for (int i = 0; i < kMsgs; ++i) {
+        out.typed<int>()[0] = c.rank();
+        out.typed<int>()[1] = i;
+        co_await c.send(out.view(), 0, kTags[i]);
+      }
+      co_await c.send(token.view(), 0, kMarker);
+      co_return;
+    }
+    const auto post_all = [&](const Recv(&recvs)[kMsgs],
+                              std::vector<Buffer>& in,
+                              std::vector<Request>& reqs) {
+      for (const Recv& r : recvs) {
+        in.push_back(Buffer::real(kLen));
+        reqs.push_back(c.irecv(in.back().view(), r.src, r.tag));
+      }
+    };
+    const auto check = [&](const Recv(&recvs)[kMsgs],
+                           const std::vector<Buffer>& in, int sender) {
+      for (int i = 0; i < kMsgs; ++i) {
+        EXPECT_EQ(in[static_cast<std::size_t>(i)].typed<int>()[0], sender)
+            << "receive " << i << " of sender " << sender;
+        EXPECT_EQ(in[static_cast<std::size_t>(i)].typed<int>()[1],
+                  recvs[i].expect)
+            << "receive " << i << " of sender " << sender;
+      }
+    };
+    for (const int sender : {1, 2}) {
+      std::vector<Buffer> in;
+      std::vector<Request> reqs;
+      in.reserve(kMsgs);
+      if (sender == 1) {
+        post_all(kPosted, in, reqs);
+        co_await c.send(token.view(), sender, kGo);
+        co_await c.recv(token.view(), sender, kMarker);
+      } else {
+        co_await c.send(token.view(), sender, kGo);
+        co_await c.recv(token.view(), sender, kMarker);
+        post_all(kUnexpected, in, reqs);
+      }
+      co_await c.wait_all(reqs);
+      check(sender == 1 ? kPosted : kUnexpected, in, sender);
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, MatchOrder,
                          ::testing::Values("sim", "smp", "net"),
                          [](const ::testing::TestParamInfo<std::string>& p) {
                            return p.param;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <queue>
 #include <random>
@@ -22,7 +21,6 @@
 #include "model/cost.hpp"
 #include "sim/cluster.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/source_index.hpp"
 #include "test_util.hpp"
 
 namespace mca2a {
@@ -149,68 +147,6 @@ TEST(EventQueue, MatchesReferenceHeapUnderMonotoneInterleavings) {
     }
     EXPECT_TRUE(q.empty());
   }
-}
-
-TEST(SourceIndex, RandomChurnMatchesReferenceMap) {
-  // Random keys collide in the table, so probe runs form; random inserts
-  // and drains then check that backward-shift deletion keeps every live
-  // source reachable and frees exactly the drained ones. The FIFO heads
-  // stand in for the entry's contents.
-  std::mt19937_64 rng(3);
-  std::vector<int> keys(400);
-  for (int& k : keys) {
-    k = static_cast<int>(rng() % (1u << 30));
-  }
-  sim::SourceIndex index;
-  std::map<int, std::uint32_t> ref;
-  auto check_all = [&] {
-    std::size_t used = 0;
-    for (const sim::SourceQueues& q : index.slots()) {
-      used += q.src != sim::SourceQueues::kFree ? 1 : 0;
-    }
-    ASSERT_EQ(used, ref.size());
-    for (const int k : keys) {
-      const sim::SourceQueues* q = index.find(k);
-      const auto it = ref.find(k);
-      ASSERT_EQ(q != nullptr, it != ref.end()) << "key " << k;
-      if (q != nullptr) {
-        EXPECT_EQ(q->posted.head, it->second);
-      }
-    }
-  };
-  for (std::uint32_t step = 0; step < 50000; ++step) {
-    const int k = keys[rng() % keys.size()];
-    if (rng() % 2 == 0) {
-      sim::SourceQueues& q = index.find_or_insert(k);
-      q.posted.head = q.posted.tail = step;
-      const std::uint32_t pending = rng() % 2 == 0 ? step : sim::Fifo::kNil;
-      q.unexpected.head = q.unexpected.tail = pending;
-      ref[k] = step;
-    } else if (const auto it = ref.find(k); it != ref.end()) {
-      sim::SourceQueues* q = index.find(k);
-      ASSERT_NE(q, nullptr);
-      q->posted = sim::Fifo{};
-      index.release_if_drained(*q);  // frees only if unexpected is empty
-      if (sim::SourceQueues* left = index.find(k)) {
-        EXPECT_FALSE(left->unexpected.empty());
-        left->posted.head = it->second;  // keep the check_all invariant
-      } else {
-        ref.erase(it);
-      }
-    }
-    if (step % 500 == 0) {
-      check_all();
-    }
-  }
-  for (const int k : keys) {  // drain everything
-    if (sim::SourceQueues* q = index.find(k)) {
-      *q = sim::SourceQueues{k, {}, {}};
-      index.release_if_drained(*q);
-      ref.erase(k);
-    }
-  }
-  check_all();
-  EXPECT_TRUE(ref.empty());
 }
 
 TEST(SimP2P, PingPongDeliversPayload) {
