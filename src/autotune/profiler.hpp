@@ -2,9 +2,9 @@
 /// \file profiler.hpp
 /// Measured-execution statistics for the online autotuner.
 ///
-/// Every completed plan execution (plan/plan.hpp records at
-/// CollectiveHandle completion, which covers execute(), start()/wait() and
-/// Schedule batches alike) feeds one sample — the exchange's elapsed
+/// Every completed plan execution (plan/plan.hpp records in the one
+/// completion step that execute(), start()/wait() and Schedule batches
+/// share) feeds one sample — the exchange's elapsed
 /// seconds on that rank — into an ExecutionProfiler under a ProfileKey:
 /// what ran (op kind, size class, algorithm, group size) and where it ran
 /// (machine shape, backend). The accumulator keeps Welford running

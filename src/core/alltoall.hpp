@@ -78,8 +78,9 @@ struct Options {
   /// staging (including the binomial gather/scatter trees) and the Bruck
   /// rotation/pack buffers alike — through it instead of allocating fresh
   /// ones per call; persistent plans (plan/plan.hpp) use this so repeated
-  /// execute() calls allocate no scratch after the first (a started plan
-  /// operation makes exactly one heap allocation, its handle state).
+  /// execute() calls allocate no scratch after the first (a warm execute()
+  /// allocates nothing in the plan layer; a started operation makes one
+  /// heap allocation, its handle state).
   rt::ScratchArena* scratch = nullptr;
   /// Tag stream (runtime/tags.hpp) this collective's internal traffic runs
   /// in. Started plans draw a fresh stream per operation so concurrent

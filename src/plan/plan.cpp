@@ -171,19 +171,45 @@ void CollectivePlan::check_can_start() const {
   }
 }
 
-CollectiveHandle CollectivePlan::launch(rt::ConstView send, rt::MutView recv,
-                                        coll::Trace* trace, int tag_stream) {
+double CollectivePlan::begin(int tag_stream) {
   check_can_start();
   // Static pre-flight verification (plan/verify.hpp): on in debug builds
   // and under A2A_VERIFY_PLANS=1, free otherwise.
   if (verify_enabled()) {
     require_verified(verify(*this, tag_stream), "CollectivePlan::start");
   }
+  ++in_flight_;
+  return world_->now();
+}
+
+double CollectivePlan::complete(double started_at, bool ok) {
+  // The plan is idle again whether or not the exchange failed; only a
+  // successful one counts. `this` is valid because move/destroy are barred
+  // while in_flight_ > 0.
+  const double finished_at = world_->now();
+  --in_flight_;
+  if (!ok) {
+    return finished_at;
+  }
+  ++executions_;
+  static obs::Counter& m_execs = obs::metrics().counter("plan.executions");
+  m_execs.add();
+  exec_micros_->observe(
+      static_cast<std::uint64_t>((finished_at - started_at) * 1e6));
+  if (autotune_ != nullptr) {
+    // Every successful completion — execute(), start()/wait(), Schedule
+    // batches alike — is one measured sample for the online autotuner.
+    autotune_->record(profile_key_, finished_at - started_at);
+  }
+  return finished_at;
+}
+
+CollectiveHandle CollectivePlan::launch(rt::ConstView send, rt::MutView recv,
+                                        coll::Trace* trace, int tag_stream) {
   auto st = std::make_shared<CollectiveHandle::State>();
   st->plan = this;
   st->stream = tag_stream;
-  st->started_at = world_->now();
-  ++in_flight_;
+  st->started_at = begin(tag_stream);
   rt::spawn_detached(run_started(st, send, recv, trace),
                      std::shared_ptr<rt::AsyncOp>(st, &st->op));
   return CollectiveHandle(std::move(st));
@@ -192,41 +218,43 @@ CollectiveHandle CollectivePlan::launch(rt::ConstView send, rt::MutView recv,
 rt::Task<void> CollectivePlan::run_started(
     std::shared_ptr<CollectiveHandle::State> st, rt::ConstView send,
     rt::MutView recv, coll::Trace* trace) {
-  std::exception_ptr err;
   try {
     co_await run_op(send, recv, trace, st->stream);
   } catch (...) {
-    err = std::current_exception();
+    st->finished_at = complete(st->started_at, false);
+    throw;  // lands in the handle's AsyncOp
   }
-  // Bookkeeping runs whether or not the exchange failed: the plan is idle
-  // again either way. `this` is valid because move/destroy are barred
-  // while in_flight_ > 0.
-  st->finished_at = world_->now();
-  --in_flight_;
-  if (err) {
-    std::rethrow_exception(err);  // lands in the handle's AsyncOp
-  }
-  ++executions_;
-  static obs::Counter& m_execs = obs::metrics().counter("plan.executions");
-  m_execs.add();
-  exec_micros_->observe(
-      static_cast<std::uint64_t>((st->finished_at - st->started_at) * 1e6));
-  if (autotune_ != nullptr) {
-    // Every successful completion — execute(), start()/wait(), Schedule
-    // batches alike — is one measured sample for the online autotuner.
-    autotune_->record(profile_key_, st->finished_at - st->started_at);
-  }
+  st->finished_at = complete(st->started_at, true);
 }
 
 rt::Task<void> CollectivePlan::execute(rt::ConstView send, rt::MutView recv,
                                        coll::Trace* trace) {
-  CollectiveHandle h = start(send, recv, trace);
-  co_await h.wait();
+  return run_inline(send, recv, trace, /*inplace=*/false);
 }
 
 rt::Task<void> CollectivePlan::execute_inplace(rt::MutView data) {
-  CollectiveHandle h = start_inplace(data);
-  co_await h.wait();
+  return run_inline(rt::ConstView{}, data, nullptr, /*inplace=*/true);
+}
+
+rt::Task<void> CollectivePlan::run_inline(rt::ConstView send, rt::MutView recv,
+                                          coll::Trace* trace, bool inplace) {
+  // start()'s checks in start()'s order, at the caller's co_await: every
+  // rejection comes before the stream draw.
+  if (inplace) {
+    validate_inplace(recv);
+  } else {
+    validate_extents(send, recv);
+  }
+  check_can_start();
+  const int stream = world_->acquire_tag_stream();
+  const double started_at = begin(stream);
+  try {
+    co_await run_op(send, recv, trace, stream);
+  } catch (...) {
+    complete(started_at, false);
+    throw;
+  }
+  complete(started_at, true);
 }
 
 rt::Task<void> CollectivePlan::run_op(rt::ConstView send, rt::MutView recv,

@@ -34,7 +34,9 @@
 ///
 /// Execution is nonblocking, MPI_Start style: start() (or start_inplace())
 /// posts the exchange and returns a CollectiveHandle with test() and an
-/// awaitable wait(); execute() is a thin start().wait() shim. Every started
+/// awaitable wait(). execute() is the blocking form of the same operation:
+/// the same checks, stream draw and completion bookkeeping, but the
+/// exchange runs in the awaiting coroutine, with no handle. Every
 /// operation draws a fresh tag stream from its communicator
 /// (runtime/tags.hpp), so multiple collectives — on the same communicator
 /// or on overlapping locality sub-communicators — can be in flight at once
@@ -45,7 +47,7 @@
 /// (plan/schedule.hpp).
 ///
 /// Plans are movable but must not be moved or destroyed while an operation
-/// is in flight (the started coroutine captures `this`): moving then throws
+/// is in flight (the running coroutine captures `this`): moving then throws
 /// std::logic_error, destruction debug-asserts. PlanCache (plan/cache.hpp)
 /// hands out shared_ptr-managed plans, which never move, and one cache
 /// serves all four collectives (keys come from OpDesc::key()).
@@ -193,13 +195,13 @@ struct PlanOptions {
 /// A planned collective of any kind: the descriptor, the resolved
 /// algorithm, the locality communicators it needs, and a reusable scratch
 /// arena. Created by make_plan; executed as many times as you like with
-/// zero construction per call and, warm, one heap allocation per started
-/// operation (the handle's shared state; coroutine frames and scratch are
-/// recycled).
+/// zero construction per call. Warm, execute() makes no heap allocation in
+/// the plan layer and a started operation exactly one, the handle's shared
+/// state (coroutine frames and scratch are recycled).
 class CollectivePlan {
  public:
   /// Plans are movable, but never while an operation is in flight: the
-  /// started coroutine holds `this`. Violations throw std::logic_error.
+  /// running coroutine holds `this`. Violations throw std::logic_error.
   CollectivePlan(CollectivePlan&& other) : CollectivePlan() {
     move_from(std::move(other));
   }
@@ -246,8 +248,11 @@ class CollectivePlan {
   /// kinds or on a bad extent.
   CollectiveHandle start_inplace(rt::MutView data);
 
-  /// Blocking form: start(...) then await the handle. Kept as the simple
-  /// entry point; identical results and timing to the nonblocking form.
+  /// Blocking form of start(...): one operation with start()'s extent and
+  /// in-flight checks, tag-stream draw and completion bookkeeping, run in
+  /// the awaiting coroutine. Nothing happens until the co_await, where a
+  /// rejected call throws without drawing a stream or counting anything.
+  /// Results and virtual time are identical to start() then wait().
   rt::Task<void> execute(rt::ConstView send, rt::MutView recv,
                          coll::Trace* trace = nullptr);
 
@@ -297,7 +302,7 @@ class CollectivePlan {
   }
   /// The reusable scratch arena (observability: allocations()/reuses()).
   const rt::ScratchArena& scratch() const noexcept { return arena_; }
-  /// Completed execute() calls.
+  /// Successfully completed operations: execute() and started alike.
   std::uint64_t executions() const noexcept { return executions_; }
 
  private:
@@ -323,9 +328,20 @@ class CollectivePlan {
   CollectiveHandle start_inplace_in_stream(rt::MutView data, int tag_stream);
   CollectiveHandle launch(rt::ConstView send, rt::MutView recv,
                           coll::Trace* trace, int tag_stream);
+  /// Every operation's start, inline or detached: the in-flight check, the
+  /// optional static verification and in_flight_ raised. Returns now().
+  double begin(int tag_stream);
+  /// Every operation's completion: in_flight_ lowered and, when `ok`, the
+  /// execution counted (executions_, plan.executions, exec_micros, the
+  /// autotune sample). Returns now(), the finish time.
+  double complete(double started_at, bool ok);
   rt::Task<void> run_started(std::shared_ptr<CollectiveHandle::State> st,
                              rt::ConstView send, rt::MutView recv,
                              coll::Trace* trace);
+  /// execute()/execute_inplace(): start()'s checks and stream draw, then
+  /// run_op in the awaiting coroutine.
+  rt::Task<void> run_inline(rt::ConstView send, rt::MutView recv,
+                            coll::Trace* trace, bool inplace);
   rt::Task<void> run_op(rt::ConstView send, rt::MutView recv,
                         coll::Trace* trace, int tag_stream);
 

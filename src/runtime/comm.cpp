@@ -40,20 +40,4 @@ Request Comm::irecv(MutView buf, int src, int tag) {
   return do_irecv(buf, src, tag);
 }
 
-Task<void> Comm::send(ConstView buf, int dst, int tag) {
-  Request r = isend(buf, dst, tag);
-  co_await wait(r);
-}
-
-Task<void> Comm::recv(MutView buf, int src, int tag) {
-  Request r = irecv(buf, src, tag);
-  co_await wait(r);
-}
-
-Task<void> Comm::sendrecv(ConstView sbuf, int dst, int stag, MutView rbuf,
-                          int src, int rtag) {
-  std::array<Request, 2> reqs{isend(sbuf, dst, stag), irecv(rbuf, src, rtag)};
-  co_await wait_all(reqs);
-}
-
 }  // namespace mca2a::rt

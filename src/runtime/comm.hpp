@@ -80,6 +80,48 @@ class WaitOneAwaiter {
   std::array<Request, 1> req_;
 };
 
+/// Awaiter of the blocking point-to-point sugar (Comm::send, recv and
+/// sendrecv); it needs no coroutine frame of its own. Nothing is posted
+/// until the co_await: await_ready posts the isend, then the irecv, and
+/// polls wait_try; await_suspend parks on wait_suspend. An argument error
+/// therefore throws at the co_await, and nothing after the failing call is
+/// posted.
+class [[nodiscard]] TransferAwaiter {
+ public:
+  enum class Mode : std::uint8_t { kSend, kRecv, kSendRecv };
+
+  TransferAwaiter(Comm& comm, Mode mode, ConstView sbuf, int dst, int stag,
+                  MutView rbuf, int src, int rtag) noexcept
+      : comm_(&comm),
+        sbuf_(sbuf),
+        rbuf_(rbuf),
+        dst_(dst),
+        stag_(stag),
+        src_(src),
+        rtag_(rtag),
+        mode_(mode) {}
+
+  bool await_ready();
+  void await_suspend(std::coroutine_handle<> h);
+  void await_resume() const noexcept {}
+
+ private:
+  std::span<const Request> posted() const noexcept {
+    return {reqs_.data(), count_};
+  }
+
+  Comm* comm_;
+  ConstView sbuf_;
+  MutView rbuf_;
+  int dst_;
+  int stag_;
+  int src_;
+  int rtag_;
+  Mode mode_;
+  std::uint8_t count_ = 0;
+  std::array<Request, 2> reqs_{};
+};
+
 /// Abstract per-rank communicator endpoint.
 ///
 /// A Comm object belongs to exactly one rank: rank() is *this* process's
@@ -191,12 +233,20 @@ class Comm {
   }
 
   /// Blocking send (isend + wait).
-  Task<void> send(ConstView buf, int dst, int tag);
+  TransferAwaiter send(ConstView buf, int dst, int tag) noexcept {
+    return {*this, TransferAwaiter::Mode::kSend, buf, dst, tag, {}, 0, 0};
+  }
   /// Blocking receive (irecv + wait).
-  Task<void> recv(MutView buf, int src, int tag);
-  /// Combined send+receive, the building block of pairwise exchange.
-  Task<void> sendrecv(ConstView sbuf, int dst, int stag, MutView rbuf, int src,
-                      int rtag);
+  TransferAwaiter recv(MutView buf, int src, int tag) noexcept {
+    return {*this, TransferAwaiter::Mode::kRecv, {}, 0, 0, buf, src, tag};
+  }
+  /// Combined send+receive, the building block of pairwise exchange: the
+  /// isend is posted before the irecv.
+  TransferAwaiter sendrecv(ConstView sbuf, int dst, int stag, MutView rbuf,
+                           int src, int rtag) noexcept {
+    return {*this, TransferAwaiter::Mode::kSendRecv, sbuf, dst, stag, rbuf,
+            src, rtag};
+  }
 
   /// Copy bytes and charge the packing cost to this rank.
   void copy_and_charge(MutView dst, ConstView src) {
@@ -237,6 +287,18 @@ inline bool WaitOneAwaiter::await_ready() {
 }
 inline void WaitOneAwaiter::await_suspend(std::coroutine_handle<> h) {
   comm_->wait_suspend(std::span<const Request>(req_.data(), 1), h);
+}
+inline bool TransferAwaiter::await_ready() {
+  if (mode_ != Mode::kRecv) {
+    reqs_[count_++] = comm_->isend(sbuf_, dst_, stag_);
+  }
+  if (mode_ != Mode::kSend) {
+    reqs_[count_++] = comm_->irecv(rbuf_, src_, rtag_);
+  }
+  return comm_->wait_try(posted());
+}
+inline void TransferAwaiter::await_suspend(std::coroutine_handle<> h) {
+  comm_->wait_suspend(posted(), h);
 }
 
 }  // namespace mca2a::rt

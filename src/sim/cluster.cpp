@@ -18,6 +18,10 @@ Cluster::Cluster(ClusterConfig cfg)
   model::validate(cfg_.net);
   const int n = machine_.total_ranks();
   ranks_.resize(n);
+  place_.reserve(n);
+  for (int r = 0; r < n; ++r) {
+    place_.push_back(machine_.placement(r));
+  }
   nic_in_.assign(machine_.nodes(), 0.0);
   nic_out_.assign(machine_.nodes(), 0.0);
   mem_chan_.assign(machine_.nodes() * machine_.desc().numa_per_node(), 0.0);
@@ -78,12 +82,8 @@ double Cluster::max_clock() const {
   return t;
 }
 
-double Cluster::noise() {
+double Cluster::lognormal() {
   const double sigma = cfg_.net.noise_sigma;
-  if (sigma <= 0.0) {
-    return 1.0;
-  }
-  // Mean-one log-normal perturbation.
   return std::exp(sigma * normal_(rng_) - 0.5 * sigma * sigma);
 }
 
@@ -181,7 +181,11 @@ rt::Request Cluster::isend_impl(std::uint32_t comm_id, int my_rank_in_comm,
   CommEntry& entry = comms_[comm_id];
   const int src_world = entry.world_ranks[my_rank_in_comm];
   const int dst_world = entry.world_ranks[dst];
-  const Level level = machine_.level(src_world, dst_world);
+  // machine_.level(src_world, dst_world), from the placement table.
+  const Level level =
+      src_world == dst_world
+          ? Level::kSelf
+          : topo::level_between(place_[src_world], place_[dst_world]);
   const model::NetParams& net = cfg_.net;
   const double scale = entry.cost_scale;
   RankState& rs = ranks_[src_world];
@@ -243,13 +247,13 @@ rt::Request Cluster::isend_impl(std::uint32_t comm_id, int my_rank_in_comm,
     double depart = rs.clock;
     double chan_rate = 0.0;
     if (level == Level::kNetwork) {
-      double& r = nic_in_[machine_.node_of(src_world)];
+      double& r = nic_in_[place_[src_world].node];
       const double service = model::nic_inject_time(net, buf.len);
       depart = std::max(depart, r) + service;
       r = depart;
       chan_rate = buf.len > 0 ? service / static_cast<double>(buf.len) : 0.0;
     } else if (level != Level::kSelf) {
-      double& c = mem_chan_[machine_.numa_of(src_world)];
+      double& c = mem_chan_[place_[src_world].numa];
       const double service = model::mem_channel_time(net, buf.len);
       depart = std::max(depart, c) + service;
       c = depart;
@@ -440,7 +444,7 @@ void Cluster::on_eager_arrival(std::uint32_t msg_id) {
   // time; a contended one spaces deliveries by its service time.
   double deliver = engine_.now();
   if (m.level == Level::kNetwork) {
-    double& r = nic_out_[machine_.node_of(m.dst_world)];
+    double& r = nic_out_[place_[m.dst_world].node];
     deliver = std::max(deliver, r + model::nic_eject_time(cfg_.net, m.bytes));
     r = deliver;
   }
@@ -483,13 +487,13 @@ void Cluster::start_rendezvous_transfer(std::uint32_t msg_id, double t_ready) {
   double depart = t_ready;
   double chan_rate = 0.0;
   if (m.level == Level::kNetwork) {
-    double& r = nic_in_[machine_.node_of(m.src_world)];
+    double& r = nic_in_[place_[m.src_world].node];
     const double service = model::nic_inject_time(net, m.bytes);
     depart = std::max(depart, r) + service;
     r = depart;
     chan_rate = m.bytes > 0 ? service / static_cast<double>(m.bytes) : 0.0;
   } else if (m.level != Level::kSelf) {
-    double& c = mem_chan_[machine_.numa_of(m.src_world)];
+    double& c = mem_chan_[place_[m.src_world].numa];
     const double service = model::mem_channel_time(net, m.bytes);
     depart = std::max(depart, c) + service;
     c = depart;
@@ -519,7 +523,7 @@ void Cluster::on_data_arrival(std::uint32_t msg_id) {
   MsgRec& m = msgs_[msg_id];
   double deliver = engine_.now();
   if (m.level == Level::kNetwork) {
-    double& r = nic_out_[machine_.node_of(m.dst_world)];
+    double& r = nic_out_[place_[m.dst_world].node];
     deliver = std::max(deliver, r + model::nic_eject_time(cfg_.net, m.bytes));
     r = deliver;
   }

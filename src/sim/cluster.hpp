@@ -203,13 +203,17 @@ class Cluster {
   void release_waiter(std::uint32_t id);
   OpRec& op_checked(const rt::Request& r);
 
-  double noise();
+  /// Multiplier of one latency or overhead: 1 unless net().noise_sigma > 0.
+  double noise() { return cfg_.net.noise_sigma <= 0.0 ? 1.0 : lognormal(); }
+  /// Draw of the mean-one log-normal noise stream.
+  double lognormal();
 
   ClusterConfig cfg_;
   topo::Machine machine_;
   Engine engine_;
 
   std::vector<RankState> ranks_;
+  std::vector<topo::Placement> place_;  // per world rank
   std::vector<double> nic_in_;    // per node
   std::vector<double> nic_out_;   // per node
   std::vector<double> mem_chan_;  // per global NUMA domain

@@ -2,14 +2,6 @@
 
 namespace mca2a::sim {
 
-int SimComm::world_rank() const {
-  // comm 0 is the world communicator; otherwise translate via the entry.
-  if (comm_id_ == 0) {
-    return rank_;
-  }
-  return cluster_->comms_[comm_id_].world_ranks[rank_];
-}
-
 std::unique_ptr<rt::Comm> SimComm::create_subcomm(
     std::span<const int> members) {
   const rt::SubcommRegistry::Creation c =

@@ -16,16 +16,19 @@ namespace mca2a::sim {
 class SimComm final : public rt::Comm {
  public:
   SimComm(Cluster& cluster, std::uint32_t comm_id, int rank, int size)
-      : rt::Comm(rank, size), cluster_(&cluster), comm_id_(comm_id) {}
+      : rt::Comm(rank, size),
+        cluster_(&cluster),
+        comm_id_(comm_id),
+        world_rank_(cluster.comms_[comm_id].world_ranks[rank]) {}
 
   bool wait_try(std::span<const rt::Request> reqs) override {
-    return cluster_->wait_try_impl(world_rank(), reqs);
+    return cluster_->wait_try_impl(world_rank_, reqs);
   }
   void wait_suspend(std::span<const rt::Request> reqs,
                     std::coroutine_handle<> h) override {
-    cluster_->wait_suspend_impl(world_rank(), reqs, h);
+    cluster_->wait_suspend_impl(world_rank_, reqs, h);
   }
-  double now() const override { return cluster_->rank_clock(world_rank()); }
+  double now() const override { return cluster_->rank_clock(world_rank_); }
   std::string_view backend_name() const noexcept override { return "sim"; }
   rt::Buffer alloc_buffer(std::size_t bytes) const override {
     return cluster_->carry_data() ? rt::Buffer::real(bytes)
@@ -47,7 +50,7 @@ class SimComm final : public rt::Comm {
   }
 
   /// World rank of this endpoint.
-  int world_rank() const;
+  int world_rank() const noexcept { return world_rank_; }
   std::uint32_t comm_id() const noexcept { return comm_id_; }
   Cluster& cluster() noexcept { return *cluster_; }
 
@@ -61,6 +64,7 @@ class SimComm final : public rt::Comm {
 
   Cluster* cluster_;
   std::uint32_t comm_id_;
+  int world_rank_;
 };
 
 }  // namespace mca2a::sim

@@ -29,19 +29,7 @@ Machine::Machine(MachineDesc desc) : desc_(std::move(desc)) {
 Level Machine::level(int a, int b) const {
   check(a);
   check(b);
-  if (a == b) {
-    return Level::kSelf;
-  }
-  if (node_of(a) != node_of(b)) {
-    return Level::kNetwork;
-  }
-  if (socket_of(a) != socket_of(b)) {
-    return Level::kNode;
-  }
-  if (numa_of(a) != numa_of(b)) {
-    return Level::kSocket;
-  }
-  return Level::kNuma;
+  return a == b ? Level::kSelf : level_between(placement(a), placement(b));
 }
 
 int Machine::groups_per_node(int group_size) const {

@@ -25,6 +25,24 @@ enum class Level : std::uint8_t {
 
 inline constexpr int kNumLevels = 5;
 
+/// Where a rank runs: its node, global socket and global NUMA domain.
+struct Placement {
+  int node = 0;
+  int socket = 0;
+  int numa = 0;
+};
+
+/// Locality level of two *different* ranks placed at `a` and `b`.
+inline Level level_between(const Placement& a, const Placement& b) noexcept {
+  if (a.node != b.node) {
+    return Level::kNetwork;
+  }
+  if (a.socket != b.socket) {
+    return Level::kNode;
+  }
+  return a.numa != b.numa ? Level::kSocket : Level::kNuma;
+}
+
 /// Human-readable name of a level ("self", "numa", ...).
 const char* to_string(Level level);
 
@@ -69,6 +87,10 @@ class Machine {
   int numa_of(int rank) const {
     return node_of(rank) * desc_.numa_per_node() +
            local_rank(rank) / desc_.cores_per_numa;
+  }
+  /// Node, socket and NUMA domain of a world rank.
+  Placement placement(int rank) const {
+    return {node_of(rank), socket_of(rank), numa_of(rank)};
   }
   /// World rank of node-local index `local` on node `node`.
   int world_rank(int node, int local) const {

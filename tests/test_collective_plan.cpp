@@ -1,9 +1,9 @@
 /// Tests for the unified collective API: typed op descriptors
 /// (coll_ext/op_desc.hpp), family-wide CollectivePlan plan/execute,
 /// plan-vs-direct equivalence for every op kind on both backends (execute()
-/// is now a start().wait() shim over nonblocking handles, so these
-/// equivalences also pin the handle path to the PR-2 results and virtual
-/// times bit-for-bit), execute argument validation, cross-op PlanCache
+/// and start().wait() run one operation, so these equivalences also pin
+/// the handle path to the PR-2 results and virtual times bit-for-bit),
+/// execute argument validation, cross-op PlanCache
 /// behavior (coexistence, LRU across kinds, per-op counters), zero
 /// post-warmup allocations (including the Bruck rotation buffers), the
 /// extension tuner, and the op-tagged TuningTable serialization (v3 only;
@@ -460,7 +460,7 @@ TEST(CollectivePlan, AlltoallvVirtualTimeMatchesDirectPath) {
 }
 
 // ---------------------------------------------------------------------------
-// execute() == start().wait(): the blocking shim adds nothing
+// execute() == start().wait(): the inline run adds nothing
 // ---------------------------------------------------------------------------
 
 TEST(CollectivePlan, ExecuteIsStartWaitBitForBit) {

@@ -11,21 +11,30 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "coll_ext/allreduce.hpp"
+#include "coll_ext/op_desc.hpp"
 #include "net/bootstrap.hpp"
 #include "net/net_comm.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
+#include "plan/plan.hpp"
 #include "runtime/task.hpp"
+#include "sim/sim_comm.hpp"
 #include "test_util.hpp"
 
 namespace mca2a {
@@ -736,40 +745,100 @@ INSTANTIATE_TEST_SUITE_P(Backends, SubcommContract,
 /// One point-to-point argument contract on every backend (rt::Comm):
 /// isend and irecv throw before anything is queued — out_of_range for a
 /// rank outside the communicator, then invalid_argument for a negative tag
-/// — and irecv accepts kAnySource and kAnyTag.
+/// — and irecv accepts kAnySource and kAnyTag. The blocking send, recv and
+/// sendrecv throw the same at their co_await; sendrecv posts its isend
+/// before its irecv, so a bad destination sends nothing.
 class P2PContract : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(P2PContract, BadArgumentsThrowAlike) {
   constexpr int kRanks = 3;
+  enum class Call { kIsend, kIrecv, kSend, kRecv, kSendRecv };
   struct BadCall {
     const char* what;
-    bool recv;
-    int peer;
-    int tag;
+    Call call;
+    int peer;  ///< the destination of a send, else the receive's source
+    int tag;   ///< the send's tag, else the receive's tag
     const char* expect;
+    int src = 1;   ///< sendrecv: the receive's source
+    int rtag = 4;  ///< sendrecv: the receive's tag
   };
   static const BadCall kBad[] = {
-      {"isend past the end", false, kRanks, 4, "out_of_range"},
-      {"isend to rank -1", false, -1, 4, "out_of_range"},
-      {"isend to INT_MIN", false, std::numeric_limits<int>::min(), 4,
+      {"isend past the end", Call::kIsend, kRanks, 4, "out_of_range"},
+      {"isend to rank -1", Call::kIsend, -1, 4, "out_of_range"},
+      {"isend to INT_MIN", Call::kIsend, std::numeric_limits<int>::min(), 4,
        "out_of_range"},
-      {"isend with tag -5", false, 1, -5, "invalid_argument"},
-      {"isend with kAnyTag", false, 1, rt::kAnyTag, "invalid_argument"},
-      {"isend checks the rank first", false, kRanks, -5, "out_of_range"},
-      {"irecv past the end", true, kRanks, 4, "out_of_range"},
-      {"irecv from rank -2", true, -2, 4, "out_of_range"},
-      {"irecv with tag -5", true, 1, -5, "invalid_argument"},
-      {"irecv checks the rank first", true, kRanks, -5, "out_of_range"},
+      {"isend with tag -5", Call::kIsend, 1, -5, "invalid_argument"},
+      {"isend with kAnyTag", Call::kIsend, 1, rt::kAnyTag, "invalid_argument"},
+      {"isend checks the rank first", Call::kIsend, kRanks, -5,
+       "out_of_range"},
+      {"irecv past the end", Call::kIrecv, kRanks, 4, "out_of_range"},
+      {"irecv from rank -2", Call::kIrecv, -2, 4, "out_of_range"},
+      {"irecv with tag -5", Call::kIrecv, 1, -5, "invalid_argument"},
+      {"irecv checks the rank first", Call::kIrecv, kRanks, -5,
+       "out_of_range"},
+      {"send past the end", Call::kSend, kRanks, 4, "out_of_range"},
+      {"send to rank -1", Call::kSend, -1, 4, "out_of_range"},
+      {"send with tag -5", Call::kSend, 1, -5, "invalid_argument"},
+      {"send checks the rank first", Call::kSend, kRanks, -5, "out_of_range"},
+      {"recv past the end", Call::kRecv, kRanks, 4, "out_of_range"},
+      {"recv from rank -2", Call::kRecv, -2, 4, "out_of_range"},
+      {"recv with tag -5", Call::kRecv, 1, -5, "invalid_argument"},
+      {"sendrecv to a rank past the end", Call::kSendRecv, kRanks, 4,
+       "out_of_range"},
+      {"sendrecv with send tag -5", Call::kSendRecv, 1, -5,
+       "invalid_argument"},
+      {"sendrecv checks the send first", Call::kSendRecv, 1, -5,
+       "invalid_argument", /*src=*/kRanks},
   };
-  constexpr std::size_t kCases = std::size(kBad);
+  // sendrecv whose receive half is bad: its isend, to this rank with
+  // kStrayTag, is already posted when the irecv throws.
+  constexpr int kStrayTag = 9;
+  static const BadCall kBadReceiveHalf[] = {
+      {"sendrecv from rank -2", Call::kSendRecv, 0, kStrayTag, "out_of_range",
+       /*src=*/-2},
+      {"sendrecv with receive tag -5", Call::kSendRecv, 0, kStrayTag,
+       "invalid_argument", /*src=*/1, /*rtag=*/-5},
+  };
+  constexpr std::size_t kCases = std::size(kBad) + std::size(kBadReceiveHalf);
   std::vector<std::string> got(kRanks * kCases);
+  std::vector<std::uint64_t> sent(kRanks * kCases, 0);
+  const bool sim = GetParam() == "sim";
   run_backend(GetParam(), kRanks, [&](Comm& c) -> Task<void> {
+    // Messages the simulator has sent so far (0 on the other backends).
+    const auto messages = [&c] {
+      auto* sc = dynamic_cast<sim::SimComm*>(&c);
+      return sc != nullptr ? sc->cluster().messages_sent() : std::uint64_t{0};
+    };
     Buffer b = Buffer::real(sizeof(int));
+    Buffer in = Buffer::real(sizeof(int));
     for (std::size_t i = 0; i < kCases; ++i) {
-      std::string& kind = got[static_cast<std::size_t>(c.rank()) * kCases + i];
+      BadCall bad = i < std::size(kBad) ? kBad[i]
+                                        : kBadReceiveHalf[i - std::size(kBad)];
+      if (i >= std::size(kBad)) {
+        bad.peer = c.rank();
+      }
+      const std::size_t slot = static_cast<std::size_t>(c.rank()) * kCases + i;
+      std::string& kind = got[slot];
+      const std::uint64_t before = messages();
       try {
-        (void)(kBad[i].recv ? c.irecv(b.view(), kBad[i].peer, kBad[i].tag)
-                            : c.isend(b.view(), kBad[i].peer, kBad[i].tag));
+        switch (bad.call) {
+          case Call::kIsend:
+            (void)c.isend(b.view(), bad.peer, bad.tag);
+            break;
+          case Call::kIrecv:
+            (void)c.irecv(b.view(), bad.peer, bad.tag);
+            break;
+          case Call::kSend:
+            co_await c.send(b.view(), bad.peer, bad.tag);
+            break;
+          case Call::kRecv:
+            co_await c.recv(b.view(), bad.peer, bad.tag);
+            break;
+          case Call::kSendRecv:
+            co_await c.sendrecv(b.view(), bad.peer, bad.tag, in.view(),
+                                bad.src, bad.rtag);
+            break;
+        }
         kind = "none";
       } catch (const std::out_of_range&) {
         kind = "out_of_range";
@@ -778,10 +847,15 @@ TEST_P(P2PContract, BadArgumentsThrowAlike) {
       } catch (...) {
         kind = "other";
       }
+      sent[slot] = messages() - before;
     }
-    // Nothing was queued: a wildcard receive meets only this ring message.
+    // The receive-half cases each left one message to this rank.
+    for (std::size_t i = 0; i < std::size(kBadReceiveHalf); ++i) {
+      co_await c.recv(in.view(), c.rank(), kStrayTag);
+    }
+    // Nothing else was queued: a wildcard receive meets only this ring
+    // message.
     Buffer out = Buffer::real(sizeof(int));
-    Buffer in = Buffer::real(sizeof(int));
     out.typed<int>()[0] = c.rank();
     const int next = (c.rank() + 1) % kRanks;
     const int prev = (c.rank() + kRanks - 1) % kRanks;
@@ -791,8 +865,13 @@ TEST_P(P2PContract, BadArgumentsThrowAlike) {
   });
   for (int r = 0; r < kRanks; ++r) {
     for (std::size_t i = 0; i < kCases; ++i) {
-      EXPECT_EQ(got[static_cast<std::size_t>(r) * kCases + i], kBad[i].expect)
-          << kBad[i].what << ", rank " << r;
+      const bool receive_half = i >= std::size(kBad);
+      const BadCall& bad =
+          receive_half ? kBadReceiveHalf[i - std::size(kBad)] : kBad[i];
+      const std::size_t slot = static_cast<std::size_t>(r) * kCases + i;
+      EXPECT_EQ(got[slot], bad.expect) << bad.what << ", rank " << r;
+      EXPECT_EQ(sent[slot], sim && receive_half ? 1u : 0u)
+          << bad.what << ", rank " << r;
     }
   }
 }
@@ -892,6 +971,162 @@ TEST_P(MatchOrder, EarliestPostedAndEarliestArrivedWin) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MatchOrder,
+                         ::testing::Values("sim", "smp", "net"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
+
+/// execute() and start()/wait() are one operation on every backend. Each
+/// rank makes kN execute() calls, then kN start()+wait() calls, on an
+/// alltoall plan and an in-place allreduce plan, each plan on its own
+/// communicator. Every call moves the right bytes; each plan counts 2 kN
+/// executions and draws tag streams 1..2 kN; the registry's
+/// plan.executions and plan.exec_micros.<backend>.<op> grow by exactly
+/// that. A rejected execute() throws at its co_await and, like a rejected
+/// start(), draws no stream and counts nothing. On sim the run is repeated
+/// with the halves swapped, and every call's per-rank virtual duration
+/// must equal the other form's at the same position, bit for bit.
+class CollectivePlan : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CollectivePlan, ExecuteMatchesStartWait) {
+  constexpr int kRanks = 4;
+  constexpr int kN = 3;
+  constexpr int kCalls = 2 * kN;
+  constexpr std::size_t kBlock = 16;
+  constexpr std::size_t kCount = 8;
+  const std::string backend = GetParam();
+  const topo::Machine machine = topo::generic(2, 2);
+  const model::NetParams net = model::test_params();
+  obs::Counter& execs = obs::metrics().counter("plan.executions");
+  obs::Histogram& a2a_micros =
+      obs::metrics().histogram("plan.exec_micros." + backend + ".alltoall");
+  obs::Histogram& ar_micros =
+      obs::metrics().histogram("plan.exec_micros." + backend + ".allreduce");
+
+  // Per-call durations on each rank, [plan][rank][call].
+  const auto slot = [](int plan, int rank, int call) {
+    return static_cast<std::size_t>((plan * kRanks + rank) * kCalls + call);
+  };
+  const auto run = [&](bool execute_first) {
+    std::vector<double> dur(slot(2, 0, 0), 0.0);
+    const std::uint64_t execs0 = execs.value();
+    const std::uint64_t a2a0 = a2a_micros.count();
+    const std::uint64_t ar0 = ar_micros.count();
+    run_backend(backend, kRanks, [&](Comm& world) -> Task<void> {
+      std::vector<int> all(kRanks);
+      std::iota(all.begin(), all.end(), 0);
+      std::unique_ptr<Comm> a2a_comm = world.create_subcomm(all);
+      std::unique_ptr<Comm> ar_comm = world.create_subcomm(all);
+      coll::AlltoallDesc ad;
+      ad.block = kBlock;
+      ad.algo = coll::Algo::kNodeAware;
+      plan::CollectivePlan a2a = plan::make_plan(*a2a_comm, machine, net, ad);
+      coll::AllreduceDesc rd;
+      rd.count = kCount;
+      rd.combiner = coll::sum_combiner<std::int64_t>();
+      rd.algo = coll::AllreduceAlgo::kNodeAware;
+      plan::CollectivePlan ar = plan::make_plan(*ar_comm, machine, net, rd);
+      const int me = world.rank();
+      Buffer send = Buffer::real(kBlock * kRanks);
+      Buffer recv = Buffer::real(kBlock * kRanks);
+      Buffer data = Buffer::real(kCount * sizeof(std::int64_t));
+      Buffer bad = Buffer::real(kBlock);
+
+      // start() rejects at the call; execute() only at its co_await.
+      EXPECT_THROW((void)a2a.start(rt::ConstView(bad.view()), recv.view()),
+                   std::invalid_argument);
+      EXPECT_THROW((void)ar.start_inplace(bad.view()), std::invalid_argument);
+      Task<void> bad_a2a = a2a.execute(rt::ConstView(bad.view()), recv.view());
+      Task<void> bad_ar = ar.execute_inplace(bad.view());
+      int rejected = 0;
+      try {
+        co_await std::move(bad_a2a);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      }
+      try {
+        co_await std::move(bad_ar);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      }
+      EXPECT_EQ(rejected, 2);
+
+      // Byte b of the block rank `from` sends rank `to` in call k.
+      const auto byte_of = [](int from, int to, int k, std::size_t b) {
+        return static_cast<std::byte>(from * 31 + to * 7 + k * 3 +
+                                      static_cast<int>(b));
+      };
+      for (int k = 0; k < kCalls; ++k) {
+        const bool execute = (k < kN) == execute_first;
+        for (int to = 0; to < kRanks; ++to) {
+          for (std::size_t b = 0; b < kBlock; ++b) {
+            send.data()[static_cast<std::size_t>(to) * kBlock + b] =
+                byte_of(me, to, k, b);
+          }
+        }
+        std::memset(recv.data(), 0xee, recv.size());
+        double t0 = world.now();
+        if (execute) {
+          co_await a2a.execute(rt::ConstView(send.view()), recv.view());
+        } else {
+          plan::CollectiveHandle h =
+              a2a.start(rt::ConstView(send.view()), recv.view());
+          EXPECT_EQ(h.tag_stream(), k + 1);
+          co_await h.wait();
+        }
+        dur[slot(0, me, k)] = world.now() - t0;
+        for (int from = 0; from < kRanks; ++from) {
+          for (std::size_t b = 0; b < kBlock; ++b) {
+            EXPECT_EQ(recv.data()[static_cast<std::size_t>(from) * kBlock + b],
+                      byte_of(from, me, k, b))
+                << "alltoall call " << k << ", block from " << from;
+          }
+        }
+
+        const std::span<std::int64_t> vals = data.typed<std::int64_t>();
+        for (std::size_t e = 0; e < kCount; ++e) {
+          vals[e] = me * 100 + k * 10 + static_cast<std::int64_t>(e);
+        }
+        t0 = world.now();
+        if (execute) {
+          co_await ar.execute_inplace(data.view());
+        } else {
+          plan::CollectiveHandle h = ar.start_inplace(data.view());
+          EXPECT_EQ(h.tag_stream(), k + 1);
+          co_await h.wait();
+        }
+        dur[slot(1, me, k)] = world.now() - t0;
+        for (std::size_t e = 0; e < kCount; ++e) {
+          // sum over ranks r of r * 100 + k * 10 + e.
+          EXPECT_EQ(vals[e], 600 + kRanks * (k * 10 + static_cast<int>(e)))
+              << "allreduce call " << k << ", element " << e;
+        }
+      }
+      EXPECT_EQ(a2a.executions(), std::uint64_t{kCalls});
+      EXPECT_EQ(ar.executions(), std::uint64_t{kCalls});
+      // Every call drew exactly one stream and the rejected ones none.
+      EXPECT_EQ(a2a_comm->acquire_tag_stream(), kCalls + 1);
+      EXPECT_EQ(ar_comm->acquire_tag_stream(), kCalls + 1);
+    });
+    EXPECT_EQ(execs.value() - execs0, std::uint64_t{2 * kRanks * kCalls});
+    EXPECT_EQ(a2a_micros.count() - a2a0, std::uint64_t{kRanks * kCalls});
+    EXPECT_EQ(ar_micros.count() - ar0, std::uint64_t{kRanks * kCalls});
+    return dur;
+  };
+  const std::vector<double> execute_first = run(true);
+  const std::vector<double> start_first = run(false);
+  if (backend == "sim") {
+    for (std::size_t i = 0; i < execute_first.size(); ++i) {
+      EXPECT_GT(execute_first[i], 0.0) << "slot " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(execute_first[i]),
+                std::bit_cast<std::uint64_t>(start_first[i]))
+          << "slot " << i << ": " << execute_first[i] << " vs "
+          << start_first[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CollectivePlan,
                          ::testing::Values("sim", "smp", "net"),
                          [](const ::testing::TestParamInfo<std::string>& p) {
                            return p.param;
