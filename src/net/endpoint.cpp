@@ -99,6 +99,8 @@ Endpoint::Endpoint(NetOptions opts)
   frames_rx_ = &reg.counter("net.frames_rx");
   eager_tx_ = &reg.counter("net.eager_tx");
   rndv_tx_ = &reg.counter("net.rndv_tx");
+  rtr_tx_ = &reg.counter("net.rtr_tx");
+  rtr_used_ = &reg.counter("net.rtr_used");
   if (obs::TraceRecorder* rec = obs::active_recorder()) {
     trace_rec_ = rec;
     trace_session_ = rec->begin_session("net");
@@ -309,22 +311,12 @@ void Endpoint::run_calibration() {
   tracer_->set_calibration(obs::fit_drift(calib_rounds_));
 }
 
-std::uint64_t Endpoint::next_tx_flow(std::uint64_t comm_key, int dst_world,
-                                     int tag) {
-  if (tracer_ == nullptr) {
-    return 0;
-  }
-  const std::uint64_t seq = flow_tx_seq_[{comm_key, dst_world, tag}]++;
-  return obs::flow_id(comm_key, opts_.rank, dst_world, tag, seq);
-}
-
-std::uint64_t Endpoint::next_rx_flow(std::uint64_t comm_key, int src_world,
-                                     int tag) {
-  if (tracer_ == nullptr) {
-    return 0;
-  }
-  const std::uint64_t seq = flow_rx_seq_[{comm_key, src_world, tag}]++;
-  return obs::flow_id(comm_key, src_world, opts_.rank, tag, seq);
+std::uint64_t Endpoint::flow_of(std::uint64_t comm_key, int src_world,
+                                int dst_world, int tag,
+                                std::uint64_t seq) const {
+  return tracer_ != nullptr
+             ? obs::flow_id(comm_key, src_world, dst_world, tag, seq)
+             : 0;
 }
 
 int Endpoint::register_conn(Fd fd, int peer, int rail) {
@@ -385,6 +377,13 @@ Endpoint::CommState& Endpoint::comm_state(std::uint64_t key) {
   return comms_.try_emplace(key, match_pool_).first->second;
 }
 
+Endpoint::Pair& Endpoint::pair(CommState& cs, int peer_world) {
+  if (cs.pairs.empty()) {
+    cs.pairs.resize(static_cast<std::size_t>(opts_.size));
+  }
+  return cs.pairs[static_cast<std::size_t>(peer_world)];
+}
+
 rt::SubcommRegistry::Creation Endpoint::create_comm(
     std::span<const int> parent, std::span<const int> members, int caller,
     std::uint64_t* key) {
@@ -422,6 +421,19 @@ rt::Request Endpoint::post_send(std::uint64_t comm_key,
     throw std::runtime_error("net: send to rank " + std::to_string(dst_world) +
                              " which already shut down");
   }
+  Pair& pr = pair(comm_state(comm_key), dst_world);
+  const std::uint64_t seq = pr.tx_seq++;
+  const std::uint64_t flow = flow_of(comm_key, opts_.rank, dst_world, tag, seq);
+  // Every offer held names this frame: a rendezvous body may use the one
+  // for its tag if it fits, and the rest go stale.
+  std::uint64_t offer = 0;
+  for (const Offer& o : pr.offers) {
+    if (o.tag == tag && buf.len > opts_.eager_max && buf.len <= o.capacity) {
+      offer = o.token;
+      break;
+    }
+  }
+  pr.offers.clear();
 
   if (buf.len <= opts_.eager_max) {
     FrameHeader h;
@@ -435,10 +447,8 @@ rt::Request Endpoint::post_send(std::uint64_t comm_key,
       owned.assign(buf.ptr, buf.ptr + buf.len);
     }
     eager_tx_->add(1);
-    const std::uint64_t flow =
-        buf.len > 0 ? next_tx_flow(comm_key, dst_world, tag) : 0;
     enqueue(peer.conns[0], h, rt::ConstView{}, std::move(owned), UINT32_MAX,
-            flow);
+            buf.len > 0 ? flow : 0);
     return rt::Request{};  // buffered: complete on return
   }
 
@@ -447,9 +457,12 @@ rt::Request Endpoint::post_send(std::uint64_t comm_key,
   op.kind = Op::Kind::kSend;
   op.sbuf = buf;
   op.dst_world = dst_world;
-  // The RTS is the matching-relevant frame: draw the flow id now, emit the
-  // arrow source later from the first data chunk's net.send span.
-  op.flow_id = next_tx_flow(comm_key, dst_world, tag);
+  op.comm_key = comm_key;
+  op.tag = tag;
+  op.seq = seq;
+  // The RTS is the matching-relevant frame: its flow arrow starts later,
+  // from the first data chunk's net.send span.
+  op.flow_id = flow;
   FrameHeader h;
   h.kind = FrameKind::kRts;
   h.tag = tag;
@@ -458,7 +471,14 @@ rt::Request Endpoint::post_send(std::uint64_t comm_key,
   h.bytes = buf.len;
   h.token = slot;
   rndv_tx_->add(1);
-  enqueue(peer.conns[0], h, rt::ConstView{}, {}, UINT32_MAX);
+  // With an offer the body follows its kRts in the same flush.
+  enqueue(peer.conns[0], h, rt::ConstView{}, {}, UINT32_MAX, 0, offer == 0);
+  if (offer != 0) {
+    rtr_used_->add(1);
+    send_data_frames(slot, offer, true);
+  } else {
+    pr.unanswered.emplace_back(seq, slot);
+  }
   return rt::Request{slot, op.serial};
 }
 
@@ -482,7 +502,7 @@ rt::Request Endpoint::post_recv(std::uint64_t comm_key,
   op.tag = tag;
 
   CommState& cs = comm_state(comm_key);
-  if (const std::optional<Unexpected> u = cs.take_unexpected(src, tag)) {
+  if (const std::optional<Unexpected> u = cs.match.take_unexpected(src, tag)) {
     if (u->rndv) {
       start_rndv_recv(slot, u->peer_world, u->sender_token, u->bytes,
                       u->flow_id);
@@ -505,14 +525,69 @@ rt::Request Endpoint::post_recv(std::uint64_t comm_key,
       return rt::Request{slot, op.serial};
     }
   }
-  cs.post(src, tag, slot);
+  maybe_offer(cs, slot);
+  cs.match.post(src, tag, slot);
   return rt::Request{slot, op.serial};
+}
+
+void Endpoint::maybe_offer(CommState& cs, std::uint32_t recv_op) {
+  Op& op = ops_[recv_op];
+  if (op.src_world < 0 || op.src_world == opts_.rank ||
+      op.tag == rt::kAnyTag || op.rbuf.len <= opts_.eager_max ||
+      op.rbuf.len >= opts_.stripe_min ||
+      cs.match.has_posted_for(op.src, op.tag)) {
+    return;
+  }
+  // An eager frame of this communicator still streaming in unmatched
+  // takes the earliest eligible receive when it completes, maybe this one.
+  const Conn& in = rail0(op.src_world);
+  if (in.rx_in_payload && in.rx_frame.kind == FrameKind::kEager &&
+      in.rx_recv_op == UINT32_MAX && in.rx_frame.comm_key == op.comm_key) {
+    return;
+  }
+  op.seq = pair(cs, op.src_world).rx_seq;
+  op.offer_token = next_rndv_token_++;
+  FrameHeader h;
+  h.kind = FrameKind::kRtr;
+  h.tag = op.tag;
+  h.comm_key = op.comm_key;
+  h.bytes = op.rbuf.len;
+  h.token = op.offer_token;
+  h.token2 = op.seq;
+  rtr_tx_->add(1);
+  enqueue(peers_[static_cast<std::size_t>(op.src_world)].conns[0], h,
+          rt::ConstView{}, {}, UINT32_MAX, 0, /*flush=*/false);
+}
+
+void Endpoint::on_offer(Pair& pr, const FrameHeader& h) {
+  if (h.token2 == pr.tx_seq) {
+    pr.offers.push_back(Offer{h.tag, h.bytes, h.token});
+    return;
+  }
+  // The frame the offer names is queued already. Offers arrive in frame
+  // order, so no older unanswered kRts can get one any more; the kRts it
+  // names takes it if the tag matches and the body fits.
+  auto& un = pr.unanswered;
+  un.erase(un.begin(),
+           std::find_if(un.begin(), un.end(),
+                        [&](const auto& e) { return e.first >= h.token2; }));
+  if (un.empty() || un.front().first != h.token2) {
+    return;
+  }
+  const std::uint32_t send_op = un.front().second;
+  const Op& op = ops_[send_op];
+  if (op.tag == h.tag && op.sbuf.len <= h.bytes) {
+    un.erase(un.begin());
+    rtr_used_->add(1);
+    send_data_frames(send_op, h.token, true);
+  }
 }
 
 void Endpoint::deliver_eager_local(std::uint64_t comm_key, int src, int tag,
                                    rt::ConstView payload) {
   CommState& cs = comm_state(comm_key);
-  if (const std::optional<std::uint32_t> opid = cs.take_posted(src, tag)) {
+  if (const std::optional<std::uint32_t> opid =
+          cs.match.take_posted(src, tag)) {
     deliver(ops_[*opid], "self", src, tag, payload);
     return;
   }
@@ -520,7 +595,7 @@ void Endpoint::deliver_eager_local(std::uint64_t comm_key, int src, int tag,
   if (payload.len > 0) {
     u.payload.assign(payload.ptr, payload.ptr + payload.len);
   }
-  cs.park(src, tag, std::move(u));
+  cs.match.park(src, tag, std::move(u));
 }
 
 void Endpoint::deliver(Op& op, const char* site, int src, int tag,
@@ -538,7 +613,8 @@ void Endpoint::deliver(Op& op, const char* site, int src, int tag,
 
 void Endpoint::start_rndv_recv(std::uint32_t recv_op, int peer_world,
                                std::uint64_t sender_token,
-                               std::uint64_t bytes, std::uint64_t flow) {
+                               std::uint64_t bytes, std::uint64_t flow,
+                               std::uint64_t offered) {
   Op& op = ops_[recv_op];
   Peer& peer = peers_[static_cast<std::size_t>(peer_world)];
   if (peer.dead || peer.finished) {
@@ -548,7 +624,7 @@ void Endpoint::start_rndv_recv(std::uint32_t recv_op, int peer_world,
                    " shut down before sending";
     return;
   }
-  const std::uint64_t token = next_rndv_token_++;
+  const std::uint64_t token = offered != 0 ? offered : next_rndv_token_++;
   RndvRecv rr;
   rr.op = recv_op;
   rr.bytes = bytes;
@@ -564,6 +640,9 @@ void Endpoint::start_rndv_recv(std::uint32_t recv_op, int peer_world,
     op.error_msg = trunc_msg("rndv", op.src, op.tag, bytes, op.rbuf.len);
   }
   rndv_recvs_.emplace(token, rr);
+  if (offered != 0) {
+    return;  // the sender streams to the offered token unasked
+  }
   FrameHeader h;
   h.kind = FrameKind::kCts;
   h.token = sender_token;
@@ -572,13 +651,13 @@ void Endpoint::start_rndv_recv(std::uint32_t recv_op, int peer_world,
 }
 
 void Endpoint::send_data_frames(std::uint32_t send_op,
-                                std::uint64_t recv_token) {
+                                std::uint64_t recv_token, bool offered) {
   Op& op = ops_[send_op];
   op.cts_seen = true;
   Peer& peer = peers_[static_cast<std::size_t>(op.dst_world)];
   const std::size_t bytes = op.sbuf.len;
   const int rails = opts_.rails;
-  if (bytes >= opts_.stripe_min && rails > 1) {
+  if (!offered && bytes >= opts_.stripe_min && rails > 1) {
     // Stripe: one contiguous chunk per rail, so a single large message
     // (the locality algorithms' aggregated leader exchange) drives every
     // connection of the pair at once.
@@ -605,8 +684,12 @@ void Endpoint::send_data_frames(std::uint32_t send_op,
       ++rail;
     }
   } else {
-    const int rail = static_cast<int>(peer.next_rail++ %
-                                      static_cast<std::uint64_t>(rails));
+    // An offered body goes whole, behind its kRts on rail 0: the receiver
+    // activates the offered token only when it parses that kRts.
+    const int rail =
+        offered ? 0
+                : static_cast<int>(peer.next_rail++ %
+                                   static_cast<std::uint64_t>(rails));
     FrameHeader h;
     h.kind = FrameKind::kData;
     h.bytes = bytes;
@@ -670,6 +753,15 @@ void Endpoint::drive_until(const std::function<bool()>& done,
 }
 
 void Endpoint::progress(int timeout_ms) {
+  // Frames queued without a flush (offers) leave before anything new is
+  // parsed.
+  while (!unflushed_.empty()) {
+    const int ci = unflushed_.back();
+    unflushed_.pop_back();
+    if (!conns_[static_cast<std::size_t>(ci)].want_out) {
+      handle_writable(ci);
+    }
+  }
   epoll_event events[64];
   const int n =
       ::epoll_wait(epoll_.get(), events, 64, timeout_ms);
@@ -782,16 +874,22 @@ void Endpoint::on_frame(int ci) {
   c.rx_flow_id = 0;
 
   // A matching frame's source and tag go to the matcher, which keeps
-  // negative values for its wildcards and free slots.
-  if ((h.kind == FrameKind::kEager || h.kind == FrameKind::kRts) &&
-      (h.src < 0 || h.src >= opts_.size || h.tag < 0)) {
-    reject_frame(ci, "net: matching frame from rank " +
-                         std::to_string(c.peer) + " names source " +
-                         std::to_string(h.src) + " and tag " +
-                         std::to_string(h.tag) +
-                         " (a source is a rank below the world size " +
-                         std::to_string(opts_.size) + ", a tag is >= 0)");
-    return;
+  // negative values for its wildcards and free slots. Its sequence number
+  // is drawn at arrival, in the wire order the sender counted.
+  CommState* cs = nullptr;
+  std::uint64_t seq = 0;
+  if (h.kind == FrameKind::kEager || h.kind == FrameKind::kRts) {
+    if (h.src < 0 || h.src >= opts_.size || h.tag < 0) {
+      reject_frame(ci, "net: matching frame from rank " +
+                           std::to_string(c.peer) + " names source " +
+                           std::to_string(h.src) + " and tag " +
+                           std::to_string(h.tag) +
+                           " (a source is a rank below the world size " +
+                           std::to_string(opts_.size) + ", a tag is >= 0)");
+      return;
+    }
+    cs = &comm_state(h.comm_key);
+    seq = pair(*cs, c.peer).rx_seq++;
   }
 
   switch (h.kind) {
@@ -813,13 +911,13 @@ void Endpoint::on_frame(int ci) {
                              "A2A_NET_EAGER)");
         return;
       }
-      CommState& cs = comm_state(h.comm_key);
-      const std::optional<std::uint32_t> opid = cs.take_posted(h.src, h.tag);
+      const std::optional<std::uint32_t> opid =
+          cs->match.take_posted(h.src, h.tag);
       if (h.bytes == 0) {
         if (opid) {
           deliver(ops_[*opid], "eager", h.src, h.tag, rt::ConstView{});
         } else {
-          cs.park(h.src, h.tag, Unexpected{.src = h.src, .tag = h.tag});
+          cs->match.park(h.src, h.tag, Unexpected{.src = h.src, .tag = h.tag});
         }
         return;
       }
@@ -838,9 +936,7 @@ void Endpoint::on_frame(int ci) {
         c.rx_dest = rt::MutView{c.rx_owned.data(), h.bytes};
       }
       c.rx_in_payload = true;
-      // Seq drawn at frame ARRIVAL, not match time: arrival order is what
-      // the sender's counter mirrors (rail-0 FIFO), match order is not.
-      c.rx_flow_id = next_rx_flow(h.comm_key, c.peer, h.tag);
+      c.rx_flow_id = flow_of(h.comm_key, c.peer, opts_.rank, h.tag, seq);
       if (tracer_ != nullptr) {
         c.rx_span_open = tracer_->begin(
             "net.recv", "net", ci + 1,
@@ -851,26 +947,57 @@ void Endpoint::on_frame(int ci) {
       return;
     }
     case FrameKind::kRts: {
-      CommState& cs = comm_state(h.comm_key);
-      const std::uint64_t flow = next_rx_flow(h.comm_key, c.peer, h.tag);
+      const std::uint64_t flow =
+          flow_of(h.comm_key, c.peer, opts_.rank, h.tag, seq);
       if (const std::optional<std::uint32_t> opid =
-              cs.take_posted(h.src, h.tag)) {
-        start_rndv_recv(*opid, c.peer, h.token, h.bytes, flow);
+              cs->match.take_posted(h.src, h.tag)) {
+        // The sender used the receive's offer exactly when this is the
+        // frame it named and the body fits (its rule in post_send).
+        const Op& op = ops_[*opid];
+        const bool offered = op.offer_token != 0 && op.seq == seq &&
+                             h.bytes > opts_.eager_max &&
+                             h.bytes <= op.rbuf.len;
+        start_rndv_recv(*opid, c.peer, h.token, h.bytes, flow,
+                        offered ? op.offer_token : 0);
       } else {
-        cs.park(h.src, h.tag,
-                Unexpected{.src = h.src, .tag = h.tag, .rndv = true,
-                           .bytes = h.bytes, .peer_world = c.peer,
-                           .sender_token = h.token, .flow_id = flow});
+        cs->match.park(h.src, h.tag,
+                       Unexpected{.src = h.src, .tag = h.tag, .rndv = true,
+                                  .bytes = h.bytes, .peer_world = c.peer,
+                                  .sender_token = h.token, .flow_id = flow});
       }
       return;
     }
     case FrameKind::kCts: {
       if (h.token >= ops_.size() || !ops_[h.token].in_use ||
-          ops_[h.token].kind != Op::Kind::kSend) {
-        reject_frame(ci, "net: CTS for unknown send operation");
+          ops_[h.token].kind != Op::Kind::kSend ||
+          ops_[h.token].dst_world != c.peer || ops_[h.token].cts_seen) {
+        reject_frame(ci, "net: CTS frame for no waiting send operation");
         return;
       }
-      send_data_frames(static_cast<std::uint32_t>(h.token), h.token2);
+      const auto send_op = static_cast<std::uint32_t>(h.token);
+      const Op& op = ops_[send_op];
+      // Every offer for frames up to this one arrived before its kCts
+      // (both ride the receiver's rail 0), so none is still to come.
+      auto& un = pair(comm_state(op.comm_key), op.dst_world).unanswered;
+      un.erase(un.begin(),
+               std::find_if(un.begin(), un.end(),
+                            [&](const auto& e) { return e.first > op.seq; }));
+      send_data_frames(send_op, h.token2, false);
+      return;
+    }
+    case FrameKind::kRtr: {
+      Pair& pr = pair(comm_state(h.comm_key), c.peer);
+      if (h.tag < 0 || h.token == 0 || h.bytes == 0 || h.token2 > pr.tx_seq) {
+        reject_frame(ci, "net: offer frame out of bounds from rank " +
+                             std::to_string(c.peer) + " (tag " +
+                             std::to_string(h.tag) + ", token " +
+                             std::to_string(h.token) + ", " +
+                             std::to_string(h.bytes) + " B, frame " +
+                             std::to_string(h.token2) + " of " +
+                             std::to_string(pr.tx_seq) + " sent)");
+        return;
+      }
+      on_offer(pr, h);
       return;
     }
     case FrameKind::kData: {
@@ -966,12 +1093,12 @@ void Endpoint::finish_rx(int ci) {
       // unmatched would let the pair's next frame overtake this one.
       CommState& cs = comm_state(h.comm_key);
       if (const std::optional<std::uint32_t> opid =
-              cs.take_posted(h.src, h.tag)) {
+              cs.match.take_posted(h.src, h.tag)) {
         deliver(ops_[*opid], "late-eager", h.src, h.tag,
                 rt::ConstView{c.rx_owned.data(), h.bytes});
         c.rx_owned.clear();
       } else {
-        cs.park(h.src, h.tag,
+        cs.match.park(h.src, h.tag,
                 Unexpected{.src = h.src, .tag = h.tag,
                            .payload = std::exchange(c.rx_owned, {}),
                            .bytes = h.bytes});
@@ -1009,7 +1136,7 @@ void Endpoint::finish_rx(int ci) {
 
 void Endpoint::enqueue(int ci, const FrameHeader& h, rt::ConstView payload,
                        std::vector<std::byte> owned, std::uint32_t send_op,
-                       std::uint64_t flow) {
+                       std::uint64_t flow, bool flush) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
   if (!c.open) {
     if (send_op != UINT32_MAX) {
@@ -1032,8 +1159,13 @@ void Endpoint::enqueue(int ci, const FrameHeader& h, rt::ConstView payload,
   frames_tx_->add(1);
   // Opportunistic flush, unless the socket is known full: then EPOLLOUT
   // is armed and a write now would only return EAGAIN.
-  if (!c.want_out) {
+  if (c.want_out) {
+    return;
+  }
+  if (flush) {
     handle_writable(ci);
+  } else {
+    unflushed_.push_back(ci);
   }
 }
 
@@ -1236,7 +1368,7 @@ void Endpoint::on_peer_finished(int peer_rank) {
   // The peer exited cleanly; any receive still expecting data from it is
   // an application-level mismatch — error it rather than hang.
   for (auto& [key, cs] : comms_) {
-    cs.erase_posted_if([&](std::uint32_t id) {
+    cs.match.erase_posted_if([&](std::uint32_t id) {
       Op& op = ops_[id];
       if (op.src_world != peer_rank) {
         return false;
@@ -1304,13 +1436,13 @@ void Endpoint::shutdown() noexcept {
       if (!any_open) {
         break;
       }
-      if (std::chrono::steady_clock::now() >= deadline) {
+      // A failed endpoint just closes up: its waits threw, so the buffers
+      // of its pending receives may be gone, and a drain would write into
+      // them.
+      if (fatal_ || std::chrono::steady_clock::now() >= deadline) {
         break;  // force-close below rather than hang forever
       }
       progress(100);
-      if (fatal_) {
-        break;  // a peer died during teardown; just close up
-      }
     }
   } catch (...) {
     // Destructor context: fall through to the force-close.

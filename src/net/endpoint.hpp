@@ -20,15 +20,33 @@
 ///    it replies kCts, and only then does the sender stream the body as
 ///    kData frames written *directly from the user buffer* into the
 ///    receiver's user buffer — no intermediate copy on either side;
+///  * a receive of eager_max < len < stripe_min posted for one source and
+///    one tag before its message arrived skips that round trip: it sends
+///    the source a kRtr offer naming the pair's next matching frame, its
+///    tag, its capacity and a receiver token. A rendezvous message that is
+///    that frame, has that tag and fits streams its body to the token on
+///    rail 0 as soon as both its kRts is queued and the offer arrived, and
+///    the receiver sends no kCts for it; every other case falls back to
+///    kCts. An offer is withheld when an earlier receive is eligible for
+///    the same source and tag, or when an unmatched eager frame of the
+///    communicator is still streaming in from that source (it would take
+///    the receive when it completes). Offers leave with the next flush to
+///    that peer, or at the top of the next progress pass;
 ///  * bodies at or above stripe_min are split into `rails` contiguous
 ///    chunks, one per rail, so a single large leader-exchange message
 ///    drives every connection of the pair concurrently. Smaller bodies
-///    pick one rail round-robin.
+///    pick one rail round-robin, offered ones rail 0.
 ///
 /// Ordering: all matching-relevant frames (kEager, kRts) of a peer pair
 /// travel on rail 0, so TCP's FIFO gives the same non-overtaking matching
 /// guarantee the in-process backends provide; kData frames are tagged
 /// with (receiver token, offset) and may arrive on any rail in any order.
+/// Both ends number a pair's matching frames per communicator — the
+/// sender when it queues one, the receiver when it parses its header —
+/// and the FIFO keeps the two counts equal: offers and trace flow ids
+/// name frames by that number. Offers and kCts share the receiver's rail
+/// 0 too, so every offer for a frame reaches the sender before that
+/// frame's kCts.
 ///
 /// Datapath: a flush gathers the unsent header and payload of every
 /// queued frame of a connection into one ::sendmsg (at most kMaxIov pieces
@@ -53,26 +71,28 @@
 /// depends on it completes with an error (surfaced as std::runtime_error
 /// from the wait), never a hang. A frame that breaks the protocol's bounds
 /// (a kEager or kRts whose source is not a rank below the world size or
-/// whose tag is negative, an eager frame over eager_max, a data chunk that
-/// is not a fresh piece of the sender's layout — the whole body, or one
-/// stripe of ceil(bytes / rails), each accepted once) fails the endpoint
-/// the same way, so a receive completes only once every byte of it was
-/// written.
+/// whose tag is negative, an eager frame over eager_max, a kRtr with a
+/// negative tag, a zero token or capacity, or a sequence number beyond the
+/// frames sent, a kCts for no waiting send, a data chunk that is not a
+/// fresh piece of the sender's layout — the whole body, or one stripe of
+/// ceil(bytes / rails), each accepted once — or that names a token no
+/// kRts activated) fails the endpoint the same way, so a receive completes
+/// only once every byte of it was written.
 /// Orderly shutdown (Endpoint::shutdown) exchanges kBye over every rail
 /// and drains, so a clean exit leaks neither processes nor file
-/// descriptors.
+/// descriptors; a failed endpoint skips the drain, which could write into
+/// the buffers of receives whose waits already threw.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/bootstrap.hpp"
@@ -201,18 +221,22 @@ class Endpoint {
     bool error = false;
     std::string error_msg;
     std::uint32_t serial = 1;
+    std::uint64_t comm_key = 0;
+    int tag = 0;
+    /// Pair sequence number: a send's kRts, or the frame a receive offered
+    /// for.
+    std::uint64_t seq = 0;
     // Recv fields.
     rt::MutView rbuf{};
-    std::uint64_t comm_key = 0;
     int src = 0;        ///< in-comm rank or rt::kAnySource
     int src_world = -1; ///< resolved world rank, -1 for any-source
-    int tag = 0;
     std::size_t received = 0;
+    std::uint64_t offer_token = 0;  ///< kRtr token sent, 0 = no offer
     // Send fields.
     rt::ConstView sbuf{};
     int dst_world = -1;
     std::uint32_t frames_left = 0;  ///< rendezvous data frames unsent
-    bool cts_seen = false;
+    bool cts_seen = false;          ///< body queued (after kCts or offer)
     std::uint64_t flow_id = 0;  ///< rendezvous flow, stamped on chunk 0
   };
 
@@ -229,10 +253,34 @@ class Endpoint {
     std::uint64_t flow_id = 0;  ///< assigned at RTS arrival (rndv only)
   };
 
+  // A peer's kRtr offer for the next matching frame this process sends it.
+  struct Offer {
+    int tag = 0;
+    std::uint64_t capacity = 0;
+    std::uint64_t token = 0;
+  };
+
+  // One peer of one communicator: both directions' matching-frame counts
+  // and the offers in flight between the two.
+  struct Pair {
+    std::uint64_t tx_seq = 0;  ///< kEager/kRts frames queued to the peer
+    std::uint64_t rx_seq = 0;  ///< kEager/kRts headers parsed from it
+    std::vector<Offer> offers;  ///< the peer's offers for frame tx_seq
+    /// (sequence, send op) of kRts frames that neither a kCts nor an
+    /// offer answered yet, oldest first.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> unanswered;
+  };
+
+  using MatchState = rt::MatchQueue<std::uint32_t, Unexpected>;
+
   // Matching state of one communicator key (created on demand — a peer
   // may send before this process created the matching sub-communicator):
   // posted receives are op ids.
-  using CommState = rt::MatchQueue<std::uint32_t, Unexpected>;
+  struct CommState {
+    explicit CommState(MatchState::Pool& pool) : match(pool) {}
+    MatchState match;
+    std::vector<Pair> pairs;  ///< by world rank, sized on first use
+  };
 
   // A rendezvous receive in flight, keyed by receiver token.
   struct RndvRecv {
@@ -255,11 +303,10 @@ class Endpoint {
   /// calibration (no-op on rank 0 / size 1; bails on timeout or peer exit
   /// keeping the previous calibration). Only called with tracing active.
   void run_calibration();
-  /// Sender-side flow id for the next matching-relevant frame to
-  /// (dst_world, tag) on comm_key; 0 when tracing is off.
-  std::uint64_t next_tx_flow(std::uint64_t comm_key, int dst_world, int tag);
-  /// Receiver-side flow id for a matching-relevant arrival.
-  std::uint64_t next_rx_flow(std::uint64_t comm_key, int src_world, int tag);
+  /// Flow id of the matching frame `seq` of pair (src_world, dst_world)
+  /// on comm_key; 0 when tracing is off.
+  std::uint64_t flow_of(std::uint64_t comm_key, int src_world, int dst_world,
+                        int tag, std::uint64_t seq) const;
 
   // --- progress ------------------------------------------------------------
   void progress(int timeout_ms);
@@ -271,9 +318,11 @@ class Endpoint {
   void handle_writable(int ci);
   void on_frame(int ci);         ///< header complete: route by kind
   void finish_rx(int ci);        ///< payload complete
+  /// Queue a frame on connection `ci` and flush the queue, or with
+  /// `flush` false leave it for the next flush or progress pass.
   void enqueue(int ci, const FrameHeader& h, rt::ConstView payload,
                std::vector<std::byte> owned, std::uint32_t send_op,
-               std::uint64_t flow = 0);
+               std::uint64_t flow = 0, bool flush = true);
   void update_epoll(int ci);
   /// Fail the endpoint with `msg` (the first failure's message wins).
   void fail(std::string msg);
@@ -288,16 +337,28 @@ class Endpoint {
 
   // --- matching ------------------------------------------------------------
   CommState& comm_state(std::uint64_t key);
+  Pair& pair(CommState& cs, int peer_world);
+  /// Offer posted receive `recv_op` (for one source and tag) to its source
+  /// when the rules in the file comment allow it.
+  void maybe_offer(CommState& cs, std::uint32_t recv_op);
+  /// A kRtr from `peer` on comm_key arrived (already bounds-checked).
+  void on_offer(Pair& pr, const FrameHeader& h);
   /// Copy `payload` into receive `op` and complete it; a message longer
   /// than the buffer is flagged as a truncation at `site` from (src, tag).
   static void deliver(Op& op, const char* site, int src, int tag,
                       rt::ConstView payload);
   void deliver_eager_local(std::uint64_t comm_key, int src, int tag,
                            rt::ConstView payload);
+  /// Begin receiving a rendezvous body into `recv_op`: to `offered`, the
+  /// token of the offer the sender used, or else to a fresh token
+  /// announced by a kCts.
   void start_rndv_recv(std::uint32_t recv_op, int peer_world,
                        std::uint64_t sender_token, std::uint64_t bytes,
-                       std::uint64_t flow = 0);
-  void send_data_frames(std::uint32_t send_op, std::uint64_t recv_token);
+                       std::uint64_t flow, std::uint64_t offered = 0);
+  /// Queue the body of `send_op` to `recv_token`; an offered body goes
+  /// whole on rail 0, behind its kRts.
+  void send_data_frames(std::uint32_t send_op, std::uint64_t recv_token,
+                        bool offered);
 
   std::uint32_t alloc_op();
   Op& op_checked(const rt::Request& r);
@@ -311,11 +372,13 @@ class Endpoint {
   std::vector<Peer> peers_;
   std::deque<Op> ops_;
   std::vector<std::uint32_t> free_ops_;
-  CommState::Pool match_pool_;  ///< nodes of every communicator's queue
+  MatchState::Pool match_pool_;  ///< nodes of every communicator's queue
   std::unordered_map<std::uint64_t, CommState> comms_;
   rt::SubcommRegistry subcomms_;
   std::unordered_map<std::uint64_t, RndvRecv> rndv_recvs_;
   std::uint64_t next_rndv_token_ = 1;
+  /// Connections holding frames queued without a flush (offers).
+  std::vector<int> unflushed_;
   bool shut_down_ = false;
   /// Waits poll instead of sleeping: this host's ranks fit our CPUs.
   bool busy_poll_ = false;
@@ -339,16 +402,13 @@ class Endpoint {
   obs::Counter* frames_rx_ = nullptr;
   obs::Counter* eager_tx_ = nullptr;
   obs::Counter* rndv_tx_ = nullptr;
+  obs::Counter* rtr_tx_ = nullptr;
+  obs::Counter* rtr_used_ = nullptr;
   obs::TraceRecorder* trace_rec_ = nullptr;
   int trace_session_ = -1;
   obs::TraceBuffer* tracer_ = nullptr;
 
-  // Distributed tracing: per-(comm, peer, tag) message sequence counters —
-  // both ends count matching-relevant frames, which travel rail 0 in FIFO
-  // order, so sender and receiver derive identical flow ids. Calibration
-  // state implements the pingpong protocol of obs/clock_sync.hpp.
-  std::map<std::tuple<std::uint64_t, int, int>, std::uint64_t> flow_tx_seq_;
-  std::map<std::tuple<std::uint64_t, int, int>, std::uint64_t> flow_rx_seq_;
+  // Clock calibration state: the pingpong protocol of obs/clock_sync.hpp.
   std::vector<obs::ClockCalibration> calib_rounds_;
   double sync_period_s_ = 0.0;  ///< A2A_TRACE_SYNC (0 = bootstrap only)
   double last_sync_s_ = 0.0;

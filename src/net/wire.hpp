@@ -15,6 +15,10 @@
 ///  * kRts    — rendezvous request for a large message (no payload).
 ///  * kCts    — receiver's clear-to-send, echoing the sender's op token
 ///              and assigning a receiver token.
+///  * kRtr    — receiver-ready offer: a receive posted before its message
+///              arrived names the pair's next matching frame, its tag and
+///              its capacity, so a body that fits streams to the offered
+///              receiver token without waiting for a kCts.
 ///  * kData   — rendezvous body chunk: written straight into the user
 ///              buffer at `offset`; chunks of one message may arrive on
 ///              different rails in any order.
@@ -44,6 +48,7 @@ enum class FrameKind : std::uint32_t {
   kBye = 6,
   kPing = 7,
   kPong = 8,
+  kRtr = 9,
 };
 
 /// Magic prefix in the kind word (high 20 bits) so a desynchronized or
@@ -57,6 +62,9 @@ inline constexpr std::uint32_t kKindMask = 0xFFFu;
 ///   kRts:   as kEager but no payload; bytes = total message size,
 ///           token = sender-side op id.
 ///   kCts:   token = echoed sender op id, token2 = receiver-assigned token.
+///   kRtr:   comm_key/tag of the posted receive, bytes = its capacity,
+///           token = receiver token, token2 = sequence number of the
+///           pair's matching frame (kEager, kRts) the offer is for.
 ///   kData:  token = receiver token, token2 = offset into the user buffer,
 ///           bytes of payload follow.
 ///   kBye:   no other fields.
@@ -123,7 +131,7 @@ inline FrameHeader decode(const std::byte* in) {
   }
   const std::uint32_t k = kind_word & kKindMask;
   if (k < static_cast<std::uint32_t>(FrameKind::kHello) ||
-      k > static_cast<std::uint32_t>(FrameKind::kPong)) {
+      k > static_cast<std::uint32_t>(FrameKind::kRtr)) {
     throw std::runtime_error("net: unknown frame kind");
   }
   FrameHeader h;

@@ -70,9 +70,11 @@ struct TraceEvent {
 };
 
 /// Deterministic flow id for one message: both ends derive the same id from
-/// the match identity plus a per-(comm, src, dst, tag) sequence number that
-/// each side counts locally — FIFO ordering of matching-relevant traffic
-/// keeps the two counters in lockstep. Never returns 0 (0 = "no flow").
+/// the match identity plus a sequence number that each side counts locally
+/// — per (comm, src, dst) on net, whose pair sequence also names the frames
+/// receive offers are for, and per (comm, src, dst, tag) on smp. FIFO
+/// ordering of matching-relevant traffic keeps the two counters in
+/// lockstep. Never returns 0 (0 = "no flow").
 std::uint64_t flow_id(std::uint64_t comm_key, int src_world, int dst_world,
                       int tag, std::uint64_t seq) noexcept;
 

@@ -20,23 +20,31 @@ int Comm::acquire_tag_stream() noexcept {
   return s;
 }
 
-Request Comm::isend(ConstView buf, int dst, int tag) {
+void Comm::check_send(int dst, int tag) const {
   if (dst < 0 || dst >= size_) {
     throw std::out_of_range("isend: destination rank out of range");
   }
   if (tag < 0) {
     throw std::invalid_argument("isend: tag must be >= 0");
   }
-  return do_isend(buf, dst, tag);
 }
 
-Request Comm::irecv(MutView buf, int src, int tag) {
+void Comm::check_recv(int src, int tag) const {
   if (src != kAnySource && (src < 0 || src >= size_)) {
     throw std::out_of_range("irecv: source rank out of range");
   }
   if (tag != kAnyTag && tag < 0) {
     throw std::invalid_argument("irecv: tag must be >= 0 or kAnyTag");
   }
+}
+
+Request Comm::isend(ConstView buf, int dst, int tag) {
+  check_send(dst, tag);
+  return do_isend(buf, dst, tag);
+}
+
+Request Comm::irecv(MutView buf, int src, int tag) {
+  check_recv(src, tag);
   return do_irecv(buf, src, tag);
 }
 

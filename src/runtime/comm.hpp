@@ -82,10 +82,10 @@ class WaitOneAwaiter {
 
 /// Awaiter of the blocking point-to-point sugar (Comm::send, recv and
 /// sendrecv); it needs no coroutine frame of its own. Nothing is posted
-/// until the co_await: await_ready posts the isend, then the irecv, and
-/// polls wait_try; await_suspend parks on wait_suspend. An argument error
-/// therefore throws at the co_await, and nothing after the failing call is
-/// posted.
+/// until the co_await: await_ready checks the arguments of both halves,
+/// then posts the isend, then the irecv, and polls wait_try; await_suspend
+/// parks on wait_suspend. An argument error therefore throws at the
+/// co_await, and then nothing is posted.
 class [[nodiscard]] TransferAwaiter {
  public:
   enum class Mode : std::uint8_t { kSend, kRecv, kSendRecv };
@@ -240,8 +240,9 @@ class Comm {
   TransferAwaiter recv(MutView buf, int src, int tag) noexcept {
     return {*this, TransferAwaiter::Mode::kRecv, {}, 0, 0, buf, src, tag};
   }
-  /// Combined send+receive, the building block of pairwise exchange: the
-  /// isend is posted before the irecv.
+  /// Combined send+receive, the building block of pairwise exchange: both
+  /// halves are checked before either is posted, then the isend is posted
+  /// before the irecv.
   TransferAwaiter sendrecv(ConstView sbuf, int dst, int stag, MutView rbuf,
                            int src, int rtag) noexcept {
     return {*this, TransferAwaiter::Mode::kSendRecv, sbuf, dst, stag, rbuf,
@@ -275,6 +276,12 @@ class Comm {
   int size_;
 
  private:
+  friend class TransferAwaiter;
+
+  /// The argument checks of isend and irecv (see the contract above).
+  void check_send(int dst, int tag) const;
+  void check_recv(int src, int tag) const;
+
   int next_tag_stream_ = 1;  ///< stream 0 is reserved for direct calls
 };
 
@@ -289,11 +296,19 @@ inline void WaitOneAwaiter::await_suspend(std::coroutine_handle<> h) {
   comm_->wait_suspend(std::span<const Request>(req_.data(), 1), h);
 }
 inline bool TransferAwaiter::await_ready() {
-  if (mode_ != Mode::kRecv) {
-    reqs_[count_++] = comm_->isend(sbuf_, dst_, stag_);
+  const bool send = mode_ != Mode::kRecv;
+  const bool recv = mode_ != Mode::kSend;
+  if (send) {
+    comm_->check_send(dst_, stag_);
   }
-  if (mode_ != Mode::kSend) {
-    reqs_[count_++] = comm_->irecv(rbuf_, src_, rtag_);
+  if (recv) {
+    comm_->check_recv(src_, rtag_);
+  }
+  if (send) {
+    reqs_[count_++] = comm_->do_isend(sbuf_, dst_, stag_);
+  }
+  if (recv) {
+    reqs_[count_++] = comm_->do_irecv(rbuf_, src_, rtag_);
   }
   return comm_->wait_try(posted());
 }

@@ -13,13 +13,13 @@ std::size_t SourceIndex::home(int src) const noexcept {
       shift_);
 }
 
-SourceQueues* SourceIndex::find(int src) noexcept {
+const SourceQueues* SourceIndex::find(int src) const noexcept {
   if (slots_.empty()) {
     return nullptr;
   }
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = home(src);; i = (i + 1) & mask) {
-    SourceQueues& q = slots_[i];
+    const SourceQueues& q = slots_[i];
     if (q.src == src) {
       return &q;
     }

@@ -57,7 +57,10 @@ struct SourceQueues {
 class SourceIndex {
  public:
   /// The live entry for `src`, or nullptr.
-  SourceQueues* find(int src) noexcept;
+  const SourceQueues* find(int src) const noexcept;
+  SourceQueues* find(int src) noexcept {
+    return const_cast<SourceQueues*>(std::as_const(*this).find(src));
+  }
   /// The entry for `src`, inserted with empty FIFOs if absent. May move
   /// every entry (pointers into the table are invalidated).
   SourceQueues& find_or_insert(int src);
@@ -181,6 +184,23 @@ class MatchQueue {
     Recv recv = recvs.take(q->posted, id, prev);
     sources_.release_if_drained(*q);
     return recv;
+  }
+
+  /// Whether a message from `src` with tag `tag` (both >= 0) would find a
+  /// posted receive, i.e. whether take_posted() would return one.
+  bool has_posted_for(int src, int tag) const {
+    assert(src >= 0 && tag >= 0);
+    if (posted_ == 0) {
+      return false;
+    }
+    const auto& recvs = pool_->recvs;
+    const auto admits = [tag](int want) {
+      return want == kAnyTag || want == tag;
+    };
+    std::uint32_t prev = kNil;
+    const SourceQueues* q = sources_.find(src);
+    return recvs.first(any_posted_, admits, prev) != kNil ||
+           (q != nullptr && recvs.first(q->posted, admits, prev) != kNil);
   }
 
   /// Queue a message from `src` with tag `tag` that take_posted() found
