@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 #include "runtime/env.hpp"
 
+#include <algorithm>
 #include <array>
 #include <iostream>
 #include <string_view>
@@ -151,6 +152,13 @@ void register_breakdown_point(bench::Figure& fig, const topo::Machine& machine,
                               std::size_t block) {
   register_phase_point(fig, phases, x,
                        make_spec(machine.desc(), net, algo, block));
+}
+
+double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
 std::string default_bench_out_dir() {

@@ -90,6 +90,9 @@ void register_breakdown_point(bench::Figure& fig, const topo::Machine& machine,
                               const std::vector<PhaseSeries>& phases, double x,
                               std::size_t block);
 
+/// Linear-interpolated quantile `q` (0..1) of sorted, non-empty `v`.
+double quantile(const std::vector<double>& v, double q);
+
 /// Where BENCH_*.json files land when A2A_BENCH_JSON is unset: the build
 /// tree's bench/ directory (compiled in at configure time), never the
 /// source tree or the working directory.

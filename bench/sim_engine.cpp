@@ -125,14 +125,6 @@ Rep run_rep(const Loop& loop) {
   return rep;
 }
 
-/// Linear-interpolated quantile of sorted `v`.
-double quantile(const std::vector<double>& v, double q) {
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-
 }  // namespace
 
 int main() {
@@ -172,9 +164,9 @@ int main() {
       ns.push_back(rep.ns_per_msg);
     }
     std::sort(ns.begin(), ns.end());
-    const double q1 = quantile(ns, 0.25);
-    const double med = quantile(ns, 0.5);
-    const double q3 = quantile(ns, 0.75);
+    const double q1 = benchx::quantile(ns, 0.25);
+    const double med = benchx::quantile(ns, 0.5);
+    const double q3 = benchx::quantile(ns, 0.75);
     std::printf("%-28s %10llu %12.6g %9.1f %9.1f %9.1f %9.1f\n", loop.name,
                 static_cast<unsigned long long>(first.messages),
                 first.virtual_s, ns.front(), q1, med, q3);

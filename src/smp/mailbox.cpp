@@ -15,16 +15,22 @@ namespace mca2a::smp {
 namespace {
 
 /// Fixed prefix of every ring slot; inline payload follows immediately.
-/// Only the owning lane's producer writes a slot between publish and the
-/// consumer's head release, so the fields need no per-field atomicity —
-/// the Lamport index pair orders the whole slot.
+/// `full` hands the whole slot back and forth: the producer writes the
+/// other fields only while it reads `full` false (acquire, pairing with the
+/// consumer's release), the consumer reads them only while it reads `full`
+/// true (acquire, pairing with the producer's publish), so they need no
+/// per-field atomicity.
 struct SlotHeader {
+  std::atomic<bool> full{false};
+  bool has_data = false;
+  int tag = 0;
   std::uint64_t seq = 0;
   std::size_t bytes = 0;
-  int tag = 0;
-  bool has_data = false;
   std::byte* heap = nullptr;  // owned when non-null; else payload is inline
 };
+
+/// Slots start on a cache line, and the stride keeps every slot there.
+constexpr std::align_val_t kSlotAlign{64};
 
 constexpr std::size_t align_up(std::size_t n, std::size_t a) {
   return (n + a - 1) / a * a;
@@ -43,34 +49,38 @@ inline void cpu_relax() {
 }  // namespace
 
 /// One SPSC lane: producer = src's rank thread, consumer = the mailbox
-/// owner. Field groups live on separate cache lines so the producer's
-/// tail publishing never false-shares with the consumer's head cursor.
-struct Mailbox::Lane {
-  // Producer-owned: the next sequence number, and the last consumer head
-  // the producer read. The ring has room while tail - cached_head is below
-  // capacity, so the consumer's line is read only when that bound is hit.
+/// owner. Each cache line of the lane has one writing thread: the slot
+/// pointer is written only at construction, the producer's cursor line
+/// only by the producer, the consumer's line only by the consumer. The
+/// slots themselves pass between the two through their `full` flags.
+struct alignas(64) Mailbox::Lane {
+  struct FreeSlots {
+    void operator()(std::byte* p) const noexcept {
+      ::operator delete[](p, kSlotAlign);
+    }
+  };
+  std::unique_ptr<std::byte[], FreeSlots> slots;
+  // Producer-owned: the next slot to fill (wraps at the slot count) and
+  // the next sequence number.
+  alignas(64) std::uint32_t put = 0;
   std::uint64_t next_seq = 0;
-  std::uint64_t cached_head = 0;
-  // Lamport indices (free-running; slot = index % capacity).
-  alignas(64) std::atomic<std::uint64_t> tail{0};
-  alignas(64) std::atomic<std::uint64_t> head{0};
-  // Consumer-owned: next sequence number to enter matching order, plus
-  // the reorder stash that merges ring and overflow arrivals back into
-  // strict per-pair order (keyed by seq).
-  alignas(64) std::uint64_t next_take = 0;
+  // Consumer-owned: the next slot to take, the next sequence number to
+  // enter matching order, and the reorder stash that merges ring and
+  // overflow arrivals back into strict per-pair order (keyed by seq).
+  alignas(64) std::uint32_t take = 0;
+  std::uint64_t next_take = 0;
   std::map<std::uint64_t, UnexpectedMsg> stash;
-  std::unique_ptr<std::byte[]> slots;
 
   Lane(std::uint32_t nslots, std::size_t stride)
-      : slots(new std::byte[std::size_t{nslots} * stride]) {
+      : slots(static_cast<std::byte*>(::operator new[](
+            std::size_t{nslots} * stride, kSlotAlign))) {
     for (std::uint32_t i = 0; i < nslots; ++i) {
       new (slots.get() + std::size_t{i} * stride) SlotHeader{};
     }
   }
 
-  SlotHeader* slot(std::size_t stride, std::uint32_t nslots,
-                   std::uint64_t idx) {
-    return reinterpret_cast<SlotHeader*>(slots.get() + (idx % nslots) * stride);
+  SlotHeader* slot(std::size_t stride, std::uint32_t idx) const {
+    return reinterpret_cast<SlotHeader*>(slots.get() + idx * stride);
   }
 };
 
@@ -118,10 +128,13 @@ Mailbox::~Mailbox() {
     if (lane == nullptr) {
       continue;
     }
-    const std::uint64_t t = lane->tail.load(std::memory_order_acquire);
-    for (std::uint64_t h = lane->head.load(std::memory_order_relaxed); h != t;
-         ++h) {
-      delete[] lane->slot(stride_, cfg_.ring_slots, h)->heap;
+    // Every rank thread has joined: a slot still full holds a message no
+    // one received, whose heap block (if any) only the slot owns.
+    for (std::uint32_t i = 0; i < cfg_.ring_slots; ++i) {
+      SlotHeader* s = lane->slot(stride_, i);
+      if (s->full.load(std::memory_order_acquire)) {
+        delete[] s->heap;
+      }
     }
     delete lane;
   }
@@ -144,14 +157,11 @@ Mailbox::Lane& Mailbox::lane_for_send(int src) {
 void Mailbox::send(int src, int tag, rt::ConstView payload) {
   Lane& lane = lane_for_send(src);
   const std::uint64_t seq = lane.next_seq++;
-  const std::uint64_t t = lane.tail.load(std::memory_order_relaxed);
-  if (t - lane.cached_head >= cfg_.ring_slots) {
-    // Looks full: refresh from the consumer. The acquire orders the
-    // consumer's reads of the slots it released before our rewrite.
-    lane.cached_head = lane.head.load(std::memory_order_acquire);
-  }
-  if (t - lane.cached_head < cfg_.ring_slots) {
-    SlotHeader* s = lane.slot(stride_, cfg_.ring_slots, t);
+  SlotHeader* s = lane.slot(stride_, lane.put);
+  // The acquire orders the consumer's reads of a slot it handed back
+  // before our rewrite. A full next slot means a full ring: the consumer
+  // takes slots in the order we fill them.
+  if (!s->full.load(std::memory_order_acquire)) {
     s->seq = seq;
     s->tag = tag;
     s->bytes = payload.len;
@@ -166,7 +176,10 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
       }
     }
     // Publish (release for the payload; seq_cst for the doorbell pairing).
-    lane.tail.store(t + 1, std::memory_order_seq_cst);
+    s->full.store(true, std::memory_order_seq_cst);
+    if (++lane.put == cfg_.ring_slots) {
+      lane.put = 0;
+    }
     static obs::Counter& g_ring =
         obs::metrics().counter("smp.mailbox.ring_sends");
     g_ring.add();
@@ -190,7 +203,7 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
 
 void Mailbox::ring_doorbell() {
   // Dekker pairing with idle(), made of seq_cst accesses on the variables
-  // themselves: we published (seq_cst tail store or overflow increment)
+  // themselves: we published (seq_cst flag store or overflow increment)
   // before this seq_cst load; the sleeper registers with a seq_cst
   // increment before its seq_cst recheck loads. In the single total order
   // of those accesses, either this load sees the registration or the
@@ -274,11 +287,10 @@ void Mailbox::pump_lane(int src, Lane& lane) {
       accept(src, u.tag, payload, std::move(u.data));
       continue;
     }
-    const std::uint64_t h = lane.head.load(std::memory_order_relaxed);
-    if (lane.tail.load(std::memory_order_acquire) == h) {
+    SlotHeader* s = lane.slot(stride_, lane.take);
+    if (!s->full.load(std::memory_order_acquire)) {
       return;
     }
-    SlotHeader* s = lane.slot(stride_, cfg_.ring_slots, h);
     const rt::ConstView payload{
         s->has_data ? (s->heap != nullptr ? s->heap : slot_payload(s))
                     : nullptr,
@@ -288,7 +300,7 @@ void Mailbox::pump_lane(int src, Lane& lane) {
     if (s->seq == lane.next_take) {
       ++lane.next_take;
       // Matching copies straight out of the slot; only then is the slot
-      // released back to the producer.
+      // handed back to the producer.
       accept(src, s->tag, payload, std::move(owned));
     } else {
       // A predecessor is still in the overflow list: set this slot aside
@@ -296,7 +308,10 @@ void Mailbox::pump_lane(int src, Lane& lane) {
       lane.stash.emplace(s->seq,
                          UnexpectedMsg::hold(s->tag, payload, std::move(owned)));
     }
-    lane.head.store(h + 1, std::memory_order_release);
+    s->full.store(false, std::memory_order_release);
+    if (++lane.take == cfg_.ring_slots) {
+      lane.take = 0;
+    }
   }
 }
 
@@ -333,8 +348,8 @@ bool Mailbox::arrivals_visible() const {
   }
   for (const auto& lp : lanes_) {
     const Lane* lane = lp.load(std::memory_order_seq_cst);
-    if (lane != nullptr && lane->tail.load(std::memory_order_seq_cst) !=
-                               lane->head.load(std::memory_order_relaxed)) {
+    if (lane != nullptr &&
+        lane->slot(stride_, lane->take)->full.load(std::memory_order_seq_cst)) {
       return true;
     }
   }

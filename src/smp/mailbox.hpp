@@ -6,18 +6,21 @@
 /// through one bounded lock-free SPSC ring per source rank. A lane belongs
 /// to exactly one (src, dst, comm) triple, so the single-producer/
 /// single-consumer invariant holds by construction: the producer is src's
-/// rank thread, the consumer is the owning rank's thread. Producers
-/// publish with a release store of the tail index, consumers acquire it;
-/// head mirrors the protocol in the other direction (Lamport ring). A
-/// payload larger than the slot's inline budget travels as a heap block
-/// whose ownership passes through the ring. When a lane is full the sender
-/// falls back to a mutex-guarded unbounded overflow list — sends stay
-/// eager and never block, which the backend's buffered-send semantics
-/// require (both peers of a pairwise exchange may send before either
-/// receives). Every message carries a per-lane sequence number; the
-/// consumer merges ring and overflow arrivals back into strict per-pair
-/// order before matching, so FIFO and non-overtaking survive the two-path
-/// transport.
+/// rank thread, the consumer is the owning rank's thread. Each ring slot
+/// carries its own full/empty flag: the producer fills a free slot and
+/// publishes it with a store of the flag, the consumer acquires the flag,
+/// copies the message out and hands the slot back with a release store.
+/// Each side keeps its own cursor, so a message costs one handoff of the
+/// cache lines of the slot it sits in, and no index is shared. A payload
+/// larger than the slot's inline budget travels as a heap block whose
+/// ownership passes through the slot. When the producer's next slot is
+/// still full the sender falls back to a mutex-guarded unbounded overflow
+/// list — sends stay eager and never block, which the backend's
+/// buffered-send semantics require (both peers of a pairwise exchange may
+/// send before either receives). Every message carries a per-lane
+/// sequence number; the consumer merges ring and overflow arrivals back
+/// into strict per-pair order before matching, so FIFO and non-overtaking
+/// survive the two-path transport.
 ///
 /// Matching state (posted receives, unmatched arrivals) is one
 /// rt::MatchQueue owned by the receiving rank's thread and touched by no
@@ -28,17 +31,15 @@
 /// the mailbox doorbell. The sender's publish and the receiver's
 /// registration form a Dekker pattern of seq_cst accesses on the variables
 /// themselves (no fences, which TSan cannot model): the sender publishes
-/// with a seq_cst tail store (or overflow-count increment) and then
-/// seq_cst-loads `sleepers_`; the receiver registers with a seq_cst
-/// increment of `sleepers_` and then seq_cst-loads the lane pointers,
-/// tails and overflow count. Either the sender observes `sleepers_ != 0`
-/// (and rings the doorbell under the wake mutex) or the receiver observes
-/// the published arrival during its pre-sleep recheck. Payload
-/// happens-before rides entirely on the ring's release/acquire index pair
-/// (or the overflow mutex), which is what keeps the design TSan-provable.
-/// The producer caches the consumer's head and re-reads it (acquire) only
-/// when the ring looks full, so a send normally touches no cache line the
-/// consumer writes.
+/// with a seq_cst store of the slot flag (or overflow-count increment) and
+/// then seq_cst-loads `sleepers_`; the receiver registers with a seq_cst
+/// increment of `sleepers_` and then seq_cst-loads the lane pointers, the
+/// flag of each lane's next slot and the overflow count. Either the sender
+/// observes `sleepers_ != 0` (and rings the doorbell under the wake mutex)
+/// or the receiver observes the published arrival during its pre-sleep
+/// recheck. Payload happens-before rides entirely on the slot flag's
+/// release/acquire pairs (or the overflow mutex), which is what keeps the
+/// design TSan-provable.
 
 #include <atomic>
 #include <condition_variable>
@@ -116,8 +117,12 @@ struct UnexpectedMsg {
   }
 };
 
-/// Matching state for one rank within one communicator.
-class Mailbox {
+/// Matching state for one rank within one communicator. Cache-line
+/// aligned: a communicator's mailboxes sit back to back, and every sender
+/// reads the front of its destination's mailbox (config, lane table,
+/// sleeper count) while each owner writes its matching state on every
+/// message.
+class alignas(64) Mailbox {
  public:
   Mailbox(int comm_size, const MailboxConfig& cfg);
   ~Mailbox();
@@ -125,9 +130,9 @@ class Mailbox {
   Mailbox& operator=(const Mailbox&) = delete;
 
   /// Producer side, called from `src`'s rank thread: enqueue a message.
-  /// Never blocks (eager buffered semantics): publishes into the lane ring
-  /// (inline, or as a heap block past `ring_inline`) or, when the lane is
-  /// full, the overflow list.
+  /// Never blocks (eager buffered semantics): publishes into the lane's
+  /// next slot (inline, or as a heap block past `ring_inline`) or, when
+  /// that slot is still full, the overflow list.
   void send(int src, int tag, rt::ConstView payload);
 
   /// Owner side: pull every visible arrival into matching state,
@@ -155,7 +160,7 @@ class Mailbox {
   Lane& lane_for_send(int src);
   void pump_lane(int src, Lane& lane);
   void drain_overflow();
-  /// True when a lane ring or the overflow list holds an undrained
+  /// True when a lane's next slot or the overflow list holds an undrained
   /// message (the pre-sleep recheck).
   bool arrivals_visible() const;
   void ring_doorbell();
@@ -191,8 +196,10 @@ class Mailbox {
   std::uint64_t wake_epoch_ = 0;  // guarded by wake_mu_
 
   // --- matching state (owner thread only, no lock) ----------------------
+  // On its own lines: the owner writes it for every message, and senders
+  // read the transport fields above for every send.
   using Matcher = rt::MatchQueue<PostedRecv*, UnexpectedMsg>;
-  Matcher::Pool match_pool_;
+  alignas(64) Matcher::Pool match_pool_;
   Matcher match_{match_pool_};
 
   // --- distributed tracing (owner thread only) --------------------------

@@ -91,8 +91,10 @@ class SmpCluster {
   std::vector<obs::TraceBuffer*> tracers_;
 };
 
-/// rt::Comm implementation over SmpCluster mailboxes.
-class SmpComm final : public rt::Comm {
+/// rt::Comm implementation over SmpCluster mailboxes. Cache-line aligned:
+/// the world endpoints are allocated back to back, and each rank writes its
+/// own receive-op pool on every receive.
+class alignas(64) SmpComm final : public rt::Comm {
  public:
   SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank, int size);
 

@@ -115,6 +115,12 @@ Script make_script(int ranks, int msgs_per_sender, unsigned seed) {
   return s;
 }
 
+// Senders read the front of a mailbox while its owner writes matching
+// state, and each rank writes its own endpoint on every receive; both are
+// allocated back to back, so neighbours must not share a cache line.
+static_assert(alignof(smp::Mailbox) >= 64);
+static_assert(alignof(smp::SmpComm) >= 64);
+
 /// Run one scripted flood under `cfg` and assert the mailbox
 /// reproduces the oracle's match order exactly.
 void run_oracle_case(int ranks, const smp::MailboxConfig& cfg, unsigned seed) {
@@ -181,6 +187,54 @@ TEST(MailboxOrder, OracleMatchOrderHeapPayloads) {
       run_oracle_case(ranks, cfg, seed);
     }
   }
+}
+
+TEST(MailboxOrder, OracleMatchOrderThreeSlotRing) {
+  // A slot count that is not a power of two, so the cursors' wrap is not
+  // a mask; 40 inline bytes stretch each slot past one 64-byte line (a
+  // 128-byte stride).
+  smp::MailboxConfig cfg;
+  cfg.ring_slots = 3;
+  cfg.ring_inline = 40;
+  for (const int ranks : {2, 4, 8}) {
+    for (const unsigned seed : {1u, 2u, 3u}) {
+      run_oracle_case(ranks, cfg, seed);
+    }
+  }
+}
+
+TEST(MailboxOrder, TeardownFreesUndrainedSlots) {
+  // Rank 1 never receives, so one inline and three heap payloads are still
+  // in its lane's slots when the runtime is destroyed: the mailbox must
+  // free each heap block exactly once (ASan's leak check and double-free
+  // detection watch this test).
+  smp::MailboxConfig cfg;
+  cfg.ring_slots = 8;
+  cfg.ring_inline = 16;
+  constexpr std::size_t kLens[] = {8, 100, 200, 300};
+  const auto ring = [] {
+    return obs::metrics().counter_value("smp.mailbox.ring_sends");
+  };
+  const auto overflow = [] {
+    return obs::metrics().counter_value("smp.mailbox.overflow_sends");
+  };
+  std::uint64_t ring_sends = 0;
+  std::uint64_t overflow_sends = 0;
+  smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
+    if (c.rank() == 0) {
+      const std::uint64_t ring0 = ring();
+      const std::uint64_t overflow0 = overflow();
+      Buffer b = Buffer::real(512);
+      for (const std::size_t len : kLens) {
+        co_await c.send(b.view(0, len), 1, 0);
+      }
+      ring_sends = ring() - ring0;
+      overflow_sends = overflow() - overflow0;
+    }
+    co_return;
+  });
+  EXPECT_EQ(ring_sends, 4u);  // every message sat in a slot at teardown
+  EXPECT_EQ(overflow_sends, 0u);
 }
 
 TEST(MailboxOrder, RingFullNeverBlocksAndKeepsOrder) {
