@@ -22,10 +22,20 @@
 /// times and is the one timed. Every rep of a loop must send the same
 /// messages in the same virtual time, or the bench fails.
 ///
-/// Prints a table and writes BENCH_sim_engine.json ($A2A_BENCH_JSON or
+/// Plan build: process CPU time of one Cluster::run in which every rank
+/// only calls plan::make_plan, divided by the ranks, for
+///  * Hierarchical at 32 nodes;
+///  * Multileader + Locality (g = 4) at 32 nodes;
+///  * Locality-Aware (g = 4) at 8 nodes.
+/// The run's own start (one coroutine and one event per rank) is part of
+/// the figure. Building the locality bundle sends no messages; every rep
+/// must build bundles with the same member total, or the bench fails.
+///
+/// Prints two tables and writes BENCH_sim_engine.json ($A2A_BENCH_JSON or
 /// the build tree's bench/ directory): per loop the messages and virtual
 /// seconds of the timed run and the median, quartiles and minimum of CPU
-/// ns per message over the reps.
+/// ns per message over the reps; per plan-build row the bundle member
+/// total and the same statistics of CPU ns per rank.
 
 #include <time.h>
 
@@ -62,6 +72,33 @@ struct Rep {
   std::uint64_t messages = 0;
   double virtual_s = 0.0;
 };
+
+struct PlanLoop {
+  const char* name;
+  int nodes;
+  coll::Algo algo;
+  int group;
+};
+
+struct PlanRep {
+  double ns_per_rank = 0.0;
+  /// Members of every communicator in every rank's bundle.
+  std::uint64_t members = 0;
+  std::uint64_t messages = 0;
+};
+
+struct Quartiles {
+  double min = 0.0;
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Quartiles quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v.front(), benchx::quantile(v, 0.25), benchx::quantile(v, 0.5),
+          benchx::quantile(v, 0.75)};
+}
 
 double cpu_seconds() {
   timespec ts{};
@@ -125,6 +162,46 @@ Rep run_rep(const Loop& loop) {
   return rep;
 }
 
+PlanRep run_plan_rep(const PlanLoop& loop) {
+  sim::ClusterConfig cfg;
+  cfg.machine = topo::dane(loop.nodes).desc();
+  cfg.net = model::omni_path();
+  cfg.carry_data = false;
+  sim::Cluster cluster(cfg);
+  const topo::Machine& machine = cluster.machine();
+  const int p = machine.total_ranks();
+  std::vector<std::optional<plan::CollectivePlan>> plans(
+      static_cast<std::size_t>(p));
+  const std::uint64_t m0 = cluster.messages_sent();
+  const double c0 = cpu_seconds();
+  cluster.run([&](rt::Comm& world) -> rt::Task<void> {
+    coll::AlltoallDesc desc;
+    desc.block = 4;
+    desc.algo = loop.algo;
+    plan::PlanOptions opts;
+    opts.group_size = loop.group;
+    plans[static_cast<std::size_t>(world.rank())].emplace(
+        plan::make_plan(world, machine, cluster.net(), desc, opts));
+    co_return;
+  });
+  const double c1 = cpu_seconds();
+  PlanRep rep;
+  rep.ns_per_rank = (c1 - c0) * 1e9 / static_cast<double>(p);
+  rep.messages = cluster.messages_sent() - m0;
+  for (const std::optional<plan::CollectivePlan>& pl : plans) {
+    const rt::LocalityComms* lc = pl->bundle();
+    if (lc == nullptr) {
+      continue;
+    }
+    for (const rt::Comm* c :
+         {lc->node_comm.get(), lc->local_comm.get(), lc->group_cross.get(),
+          lc->leader_cross.get(), lc->leaders_node.get()}) {
+      rep.members += c != nullptr ? static_cast<std::uint64_t>(c->size()) : 0;
+    }
+  }
+  return rep;
+}
+
 }  // namespace
 
 int main() {
@@ -163,13 +240,10 @@ int main() {
       }
       ns.push_back(rep.ns_per_msg);
     }
-    std::sort(ns.begin(), ns.end());
-    const double q1 = benchx::quantile(ns, 0.25);
-    const double med = benchx::quantile(ns, 0.5);
-    const double q3 = benchx::quantile(ns, 0.75);
+    const Quartiles q = quartiles(ns);
     std::printf("%-28s %10llu %12.6g %9.1f %9.1f %9.1f %9.1f\n", loop.name,
                 static_cast<unsigned long long>(first.messages),
-                first.virtual_s, ns.front(), q1, med, q3);
+                first.virtual_s, q.min, q.q1, q.median, q.q3);
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
@@ -179,8 +253,54 @@ int main() {
         "\"median\": %.1f, \"q3\": %.1f}}%s\n",
         loop.name, loop.nodes, loop.nodes * topo::dane(1).ppn(),
         loop.iterations, static_cast<unsigned long long>(first.messages),
-        first.virtual_s, reps, ns.front(), q1, med, q3,
+        first.virtual_s, reps, q.min, q.q1, q.median, q.q3,
         i + 1 < loops.size() ? "," : "");
+    json += buf;
+  }
+  json += "  ],\n  \"plan_build\": [\n";
+
+  const std::vector<PlanLoop> plan_loops = {
+      {"Hierarchical, 32 nodes", 32, coll::Algo::kHierarchical, 0},
+      {"Multileader + Locality g=4, 32 nodes", 32,
+       coll::Algo::kMultileaderNodeAware, 4},
+      {"Locality-Aware g=4, 8 nodes", 8, coll::Algo::kLocalityAware, 4},
+  };
+  std::printf("== plan build: process CPU ns per rank of make_plan, %d reps\n",
+              reps);
+  std::printf("%-38s %8s %10s %9s %9s %9s %9s\n", "plan", "ranks", "members",
+              "min", "q1", "median", "q3");
+  for (std::size_t i = 0; i < plan_loops.size(); ++i) {
+    const PlanLoop& loop = plan_loops[i];
+    std::vector<double> ns;
+    PlanRep first;
+    for (int k = 0; k < reps; ++k) {
+      const PlanRep rep = run_plan_rep(loop);
+      if (k == 0) {
+        first = rep;
+      }
+      if (rep.messages != 0 || rep.members == 0 ||
+          rep.members != first.members) {
+        std::fprintf(stderr, "sim_engine: %s sent messages or did not "
+                             "repeat its bundle\n", loop.name);
+        return 1;
+      }
+      ns.push_back(rep.ns_per_rank);
+    }
+    const Quartiles q = quartiles(ns);
+    const int ranks = loop.nodes * topo::dane(1).ppn();
+    std::printf("%-38s %8d %10llu %9.1f %9.1f %9.1f %9.1f\n", loop.name,
+                ranks, static_cast<unsigned long long>(first.members), q.min,
+                q.q1, q.median, q.q3);
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "    {\"plan\": \"%s\", \"nodes\": %d, \"ranks\": %d, "
+        "\"group\": %d, \"members\": %llu, \"unit\": \"cpu_ns_per_rank\", "
+        "\"ns_per_rank\": {\"n\": %d, \"min\": %.1f, \"q1\": %.1f, "
+        "\"median\": %.1f, \"q3\": %.1f}}%s\n",
+        loop.name, loop.nodes, ranks, loop.group,
+        static_cast<unsigned long long>(first.members), reps, q.min, q.q1,
+        q.median, q.q3, i + 1 < plan_loops.size() ? "," : "");
     json += buf;
   }
   json += "  ]\n}\n";

@@ -384,15 +384,23 @@ Endpoint::Pair& Endpoint::pair(CommState& cs, int peer_world) {
   return cs.pairs[static_cast<std::size_t>(peer_world)];
 }
 
-rt::SubcommRegistry::Creation Endpoint::create_comm(
-    std::span<const int> parent, std::span<const int> members, int caller,
-    std::uint64_t* key) {
+rt::SubcommRegistry::Creation Endpoint::create_comm(rt::RankSet parent,
+                                                    rt::RankSet members,
+                                                    int caller,
+                                                    std::uint64_t* key) {
   const rt::SubcommRegistry::Creation c =
       subcomms_.create(parent, members, caller);
   std::uint64_t h = 0xcbf29ce484222325ull;
   h = fnv1a(h, static_cast<std::uint64_t>(c.world_ranks.size()));
-  for (int m : c.world_ranks) {
-    h = fnv1a(h, static_cast<std::uint64_t>(m));
+  if (c.world.is_progression()) {
+    // A canonical list has at least three members, so it never hashes the
+    // same words as a progression.
+    h = fnv1a(h, static_cast<std::uint64_t>(c.world.first()));
+    h = fnv1a(h, static_cast<std::uint64_t>(c.world.stride()));
+  } else {
+    for (int m : c.world_ranks) {
+      h = fnv1a(h, static_cast<std::uint64_t>(m));
+    }
   }
   *key = fnv1a(h, c.occurrence);
   return c;

@@ -147,13 +147,14 @@ class Endpoint {
   /// This process's next communicator over `members`, ranks of `parent`
   /// (world rank of each parent rank) where the caller is rank `caller`,
   /// validated and counted by rt::SubcommRegistry. `*key` receives its
-  /// wire key: an FNV hash of the world-rank list plus the occurrence, so
-  /// the k-th key drawn for a list is identical on every member process as
-  /// long as they create communicators in the same order — the collective
-  /// contract.
-  rt::SubcommRegistry::Creation create_comm(std::span<const int> parent,
-                                            std::span<const int> members,
-                                            int caller, std::uint64_t* key);
+  /// wire key: an FNV hash of the set's canonical world-rank form (a
+  /// progression's first, count and stride, else the list) plus the
+  /// occurrence, so the k-th key drawn for a set is identical on every
+  /// member process, whichever form each passed, as long as they create
+  /// communicators in the same order — the collective contract.
+  rt::SubcommRegistry::Creation create_comm(rt::RankSet parent,
+                                            rt::RankSet members, int caller,
+                                            std::uint64_t* key);
 
   /// Orderly shutdown: exchange kBye on every rail, drain, close all fds.
   /// Idempotent; swallows peer-loss errors (the destructor calls it).

@@ -1,6 +1,5 @@
 #include "net/net_comm.hpp"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "obs/aggregate.hpp"
@@ -18,15 +17,14 @@ std::unique_ptr<NetComm> NetComm::connect_world(NetOptions opts) {
     agg = std::make_unique<obs::MetricsAggregator>();
   }
   auto ep = std::make_shared<Endpoint>(std::move(opts));
-  std::vector<int> members(static_cast<std::size_t>(ep->world_size()));
-  std::iota(members.begin(), members.end(), 0);
+  const rt::RankSet all = rt::RankSet::progression(0, ep->world_size(), 1);
   // The world is this process's first creation over every rank, so a
-  // later subcomm over the same list draws a fresh key.
+  // later subcomm over the same set draws a fresh key.
   std::uint64_t key = 0;
-  const int rank =
-      ep->create_comm(members, members, ep->world_rank(), &key).rank;
-  auto comm = std::unique_ptr<NetComm>(
-      new NetComm(std::move(ep), key, std::move(members), rank));
+  const rt::SubcommRegistry::Creation c =
+      ep->create_comm(all, all, ep->world_rank(), &key);
+  auto comm =
+      std::unique_ptr<NetComm>(new NetComm(std::move(ep), key, c));
   comm->is_world_ = true;
   comm->cluster_agg_ = std::move(agg);
   return comm;
@@ -37,11 +35,12 @@ std::unique_ptr<NetComm> NetComm::process_world() {
 }
 
 NetComm::NetComm(std::shared_ptr<Endpoint> ep, std::uint64_t comm_key,
-                 std::vector<int> members, int rank)
-    : rt::Comm(rank, static_cast<int>(members.size())),
+                 const rt::SubcommRegistry::Creation& c)
+    : rt::Comm(c.rank, static_cast<int>(c.world_ranks.size())),
       ep_(std::move(ep)),
       comm_key_(comm_key),
-      members_(std::move(members)),
+      members_(c.world_ranks),
+      world_(c.world),
       is_world_(false) {}
 
 NetComm::~NetComm() {
@@ -66,11 +65,10 @@ NetComm::~NetComm() {
 }
 
 void NetComm::aggregate_cluster_metrics() {
-  std::vector<int> all(static_cast<std::size_t>(size_));
-  std::iota(all.begin(), all.end(), 0);
   // Fresh subcomm = fresh comm key: the aggregation's fixed tags cannot
   // collide with any application traffic, even unconsumed leftovers.
-  const std::unique_ptr<rt::Comm> sub = create_subcomm(all);
+  const std::unique_ptr<rt::Comm> sub =
+      create_subcomm(rt::RankSet::progression(0, size_, 1));
   const obs::ClusterMetrics cm = cluster_agg_->reduce(*sub);
   if (rank_ == 0) {
     if (const auto path = rt::env::get_string("A2A_CLUSTER_METRICS")) {
@@ -109,14 +107,11 @@ rt::Buffer NetComm::alloc_buffer(std::size_t bytes) const {
 
 obs::TraceBuffer* NetComm::tracer() const noexcept { return ep_->tracer(); }
 
-std::unique_ptr<rt::Comm> NetComm::create_subcomm(
-    std::span<const int> members) {
+std::unique_ptr<rt::Comm> NetComm::create_subcomm(rt::RankSet members) {
   std::uint64_t key = 0;
   const rt::SubcommRegistry::Creation c =
-      ep_->create_comm(members_, members, rank_, &key);
-  return std::unique_ptr<rt::Comm>(new NetComm(
-      ep_, key, std::vector<int>(c.world_ranks.begin(), c.world_ranks.end()),
-      c.rank));
+      ep_->create_comm(world_, members, rank_, &key);
+  return std::unique_ptr<rt::Comm>(new NetComm(ep_, key, c));
 }
 
 }  // namespace mca2a::net

@@ -19,7 +19,6 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "net/endpoint.hpp"
 #include "runtime/comm.hpp"
@@ -48,8 +47,7 @@ class NetComm final : public rt::Comm {
   std::string_view backend_name() const noexcept override { return "net"; }
   rt::Buffer alloc_buffer(std::size_t bytes) const override;
   void charge_copies(std::size_t, std::size_t) override {}  // wall time is real
-  std::unique_ptr<rt::Comm> create_subcomm(
-      std::span<const int> members) override;
+  std::unique_ptr<rt::Comm> create_subcomm(rt::RankSet members) override;
   obs::TraceBuffer* tracer() const noexcept override;
 
   /// The endpoint shared by this communicator tree (test access).
@@ -61,7 +59,7 @@ class NetComm final : public rt::Comm {
 
  private:
   NetComm(std::shared_ptr<Endpoint> ep, std::uint64_t comm_key,
-          std::vector<int> members, int rank);
+          const rt::SubcommRegistry::Creation& c);
 
   rt::Request do_isend(rt::ConstView buf, int dst, int tag) override;
   rt::Request do_irecv(rt::MutView buf, int src, int tag) override;
@@ -72,7 +70,9 @@ class NetComm final : public rt::Comm {
 
   std::shared_ptr<Endpoint> ep_;  ///< shared with every subcomm
   std::uint64_t comm_key_;
-  std::vector<int> members_;  ///< comm rank -> world rank
+  /// Comm rank -> world rank, held by the endpoint's registry.
+  std::span<const int> members_;
+  rt::RankSet world_;  ///< members_, canonical (registry)
   bool is_world_;
   /// Armed by connect_world when A2A_CLUSTER_METRICS names an output file;
   /// its construction (before the endpoint's) opens the metrics epoch.

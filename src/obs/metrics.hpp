@@ -30,6 +30,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -124,14 +125,7 @@ class Histogram {
   /// 0 plus one bucket per bit of a 64-bit value.
   static constexpr int kBuckets = 65;
 
-  static int bucket_of(std::uint64_t v) noexcept {
-    int b = 0;
-    while (v != 0) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
-  }
+  static int bucket_of(std::uint64_t v) noexcept { return std::bit_width(v); }
   /// Inclusive upper bound of bucket `b` (0 for bucket 0).
   static std::uint64_t bucket_bound(int b) noexcept {
     return b == 0 ? 0

@@ -274,37 +274,4 @@ Task<void> allgather(Comm& comm, ConstView send, MutView recv,
   }
 }
 
-Task<std::unique_ptr<Comm>> comm_split(Comm& comm, int color, int key) {
-  const int n = comm.size();
-  struct Entry {
-    int color;
-    int key;
-    int rank;
-  };
-  Entry mine{color, key, comm.rank()};
-  std::vector<Entry> all(n);
-  co_await allgather(comm, const_view_of(mine),
-                     MutView{reinterpret_cast<std::byte*>(all.data()),
-                             n * sizeof(Entry)});
-  if (color < 0) {
-    co_return nullptr;
-  }
-  std::vector<Entry> mates;
-  for (const Entry& e : all) {
-    if (e.color == color) {
-      mates.push_back(e);
-    }
-  }
-  std::stable_sort(mates.begin(), mates.end(), [](const Entry& a,
-                                                  const Entry& b) {
-    return a.key != b.key ? a.key < b.key : a.rank < b.rank;
-  });
-  std::vector<int> members;
-  members.reserve(mates.size());
-  for (const Entry& e : mates) {
-    members.push_back(e.rank);
-  }
-  co_return comm.create_subcomm(members);
-}
-
 }  // namespace mca2a::rt

@@ -13,8 +13,6 @@
 /// one stream because matching is FIFO and delivery is non-overtaking per
 /// rank pair.
 
-#include <memory>
-
 #include "runtime/comm.hpp"
 #include "runtime/task.hpp"
 
@@ -57,13 +55,5 @@ Task<void> scatter_binomial(Comm& comm, ConstView send, MutView recv, int root,
 /// bytes) ends up identical everywhere, ordered by rank.
 Task<void> allgather(Comm& comm, ConstView send, MutView recv,
                      int tag_stream = 0);
-
-/// MPI_Comm_split: ranks with equal `color` form a sub-communicator, ordered
-/// by (key, parent rank). Returns nullptr when color < 0 (undefined).
-/// Requires a data-carrying transport (always true on the threads backend;
-/// on the simulator only when carry_data is enabled) — the locality
-/// communicators used by the algorithms are instead built arithmetically in
-/// comm_bundle.hpp, which works in virtual-payload simulations too.
-Task<std::unique_ptr<Comm>> comm_split(Comm& comm, int color, int key);
 
 }  // namespace mca2a::rt

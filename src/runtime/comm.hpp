@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "runtime/buffer.hpp"
+#include "runtime/rank_set.hpp"
 #include "runtime/tags.hpp"
 #include "runtime/task.hpp"
 
@@ -126,8 +127,7 @@ class [[nodiscard]] TransferAwaiter {
 ///
 /// A Comm object belongs to exactly one rank: rank() is *this* process's
 /// rank within the communicator. Sub-communicators are created with
-/// create_subcomm (collective-free, deterministic) or the comm_split
-/// collective in collectives.hpp.
+/// create_subcomm (collective-free, deterministic).
 class Comm {
  public:
   virtual ~Comm() = default;
@@ -200,21 +200,28 @@ class Comm {
   void charge_copy(std::size_t bytes) { charge_copies(bytes, 1); }
 
   /// Create a sub-communicator from `members`, an ordered, duplicate-free
-  /// list of ranks *in this communicator* that must contain rank(). The
-  /// list need not be sorted: the new communicator's rank numbering follows
-  /// the order of `members` (member i becomes rank i). Every listed member
+  /// set of ranks *in this communicator* that must contain rank(): an
+  /// explicit list, or a progression RankSet::progression(first, count,
+  /// stride). The new communicator's rank numbering follows member order
+  /// (member i becomes rank i), so neither form need be sorted. Every member
   /// must make an identical call; ranks not listed must not call.
   ///
-  /// No communication: a rank's k-th creation over a given list of world
-  /// ranks joins the k-th communicator over that list, so members must
-  /// create communicators in the same order (rt::SubcommRegistry). Every
-  /// backend checks the list in this order and throws:
-  ///  * std::invalid_argument for an empty list;
-  ///  * std::out_of_range for a member outside [0, size());
-  ///  * std::invalid_argument for a duplicate member;
-  ///  * std::invalid_argument when rank() is not listed.
-  /// A call that throws creates nothing and counts no creation.
-  virtual std::unique_ptr<Comm> create_subcomm(std::span<const int> members) = 0;
+  /// No communication: a rank's k-th creation over a given set of world
+  /// ranks joins the k-th communicator over that set, so members must
+  /// create communicators in the same order (rt::SubcommRegistry). The two
+  /// forms of one set are the same set: {0, 2, 4} and progression(0, 3, 2)
+  /// join one communicator. Every backend checks the set in this order and
+  /// throws:
+  ///  * std::invalid_argument for an empty list or a count <= 0;
+  ///  * std::out_of_range for a member outside [0, size()) (a
+  ///    progression's first or last);
+  ///  * std::invalid_argument for a duplicate member (stride 0 with
+  ///    count > 1);
+  ///  * std::invalid_argument when rank() is not a member.
+  /// A call that throws creates nothing and counts no creation. A
+  /// progression over a communicator whose world ranks form a progression
+  /// (the world, and every progression of it) is created in O(1).
+  virtual std::unique_ptr<Comm> create_subcomm(RankSet members) = 0;
 
   /// This rank's flight-recorder stream (obs/trace.hpp), or nullptr when
   /// tracing is disabled — the common case, which every instrumentation

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <vector>
 
 namespace mca2a::rt {
 
@@ -40,46 +39,33 @@ LocalityComms build_locality_comms(Comm& world, const topo::Machine& machine,
   lc.my_region = lc.my_node * G + lc.my_group;
   lc.is_leader = lc.my_pos == 0;
 
-  std::vector<int> members;
+  // Machine::world_rank(node, local) is node·ppn + local, so each member
+  // set below is a progression of `world`'s ranks: no member list, and
+  // O(1) per rank when `world`'s world ranks form a progression too (the
+  // world communicator's do).
+  const int node_first = machine.world_rank(lc.my_node, 0);
 
   // node_comm: all ranks on my node, by local rank.
-  members.resize(ppn);
-  for (int l = 0; l < ppn; ++l) {
-    members[l] = machine.world_rank(lc.my_node, l);
-  }
-  lc.node_comm = world.create_subcomm(members);
+  lc.node_comm =
+      world.create_subcomm(RankSet::progression(node_first, ppn, 1));
 
   // local_comm: my group, by in-group position.
-  members.resize(g);
-  for (int i = 0; i < g; ++i) {
-    members[i] = machine.world_rank(lc.my_node, lc.my_group * g + i);
-  }
-  lc.local_comm = world.create_subcomm(members);
+  lc.local_comm = world.create_subcomm(
+      RankSet::progression(node_first + lc.my_group * g, g, 1));
 
-  // group_cross: position my_pos of every region, by region index.
-  members.resize(n * G);
-  for (int node = 0; node < n; ++node) {
-    for (int grp = 0; grp < G; ++grp) {
-      members[node * G + grp] =
-          machine.world_rank(node, grp * g + lc.my_pos);
-    }
-  }
-  lc.group_cross = world.create_subcomm(members);
+  // group_cross: position my_pos of every region, by region index. Region
+  // j covers ranks [j·g, (j+1)·g).
+  lc.group_cross =
+      world.create_subcomm(RankSet::progression(lc.my_pos, n * G, g));
 
   if (build_leader_comms && lc.is_leader) {
     // leader_cross: group-my_group leaders across nodes, by node.
-    members.resize(n);
-    for (int node = 0; node < n; ++node) {
-      members[node] = machine.world_rank(node, lc.my_group * g);
-    }
-    lc.leader_cross = world.create_subcomm(members);
+    lc.leader_cross = world.create_subcomm(
+        RankSet::progression(machine.world_rank(0, lc.my_group * g), n, ppn));
 
     // leaders_node: leaders within my node, by group.
-    members.resize(G);
-    for (int grp = 0; grp < G; ++grp) {
-      members[grp] = machine.world_rank(lc.my_node, grp * g);
-    }
-    lc.leaders_node = world.create_subcomm(members);
+    lc.leaders_node =
+        world.create_subcomm(RankSet::progression(node_first, G, g));
   }
   return lc;
 }

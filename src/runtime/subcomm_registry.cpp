@@ -8,10 +8,94 @@ namespace mca2a::rt {
 
 namespace {
 constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+
+/// Every input reaches the product's high half; the index reads the low.
+std::uint64_t fold(std::uint64_t h) { return h ^ (h >> 32); }
+
+std::uint64_t progression_hash(int first, int count, int stride) {
+  std::uint64_t h = static_cast<std::uint64_t>(count) * kMul;
+  h = (h ^ static_cast<std::uint32_t>(first)) * kMul;
+  h = (h ^ static_cast<std::uint32_t>(stride)) * kMul;
+  return fold(h);
+}
+
+/// The caller's index in the progression `m` over a parent of `size`
+/// ranks, checked in create()'s order without touching a member between
+/// the first and the last.
+int progression_index(RankSet m, std::int64_t size, int caller) {
+  const std::int64_t first = m.first();
+  const std::int64_t count = m.count();
+  const std::int64_t stride = m.stride();
+  if (count <= 0) {
+    throw std::invalid_argument("create_subcomm: empty member set");
+  }
+  // In 64 bits (count - 1)·stride cannot overflow.
+  const std::int64_t last = first + (count - 1) * stride;
+  if (std::min(first, last) < 0 || std::max(first, last) >= size) {
+    throw std::out_of_range("create_subcomm: member rank out of range");
+  }
+  if (stride == 0 && count > 1) {
+    throw std::invalid_argument("create_subcomm: duplicate member (stride 0)");
+  }
+  const std::int64_t offset = caller - first;
+  const std::int64_t index = stride == 0 ? 0 : offset / stride;
+  if (index * stride != offset || index < 0 || index >= count) {
+    throw std::invalid_argument(
+        "create_subcomm: calling rank not in member set");
+  }
+  return static_cast<int>(index);
+}
 }  // namespace
 
-SubcommRegistry::Creation SubcommRegistry::create(
-    std::span<const int> parent, std::span<const int> members, int caller) {
+SubcommRegistry::Creation SubcommRegistry::create(RankSet parent,
+                                                  RankSet members,
+                                                  int caller) {
+  Form f;
+  int me = -1;
+  if (!members.is_progression()) {
+    me = translate_list(parent, members.list(), caller);
+    f = canonical_candidate();
+  } else {
+    me = progression_index(members, static_cast<std::int64_t>(parent.size()),
+                           caller);
+    if (parent.is_progression()) {
+      // Member i is parent rank first + i·stride, so world rank
+      // parent[first] + i·stride·parent.stride: a progression again.
+      f.first = parent[static_cast<std::size_t>(members.first())];
+      f.count = members.count();
+      f.stride = f.count == 1 ? 1 : members.stride() * parent.stride();
+      f.hash = progression_hash(f.first, f.count, f.stride);
+    } else {
+      candidate_.resize(members.size());
+      for (std::size_t i = 0; i < candidate_.size(); ++i) {
+        candidate_[i] = parent[static_cast<std::size_t>(members[i])];
+      }
+      f = canonical_candidate();
+    }
+  }
+
+  Set& set = sets_[intern(f)];
+  Creation c;
+  c.occurrence = uses_[set.uses + static_cast<std::size_t>(me)]++;
+  // Occurrences count up from 0 per rank, so the first creation of
+  // occurrence k comes after occurrence k-1 already has its id.
+  assert(c.occurrence <= set.comms.size());
+  if (c.occurrence == set.comms.size()) {
+    set.comms.push_back(next_comm_++);
+    c.fresh = true;
+  }
+  c.comm = set.comms[c.occurrence];
+  c.rank = me;
+  c.world_ranks = set.world;
+  c.world = set.stride != 0 ? RankSet::progression(set.first, f.count,
+                                                   set.stride)
+                            : RankSet(set.world);
+  return c;
+}
+
+int SubcommRegistry::translate_list(RankSet parent,
+                                    std::span<const int> members,
+                                    int caller) {
   if (members.empty()) {
     throw std::invalid_argument("create_subcomm: empty member list");
   }
@@ -19,10 +103,10 @@ SubcommRegistry::Creation SubcommRegistry::create(
     std::fill(stamp_.begin(), stamp_.end(), 0u);
     epoch_ = 1;
   }
-  if (stamp_.size() < parent.size()) {
-    stamp_.resize(parent.size(), 0u);
+  const std::size_t parent_size = parent.size();
+  if (stamp_.size() < parent_size) {
+    stamp_.resize(parent_size, 0u);
   }
-  const auto parent_size = static_cast<int>(parent.size());
   candidate_.resize(members.size());
   // Locals, so the stamp stores cannot alias the loop's other state.
   const std::uint32_t epoch = epoch_;
@@ -30,18 +114,15 @@ SubcommRegistry::Creation SubcommRegistry::create(
   int* const out = candidate_.data();
   bool duplicate = false;
   int me = -1;
-  std::uint64_t h = members.size() * kMul;
   for (std::size_t i = 0; i < members.size(); ++i) {
     const int m = members[i];
-    if (m < 0 || m >= parent_size) {
+    if (m < 0 || static_cast<std::size_t>(m) >= parent_size) {
       throw std::out_of_range("create_subcomm: member rank out of range");
     }
     duplicate |= stamp[m] == epoch;
     stamp[m] = epoch;
     me = m == caller ? static_cast<int>(i) : me;
-    const int w = parent[static_cast<std::size_t>(m)];
-    out[i] = w;
-    h = (h ^ static_cast<std::uint32_t>(w)) * kMul;
+    out[i] = parent[static_cast<std::size_t>(m)];
   }
   if (duplicate) {
     throw std::invalid_argument("create_subcomm: duplicate member");
@@ -50,46 +131,64 @@ SubcommRegistry::Creation SubcommRegistry::create(
     throw std::invalid_argument(
         "create_subcomm: calling rank not in member list");
   }
-
-  // Every member reaches the product's high half; the index reads the low.
-  List& list = lists_[intern(h ^ (h >> 32))];
-  Creation c;
-  c.occurrence = uses_[list.offset + static_cast<std::size_t>(me)]++;
-  // Occurrences count up from 0 per rank, so the first creation of
-  // occurrence k comes after occurrence k-1 already has its id.
-  assert(c.occurrence <= list.comms.size());
-  if (c.occurrence == list.comms.size()) {
-    list.comms.push_back(next_comm_++);
-    c.fresh = true;
-  }
-  c.comm = list.comms[c.occurrence];
-  c.rank = me;
-  c.world_ranks = std::span<const int>(members_).subspan(list.offset,
-                                                          list.size);
-  return c;
+  return me;
 }
 
-std::uint32_t SubcommRegistry::intern(std::uint64_t hash) {
+SubcommRegistry::Form SubcommRegistry::canonical_candidate() const {
+  const std::size_t n = candidate_.size();
+  Form f;
+  f.first = candidate_[0];
+  f.count = static_cast<int>(n);
+  // Members are distinct, so a progression of two or more has stride != 0.
+  f.stride = n == 1 ? 1 : candidate_[1] - candidate_[0];
+  bool progression = true;
+  std::uint64_t h = n * kMul;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int w = candidate_[i];
+    progression &= i == 0 || w - candidate_[i - 1] == f.stride;
+    h = (h ^ static_cast<std::uint32_t>(w)) * kMul;
+  }
+  if (progression) {
+    f.hash = progression_hash(f.first, f.count, f.stride);
+  } else {
+    f.stride = 0;
+    f.hash = fold(h);
+  }
+  return f;
+}
+
+std::uint32_t SubcommRegistry::intern(const Form& f) {
+  const auto count = static_cast<std::size_t>(f.count);
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash & mask;
+  std::size_t i = f.hash & mask;
   for (; slots_[i] != 0; i = (i + 1) & mask) {
     const std::uint32_t id = slots_[i] - 1;
-    const List& l = lists_[id];
-    if (l.hash == hash && l.size == candidate_.size() &&
-        std::equal(candidate_.begin(), candidate_.end(),
-                   members_.begin() + static_cast<std::ptrdiff_t>(l.offset))) {
+    const Set& s = sets_[id];
+    if (s.hash == f.hash && s.stride == f.stride && s.world.size() == count &&
+        (f.stride != 0 ? s.first == f.first
+                       : std::equal(candidate_.begin(), candidate_.end(),
+                                    s.world.begin()))) {
       return id;
     }
   }
-  const auto id = static_cast<std::uint32_t>(lists_.size());
-  List& l = lists_.emplace_back();
-  l.hash = hash;
-  l.offset = members_.size();
-  l.size = candidate_.size();
-  members_.insert(members_.end(), candidate_.begin(), candidate_.end());
-  uses_.resize(members_.size(), 0);
+  const auto id = static_cast<std::uint32_t>(sets_.size());
+  Set& s = sets_.emplace_back();
+  s.hash = f.hash;
+  s.first = f.first;
+  s.stride = f.stride;
+  if (f.stride != 0) {
+    const RankSet p = RankSet::progression(f.first, f.count, f.stride);
+    s.world.resize(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      s.world[k] = p[k];
+    }
+  } else {
+    s.world = candidate_;
+  }
+  s.uses = uses_.size();
+  uses_.resize(uses_.size() + count, 0);
   slots_[i] = id + 1;
-  if (2 * lists_.size() > slots_.size()) {
+  if (2 * sets_.size() > slots_.size()) {
     grow_slots();
   }
   return id;
@@ -98,8 +197,8 @@ std::uint32_t SubcommRegistry::intern(std::uint64_t hash) {
 void SubcommRegistry::grow_slots() {
   slots_.assign(2 * slots_.size(), 0);
   const std::size_t mask = slots_.size() - 1;
-  for (std::size_t id = 0; id < lists_.size(); ++id) {
-    std::size_t i = lists_[id].hash & mask;
+  for (std::size_t id = 0; id < sets_.size(); ++id) {
+    std::size_t i = sets_[id].hash & mask;
     while (slots_[i] != 0) {
       i = (i + 1) & mask;
     }

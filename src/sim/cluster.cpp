@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "sim/sim_comm.hpp"
 
@@ -27,9 +26,7 @@ Cluster::Cluster(ClusterConfig cfg)
   mem_chan_.assign(machine_.nodes() * machine_.desc().numa_per_node(), 0.0);
 
   // Communicator 0 is the world.
-  std::vector<int> all(static_cast<std::size_t>(n));
-  std::iota(all.begin(), all.end(), 0);
-  add_comm(all, 1.0);
+  add_comm(rt::RankSet::progression(0, n, 1), 1.0);
 
   world_comms_.reserve(n);
   for (int r = 0; r < n; ++r) {
@@ -162,11 +159,13 @@ Cluster::OpRec& Cluster::op_checked(const rt::Request& r) {
 // Communicators
 // --------------------------------------------------------------------------
 
-void Cluster::add_comm(std::span<const int> world_ranks, double cost_scale) {
+void Cluster::add_comm(rt::RankSet world, double cost_scale) {
+  comm_worlds_.push_back(world);
   CommEntry& entry = comms_.emplace_back();
-  entry.world_ranks.assign(world_ranks.begin(), world_ranks.end());
-  entry.endpoints.reserve(world_ranks.size());
-  for (std::size_t r = 0; r < world_ranks.size(); ++r) {
+  entry.world_ranks.resize(world.size());
+  entry.endpoints.reserve(world.size());
+  for (std::size_t r = 0; r < world.size(); ++r) {
+    entry.world_ranks[r] = world[r];
     entry.endpoints.emplace_back(match_pool_);
   }
   entry.cost_scale = cost_scale;
@@ -538,13 +537,12 @@ void Cluster::on_data_arrival(std::uint32_t msg_id) {
 // --------------------------------------------------------------------------
 
 rt::SubcommRegistry::Creation Cluster::subcomm_impl(
-    std::uint32_t parent_id, int my_rank_in_parent,
-    std::span<const int> members) {
+    std::uint32_t parent_id, int my_rank_in_parent, rt::RankSet members) {
   const rt::SubcommRegistry::Creation c = subcomms_.create(
-      comms_[parent_id].world_ranks, members, my_rank_in_parent);
+      comm_worlds_[parent_id], members, my_rank_in_parent);
   if (c.fresh) {
     assert(c.comm == comms_.size());
-    add_comm(c.world_ranks, comms_[parent_id].cost_scale);
+    add_comm(c.world, comms_[parent_id].cost_scale);
   }
   return c;
 }

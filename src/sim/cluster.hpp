@@ -175,7 +175,7 @@ class Cluster {
                          std::coroutine_handle<> h);
   rt::SubcommRegistry::Creation subcomm_impl(std::uint32_t parent_id,
                                              int my_rank_in_parent,
-                                             std::span<const int> members);
+                                             rt::RankSet members);
   void charge_copies_impl(int world_rank, std::size_t bytes,
                           std::size_t times);
   void set_cost_scale_impl(std::uint32_t comm_id, double scale);
@@ -191,8 +191,9 @@ class Cluster {
   void complete_op(std::uint32_t op_id, double t);
 
   // --- communicators -------------------------------------------------------
-  /// Append communicator comms_.size() over `world_ranks`.
-  void add_comm(std::span<const int> world_ranks, double cost_scale);
+  /// Append communicator comms_.size() over `world`: a progression, or a
+  /// list held by subcomms_ (SubcommRegistry::Creation::world).
+  void add_comm(rt::RankSet world, double cost_scale);
 
   // --- pools ----------------------------------------------------------------
   std::uint32_t alloc_op();
@@ -221,6 +222,9 @@ class Cluster {
   Endpoint::Pool match_pool_;     ///< nodes of every endpoint's queues
   std::vector<CommEntry> comms_;  ///< by communicator id; 0 is the world
   rt::SubcommRegistry subcomms_;
+  /// By communicator id: its world ranks in canonical form, the parent of
+  /// a creation. Kept out of CommEntry, which the message path reads.
+  std::vector<rt::RankSet> comm_worlds_;
 
   std::vector<OpRec> ops_;
   std::uint32_t free_op_ = kNil;

@@ -2,8 +2,7 @@
 
 namespace mca2a::sim {
 
-std::unique_ptr<rt::Comm> SimComm::create_subcomm(
-    std::span<const int> members) {
+std::unique_ptr<rt::Comm> SimComm::create_subcomm(rt::RankSet members) {
   const rt::SubcommRegistry::Creation c =
       cluster_->subcomm_impl(comm_id_, rank_, members);
   return std::make_unique<SimComm>(*cluster_, c.comm, c.rank,

@@ -37,8 +37,7 @@ class SimComm final : public rt::Comm {
   void charge_copies(std::size_t bytes, std::size_t times) override {
     cluster_->charge_copies_impl(world_rank(), bytes, times);
   }
-  std::unique_ptr<rt::Comm> create_subcomm(
-      std::span<const int> members) override;
+  std::unique_ptr<rt::Comm> create_subcomm(rt::RankSet members) override;
   obs::TraceBuffer* tracer() const noexcept override {
     return cluster_->tracer_for(world_rank());
   }

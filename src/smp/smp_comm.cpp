@@ -15,6 +15,7 @@ SmpCluster::SmpCluster(int world_size, const MailboxConfig& cfg)
     throw std::invalid_argument("SmpCluster: world size must be >= 1");
   }
   CommEntry& world_entry = comms_.emplace_back();
+  world_entry.world = rt::RankSet::progression(0, world_size, 1);
   world_entry.world_ranks.resize(world_size);
   for (int r = 0; r < world_size; ++r) {
     world_entry.world_ranks[r] = r;
@@ -77,12 +78,13 @@ SmpCluster::~SmpCluster() {
 rt::Comm& SmpCluster::world(int rank) { return *world_comms_.at(rank); }
 
 std::pair<std::uint32_t, int> SmpCluster::create_comm(
-    const CommEntry& parent, int caller, std::span<const int> members) {
+    const CommEntry& parent, int caller, rt::RankSet members) {
   std::lock_guard<std::mutex> lock(registry_mu_);
   const rt::SubcommRegistry::Creation c =
-      subcomms_.create(parent.world_ranks, members, caller);
+      subcomms_.create(parent.world, members, caller);
   if (c.fresh) {
     CommEntry& entry = comms_.emplace_back();
+    entry.world = c.world;
     entry.world_ranks.assign(c.world_ranks.begin(), c.world_ranks.end());
     const int comm_size = static_cast<int>(entry.world_ranks.size());
     for (int r = 0; r < comm_size; ++r) {
@@ -216,8 +218,7 @@ double SmpComm::now() const {
   return std::chrono::duration<double>(d).count();
 }
 
-std::unique_ptr<rt::Comm> SmpComm::create_subcomm(
-    std::span<const int> members) {
+std::unique_ptr<rt::Comm> SmpComm::create_subcomm(rt::RankSet members) {
   const auto [comm_id, rank] = cluster_->create_comm(*entry_, rank_, members);
   return std::make_unique<SmpComm>(*cluster_, comm_id, rank,
                                    static_cast<int>(members.size()));

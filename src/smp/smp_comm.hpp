@@ -61,6 +61,7 @@ class SmpCluster {
   struct CommEntry {
     std::vector<int> world_ranks;
     std::deque<Mailbox> mailboxes;  // stable addresses, one per member
+    rt::RankSet world;  // world_ranks, canonical (rt::SubcommRegistry)
   };
 
   /// Enable flow stitching on `entry`'s mailboxes (no-op with tracing
@@ -73,8 +74,7 @@ class SmpCluster {
   /// it (thread-safe; rt::SubcommRegistry holds the k-th-creation rule).
   /// Creates the communicator's entry on its first creation.
   std::pair<std::uint32_t, int> create_comm(const CommEntry& parent,
-                                            int caller,
-                                            std::span<const int> members);
+                                            int caller, rt::RankSet members);
 
   int world_size_;
   MailboxConfig mailbox_cfg_;
@@ -113,8 +113,7 @@ class alignas(64) SmpComm final : public rt::Comm {
     return rt::Buffer::real_uninit(bytes);
   }
   void charge_copies(std::size_t, std::size_t) override {}  // real memcpys
-  std::unique_ptr<rt::Comm> create_subcomm(
-      std::span<const int> members) override;
+  std::unique_ptr<rt::Comm> create_subcomm(rt::RankSet members) override;
   obs::TraceBuffer* tracer() const noexcept override {
     return cluster_->tracer_for(world_rank());
   }

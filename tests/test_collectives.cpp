@@ -221,54 +221,5 @@ TEST(Collectives, GatherAutoSelectsAndWorks) {
   }
 }
 
-TEST(Collectives, CommSplitByParity) {
-  test::run_sim_flat(6, [](Comm& c) -> Task<void> {
-    auto sub = co_await rt::comm_split(c, c.rank() % 2, c.rank());
-    EXPECT_NE(sub, nullptr);
-    EXPECT_EQ(sub->size(), 3);
-    EXPECT_EQ(sub->rank(), c.rank() / 2);
-    // Verify the new communicator actually routes messages.
-    Buffer b = Buffer::real(4);
-    if (sub->rank() == 0) {
-      b.typed<int>()[0] = c.rank();
-      co_await sub->send(b.view(), 2, 0);
-    } else if (sub->rank() == 2) {
-      co_await sub->recv(b.view(), 0, 0);
-      EXPECT_EQ(b.typed<int>()[0], c.rank() % 2);
-    }
-  });
-}
-
-TEST(Collectives, CommSplitUndefinedColor) {
-  test::run_sim_flat(4, [](Comm& c) -> Task<void> {
-    const int color = c.rank() == 0 ? -1 : 0;
-    auto sub = co_await rt::comm_split(c, color, 0);
-    if (c.rank() == 0) {
-      EXPECT_EQ(sub, nullptr);
-    } else {
-      EXPECT_NE(sub, nullptr);
-      EXPECT_EQ(sub->size(), 3);
-    }
-  });
-}
-
-TEST(Collectives, CommSplitKeyOrdersRanks) {
-  test::run_sim_flat(4, [](Comm& c) -> Task<void> {
-    // Reverse order via descending keys.
-    auto sub = co_await rt::comm_split(c, 0, -c.rank());
-    EXPECT_NE(sub, nullptr);
-    EXPECT_EQ(sub->rank(), c.size() - 1 - c.rank());
-  });
-}
-
-TEST(Collectives, SmpCommSplitWorks) {
-  test::run_smp(4, [](Comm& c) -> Task<void> {
-    auto sub = co_await rt::comm_split(c, c.rank() / 2, c.rank());
-    EXPECT_NE(sub, nullptr);
-    EXPECT_EQ(sub->size(), 2);
-    co_await rt::barrier(*sub);
-  });
-}
-
 }  // namespace
 }  // namespace mca2a

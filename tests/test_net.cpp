@@ -13,6 +13,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -1464,13 +1465,15 @@ void run_backend(const std::string& backend, int ranks,
   }
 }
 
-/// One create_subcomm contract on every backend: each bad member list
-/// throws the same exception type on every rank, and the ranks can still
-/// create a communicator afterwards.
+/// One create_subcomm contract on every backend: each bad member list, and
+/// each bad progression, throws the same exception type on every rank, and
+/// the ranks can still create communicators afterwards. A list and the
+/// equal progression are one set, also through a sub-communicator.
 class SubcommContract : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SubcommContract, BadListsThrowAlikeOnEveryRank) {
   constexpr int kRanks = 3;
+  using rt::RankSet;
   struct BadList {
     const char* what;
     std::vector<int> (*members)(int rank);
@@ -1490,13 +1493,56 @@ TEST_P(SubcommContract, BadListsThrowAlikeOnEveryRank) {
        [](int rank) { return std::vector<int>{(rank + 1) % kRanks}; },
        "invalid_argument"},
   };
-  constexpr std::size_t kCases = std::size(kBad);
+  struct BadProgression {
+    const char* what;
+    RankSet (*members)(int rank);
+    const char* expect;
+  };
+  static const BadProgression kBadProgressions[] = {
+      {"count 0", [](int) { return RankSet::progression(0, 0, 1); },
+       "invalid_argument"},
+      {"negative count", [](int) { return RankSet::progression(0, -2, 1); },
+       "invalid_argument"},
+      {"last member past the end",
+       [](int) { return RankSet::progression(0, 4, 1); }, "out_of_range"},
+      {"negative first", [](int) { return RankSet::progression(-1, 4, 1); },
+       "out_of_range"},
+      {"negative last", [](int) { return RankSet::progression(2, 4, -1); },
+       "out_of_range"},
+      {"range checked before stride 0",
+       [](int) { return RankSet::progression(5, 2, 0); }, "out_of_range"},
+      {"stride 0", [](int) { return RankSet::progression(1, 3, 0); },
+       "invalid_argument"},
+      {"count times stride overflows int",
+       [](int) { return RankSet::progression(0, INT_MAX, INT_MAX); },
+       "out_of_range"},
+      {"count times negative stride overflows int",
+       [](int) { return RankSet::progression(2, INT_MAX, INT_MIN); },
+       "out_of_range"},
+      {"caller not a member",
+       [](int rank) {
+         // The two other ranks: strides 1, -2 and 1 on ranks 0, 1 and 2.
+         const int a = (rank + 1) % kRanks;
+         const int b = (rank + 2) % kRanks;
+         return RankSet::progression(a, 2, b - a);
+       },
+       "invalid_argument"},
+  };
+  constexpr std::size_t kLists = std::size(kBad);
+  constexpr std::size_t kCases = kLists + std::size(kBadProgressions);
+  const auto expected = [&](std::size_t i) {
+    return i < kLists ? kBad[i].expect : kBadProgressions[i - kLists].expect;
+  };
   std::vector<std::string> got(kRanks * kCases);
   const auto body = [&](Comm& c) -> Task<void> {
     for (std::size_t i = 0; i < kCases; ++i) {
       std::string& kind = got[static_cast<std::size_t>(c.rank()) * kCases + i];
       try {
-        (void)c.create_subcomm(kBad[i].members(c.rank()));
+        if (i < kLists) {
+          (void)c.create_subcomm(kBad[i].members(c.rank()));
+        } else {
+          (void)c.create_subcomm(kBadProgressions[i - kLists].members(c.rank()));
+        }
         kind = "none";
       } catch (const std::out_of_range&) {
         kind = "out_of_range";
@@ -1506,21 +1552,42 @@ TEST_P(SubcommContract, BadListsThrowAlikeOnEveryRank) {
         kind = "other";
       }
     }
-    // A rejected list counts no creation: the ranks still agree.
-    auto sub = c.create_subcomm(std::vector<int>{2, 1, 0});
-    Buffer out = Buffer::real(sizeof(int));
-    Buffer in = Buffer::real(sizeof(int));
-    out.typed<int>()[0] = c.rank();
-    const int next = (sub->rank() + 1) % kRanks;
-    const int prev = (sub->rank() + kRanks - 1) % kRanks;
-    co_await sub->sendrecv(out.view(), next, 4, in.view(), prev, 4);
-    EXPECT_EQ(in.typed<int>()[0], 2 - prev);
+    // A rejected set counts no creation: the ranks still agree. Odd and
+    // even ranks pass the forms of one set in opposite orders, and still
+    // join the same two communicators (the k-th creation rule).
+    const std::vector<int> list{2, 1, 0};
+    const RankSet down = RankSet::progression(2, 3, -1);
+    const bool even = c.rank() % 2 == 0;
+    std::unique_ptr<Comm> first = c.create_subcomm(even ? RankSet(list) : down);
+    std::unique_ptr<Comm> second = c.create_subcomm(even ? down : RankSet(list));
+    // A progression over a sub-communicator composes: ranks 2, 1, 0 of
+    // `first` are world ranks 0, 1, 2, the set the odd ranks list.
+    std::unique_ptr<Comm> composed =
+        even ? first->create_subcomm(down)
+             : c.create_subcomm(std::vector<int>{0, 1, 2});
+    EXPECT_EQ(composed->rank(), c.rank());
+    // Every ring carries its own value; a rank that joined another
+    // communicator than its peers would misroute or never be matched.
+    Comm* const subs[] = {first.get(), second.get(), composed.get()};
+    int expect_offset = 0;
+    for (Comm* sub : subs) {
+      Buffer out = Buffer::real(sizeof(int));
+      Buffer in = Buffer::real(sizeof(int));
+      out.typed<int>()[0] = expect_offset + c.rank();
+      const int next = (sub->rank() + 1) % kRanks;
+      const int prev = (sub->rank() + kRanks - 1) % kRanks;
+      co_await sub->sendrecv(out.view(), next, 4, in.view(), prev, 4);
+      const int prev_world = sub == composed.get() ? prev : 2 - prev;
+      EXPECT_EQ(in.typed<int>()[0], expect_offset + prev_world);
+      expect_offset += 10;
+    }
   };
   run_backend(GetParam(), kRanks, body);
   for (int r = 0; r < kRanks; ++r) {
     for (std::size_t i = 0; i < kCases; ++i) {
-      EXPECT_EQ(got[static_cast<std::size_t>(r) * kCases + i], kBad[i].expect)
-          << kBad[i].what << ", rank " << r;
+      EXPECT_EQ(got[static_cast<std::size_t>(r) * kCases + i], expected(i))
+          << (i < kLists ? kBad[i].what : kBadProgressions[i - kLists].what)
+          << ", rank " << r;
     }
   }
 }

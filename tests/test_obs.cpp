@@ -376,6 +376,8 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(obs::Histogram::bucket_of(2), 2);
   EXPECT_EQ(obs::Histogram::bucket_of(3), 2);
   EXPECT_EQ(obs::Histogram::bucket_of(4), 3);
+  EXPECT_EQ(obs::Histogram::bucket_of(std::uint64_t{1} << 63), 64);
+  EXPECT_EQ(obs::Histogram::bucket_of(UINT64_MAX), 64);
   EXPECT_EQ(obs::Histogram::bucket_bound(0), 0u);
   EXPECT_EQ(obs::Histogram::bucket_bound(1), 1u);
   EXPECT_EQ(obs::Histogram::bucket_bound(2), 3u);
