@@ -1,20 +1,28 @@
 /// \file net_pingpong.cpp
-/// Real-socket latency/bandwidth scan for the net (TCP) backend:
-/// ping-pong between two rank processes across message sizes, swept over
-/// rail counts — the measurement behind the alpha/beta parameters the
+/// Real-socket latency/bandwidth scan for the net backend: ping-pong
+/// between two rank processes across message sizes, swept over rail
+/// counts — the measurement behind the alpha/beta parameters the
 /// simulator's cost model assumes and the multi-rail striping claim
 /// (BENCH_net.json shows rails > 1 beating a single connection on large
-/// messages).
+/// messages). Both ranks run on this host, so their rails are AF_UNIX
+/// stream sockets (a peer on another host would get TCP).
 ///
 /// The binary self-orchestrates: invoked normally it is the *parent*,
 /// which for every rail count forks two copies of itself wired together as
-/// a net job over 127.0.0.1 (no a2arun needed); invoked with A2A_NET_RANK
-/// set it is a *rank child* and runs the ping-pong loop. Rank 0 of each
-/// job appends `bytes seconds` lines to the file named by A2A_NET_PP_OUT;
-/// the parent merges all jobs into one Figure, prints the paper-style
-/// table, fits alpha/beta per rail count, and writes BENCH_net.json (into
-/// $A2A_BENCH_JSON, defaulting to the build tree's bench/ directory like
-/// every other figure bench).
+/// a net job (rendezvous on 127.0.0.1, no a2arun needed); invoked with
+/// A2A_NET_RANK set it is a *rank child* and runs the ping-pong loop.
+/// Rank 0 of each job writes to the file named by A2A_NET_PP_OUT a
+/// `transport <AF_UNIX|TCP|mixed>` line for its rails, then per size a
+/// line `bytes seconds tx rx ftx frx`: the one-way time, and its
+/// net.tx_calls, net.rx_calls, net.frames_tx and net.frames_rx deltas
+/// over the size's loop, each divided by the messages it sent (= the
+/// messages it received). The parent merges all jobs into one Figure,
+/// prints the paper-style table, fits alpha/beta per rail count, and
+/// writes BENCH_net.json (into $A2A_BENCH_JSON, defaulting to the build
+/// tree's bench/ directory like every other figure bench), whose "rails"
+/// member records per rail count the transport and, per size, those
+/// syscall and frame counts per one-way message — the net row of the
+/// layer-cost ledger.
 ///
 /// Flags:
 ///   --rails <csv>   rail counts to sweep (default 1,2,4)
@@ -40,13 +48,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/figure.hpp"
+#include "harness/table.hpp"
 #include "net/net_comm.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/env.hpp"
 
@@ -77,17 +88,36 @@ int reps_for(std::size_t bytes, int override_reps) {
 
 // --- rank child --------------------------------------------------------------
 
+/// The counters of the syscall ledger, in the order the child writes them.
+constexpr const char* kLedgerCounters[] = {"net.tx_calls", "net.rx_calls",
+                                           "net.frames_tx", "net.frames_rx"};
+/// Their JSON names, per one-way message.
+constexpr const char* kLedgerFields[] = {
+    "tx_calls_per_msg", "rx_calls_per_msg", "frames_tx_per_msg",
+    "frames_rx_per_msg"};
+constexpr std::size_t kLedger = std::size(kLedgerCounters);
+
 int run_child(int override_reps) {
   auto world = mca2a::net::NetComm::process_world();
   const int me = world->rank();
   const int peer = 1 - me;
+  const auto& reg = mca2a::obs::metrics();
   std::ostringstream out;
+  const std::uint64_t conns = reg.counter_value("net.connections");
+  const std::uint64_t unix_conns = reg.counter_value("net.connections_unix");
+  out << "transport "
+      << (unix_conns == conns ? "AF_UNIX" : unix_conns == 0 ? "TCP" : "mixed")
+      << '\n';
 
   for (const std::size_t bytes : message_sizes()) {
     Buffer s = Buffer::real(bytes);
     Buffer r = Buffer::real(bytes);
     std::memset(s.data(), 0x5A, bytes);
     const int reps = reps_for(bytes, override_reps);
+    std::uint64_t before[kLedger];
+    for (std::size_t i = 0; i < kLedger; ++i) {
+      before[i] = reg.counter_value(kLedgerCounters[i]);
+    }
     double best = 1e30;
     for (int rep = 0; rep < reps + 2; ++rep) {  // two warmup rounds
       const double t0 = world->now();
@@ -108,7 +138,15 @@ int run_child(int override_reps) {
       }
     }
     if (me == 0) {
-      out << bytes << ' ' << best << '\n';
+      // Every rep, warmups included, sends one message each way.
+      out << bytes << ' ' << best;
+      for (std::size_t i = 0; i < kLedger; ++i) {
+        out << ' '
+            << static_cast<double>(reg.counter_value(kLedgerCounters[i]) -
+                                   before[i]) /
+                   (reps + 2);
+      }
+      out << '\n';
     }
   }
 
@@ -208,7 +246,7 @@ int spawn_job(int rails, const std::string& out_path, int override_reps) {
 
 void usage() {
   std::puts(
-      "net_pingpong: TCP-backend ping-pong scan (alpha/beta + rail sweep)\n"
+      "net_pingpong: net-backend ping-pong scan (alpha/beta + rail sweep)\n"
       "\n"
       "  --rails <csv>   rail counts to sweep        (default 1,2,4)\n"
       "  --reps <n>      fixed repetitions per size  (default adaptive)\n"
@@ -266,8 +304,9 @@ int main(int argc, char** argv) {
   }
 
   mca2a::bench::Figure fig(
-      "net", "TCP backend ping-pong: one-way time vs message size",
+      "net", "net backend ping-pong: one-way time vs message size",
       "message bytes");
+  std::string rails_json = "[";
   for (const int rails : rails_list) {
     // Fresh result file per job; a fresh world (bootstrap included) per
     // rail count, since the rail mesh is fixed at connect time.
@@ -280,13 +319,31 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::ifstream in(out_path);
+    std::string word, transport;
+    in >> word >> transport;
     std::size_t bytes = 0;
     double seconds = 0.0;
+    double ledger[kLedger] = {};
     double alpha = 0.0, t_big = 0.0;
     std::size_t big = 0;
-    while (in >> bytes >> seconds) {
+    std::vector<std::vector<std::string>> rows;
+    std::string sizes_json;
+    while (in >> bytes >> seconds >> ledger[0] >> ledger[1] >> ledger[2] >>
+           ledger[3]) {
       fig.add("rails=" + std::to_string(rails), static_cast<double>(bytes),
               seconds);
+      std::vector<std::string> row{std::to_string(bytes)};
+      std::ostringstream js;
+      js << (sizes_json.empty() ? "" : ",\n") << "      {\"bytes\": " << bytes;
+      for (std::size_t i = 0; i < kLedger; ++i) {
+        std::ostringstream v;
+        v << std::setprecision(4) << ledger[i];
+        row.push_back(v.str());
+        js << ", \"" << kLedgerFields[i] << "\": " << v.str();
+      }
+      js << '}';
+      sizes_json += js.str();
+      rows.push_back(std::move(row));
       if (alpha == 0.0) {
         alpha = seconds;  // smallest size ~ pure latency
       }
@@ -299,11 +356,23 @@ int main(int argc, char** argv) {
     if (big > 0) {
       const double beta = (t_big - alpha) / static_cast<double>(big);
       std::printf(
-          "rails=%d  alpha ~ %s  beta ~ %.3g s/B (%.2f Gb/s large-message)\n",
-          rails, mca2a::bench::format_time(alpha).c_str(), beta,
-          8.0 / (beta * 1e9));
+          "rails=%d (%s)  alpha ~ %s  beta ~ %.3g s/B (%.2f Gb/s "
+          "large-message)\n",
+          rails, transport.c_str(), mca2a::bench::format_time(alpha).c_str(),
+          beta, 8.0 / (beta * 1e9));
     }
+    std::ostringstream table;
+    mca2a::bench::print_table(table,
+                              {"bytes", "sendmsg/msg", "read/msg",
+                               "frames_tx/msg", "frames_rx/msg"},
+                              rows);
+    std::fputs(table.str().c_str(), stdout);
+    rails_json += std::string(rails_json.size() > 1 ? "," : "") +
+                  "\n    {\"rails\": " + std::to_string(rails) +
+                  ", \"transport\": \"" + transport + "\", \"sizes\": [\n" +
+                  sizes_json + "\n    ]}";
   }
+  fig.add_json_member("rails", rails_json + "\n  ]");
 
   std::ostringstream table;
   fig.print(table);

@@ -165,7 +165,15 @@ void Figure::write_json(std::ostream& os) const {
        << "\", \"x\": " << p.x << ", \"seconds\": " << p.seconds << '}'
        << (i + 1 < points_.size() ? "," : "") << '\n';
   }
-  os << "  ]\n}\n";
+  os << "  ]";
+  for (const auto& [key, json] : members_) {
+    os << ",\n  \"" << json_escape(key) << "\": " << json;
+  }
+  os << "\n}\n";
+}
+
+void Figure::add_json_member(const std::string& key, std::string json) {
+  members_.emplace_back(key, std::move(json));
 }
 
 std::string Figure::write_json_file(const std::string& path) const {

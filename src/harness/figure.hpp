@@ -6,6 +6,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mca2a::bench {
@@ -31,8 +32,14 @@ class Figure {
 
   /// Machine-readable JSON: {"id", "title", "xlabel", "series": [...],
   /// "points": [{"series", "x", "seconds"}, ...]} — the format the perf
-  /// trajectory tooling ingests (BENCH_*.json files).
+  /// trajectory tooling ingests (BENCH_*.json files) — followed by the
+  /// members added with add_json_member.
   void write_json(std::ostream& os) const;
+
+  /// Add a top-level JSON member `"key": json` written after "points",
+  /// for records a bench keeps beside its times; `json` must already be a
+  /// valid JSON value.
+  void add_json_member(const std::string& key, std::string json);
 
   /// Write JSON to `path` (e.g. "BENCH_overlap.json"); if the environment
   /// variable A2A_BENCH_JSON names a directory the file goes there
@@ -55,6 +62,7 @@ class Figure {
   std::string xlabel_;
   std::vector<std::string> series_;
   std::vector<Point> points_;
+  std::vector<std::pair<std::string, std::string>> members_;
 };
 
 /// Format seconds with 4 significant digits and an SI suffix (ns/us/ms/s).

@@ -36,7 +36,7 @@ struct RunSpec {
   ///  - "sim" (default): a fresh discrete-event simulation; virtual time.
   ///  - "smp": one OS thread per rank in this process (machine is only the
   ///    locality view; keep it test-scale); wall clock.
-  ///  - "net": the real TCP backend. The calling process must be one rank
+  ///  - "net": the real-socket backend. The calling process must be one rank
   ///    of a net job (launched by tools/a2arun, A2A_NET_* set) whose size
   ///    equals machine.total_ranks(), and every rank of the job must issue
   ///    the identical run_sim calls.
@@ -110,7 +110,7 @@ struct RunResult {
   /// and vector modes only: zero in overlap and autotune modes.
   std::array<double, coll::kNumPhases> phase_seconds{};
   /// Messages sent during the whole run (all reps): simulated messages on
-  /// sim, ring and overflow mailbox sends on smp, TCP frames on net.
+  /// sim, ring and overflow mailbox sends on smp, socket frames on net.
   std::uint64_t messages = 0;
   /// Host wall time of the whole call (diagnostics).
   double sim_wall_seconds = 0.0;

@@ -1,16 +1,10 @@
 #include "net/bootstrap.hpp"
 
-#include <poll.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <climits>
-#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 
 #include "runtime/env.hpp"
 
@@ -18,43 +12,15 @@ namespace mca2a::net {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Block until `fd` is readable or `deadline` passes. The rendezvous obeys
-/// the same "error instead of hang" contract as build_mesh: a rank that
-/// never starts, or a stray client that connects and writes nothing, must
-/// turn into a thrown timeout, not an eternal blocking read/accept.
-void wait_readable(int fd, Clock::time_point deadline, const char* what) {
-  for (;;) {
-    const auto now = Clock::now();
-    if (now >= deadline) {
-      throw std::runtime_error(std::string("net: rendezvous timed out ") +
-                               what);
-    }
-    const auto left_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count();
-    pollfd p{fd, POLLIN, 0};
-    const int n =
-        ::poll(&p, 1, static_cast<int>(std::min<long long>(left_ms, 200)));
-    if (n > 0) {
-      return;
-    }
-    if (n < 0 && errno != EINTR) {
-      throw std::system_error(errno, std::generic_category(), "net: poll");
-    }
-  }
-}
-
 /// Read one '\n'-terminated line from a blocking socket, polling before
 /// every byte so a silent peer cannot stall the exchange past `deadline`
 /// (bootstrap only; byte-at-a-time is fine for a dozen short lines).
-std::string read_line(int fd, Clock::time_point deadline) {
+std::string read_line(int fd, Deadline deadline) {
   std::string line;
   char c = 0;
   for (;;) {
-    wait_readable(fd, deadline, "reading a registration line");
-    read_all(fd, &c, 1);
+    read_all(fd, &c, 1, deadline,
+             "net: rendezvous timed out reading a registration line");
     if (c == '\n') {
       return line;
     }
@@ -159,9 +125,7 @@ std::vector<PeerInfo> rendezvous_exchange(const NetOptions& opts,
     return table;
   }
 
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opts.timeout_s));
+  const Deadline deadline = deadline_in(opts.timeout_s);
 
   if (opts.rank == 0) {
     // Serve: collect size-1 registrations, then publish the table. A
@@ -179,8 +143,8 @@ std::vector<PeerInfo> rendezvous_exchange(const NetOptions& opts,
     std::vector<int> conn_rank(static_cast<std::size_t>(opts.size) - 1, -1);
     for (int i = 0; i < opts.size - 1; ++i) {
       wait_readable(listener.get(), deadline,
-                    "waiting for rank registrations");
-      Fd c = accept_tcp(listener.get());
+                    "net: rendezvous timed out waiting for rank registrations");
+      Fd c = accept_conn(listener.get());
       PeerInfo p = parse_reg(read_line(c.get(), deadline), opts.size);
       if (!table[static_cast<std::size_t>(p.rank)].addrs.empty() ||
           p.rank == 0) {
@@ -208,9 +172,7 @@ std::vector<PeerInfo> rendezvous_exchange(const NetOptions& opts,
   // timeout_s window starting after our connect succeeded.
   Fd c = connect_tcp(opts.rendezvous, opts.timeout_s);
   write_line(c.get(), format_reg(self));
-  const auto table_deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opts.timeout_s));
+  const Deadline table_deadline = deadline_in(opts.timeout_s);
   const std::string head = read_line(c.get(), table_deadline);
   std::istringstream is(head);
   std::string word;

@@ -1,14 +1,15 @@
 #pragma once
 /// \file bootstrap.hpp
-/// Out-of-band bootstrap for the TCP backend.
+/// Out-of-band bootstrap for the net backend.
 ///
 /// Before any collective traffic can flow, every rank must learn where
 /// every other rank listens. The scheme is the classic rendezvous-server
 /// one (what `tools/a2arun` arranges):
 ///
-///  1. Every rank opens one data listener per configured local interface
-///     (A2A_NET_IFACE, comma-separated; one INADDR_ANY listener otherwise)
-///     on an ephemeral port.
+///  1. Every rank opens one TCP data listener per configured local
+///     interface (A2A_NET_IFACE, comma-separated; one INADDR_ANY listener
+///     otherwise) on an ephemeral port, plus one AF_UNIX listener on the
+///     abstract name derived from its first TCP address (unix_name).
 ///  2. Rank 0 listens on the rendezvous address (A2A_NET_REND=host:port).
 ///     Peers connect to it and send a registration line
 ///     `a2a-reg <rank> <naddr> <ip> <port> [<ip> <port> ...]`.
@@ -16,15 +17,18 @@
 ///     rank 0 replies to every peer with the full table and closes the
 ///     connection. The exchange is newline-delimited text — trivially
 ///     debuggable with `nc`.
-///  4. Each rank then opens `rails` TCP connections to every lower-ranked
-///     peer (rail k targets the peer's address k mod naddr — distinct
-///     NICs when the peer advertised several, parallel streams otherwise)
-///     and accepts the corresponding connections from higher-ranked
-///     peers. Because every listener exists before any table is
-///     published, the connect phase never needs the accept phase of the
-///     same rank to be running: lower ranks' listen backlogs absorb the
-///     SYNs, so "connect to all lower, then accept from all higher" is
-///     deadlock-free.
+///  4. Each rank then opens `rails` connections to every lower-ranked
+///     peer and accepts the corresponding connections from higher-ranked
+///     peers. A rail first connects to the peer's derived AF_UNIX name,
+///     which exists only in the peer's network namespace; when that is
+///     refused (another host or namespace) it takes TCP, rail k targeting
+///     the peer's address k mod naddr — distinct NICs when the peer
+///     advertised several, parallel streams otherwise. Because every
+///     listener exists before any table is published, the connect phase
+///     never needs the accept phase of the same rank to be running: lower
+///     ranks' listen backlogs absorb the connects, so "connect to all
+///     lower, then accept from all higher" is deadlock-free. A connection
+///     that sends no kHello within A2A_NET_TIMEOUT fails the bootstrap.
 
 #include <cstdint>
 #include <string>

@@ -167,6 +167,13 @@ void Endpoint::build_mesh() {
         self.addrs.push_back(Address{ip, port});
       }
     }
+    // Peers in this network namespace connect to the name derived from our
+    // first TCP address instead. It is bound while we hold that address,
+    // so no other rank following this rule can hold the same name.
+    if (Fd fd = listen_unix(unix_name(self.addrs.front()), backlog);
+        fd.valid()) {
+      listeners_.push_back(std::move(fd));
+    }
   }
 
   std::vector<PeerInfo> table;
@@ -192,7 +199,10 @@ void Endpoint::build_mesh() {
   // Connect to every lower-ranked peer (all rails), then accept from every
   // higher-ranked one. Every listener already existed before the table was
   // published, so the connect phase completes against listen backlogs and
-  // the strict connect-then-accept order cannot deadlock.
+  // the strict connect-then-accept order cannot deadlock. A rail first
+  // tries the peer's derived AF_UNIX name, which exists only when the peer
+  // shares our network namespace; a refused name means another host or
+  // namespace, and the rail takes TCP.
   for (int q = 0; q < opts_.rank; ++q) {
     const PeerInfo& peer = table[static_cast<std::size_t>(q)];
     if (peer.addrs.empty()) {
@@ -201,10 +211,14 @@ void Endpoint::build_mesh() {
     }
     obs::Span sp(tracer_, "net.connect", "net", 0,
                  {{"peer", q}, {"rails", opts_.rails}});
+    const std::string local_name = unix_name(peer.addrs.front());
     for (int r = 0; r < opts_.rails; ++r) {
       const Address& a = peer.addrs[static_cast<std::size_t>(r) %
                                     peer.addrs.size()];
-      Fd fd = connect_tcp(a, opts_.timeout_s);
+      Fd fd = connect_unix(local_name, opts_.timeout_s);
+      if (!fd.valid()) {
+        fd = connect_tcp(a, opts_.timeout_s);
+      }
       FrameHeader hello;
       hello.kind = FrameKind::kHello;
       hello.src = opts_.rank;
@@ -223,11 +237,11 @@ void Endpoint::build_mesh() {
   for (const Fd& l : listeners_) {
     pfds.push_back(pollfd{l.get(), POLLIN, 0});
   }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(opts_.timeout_s);
+  const Deadline deadline = deadline_in(opts_.timeout_s);
+  const std::string timed_out = "net: timed out accepting peer connections";
   while (expected > 0) {
     if (std::chrono::steady_clock::now() >= deadline) {
-      throw std::runtime_error("net: timed out accepting peer connections");
+      throw std::runtime_error(timed_out);
     }
     const int n = ::poll(pfds.data(), pfds.size(), 200);
     if (n < 0 && errno != EINTR) {
@@ -237,9 +251,12 @@ void Endpoint::build_mesh() {
       if ((p.revents & POLLIN) == 0) {
         continue;
       }
-      Fd fd = accept_tcp(p.fd);
+      // Any process in this namespace (the AF_UNIX name) or able to reach
+      // the port may connect; one that never sends its hello meets the
+      // deadline instead of blocking the mesh build.
+      Fd fd = accept_conn(p.fd);
       std::byte hdr[kHeaderBytes];
-      read_all(fd.get(), hdr, kHeaderBytes);
+      read_all(fd.get(), hdr, kHeaderBytes, deadline, timed_out);
       const FrameHeader h = decode(hdr);
       if (h.kind != FrameKind::kHello || h.src <= opts_.rank ||
           h.src >= opts_.size ||
@@ -257,6 +274,9 @@ void Endpoint::build_mesh() {
   accept_sp.close();
   listeners_.clear();  // the mesh is complete; nobody else will connect
   obs::metrics().counter("net.connections").add(conns_.size());
+  obs::metrics().counter("net.connections_unix").add(static_cast<std::uint64_t>(
+      std::count_if(conns_.begin(), conns_.end(),
+                    [](const Conn& c) { return is_unix(c.fd.get()); })));
 
   // Clock calibration against rank 0 rides the freshly built mesh; only
   // meaningful (and only paid for) when the flight recorder is on.
@@ -416,7 +436,7 @@ rt::Request Endpoint::post_send(std::uint64_t comm_key,
   }
   if (buf.is_virtual()) {
     throw std::invalid_argument(
-        "net: the TCP backend moves real bytes; virtual payloads are only "
+        "net: the socket backend moves real bytes; virtual payloads are only "
         "meaningful on the simulator");
   }
   const int dst_world = members[static_cast<std::size_t>(dst)];

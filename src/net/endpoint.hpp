@@ -1,9 +1,10 @@
 #pragma once
 /// \file endpoint.hpp
-/// The TCP backend's per-process progress engine.
+/// The net backend's per-process progress engine.
 ///
 /// One Endpoint per rank process: it owns every data socket of the mesh
-/// (rails × peers, built by the bootstrap), one epoll instance driving
+/// (rails × peers, built by the bootstrap: AF_UNIX stream sockets to peers
+/// in this network namespace, TCP to the rest), one epoll instance driving
 /// them all, and the MPI matching state (one rt::MatchQueue) of every
 /// communicator that routes through it. The engine is single-threaded by design — the rank program
 /// runs on the process's main thread and *is* the progress thread: every
@@ -38,9 +39,10 @@
 ///    pick one rail round-robin, offered ones rail 0.
 ///
 /// Ordering: all matching-relevant frames (kEager, kRts) of a peer pair
-/// travel on rail 0, so TCP's FIFO gives the same non-overtaking matching
-/// guarantee the in-process backends provide; kData frames are tagged
-/// with (receiver token, offset) and may arrive on any rail in any order.
+/// travel on rail 0, so the stream socket's FIFO (TCP or AF_UNIX) gives
+/// the same non-overtaking matching guarantee the in-process backends
+/// provide; kData frames are tagged with (receiver token, offset) and may
+/// arrive on any rail in any order.
 /// Both ends number a pair's matching frames per communicator — the
 /// sender when it queues one, the receiver when it parses its header —
 /// and the FIFO keeps the two counts equal: offers and trace flow ids

@@ -95,7 +95,7 @@ bool NetComm::wait_try(std::span<const rt::Request> reqs) {
 void NetComm::wait_suspend(std::span<const rt::Request>,
                            std::coroutine_handle<>) {
   throw std::logic_error(
-      "net: wait_suspend is a simulator facility; the TCP backend blocks "
+      "net: wait_suspend is a simulator facility; the net backend blocks "
       "in wait_try");
 }
 

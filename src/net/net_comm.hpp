@@ -1,11 +1,12 @@
 #pragma once
 /// \file net_comm.hpp
-/// rt::Comm over real TCP sockets: the third backend.
+/// rt::Comm over real sockets: the third backend.
 ///
 /// Where the simulator models a cluster inside one process and the smp
 /// backend runs ranks as threads of one process, the net backend runs each
-/// rank as its *own process*, connected to every peer by a mesh of TCP
-/// connections (net/endpoint.hpp). A rank program built against rt::Comm
+/// rank as its *own process*, connected to every peer by a mesh of stream
+/// sockets — AF_UNIX within a network namespace, TCP across
+/// (net/endpoint.hpp). A rank program built against rt::Comm
 /// runs unchanged: `tools/a2arun -n 8 ./prog` launches eight processes,
 /// each of which calls net::process_world() to join the job described by
 /// its A2A_NET_* environment and gets back the world communicator.

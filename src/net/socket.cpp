@@ -5,11 +5,16 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
@@ -41,6 +46,35 @@ sockaddr_in make_sockaddr(const std::string& host, std::uint16_t port) {
     }
   }
   return sa;
+}
+
+/// Abstract-namespace address: sun_path holds a NUL byte, then `name`
+/// (not NUL-terminated; the length passed to bind/connect ends it).
+std::pair<sockaddr_un, socklen_t> make_unix_sockaddr(const std::string& name) {
+  sockaddr_un sa{};
+  sa.sun_family = AF_UNIX;
+  if (name.size() + 1 > sizeof(sa.sun_path)) {
+    throw std::invalid_argument("net: socket name too long: " + name);
+  }
+  std::memcpy(sa.sun_path + 1, name.data(), name.size());
+  return {sa, static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                     name.size())};
+}
+
+/// One read of at most `len` bytes into `p`: the count, or 0 after EINTR.
+/// Throws on EOF or error.
+std::size_t read_some(int fd, char* p, std::size_t len) {
+  const ssize_t n = ::read(fd, p, len);
+  if (n == 0) {
+    throw std::runtime_error("net: unexpected EOF");
+  }
+  if (n < 0) {
+    if (errno == EINTR) {
+      return 0;
+    }
+    throw_errno("net: read");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace
@@ -127,11 +161,16 @@ Fd connect_tcp(const Address& addr, double timeout_s) {
   }
 }
 
-Fd accept_tcp(int listen_fd) {
+Fd accept_conn(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    sockaddr_storage peer{};
+    socklen_t len = sizeof(peer);
+    const int fd =
+        ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
     if (fd >= 0) {
-      set_nodelay(fd);
+      if (peer.ss_family == AF_INET) {
+        set_nodelay(fd);
+      }
       return Fd(fd);
     }
     if (errno != EINTR) {
@@ -140,10 +179,103 @@ Fd accept_tcp(int listen_fd) {
   }
 }
 
+std::string unix_name(const Address& a) {
+  return "mca2a." + a.host + ":" + std::to_string(a.port);
+}
+
+Fd listen_unix(const std::string& name, int backlog) {
+  Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  if (!fd.valid()) {
+    return fd;
+  }
+  const auto [sa, len] = make_unix_sockaddr(name);
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&sa), len) != 0) {
+    if (errno == EADDRINUSE) {
+      throw std::runtime_error("net: local socket name @" + name +
+                               " is held by another process");
+    }
+    throw_errno("net: bind AF_UNIX");
+  }
+  if (::listen(fd.get(), backlog) != 0) {
+    throw_errno("net: listen AF_UNIX");
+  }
+  return fd;
+}
+
+Fd connect_unix(const std::string& name, double timeout_s) {
+  const auto [sa, len] = make_unix_sockaddr(name);
+  const Deadline deadline = deadline_in(timeout_s);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      throw std::runtime_error("net: connect to @" + name + " timed out");
+    }
+    Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+    if (!fd.valid()) {
+      return fd;  // no AF_UNIX here: TCP-only, as listen_unix
+    }
+    // A connect that finds the listener's backlog full sleeps until there
+    // is room, bounded only by SO_SNDTIMEO (it then fails with EAGAIN).
+    const timeval tv{static_cast<time_t>(left.count() / 1000000),
+                     static_cast<suseconds_t>(left.count() % 1000000)};
+    (void)::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&sa), len) ==
+        0) {
+      const timeval none{};
+      (void)::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &none,
+                         sizeof(none));
+      return fd;
+    }
+    if (errno == ECONNREFUSED) {
+      return Fd{};
+    }
+    if (errno != EINTR && errno != EAGAIN) {
+      throw std::system_error(errno, std::generic_category(),
+                              "net: connect to @" + name);
+    }
+  }
+}
+
+bool is_unix(int fd) {
+  int domain = 0;
+  socklen_t len = sizeof(domain);
+  return ::getsockopt(fd, SOL_SOCKET, SO_DOMAIN, &domain, &len) == 0 &&
+         domain == AF_UNIX;
+}
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     throw_errno("net: fcntl O_NONBLOCK");
+  }
+}
+
+Deadline deadline_in(double seconds) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(seconds));
+}
+
+void wait_readable(int fd, Deadline deadline,
+                   const std::string& timeout_what) {
+  for (;;) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) {
+      throw std::runtime_error(timeout_what);
+    }
+    const auto left_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
+            .count();
+    pollfd p{fd, POLLIN, 0};
+    const int n =
+        ::poll(&p, 1, static_cast<int>(std::clamp<long long>(left_ms, 1, 200)));
+    if (n > 0) {
+      return;
+    }
+    if (n < 0 && errno != EINTR) {
+      throw_errno("net: poll");
+    }
   }
 }
 
@@ -167,18 +299,20 @@ void write_all(int fd, const void* buf, std::size_t len) {
 void read_all(int fd, void* buf, std::size_t len) {
   char* p = static_cast<char*>(buf);
   while (len > 0) {
-    const ssize_t n = ::read(fd, p, len);
-    if (n == 0) {
-      throw std::runtime_error("net: unexpected EOF");
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw_errno("net: read");
-    }
+    const std::size_t n = read_some(fd, p, len);
     p += n;
-    len -= static_cast<std::size_t>(n);
+    len -= n;
+  }
+}
+
+void read_all(int fd, void* buf, std::size_t len, Deadline deadline,
+              const std::string& timeout_what) {
+  char* p = static_cast<char*>(buf);
+  while (len > 0) {
+    wait_readable(fd, deadline, timeout_what);
+    const std::size_t n = read_some(fd, p, len);
+    p += n;
+    len -= n;
   }
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 /// \file wire.hpp
-/// Wire framing for the real-network (TCP) backend.
+/// Wire framing for the real-network backend (TCP and AF_UNIX streams).
 ///
 /// Every byte on a data connection is a sequence of fixed-size frame
 /// headers, each optionally followed by `bytes` of payload. Frames carry

@@ -2,7 +2,7 @@
 /// \file comm.hpp
 /// The abstract communicator: an MPI-flavoured endpoint every backend
 /// implements — shared-memory threads (smp/), the discrete-event simulator
-/// (sim/) and processes over TCP (net/).
+/// (sim/) and processes over sockets (net/).
 ///
 /// Semantics follow MPI-3 point-to-point matching:
 ///  * a message is matched by (source, tag) within a communicator;

@@ -1,5 +1,5 @@
 /// \file net_grid.cpp
-/// Multi-process acceptance suite for the TCP backend, launched by a2arun:
+/// Multi-process acceptance suite for the net backend, launched by a2arun:
 ///
 ///   a2arun -n 8 ./build/tests/net_grid grid       full equivalence grid
 ///   a2arun -n 4 ./build/tests/net_grid teardown   socket-loss semantics
@@ -446,6 +446,15 @@ Task<void> ext_suite(Comm& world, const mca2a::topo::Machine& machine) {
   }
 }
 
+/// a2arun starts every rank on this host, in one network namespace: each
+/// rail this rank built (to every peer) must be an AF_UNIX socket.
+void check_unix_rails(int size, int rails) {
+  const auto& reg = mca2a::obs::metrics();
+  const std::uint64_t conns = reg.counter_value("net.connections");
+  CHECK(conns == static_cast<std::uint64_t>(size - 1) * rails);
+  CHECK(reg.counter_value("net.connections_unix") == conns);
+}
+
 int run_grid() {
   auto world = mca2a::net::NetComm::process_world();
   g_rank = world->rank();
@@ -481,6 +490,7 @@ int run_grid() {
   }
   CHECK(reg.counter_value("net.eager_tx") > 0);
   CHECK(reg.counter_value("net.rndv_tx") > 0);
+  check_unix_rails(world->size(), opts.rails);
 
   if (g_failures == 0 && g_rank == 0) {
     std::fprintf(stderr, "net_grid: all checks passed on %d ranks\n",
@@ -715,6 +725,7 @@ int run_harness() {
   CHECK(tuned.seconds > 0.0);
   CHECK(tuned.rep_algos.size() == 4);
   CHECK(tuned.rep_groups.size() == 4);
+  check_unix_rails(opts.size, opts.rails);
 
   if (g_failures == 0 && opts.rank == 0) {
     std::fprintf(stderr, "net_grid: harness checks passed on %d ranks\n",

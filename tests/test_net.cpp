@@ -1,9 +1,11 @@
-/// Tests for the real-network (TCP) backend that run inside the ordinary
-/// gtest binary — and therefore inside the ASan job — with no launcher:
-/// every "rank" is a thread owning its own net::Endpoint, and the mesh
-/// between them is real loopback sockets (bootstrap, epoll progress, wire
+/// Tests for the real-network backend that run inside the ordinary gtest
+/// binary — and therefore inside the ASan job — with no launcher: every
+/// "rank" is a thread owning its own net::Endpoint, and the mesh between
+/// them is real same-host sockets (bootstrap, epoll progress, wire
 /// framing, rails — the full stack except process isolation, which
-/// tests/net/net_grid.cpp covers under tools/a2arun).
+/// tests/net/net_grid.cpp covers under tools/a2arun). Real ranks connect
+/// over AF_UNIX; the fake peers below speak TCP, which keeps the TCP
+/// datapath under test.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -830,6 +832,208 @@ TEST(NetWire, SenderStreamsToAnOffer) {
   }
 }
 
+TEST(NetBootstrap, SilentConnectionTimesOut) {
+  // A fake rank 1 registers, then connects to rank 0's data listener and
+  // sends nothing: over TCP, and over rank 0's AF_UNIX name. Rank 0 must
+  // not wait for the hello past its deadline; its constructor throws the
+  // accept timeout within 2 x timeout_s.
+  for (const bool over_unix : {false, true}) {
+    SCOPED_TRACE(over_unix ? "AF_UNIX" : "TCP");
+    auto [listener, port] = net::listen_tcp("127.0.0.1", 0, 8);
+    net::NetOptions opts = rank0_options(port, listener.release(), 1024);
+    opts.timeout_s = 1.0;
+    std::atomic<bool> done{false};
+    std::string error;
+    double took_s = 0.0;
+    std::thread rank0([&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      try {
+        net::Endpoint ep(opts);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+      took_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+      done = true;
+    });
+    try {
+      auto [data_listener, data_port] = net::listen_tcp("127.0.0.1", 0, 8);
+      net::NetOptions mine = opts;
+      mine.rank = 1;
+      mine.rendezvous_fd = -1;
+      const std::vector<net::PeerInfo> table = net::rendezvous_exchange(
+          mine, {1, {net::Address{"127.0.0.1", data_port}}});
+      const net::Fd silent =
+          over_unix ? net::connect_unix(net::unix_name(table[0].addrs[0]), 30.0)
+                    : net::connect_tcp(table[0].addrs[0], 30.0);
+      EXPECT_TRUE(silent.valid());
+      // Stay connected and silent until rank 0 gave up (or 10 s passed:
+      // the parent's blocking read ends only when the client closes).
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!done && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "fake rank 1: " << e.what();
+    }
+    rank0.join();
+    EXPECT_NE(error.find("timed out accepting peer connections"),
+              std::string::npos)
+        << error;
+    EXPECT_LT(took_s, 2 * opts.timeout_s);
+  }
+}
+
+TEST(NetBootstrap, RailsFallBackToTcpWithoutALocalName) {
+  // A fake rank 0 serves the rendezvous and listens on TCP only, so no
+  // AF_UNIX name exists for it: every rail of real rank 1 must fall back
+  // to TCP. One eager and one rendezvous message then cross each way. The
+  // fake answers rank 1's kRts with a kCts, and streams its own body to
+  // the token rank 1 gives it: an offer naming its kRts (frame 1, after
+  // its eager frame 0), or else a kCts.
+  constexpr std::size_t kEager = 100;
+  constexpr std::size_t kBody = 4000;  // kOfferEager < kBody < stripe_min
+  constexpr std::uint64_t kRtsToken = 5;
+  constexpr std::uint64_t kCtsToken = 6;
+  constexpr int kEagerUp = 1, kBodyUp = 2, kEagerDown = 3, kBodyDown = 4;
+  const std::vector<std::byte> eager_up = body_of(0, kEager);
+  const std::vector<std::byte> body_up = body_of(1, kBody);
+  const std::vector<std::byte> eager_down = body_of(2, kEager);
+  const std::vector<std::byte> body_down = body_of(3, kBody);
+  const auto& reg = obs::metrics();
+  const std::uint64_t conns0 = reg.counter_value("net.connections");
+  const std::uint64_t unix0 = reg.counter_value("net.connections_unix");
+
+  auto [rend_listener, port] = net::listen_tcp("127.0.0.1", 0, 8);
+  auto [data_listener, data_port] = net::listen_tcp("127.0.0.1", 0, 8);
+  const net::NetOptions rank0_opts =
+      rank0_options(port, rend_listener.release(), kOfferEager);
+  std::atomic<bool> done{false};
+  std::string error;
+  std::thread rank1([&] {
+    net::NetOptions opts = rank0_opts;
+    opts.rank = 1;
+    opts.rendezvous_fd = -1;
+    try {
+      auto world = net::NetComm::connect_world(opts);
+      try {
+        Comm& c = *world;
+        Buffer got_eager = Buffer::real(kEager);
+        Buffer got_body = Buffer::real(kBody);
+        const Request reqs[] = {
+            c.isend(rt::ConstView{eager_up.data(), kEager}, 0, kEagerUp),
+            c.isend(rt::ConstView{body_up.data(), kBody}, 0, kBodyUp),
+            c.irecv(got_eager.view(), 0, kEagerDown),
+            c.irecv(got_body.view(), 0, kBodyDown)};
+        c.wait_try(reqs);
+        if (!holds_body(got_eager, 2, kEager) ||
+            !holds_body(got_body, 3, kBody)) {
+          error = "rank 1 received corrupt bytes";
+        }
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+      done = true;
+    } catch (const std::exception& e) {
+      error = std::string("rank 1 bootstrap: ") + e.what();
+      done = true;
+    }
+  });
+  // Fake rank 0 (an ASSERT returns from this lambda, never skipping the
+  // join below).
+  const auto fake = [&] {
+    (void)net::rendezvous_exchange(
+        rank0_opts, {0, {net::Address{"127.0.0.1", data_port}}});
+    net::Fd rails[2];
+    for (int i = 0; i < 2; ++i) {
+      net::wait_readable(data_listener.get(), net::deadline_in(10.0),
+                         "no rail from rank 1");
+      net::Fd fd = net::accept_conn(data_listener.get());
+      EXPECT_FALSE(net::is_unix(fd.get()));
+      const WireFrame hello = read_frame({fd.get()});
+      ASSERT_EQ(kinds({hello}), "hello");
+      ASSERT_LT(hello.h.rail, 2u);
+      rails[hello.h.rail] = std::move(fd);
+    }
+    const int fd = rails[0].get();
+    const auto send_matching_frame = [&](net::FrameKind kind,
+                                         std::uint64_t comm_key, int tag,
+                                         const std::vector<std::byte>& body) {
+      net::FrameHeader h;
+      h.kind = kind;
+      h.comm_key = comm_key;
+      h.src = 0;
+      h.tag = tag;
+      h.bytes = body.size();
+      h.token = kind == net::FrameKind::kRts ? kRtsToken : 0;
+      write_frame(fd, h,
+                  kind == net::FrameKind::kRts ? std::span<const std::byte>()
+                                               : std::span(body));
+    };
+    bool eager_seen = false;
+    bool body_seen = false;
+    bool body_sent = false;
+    while (!eager_seen || !body_seen || !body_sent) {
+      const WireFrame f = read_frame({rails[0].get(), rails[1].get()});
+      switch (f.h.kind) {
+        case net::FrameKind::kEager:  // rank 1's frame 0: answer with ours
+          EXPECT_EQ(f.h.tag, kEagerUp);
+          EXPECT_TRUE(f.payload == eager_up);
+          eager_seen = true;
+          send_matching_frame(net::FrameKind::kEager, f.h.comm_key,
+                              kEagerDown, eager_down);
+          send_matching_frame(net::FrameKind::kRts, f.h.comm_key, kBodyDown,
+                              body_down);
+          break;
+        case net::FrameKind::kRts: {
+          EXPECT_EQ(f.h.tag, kBodyUp);
+          EXPECT_EQ(f.h.bytes, kBody);
+          net::FrameHeader cts;
+          cts.kind = net::FrameKind::kCts;
+          cts.token = f.h.token;
+          cts.token2 = kCtsToken;
+          write_frame(fd, cts, 0);
+          break;
+        }
+        case net::FrameKind::kData:
+          EXPECT_EQ(f.h.token, kCtsToken);
+          EXPECT_TRUE(f.payload == body_up);
+          body_seen = true;
+          break;
+        case net::FrameKind::kRtr:
+          if (f.h.tag == kBodyDown && f.h.token2 == 1 && f.h.bytes >= kBody) {
+            send_data(fd, f.h.token, body_down);
+            body_sent = true;
+          }
+          break;
+        case net::FrameKind::kCts:
+          EXPECT_EQ(f.h.token, kRtsToken);
+          send_data(fd, f.h.token2, body_down);
+          body_sent = true;
+          break;
+        default:
+          FAIL() << "unexpected " << kinds({f}) << " frame";
+      }
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  try {
+    fake();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "fake rank 0: " << e.what();
+  }
+  rank1.join();
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(reg.counter_value("net.connections") - conns0, 2u);
+  EXPECT_EQ(reg.counter_value("net.connections_unix") - unix0, 0u);
+}
+
 TEST(NetBootstrap, OptionsValidate) {
   net::NetOptions opts;
   opts.rank = 0;
@@ -1021,9 +1225,10 @@ TEST(NetP2P, UnpostedBurstStraddlesStagingReads) {
   // eager frames around the header size and up to the eager limit, and
   // rendezvous bodies on both sides of the direct-read size (half the
   // 64 KiB staging buffer). The first burst queues 8 MiB of eager frames,
-  // more than a loopback connection buffers with default TCP memory
-  // limits (about 4 MiB), so the sender hits short writes; headers and
-  // payloads straddle the receiver's staging reads. The first burst parks
+  // far more than a same-host connection buffers (an AF_UNIX stream holds
+  // about its sender's send buffer, 208 KiB by default; loopback TCP about
+  // 4 MiB), so the sender hits short writes; headers and payloads
+  // straddle the receiver's staging reads. The first burst parks
   // as unexpected, the second meets posted receives, and every message
   // must land in its receive in per-pair FIFO order, intact.
   constexpr std::size_t kEagerMax = 16 * 1024;
@@ -2106,6 +2311,22 @@ TEST(NetObs, CountersAndBackendName) {
   });
   EXPECT_GT(reg.counter_value("net.eager_tx"), eager0);
   EXPECT_GT(reg.counter_value("net.frames_tx"), frames0);
+}
+
+TEST(NetObs, SameHostRailsUseUnixSockets) {
+  // Two ranks in one network namespace: every rail of both (two ranks,
+  // two rails each) is an AF_UNIX socket, and the datapath runs on them.
+  const auto& reg = obs::metrics();
+  const std::uint64_t conns0 = reg.counter_value("net.connections");
+  const std::uint64_t unix0 = reg.counter_value("net.connections_unix");
+  run_net_threads(2, [](Comm& c) -> Task<void> {
+    const int peer = 1 - c.rank();
+    Buffer s = Buffer::real(64 << 10);
+    Buffer r = Buffer::real(64 << 10);
+    co_await c.sendrecv(s.view(), peer, 3, r.view(), peer, 3);
+  });
+  EXPECT_EQ(reg.counter_value("net.connections") - conns0, 4u);
+  EXPECT_EQ(reg.counter_value("net.connections_unix") - unix0, 4u);
 }
 
 TEST(NetObs, BusyPollFollowsCpuAffinity) {

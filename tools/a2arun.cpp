@@ -1,5 +1,5 @@
 /// \file a2arun.cpp
-/// Process launcher for the TCP backend (net/): the mpirun of mca2a.
+/// Process launcher for the net backend (net/): the mpirun of mca2a.
 ///
 ///   a2arun -n 8 ./build/tests/net_grid alltoall
 ///   a2arun -n 4 --rails 4 --stripe 65536 ./prog args...
