@@ -27,6 +27,7 @@
 
 #include "autotune/selector.hpp"
 #include "bench_common.hpp"
+#include "coll_ext/ext_tuner.hpp"
 #include "runtime/env.hpp"
 #include <algorithm>
 #include <cstdio>
@@ -133,16 +134,19 @@ void register_case(bench::Figure& fig, const std::string& name,
           state.SetIterationTime(total);
           // The oracle and the model reference, over the same candidate
           // set the selector explored.
-          const auto ranked = coll::rank_alltoall_candidates(
-              machine, net, block, sel.config().plausible_factor,
+          coll::AlltoallDesc desc;
+          desc.block = block;
+          const auto ranked = coll::rank_candidates(
+              machine, net, desc, sel.config().plausible_factor,
               sel.config().max_candidates);
-          const auto winner = static_cast<coll::Algo>(r.rep_algos.back());
+          const int winner = r.rep_algos.back();
           const int winner_group = r.rep_groups.back();
           double best = std::numeric_limits<double>::infinity();
           double model = 0.0;
           double winner_static = 0.0;
           for (const coll::Choice& c : ranked) {
-            const double t = static_seconds(c.algo, c.group_size);
+            const double t =
+                static_seconds(static_cast<coll::Algo>(c.algo), c.group_size);
             best = std::min(best, t);
             if (&c == &ranked.front()) {
               model = t;
@@ -155,7 +159,8 @@ void register_case(bench::Figure& fig, const std::string& name,
                                     sel.config().explore_target;
           add_case(fig, name, online, std::min(explore_execs, kExecs - 1),
                    best, model, winner_static,
-                   std::string(coll::algo_name(winner)));
+                   std::string(
+                       coll::algo_name(static_cast<coll::Algo>(winner))));
         }
         if (backend != "sim") {
           return;

@@ -157,13 +157,17 @@ int main(int argc, char** argv) {
       }
     }
     if (me == 0) {
-      const auto choice = coll::select_alltoallv_algorithm(
-          machine, model::test_params(), skew);
+      coll::AlltoallvDesc tuned;
+      tuned.skew = skew;
+      const coll::Choice choice =
+          coll::select_algorithm(machine, model::test_params(), tuned);
       std::printf(
           "  tuner saw imbalance %.2f (total %zu B); it would pick %s, "
           "this run uses %s (g=%d)\n",
-          choice.imbalance, skew.total_bytes,
-          std::string(coll::alltoallv_algo_name(choice.algo)).c_str(),
+          skew.imbalance(p), skew.total_bytes,
+          std::string(coll::alltoallv_algo_name(
+                          static_cast<coll::AlltoallvAlgo>(choice.algo)))
+              .c_str(),
           std::string(coll::alltoallv_algo_name(algo)).c_str(), group_size);
     }
 

@@ -27,7 +27,8 @@
 #include <vector>
 
 #include "autotune/selector.hpp"
-#include "coll_ext/ext_tuner.hpp"
+#include "coll_ext/allreduce.hpp"
+#include "coll_ext/op_desc.hpp"
 #include "core/tuner.hpp"
 #include "harness/figure.hpp"
 #include "harness/sweep.hpp"
@@ -49,11 +50,16 @@ int main(int argc, char** argv) {
               "selected time", "node-aware");
 
   const std::vector<std::size_t> sizes = {4, 64, 512, 4096};
+  const auto alltoall = [](std::size_t block) {
+    coll::AlltoallDesc d;
+    d.block = block;
+    return coll::OpDesc(d);
+  };
 
   // Fill the tuning table once (the "login node" step)...
   plan::TuningTable table;
   for (std::size_t block : sizes) {
-    table.choose(machine, net, block);
+    table.choose(machine, net, alltoall(block));
   }
   // ...serialize and reload it, as a deployment shipping a precomputed
   // table would.
@@ -63,7 +69,8 @@ int main(int argc, char** argv) {
 
   for (std::size_t block : sizes) {
     // Every lookup is now a table hit: no model evaluation.
-    const coll::Choice choice = loaded.choose(machine, net, block);
+    const coll::Choice choice = loaded.choose(machine, net, alltoall(block));
+    const auto picked = static_cast<coll::Algo>(choice.algo);
 
     auto measure = [&](coll::Algo algo, int g) {
       bench::RunSpec spec;
@@ -76,10 +83,10 @@ int main(int argc, char** argv) {
       return bench::run_sim(spec).seconds;
     };
 
-    const double chosen = measure(choice.algo, choice.group_size);
+    const double chosen = measure(picked, choice.group_size);
     const double baseline = measure(coll::Algo::kNodeAware, 0);
     std::printf("%-10zu %-24s (g=%-3d) %14s %14s\n", block,
-                std::string(coll::algo_name(choice.algo)).c_str(),
+                std::string(coll::algo_name(picked)).c_str(),
                 choice.group_size, bench::format_time(chosen).c_str(),
                 bench::format_time(baseline).c_str());
   }
@@ -92,17 +99,24 @@ int main(int argc, char** argv) {
   // op tag in the serialized form): ask it about the §5 extensions too.
   std::printf("\nfamily-wide selection (same table):\n");
   for (std::size_t block : sizes) {
-    const coll::AllgatherChoice ag =
-        loaded.choose_allgather(machine, net, block);
+    coll::AllgatherDesc d;
+    d.block = block;
+    const coll::Choice ag = loaded.choose(machine, net, d);
     std::printf("  allgather %-6zu -> %-16s (g=%d)\n", block,
-                std::string(coll::allgather_algo_name(ag.algo)).c_str(),
+                std::string(coll::allgather_algo_name(
+                                static_cast<coll::AllgatherAlgo>(ag.algo)))
+                    .c_str(),
                 ag.group_size);
   }
   for (std::size_t count : {std::size_t{16}, std::size_t{65536}}) {
-    const coll::AllreduceChoice ar =
-        loaded.choose_allreduce(machine, net, count, sizeof(double));
+    coll::AllreduceDesc d;
+    d.count = count;
+    d.combiner = coll::sum_combiner<double>();
+    const coll::Choice ar = loaded.choose(machine, net, d);
     std::printf("  allreduce %-6zu -> %-16s (g=%d)\n", count,
-                std::string(coll::allreduce_algo_name(ar.algo)).c_str(),
+                std::string(coll::allreduce_algo_name(
+                                static_cast<coll::AllreduceAlgo>(ar.algo)))
+                    .c_str(),
                 ar.group_size);
   }
   std::printf("table now: %zu entries\n", loaded.size());
@@ -123,10 +137,12 @@ int main(int argc, char** argv) {
     spec.autotune = true;
     spec.selector = &sel;
     const bench::RunResult r = bench::run_sim(spec);
-    const coll::Choice model_pick = loaded.choose(machine, net, block);
+    const coll::Choice model_pick =
+        loaded.choose(machine, net, alltoall(block));
     std::printf(
         "  %-8zu model %-24s online %-24s (g=%-3d, steady %s)\n", block,
-        std::string(coll::algo_name(model_pick.algo)).c_str(),
+        std::string(coll::algo_name(static_cast<coll::Algo>(model_pick.algo)))
+            .c_str(),
         std::string(
             coll::algo_name(static_cast<coll::Algo>(r.rep_algos.back())))
             .c_str(),
@@ -151,9 +167,11 @@ int main(int argc, char** argv) {
   autotune::OnlineSelector warm(autotune::Mode::kAdapt);
   warm.profiler().merge(reloaded.profile());
   const auto warm_choice =
-      warm.choose_alltoall(machine, net, sizes.back(), "sim");
+      warm.choose(machine, net, alltoall(sizes.back()), "sim");
   const std::string warm_name =
-      warm_choice ? std::string(coll::algo_name(warm_choice->algo)) : "?";
+      warm_choice ? std::string(coll::algo_name(
+                        static_cast<coll::Algo>(warm_choice->algo)))
+                  : "?";
   std::printf(
       "restart: profile reloaded from a v3 table (%zu entries); warm "
       "selector picks %s for %zu B with %llu explorations\n",

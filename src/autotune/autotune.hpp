@@ -14,13 +14,16 @@
 ///                       of the model-plausible candidates, then
 ///                       exploitation of the measured winner
 ///                       (autotune/selector.hpp).
+///     anything else   — rt::env::EnvError from global_selector(), and so
+///                       from make_plan.
 ///
 ///   A2A_PROFILE=path
-///     Persist the global profiler across runs: loaded (leniently — a
-///     missing or unreadable file starts empty with a warning) before the
-///     first decision, saved at process exit as a plan::TuningTable v3
-///     file holding the measured-profile section. Only meaningful
-///     together with A2A_AUTOTUNE=observe|adapt.
+///     Persist the global profiler across runs: loaded before the first
+///     decision (leniently — a missing file starts empty without a word,
+///     an unreadable one starts empty with a stderr warning), saved at
+///     process exit as a plan::TuningTable v3 file holding the
+///     measured-profile section. Only meaningful together with
+///     A2A_AUTOTUNE=observe|adapt.
 ///
 /// Library code never needs this header: pass an explicit selector via
 /// PlanOptions::autotune instead. The global is for closing the loop in
@@ -32,8 +35,8 @@
 
 namespace mca2a::autotune {
 
-/// A2A_AUTOTUNE parsed; kOff when unset, empty, or (with one stderr
-/// warning) unrecognized.
+/// A2A_AUTOTUNE parsed; kOff when unset or empty. Throws
+/// rt::env::EnvError on an unrecognized value.
 Mode mode_from_env();
 
 /// The env-configured process-global selector, or nullptr when the mode is

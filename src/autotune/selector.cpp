@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "coll_ext/ext_tuner.hpp"
 #include "obs/metrics.hpp"
 
 namespace mca2a::autotune {
@@ -83,16 +84,16 @@ Calibration OnlineSelector::calibration(const topo::Machine& machine,
   return cal_cache_.back().cal;
 }
 
-const std::vector<OnlineSelector::Candidate>& OnlineSelector::candidate_set(
+const std::vector<coll::Choice>& OnlineSelector::candidate_set(
     const topo::Machine& machine, const model::NetParams& net,
-    coll::OpKind op, std::size_t size_key, std::string_view backend) {
+    const coll::OpDesc& desc, std::size_t size_key, std::string_view backend) {
   std::string key = machine.name();
   key += ' ';
   key += std::to_string(machine.nodes());
   key += ' ';
   key += std::to_string(machine.ppn());
   key += ' ';
-  key += coll::op_kind_tag(op);
+  key += coll::op_kind_tag(desc.kind());
   key += ' ';
   key += std::to_string(size_key);
   key += ' ';
@@ -105,33 +106,17 @@ const std::vector<OnlineSelector::Candidate>& OnlineSelector::candidate_set(
   // First consult for this size class: rank with whatever the calibration
   // knows right now, then freeze. (A set that re-ranked as samples arrive
   // would keep minting under-sampled candidates.)
-  std::vector<Candidate> cands;
-  switch (op) {
-    case coll::OpKind::kAlltoall:
-      for (const coll::Choice& c : coll::rank_alltoall_candidates(
-               machine, net, size_key, cfg_.plausible_factor,
-               cfg_.max_candidates)) {
-        cands.push_back(Candidate{static_cast<int>(c.algo), c.group_size,
-                                  c.predicted_seconds});
-      }
-      break;
-    case coll::OpKind::kAllgather:
-      for (const coll::AllgatherChoice& c : coll::rank_allgather_candidates(
-               machine, net, size_key, cfg_.plausible_factor,
-               cfg_.max_candidates)) {
-        cands.push_back(Candidate{static_cast<int>(c.algo), c.group_size,
-                                  c.predicted_seconds});
-      }
-      break;
-    default:
-      break;  // other op kinds are not online-selected
-  }
-  return cand_cache_.emplace(std::move(key), std::move(cands)).first->second;
+  return cand_cache_
+      .emplace(std::move(key),
+               coll::rank_candidates(machine, net, desc,
+                                     cfg_.plausible_factor,
+                                     cfg_.max_candidates))
+      .first->second;
 }
 
-std::optional<OnlineSelector::Candidate> OnlineSelector::pick(
+std::optional<coll::Choice> OnlineSelector::pick(
     const topo::Machine& machine, coll::OpKind op, std::size_t size_key,
-    std::string_view backend, const std::vector<Candidate>& ranked,
+    std::string_view backend, const std::vector<coll::Choice>& ranked,
     bool* explored) {
   if (ranked.empty()) {
     return std::nullopt;
@@ -187,45 +172,24 @@ std::optional<OnlineSelector::Candidate> OnlineSelector::pick(
   if (explored != nullptr) {
     *explored = false;
   }
-  Candidate c = ranked[best_idx];
+  coll::Choice c = ranked[best_idx];
   c.predicted_seconds = best_mean;  // the measured mean it was picked for
   return c;
 }
 
-std::optional<coll::Choice> OnlineSelector::choose_alltoall(
+std::optional<coll::Choice> OnlineSelector::choose(
     const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block, std::string_view backend, bool* explored) {
-  if (mode_ != Mode::kAdapt) {
+    const coll::OpDesc& desc, std::string_view backend, bool* explored) {
+  const coll::OpKind op = desc.kind();
+  if (mode_ != Mode::kAdapt || op == coll::OpKind::kAlltoallv ||
+      op == coll::OpKind::kAllreduce) {
     return std::nullopt;
   }
+  const std::size_t size_key = coll::size_class(desc, machine);
   const auto& ranked =
-      candidate_set(machine, ranking_params(machine, net, backend),
-                    coll::OpKind::kAlltoall, block, backend);
-  const auto c = pick(machine, coll::OpKind::kAlltoall, block, backend,
-                      ranked, explored);
-  if (!c) {
-    return std::nullopt;
-  }
-  return coll::Choice{static_cast<coll::Algo>(c->algo), c->group_size,
-                      c->predicted_seconds};
-}
-
-std::optional<coll::AllgatherChoice> OnlineSelector::choose_allgather(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block, std::string_view backend, bool* explored) {
-  if (mode_ != Mode::kAdapt) {
-    return std::nullopt;
-  }
-  const auto& ranked =
-      candidate_set(machine, ranking_params(machine, net, backend),
-                    coll::OpKind::kAllgather, block, backend);
-  const auto c = pick(machine, coll::OpKind::kAllgather, block, backend,
-                      ranked, explored);
-  if (!c) {
-    return std::nullopt;
-  }
-  return coll::AllgatherChoice{static_cast<coll::AllgatherAlgo>(c->algo),
-                               c->group_size, c->predicted_seconds};
+      candidate_set(machine, ranking_params(machine, net, backend), desc,
+                    size_key, backend);
+  return pick(machine, op, size_key, backend, ranked, explored);
 }
 
 }  // namespace mca2a::autotune

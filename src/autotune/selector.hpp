@@ -11,9 +11,9 @@
 ///  * kObserve  — record every completed execution into the
 ///                ExecutionProfiler, but never influence selection.
 ///  * kAdapt    — bounded exploration, then exploitation: while any
-///                model-plausible candidate (core/tuner and
-///                coll_ext/ext_tuner's rank_*_candidates — within a factor
-///                of the predicted best, capped in count) has fewer than
+///                model-plausible candidate (coll::rank_candidates — within
+///                a factor of the predicted best, capped in count) has
+///                fewer than
 ///                `explore_target` *executions* of evidence for this
 ///                (machine, op, size class, backend), pick the
 ///                least-sampled one (ties in model order); once all are
@@ -53,7 +53,7 @@
 
 #include "autotune/calibrator.hpp"
 #include "autotune/profiler.hpp"
-#include "coll_ext/ext_tuner.hpp"
+#include "coll_ext/op_desc.hpp"
 #include "core/tuner.hpp"
 #include "model/params.hpp"
 #include "topo/machine.hpp"
@@ -80,14 +80,14 @@ class OnlineSelector {
     /// convention.
     int explore_target = 3;
     /// Candidates predicted within this factor of the model's best are
-    /// worth exploring (passed to rank_*_candidates).
+    /// worth exploring (passed to coll::rank_candidates).
     double plausible_factor = 4.0;
     /// Upper bound on explored candidates per size class.
     std::size_t max_candidates = 4;
     /// Distinct usable profile entries required before the candidate
     /// ranking switches to calibrated cost parameters.
     std::size_t calibration_min_entries = 4;
-    /// Master switch for model calibration inside choose_* (exploration /
+    /// Master switch for model calibration inside choose() (exploration /
     /// exploitation work the same either way).
     bool calibrate = true;
   };
@@ -107,24 +107,20 @@ class OnlineSelector {
   /// completion). No-op in kOff.
   void record(const ProfileKey& key, double seconds);
 
-  /// Online choice for an alltoall of `block` bytes per pair on `backend`,
-  /// or nullopt when the model should decide (kOff/kObserve). Exploring
-  /// choices carry the model's predicted_seconds; exploiting choices carry
-  /// the measured mean they were picked for. When `explored` is non-null
-  /// and a choice is returned, it is set to whether the choice was an
+  /// Online choice for `desc` on `backend`, or nullopt when the model
+  /// should decide: in kOff and kObserve, and for alltoallv and allreduce
+  /// (recorded, and feeding calibration, but model-selected). Candidates
+  /// are filed under coll::size_class(desc, machine). Exploring choices
+  /// carry the model's predicted_seconds; exploiting choices carry the
+  /// measured mean they were picked for. When `explored` is non-null and a
+  /// choice is returned, it is set to whether the choice was an
   /// exploration (under-sampled candidate) rather than an exploitation —
   /// the flight recorder stamps plan-build events with it.
-  std::optional<coll::Choice> choose_alltoall(const topo::Machine& machine,
-                                              const model::NetParams& net,
-                                              std::size_t block,
-                                              std::string_view backend,
-                                              bool* explored = nullptr);
-
-  /// Same for allgather (per-rank block). The other op kinds are recorded
-  /// (and feed calibration) but keep model-driven selection.
-  std::optional<coll::AllgatherChoice> choose_allgather(
-      const topo::Machine& machine, const model::NetParams& net,
-      std::size_t block, std::string_view backend, bool* explored = nullptr);
+  std::optional<coll::Choice> choose(const topo::Machine& machine,
+                                     const model::NetParams& net,
+                                     const coll::OpDesc& desc,
+                                     std::string_view backend,
+                                     bool* explored = nullptr);
 
   /// The calibration the selector would rank candidates with right now
   /// (identity when below calibration_min_entries or disabled). Cached by
@@ -133,7 +129,7 @@ class OnlineSelector {
                           const model::NetParams& net,
                           std::string_view backend);
 
-  /// choose_*() calls answered by exploring an under-sampled candidate /
+  /// choose() calls answered by exploring an under-sampled candidate /
   /// by exploiting the measured winner. Counted per consult: with every
   /// rank of a communicator consulting one shared selector, one collective
   /// plan round adds world-size counts.
@@ -145,22 +141,17 @@ class OnlineSelector {
   }
 
  private:
-  /// One frozen (algorithm, group size) candidate with its model
-  /// prediction at freeze time.
-  struct Candidate {
-    int algo = 0;
-    int group_size = 1;
-    double predicted_seconds = 0.0;
-  };
-
-  const std::vector<Candidate>& candidate_set(
+  /// The frozen candidates of one (machine shape, op, size class,
+  /// backend), each with its model prediction at freeze time.
+  const std::vector<coll::Choice>& candidate_set(
       const topo::Machine& machine, const model::NetParams& net,
-      coll::OpKind op, std::size_t size_key, std::string_view backend);
-  std::optional<Candidate> pick(const topo::Machine& machine,
-                                coll::OpKind op, std::size_t size_key,
-                                std::string_view backend,
-                                const std::vector<Candidate>& ranked,
-                                bool* explored);
+      const coll::OpDesc& desc, std::size_t size_key,
+      std::string_view backend);
+  std::optional<coll::Choice> pick(const topo::Machine& machine,
+                                   coll::OpKind op, std::size_t size_key,
+                                   std::string_view backend,
+                                   const std::vector<coll::Choice>& ranked,
+                                   bool* explored);
   model::NetParams ranking_params(const topo::Machine& machine,
                                   const model::NetParams& net,
                                   std::string_view backend);
@@ -169,7 +160,7 @@ class OnlineSelector {
   Config cfg_;
   ExecutionProfiler profiler_;
 
-  // choose_*/calibration bookkeeping (distinct from the profiler's lock;
+  // choose()/calibration bookkeeping (distinct from the profiler's lock;
   // record() never takes it). The explore/exploit tallies are relaxed
   // atomics — pure statistics, never ordering anything — so the hot
   // decision tail of pick() stays off this mutex.
@@ -187,7 +178,7 @@ class OnlineSelector {
   std::vector<CalCacheEntry> cal_cache_;
   /// Frozen candidate sets, keyed by "(machine shape, op, size class,
   /// backend)" rendered as a string.
-  std::unordered_map<std::string, std::vector<Candidate>> cand_cache_;
+  std::unordered_map<std::string, std::vector<coll::Choice>> cand_cache_;
 };
 
 }  // namespace mca2a::autotune

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "core/tuner.hpp"
 #include "model/cost.hpp"
 
 namespace mca2a::coll {
@@ -187,33 +185,6 @@ double predict_alltoallv_seconds(AlltoallvAlgo algo,
   throw std::invalid_argument("predict_alltoallv: unknown algorithm");
 }
 
-AlltoallvChoice select_alltoallv_algorithm(
-    const topo::Machine& machine, const model::NetParams& net,
-    const AlltoallvSkew& skew, std::vector<int> candidate_group_sizes) {
-  const int ppn = machine.ppn();
-  AlltoallvChoice best;
-  best.imbalance = skew.imbalance(machine.total_ranks());
-  best.predicted_seconds = std::numeric_limits<double>::infinity();
-  const auto consider = [&](AlltoallvAlgo a, int g) {
-    const double t = predict_alltoallv_seconds(a, machine, net, skew, g);
-    if (t < best.predicted_seconds) {
-      best.algo = a;
-      best.group_size = g;
-      best.predicted_seconds = t;
-    }
-  };
-  consider(AlltoallvAlgo::kPairwise, ppn);
-  consider(AlltoallvAlgo::kNonblocking, ppn);
-  consider(AlltoallvAlgo::kHierarchical, ppn);
-  for (int g : candidate_groups(machine, std::move(candidate_group_sizes))) {
-    if (g < ppn) {
-      consider(AlltoallvAlgo::kHierarchical, g);
-      consider(AlltoallvAlgo::kMultileaderNodeAware, g);
-    }
-  }
-  return best;
-}
-
 std::size_t alltoallv_size_class(const topo::Machine& machine,
                                  const AlltoallvSkew& skew) {
   std::size_t tb = 0;
@@ -228,88 +199,145 @@ std::size_t alltoallv_size_class(const topo::Machine& machine,
 
 namespace {
 
-/// Shared enumeration (see core/tuner's enumerate_alltoall_candidates):
-/// select_allgather_algorithm and rank_allgather_candidates must agree on
-/// candidate order for their tie-breaking to stay identical.
-template <typename F>
-void enumerate_allgather_candidates(const topo::Machine& machine,
-                                    const std::vector<int>& groups,
-                                    F&& consider) {
-  const int ppn = machine.ppn();
-  consider(AllgatherAlgo::kRing, ppn);
-  consider(AllgatherAlgo::kBruck, ppn);
-  consider(AllgatherAlgo::kHierarchical, ppn);
-  for (int g : groups) {
-    consider(AllgatherAlgo::kLocalityAware, g);
+/// Candidate leader/group widths for the locality algorithms of any kind:
+/// {4, 8, 16, ppn} filtered to divisors of ppn.
+std::vector<int> candidate_groups(int ppn) {
+  std::vector<int> groups;
+  for (int g : {4, 8, 16, ppn}) {
+    if (g <= ppn && ppn % g == 0) {
+      groups.push_back(g);
+    }
   }
+  return groups;
+}
+
+AlltoallvSkew skew_of(const AlltoallvDesc& d) {
+  return d.skew ? *d.skew
+                : estimate_alltoallv_skew(d.send_counts, d.recv_counts);
 }
 
 }  // namespace
 
-AllgatherChoice select_allgather_algorithm(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block, std::vector<int> candidate_group_sizes) {
-  AllgatherChoice best;
-  best.predicted_seconds = std::numeric_limits<double>::infinity();
-  enumerate_allgather_candidates(
-      machine, candidate_groups(machine, std::move(candidate_group_sizes)),
-      [&](AllgatherAlgo a, int g) {
-        const double t = predict_allgather_seconds(a, machine, net, block, g);
-        if (t < best.predicted_seconds) {
-          best = AllgatherChoice{a, g, t};
-        }
-      });
-  return best;
+std::size_t size_class(const OpDesc& desc, const topo::Machine& machine) {
+  switch (desc.kind()) {
+    case OpKind::kAlltoall:
+      return desc.alltoall().block;
+    case OpKind::kAlltoallv:
+      return alltoallv_size_class(machine, skew_of(desc.alltoallv()));
+    case OpKind::kAllgather:
+      return desc.allgather().block;
+    case OpKind::kAllreduce:
+      return desc.allreduce().bytes();
+    case OpKind::kCount_:
+      break;
+  }
+  throw std::invalid_argument("size_class: bad op kind");
 }
 
-std::vector<AllgatherChoice> rank_allgather_candidates(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block, double plausible_factor, std::size_t max_candidates) {
-  std::vector<AllgatherChoice> all;
-  enumerate_allgather_candidates(
-      machine, candidate_groups(machine), [&](AllgatherAlgo a, int g) {
-        all.push_back(AllgatherChoice{
-            a, g, predict_allgather_seconds(a, machine, net, block, g)});
-      });
-  std::stable_sort(all.begin(), all.end(),
-                   [](const AllgatherChoice& x, const AllgatherChoice& y) {
-                     return x.predicted_seconds < y.predicted_seconds;
-                   });
+std::vector<Choice> rank_candidates(const topo::Machine& machine,
+                                    const model::NetParams& net,
+                                    const OpDesc& desc,
+                                    double plausible_factor,
+                                    std::size_t max_candidates) {
+  const int ppn = machine.ppn();
+  const std::vector<int> groups = candidate_groups(ppn);
+  std::vector<Choice> all;
+  // Enumeration order is the tie-break: the first-enumerated of equally
+  // fast candidates ranks first.
+  switch (desc.kind()) {
+    case OpKind::kAlltoall: {
+      const std::size_t block = desc.alltoall().block;
+      const auto consider = [&](Algo a, int g) {
+        all.push_back(Choice{static_cast<int>(a), g,
+                             predict_alltoall_seconds(a, machine, net, block,
+                                                      g)});
+      };
+      for (Algo a : {Algo::kSystemMpi, Algo::kBruckDirect,
+                     Algo::kPairwiseDirect, Algo::kNonblockingDirect,
+                     Algo::kHierarchical, Algo::kNodeAware}) {
+        consider(a, ppn);
+      }
+      for (int g : groups) {
+        if (g < ppn) {
+          consider(Algo::kMultileader, g);
+          consider(Algo::kLocalityAware, g);
+          consider(Algo::kMultileaderNodeAware, g);
+        }
+      }
+      break;
+    }
+    case OpKind::kAlltoallv: {
+      const AlltoallvSkew skew = skew_of(desc.alltoallv());
+      const auto consider = [&](AlltoallvAlgo a, int g) {
+        all.push_back(Choice{static_cast<int>(a), g,
+                             predict_alltoallv_seconds(a, machine, net, skew,
+                                                       g)});
+      };
+      consider(AlltoallvAlgo::kPairwise, ppn);
+      consider(AlltoallvAlgo::kNonblocking, ppn);
+      consider(AlltoallvAlgo::kHierarchical, ppn);
+      for (int g : groups) {
+        if (g < ppn) {
+          consider(AlltoallvAlgo::kHierarchical, g);
+          consider(AlltoallvAlgo::kMultileaderNodeAware, g);
+        }
+      }
+      break;
+    }
+    case OpKind::kAllgather: {
+      const std::size_t block = desc.allgather().block;
+      const auto consider = [&](AllgatherAlgo a, int g) {
+        all.push_back(Choice{static_cast<int>(a), g,
+                             predict_allgather_seconds(a, machine, net, block,
+                                                       g)});
+      };
+      consider(AllgatherAlgo::kRing, ppn);
+      consider(AllgatherAlgo::kBruck, ppn);
+      consider(AllgatherAlgo::kHierarchical, ppn);
+      for (int g : groups) {
+        consider(AllgatherAlgo::kLocalityAware, g);
+      }
+      break;
+    }
+    case OpKind::kAllreduce: {
+      const AllreduceDesc& d = desc.allreduce();
+      const auto consider = [&](AllreduceAlgo a, int g) {
+        all.push_back(Choice{static_cast<int>(a), g,
+                             predict_allreduce_seconds(a, machine, net,
+                                                       d.bytes(), g)});
+      };
+      consider(AllreduceAlgo::kRecursiveDoubling, ppn);
+      if (d.count >= static_cast<std::size_t>(machine.total_ranks())) {
+        consider(AllreduceAlgo::kRabenseifner, ppn);
+      }
+      for (int g : groups) {
+        consider(AllreduceAlgo::kNodeAware, g);
+      }
+      break;
+    }
+    case OpKind::kCount_:
+      throw std::invalid_argument("rank_candidates: bad op kind");
+  }
+  std::stable_sort(all.begin(), all.end(), [](const Choice& x, const Choice& y) {
+    return x.predicted_seconds < y.predicted_seconds;
+  });
   const double cutoff =
       all.front().predicted_seconds * std::max(1.0, plausible_factor);
   const std::size_t cap = std::max<std::size_t>(1, max_candidates);
-  std::vector<AllgatherChoice> kept;
-  for (const AllgatherChoice& c : all) {
-    if (kept.size() >= cap || c.predicted_seconds > cutoff) {
-      break;
-    }
-    kept.push_back(c);
+  std::size_t kept = 0;
+  // Not `<= cutoff`: a 0 s best times an infinite factor is NaN, and that
+  // must prune nothing.
+  while (kept < all.size() && kept < cap &&
+         !(all[kept].predicted_seconds > cutoff)) {
+    ++kept;
   }
-  return kept;
+  all.resize(kept);
+  return all;
 }
 
-AllreduceChoice select_allreduce_algorithm(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t count, std::size_t elem_size,
-    std::vector<int> candidate_group_sizes) {
-  const int p = machine.total_ranks();
-  const std::size_t bytes = count * elem_size;
-  AllreduceChoice best;
-  best.predicted_seconds = std::numeric_limits<double>::infinity();
-  const auto consider = [&](AllreduceAlgo a, int g) {
-    const double t = predict_allreduce_seconds(a, machine, net, bytes, g);
-    if (t < best.predicted_seconds) {
-      best = AllreduceChoice{a, g, t};
-    }
-  };
-  consider(AllreduceAlgo::kRecursiveDoubling, machine.ppn());
-  if (count >= static_cast<std::size_t>(p)) {
-    consider(AllreduceAlgo::kRabenseifner, machine.ppn());
-  }
-  for (int g : candidate_groups(machine, std::move(candidate_group_sizes))) {
-    consider(AllreduceAlgo::kNodeAware, g);
-  }
-  return best;
+Choice select_algorithm(const topo::Machine& machine,
+                        const model::NetParams& net, const OpDesc& desc) {
+  return rank_candidates(machine, net, desc).front();
 }
 
 }  // namespace mca2a::coll

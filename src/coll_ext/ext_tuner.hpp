@@ -1,12 +1,19 @@
 #pragma once
 /// \file ext_tuner.hpp
-/// Closed-form algorithm selection for the extension collectives, mirroring
-/// core/tuner for all-to-all: evaluate a critical-path estimate of every
-/// (algorithm, group size) candidate from the same model::NetParams the
-/// simulator charges, and pick the fastest. This is what lets
-/// plan::make_plan resolve `algo = nullopt` family-wide — the paper's §5
-/// dynamic selection applied to the allgather ([1]), allreduce ([3]) and
-/// alltoallv extensions as well.
+/// Algorithm selection for the whole collective family (the paper's §5
+/// dynamic selection, applied to alltoall and to the allgather ([1]),
+/// allreduce ([3]) and alltoallv extensions).
+///
+/// Each kind has a closed-form critical-path estimate per (algorithm, group
+/// size) candidate, computed from the same model::NetParams the simulator
+/// charges: predict_alltoall_seconds (core/tuner.hpp) and the
+/// predict_*_seconds below. One ranking, rank_candidates, enumerates the
+/// candidates of a descriptor's kind and sorts them by predicted time;
+/// select_algorithm takes its head, and the measurement-driven
+/// autotune::OnlineSelector explores its pruned front. One key,
+/// size_class, files a descriptor's decisions in plan::TuningTable and its
+/// measurements in autotune::ExecutionProfiler. This is what lets
+/// plan::make_plan resolve `algo = nullopt` family-wide.
 ///
 /// The alltoallv selection is *skew-aware*: its input is an AlltoallvSkew
 /// signature (total bytes + max/mean imbalance factor) rather than a block
@@ -17,9 +24,11 @@
 /// paying for their count-metadata exchange. See docs/tuning.md.
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "coll_ext/op_desc.hpp"
+#include "core/tuner.hpp"
 #include "model/params.hpp"
 #include "topo/machine.hpp"
 
@@ -48,64 +57,39 @@ double predict_alltoallv_seconds(AlltoallvAlgo algo,
                                  const model::NetParams& net,
                                  const AlltoallvSkew& skew, int group_size);
 
-struct AllgatherChoice {
-  AllgatherAlgo algo = AllgatherAlgo::kRing;
-  int group_size = 1;
-  double predicted_seconds = 0.0;
-};
-
-struct AllreduceChoice {
-  AllreduceAlgo algo = AllreduceAlgo::kRecursiveDoubling;
-  int group_size = 1;
-  double predicted_seconds = 0.0;
-};
-
-/// Pick the fastest allgather (algorithm, group size) for a per-rank block
-/// of `block` bytes. Candidate group sizes default to {4, 8, 16, ppn}
-/// filtered to divisors of ppn, like coll::select_algorithm.
-AllgatherChoice select_allgather_algorithm(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block, std::vector<int> candidate_group_sizes = {});
-
-/// Candidate pruning for measurement-driven selection (autotune/), the
-/// allgather twin of coll::rank_alltoall_candidates: every combination
-/// select_allgather_algorithm scores, sorted by predicted time and pruned
-/// to within `plausible_factor` of the best, at most `max_candidates`. The
-/// head is exactly select_allgather_algorithm's choice.
-std::vector<AllgatherChoice> rank_allgather_candidates(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block, double plausible_factor = 4.0,
-    std::size_t max_candidates = 4);
-
-/// Pick the fastest allreduce (algorithm, group size) for `count` elements
-/// of `elem_size` bytes. Rabenseifner is only considered when count >=
-/// total ranks (its algorithmic requirement).
-AllreduceChoice select_allreduce_algorithm(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t count, std::size_t elem_size,
-    std::vector<int> candidate_group_sizes = {});
-
-struct AlltoallvChoice {
-  AlltoallvAlgo algo = AlltoallvAlgo::kPairwise;
-  int group_size = 1;
-  double predicted_seconds = 0.0;
-  /// The max/mean imbalance factor the decision was made for.
-  double imbalance = 1.0;
-};
-
-/// Pick the fastest alltoallv (algorithm, group size) for a traffic shape
-/// summarized by `skew` (see AlltoallvSkew for the cross-rank agreement
-/// contract). Candidate group sizes as for the other selectors.
-AlltoallvChoice select_alltoallv_algorithm(
-    const topo::Machine& machine, const model::NetParams& net,
-    const AlltoallvSkew& skew, std::vector<int> candidate_group_sizes = {});
-
-/// Quantized size class a skew signature falls into — the TuningTable key
-/// for alltoallv entries (one decision per class, and coarse enough that
-/// ranks estimating the signature locally still land in the same class):
-/// bits [8..) hold ceil(log2(total_bytes + 1)), bits [0..8) the imbalance
-/// bucket round(4 * log2(max/mean)).
+/// Quantized size class a skew signature falls into — the key alltoallv
+/// decisions and measurements are filed under (one decision per class, and
+/// coarse enough that ranks estimating the signature locally still land in
+/// the same class): bits [8..) hold ceil(log2(total_bytes + 1)), bits
+/// [0..8) the imbalance bucket round(4 * log2(max/mean)).
 std::size_t alltoallv_size_class(const topo::Machine& machine,
                                  const AlltoallvSkew& skew);
+
+/// The key a descriptor's decisions (plan::TuningTable) and measurements
+/// (autotune::ProfileKey, the OnlineSelector's candidate sets) are filed
+/// under: the block size for alltoall and allgather, the vector's bytes
+/// for allreduce, alltoallv_size_class for alltoallv. An alltoallv
+/// descriptor without a skew signature is estimated from its count
+/// vectors (estimate_alltoallv_skew, O(p)); the other kinds are O(1).
+std::size_t size_class(const OpDesc& desc, const topo::Machine& machine);
+
+/// Every (algorithm, group size) candidate for `desc`'s kind, sorted by
+/// predicted time ascending (stable: ties keep enumeration order), then
+/// pruned to those within `plausible_factor` of the best prediction, at
+/// most `max_candidates` of them. Group widths come from {4, 8, 16, ppn}
+/// filtered to divisors of ppn. Allreduce considers Rabenseifner only when
+/// count >= total ranks (its algorithmic requirement); alltoallv reads the
+/// descriptor's skew signature, or estimates one (see size_class). The
+/// descriptor's own `algo` is ignored.
+std::vector<Choice> rank_candidates(
+    const topo::Machine& machine, const model::NetParams& net,
+    const OpDesc& desc,
+    double plausible_factor = std::numeric_limits<double>::infinity(),
+    std::size_t max_candidates = std::numeric_limits<std::size_t>::max());
+
+/// The fastest candidate for `desc`: the head of rank_candidates (the
+/// first-enumerated one on a tie).
+Choice select_algorithm(const topo::Machine& machine,
+                        const model::NetParams& net, const OpDesc& desc);
 
 }  // namespace mca2a::coll

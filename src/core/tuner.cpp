@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "model/cost.hpp"
@@ -196,97 +195,6 @@ double predict_alltoall_seconds(Algo algo, const topo::Machine& machine,
       break;
   }
   throw std::invalid_argument("predict: unknown algorithm");
-}
-
-std::vector<int> candidate_groups(const topo::Machine& machine,
-                                  std::vector<int> candidates) {
-  const int ppn = machine.ppn();
-  if (candidates.empty()) {
-    candidates = {4, 8, 16, ppn};
-  }
-  std::vector<int> groups;
-  for (int g : candidates) {
-    if (g >= 1 && g <= ppn && ppn % g == 0) {
-      groups.push_back(g);
-    }
-  }
-  if (groups.empty()) {
-    groups.push_back(ppn);
-  }
-  return groups;
-}
-
-namespace {
-
-/// The one enumeration of scoreable (algorithm, group size) pairs, shared
-/// by select_algorithm and rank_alltoall_candidates so their tie-breaking
-/// (first-enumerated wins) can never drift apart.
-template <typename F>
-void enumerate_alltoall_candidates(const topo::Machine& machine,
-                                   const std::vector<int>& groups,
-                                   F&& consider) {
-  const int ppn = machine.ppn();
-  consider(Algo::kSystemMpi, ppn);
-  consider(Algo::kBruckDirect, ppn);
-  consider(Algo::kPairwiseDirect, ppn);
-  consider(Algo::kNonblockingDirect, ppn);
-  consider(Algo::kHierarchical, ppn);
-  consider(Algo::kNodeAware, ppn);
-  for (int g : groups) {
-    if (g < ppn) {
-      consider(Algo::kMultileader, g);
-      consider(Algo::kLocalityAware, g);
-      consider(Algo::kMultileaderNodeAware, g);
-    }
-  }
-}
-
-}  // namespace
-
-Choice select_algorithm(const topo::Machine& machine,
-                        const model::NetParams& net, std::size_t block,
-                        std::vector<int> candidate_group_sizes) {
-  const std::vector<int> groups =
-      candidate_groups(machine, std::move(candidate_group_sizes));
-
-  Choice best;
-  best.predicted_seconds = std::numeric_limits<double>::infinity();
-  enumerate_alltoall_candidates(machine, groups, [&](Algo a, int g) {
-    const double t = predict_alltoall_seconds(a, machine, net, block, g);
-    if (t < best.predicted_seconds) {
-      best = Choice{a, g, t};
-    }
-  });
-  return best;
-}
-
-std::vector<Choice> rank_alltoall_candidates(const topo::Machine& machine,
-                                             const model::NetParams& net,
-                                             std::size_t block,
-                                             double plausible_factor,
-                                             std::size_t max_candidates) {
-  const std::vector<int> groups = candidate_groups(machine);
-  std::vector<Choice> all;
-  enumerate_alltoall_candidates(machine, groups, [&](Algo a, int g) {
-    all.push_back(
-        Choice{a, g, predict_alltoall_seconds(a, machine, net, block, g)});
-  });
-  // stable: ties keep enumeration order, so the head matches
-  // select_algorithm's first-minimum-wins rule bit-for-bit.
-  std::stable_sort(all.begin(), all.end(), [](const Choice& x, const Choice& y) {
-    return x.predicted_seconds < y.predicted_seconds;
-  });
-  const double cutoff =
-      all.front().predicted_seconds * std::max(1.0, plausible_factor);
-  const std::size_t cap = std::max<std::size_t>(1, max_candidates);
-  std::vector<Choice> kept;
-  for (const Choice& c : all) {
-    if (kept.size() >= cap || c.predicted_seconds > cutoff) {
-      break;
-    }
-    kept.push_back(c);
-  }
-  return kept;
 }
 
 }  // namespace mca2a::coll

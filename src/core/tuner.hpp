@@ -1,17 +1,20 @@
 #pragma once
 /// \file tuner.hpp
-/// Dynamic algorithm selection (the paper's §5 future work: "explore how
-/// the optimal algorithm can be dynamically selected for a given computer,
-/// system MPI, process count, and data size").
+/// The all-to-all cost model behind dynamic algorithm selection (the
+/// paper's §5 future work: "explore how the optimal algorithm can be
+/// dynamically selected for a given computer, system MPI, process count,
+/// and data size"), and the decision type every selector returns.
 ///
 /// predict_alltoall_seconds evaluates a closed-form critical-path estimate
 /// of each algorithm family from the same model::NetParams the simulator
 /// charges, so selection is consistent with simulated results; tests check
 /// that the prediction ranks algorithms the way full simulations do at the
 /// extremes (latency-bound small blocks, bandwidth-bound large blocks).
+/// Selection itself — ranking every candidate of any collective kind —
+/// lives in coll_ext/ext_tuner.hpp (coll::rank_candidates and
+/// coll::select_algorithm).
 
 #include <cstddef>
-#include <vector>
 
 #include "core/alltoall.hpp"
 #include "model/params.hpp"
@@ -26,38 +29,14 @@ double predict_alltoall_seconds(Algo algo, const topo::Machine& machine,
                                 const model::NetParams& net,
                                 std::size_t block, int group_size);
 
+/// One algorithm-selection decision, for any collective kind: `algo` is
+/// the op-specific enum value (coll::Algo, AllgatherAlgo, AllreduceAlgo or
+/// AlltoallvAlgo) as an int — the form CollectivePlan::algo_id(), tuning
+/// table entries and autotune::ProfileKey use.
 struct Choice {
-  Algo algo = Algo::kNodeAware;
+  int algo = 0;
   int group_size = 1;
   double predicted_seconds = 0.0;
 };
-
-/// Candidate leader/group widths for the locality algorithms of any
-/// collective: `candidates` (default {4, 8, 16, ppn}) filtered to divisors
-/// of ppn, falling back to {ppn} when nothing survives. Shared by
-/// select_algorithm and the extension tuners (coll_ext/ext_tuner) so the
-/// candidate policy cannot drift between collectives.
-std::vector<int> candidate_groups(const topo::Machine& machine,
-                                  std::vector<int> candidates = {});
-
-/// Pick the fastest (algorithm, group size) combination for `block` bytes
-/// per pair. Candidate group sizes default to {4, 8, 16, ppn} filtered to
-/// divisors of ppn.
-Choice select_algorithm(const topo::Machine& machine,
-                        const model::NetParams& net, std::size_t block,
-                        std::vector<int> candidate_group_sizes = {});
-
-/// Candidate pruning for measurement-driven selection (autotune/): every
-/// (algorithm, group size) combination select_algorithm scores, sorted by
-/// predicted time ascending and pruned to the candidates the model
-/// considers plausible — within `plausible_factor` of the best prediction,
-/// at most `max_candidates` of them. The head is exactly
-/// select_algorithm's choice (same enumeration, same tie-breaking), so an
-/// online selector that explores this list starts from the model's pick.
-std::vector<Choice> rank_alltoall_candidates(const topo::Machine& machine,
-                                             const model::NetParams& net,
-                                             std::size_t block,
-                                             double plausible_factor = 4.0,
-                                             std::size_t max_candidates = 4);
 
 }  // namespace mca2a::coll

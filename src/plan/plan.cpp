@@ -2,12 +2,14 @@
 
 #include <stdexcept>
 #include <string>
+#include <variant>
 
 #include "autotune/autotune.hpp"
 #include "autotune/selector.hpp"
 #include "coll_ext/allgather.hpp"
 #include "coll_ext/allreduce.hpp"
 #include "coll_ext/alltoallv.hpp"
+#include "coll_ext/ext_tuner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "plan/verify.hpp"
@@ -376,43 +378,59 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
   autotune::OnlineSelector* tuner =
       opts.autotune != nullptr ? opts.autotune : autotune::global_selector();
 
-  const int explicit_group =
-      opts.group_size == 0 ? machine.ppn() : opts.group_size;
+  // The descriptor's algorithm, when it names one, as its enum value.
+  const std::optional<int> given = std::visit(
+      [](const auto& d) {
+        return d.algo ? std::optional<int>(static_cast<int>(*d.algo))
+                      : std::nullopt;
+      },
+      p.desc_.v());
+  // The descriptor the tuners read: the plan's own, except that an
+  // alltoallv one without a skew signature carries this rank's estimate
+  // (see AlltoallvSkew for the cross-rank agreement caveat). The estimate
+  // is O(p), so it is made once, and only when selection or the profile
+  // key reads it.
+  std::optional<coll::OpDesc> estimated;
+  if (p.desc_.kind() == coll::OpKind::kAlltoallv && !p.desc_.alltoallv().skew &&
+      (!given || tuner != nullptr)) {
+    const auto& d = p.desc_.alltoallv();
+    coll::AlltoallvDesc e;
+    e.skew = coll::estimate_alltoallv_skew(d.send_counts, d.recv_counts);
+    estimated.emplace(std::move(e));
+  }
+  const coll::OpDesc& sel = estimated ? *estimated : p.desc_;
+
+  if (given) {
+    p.algo_ = *given;
+    p.group_size_ = opts.group_size == 0 ? machine.ppn() : opts.group_size;
+  } else {
+    // Resolution order: the online autotuner (adapt mode), then a
+    // memoizing table, then the closed-form model.
+    std::optional<coll::Choice> online;
+    bool explored = false;
+    if (tuner != nullptr) {
+      online = tuner->choose(machine, net, sel, world.backend_name(),
+                             &explored);
+    }
+    if (online && tb != nullptr) {
+      tb->instant(explored ? "autotune.explore" : "autotune.exploit",
+                  "autotune", 0,
+                  {{"algo", online->algo}, {"group", online->group_size}});
+    }
+    const coll::Choice c =
+        online ? *online
+               : (opts.table != nullptr
+                      ? opts.table->choose(machine, net, sel)
+                      : coll::select_algorithm(machine, net, sel));
+    p.algo_ = c.algo;
+    p.group_size_ = c.group_size;
+    p.predicted_seconds_ = c.predicted_seconds;
+  }
+
   bool need_lc = false;
   bool need_leaders = false;
-  std::size_t profile_size_key = 0;
-
   switch (p.desc_.kind()) {
     case coll::OpKind::kAlltoall: {
-      const auto& d = p.desc_.alltoall();
-      // Resolution order: descriptor algo, then the online autotuner
-      // (adapt mode), then a memoizing table, then the closed-form tuner.
-      if (d.algo) {
-        p.algo_ = static_cast<int>(*d.algo);
-        p.group_size_ = explicit_group;
-      } else {
-        std::optional<coll::Choice> online;
-        bool explored = false;
-        if (tuner != nullptr) {
-          online = tuner->choose_alltoall(machine, net, d.block,
-                                          world.backend_name(), &explored);
-        }
-        if (online && tb != nullptr) {
-          tb->instant(explored ? "autotune.explore" : "autotune.exploit",
-                      "autotune", 0,
-                      {{"algo", static_cast<std::int64_t>(online->algo)},
-                       {"group", online->group_size}});
-        }
-        const coll::Choice c =
-            online ? *online
-                   : (opts.table ? opts.table->choose(machine, net, d.block)
-                                 : coll::select_algorithm(machine, net,
-                                                          d.block));
-        p.algo_ = static_cast<int>(c.algo);
-        p.group_size_ = c.group_size;
-        p.predicted_seconds_ = c.predicted_seconds;
-      }
-      profile_size_key = d.block;
       const auto a = static_cast<coll::Algo>(p.algo_);
       need_lc = coll::needs_locality(a);
       need_leaders = coll::needs_leader_comms(a);
@@ -420,104 +438,32 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
     }
     case coll::OpKind::kAlltoallv: {
       const auto& d = p.desc_.alltoallv();
-      // Skew signature used for selection (when algo is empty) and as the
-      // profile key's size class: the descriptor's collective signature
-      // when given, this rank's local estimate otherwise (see
-      // AlltoallvSkew for the cross-rank agreement caveat). The O(p)
-      // estimate is skipped when nothing needs it (explicit algo, no
-      // active autotuner).
-      const auto skew_of = [&] {
-        return d.skew ? *d.skew
-                      : coll::estimate_alltoallv_skew(d.send_counts,
-                                                      d.recv_counts);
-      };
-      if (d.algo) {
-        p.algo_ = static_cast<int>(*d.algo);
-        p.group_size_ = explicit_group;
-        if (tuner != nullptr) {
-          profile_size_key = coll::alltoallv_size_class(machine, skew_of());
-        }
-      } else {
-        const coll::AlltoallvSkew skew = skew_of();
-        const coll::AlltoallvChoice c =
-            opts.table ? opts.table->choose_alltoallv(machine, net, skew)
-                       : coll::select_alltoallv_algorithm(machine, net, skew);
-        p.algo_ = static_cast<int>(c.algo);
-        p.group_size_ = c.group_size;
-        p.predicted_seconds_ = c.predicted_seconds;
-        profile_size_key = coll::alltoallv_size_class(machine, skew);
-      }
-      const auto va = static_cast<coll::AlltoallvAlgo>(p.algo_);
-      need_lc = coll::needs_locality(va);
-      need_leaders = coll::needs_leader_comms(va);
+      const auto a = static_cast<coll::AlltoallvAlgo>(p.algo_);
+      need_lc = coll::needs_locality(a);
+      need_leaders = coll::needs_leader_comms(a);
       p.send_displs_ = coll::displs_from_counts(d.send_counts);
       p.recv_displs_ = coll::displs_from_counts(d.recv_counts);
       p.send_total_ = d.send_total();
       p.recv_total_ = d.recv_total();
       break;
     }
-    case coll::OpKind::kAllgather: {
-      const auto& d = p.desc_.allgather();
-      if (d.algo) {
-        p.algo_ = static_cast<int>(*d.algo);
-        p.group_size_ = explicit_group;
-      } else {
-        std::optional<coll::AllgatherChoice> online;
-        bool explored = false;
-        if (tuner != nullptr) {
-          online = tuner->choose_allgather(machine, net, d.block,
-                                           world.backend_name(), &explored);
-        }
-        if (online && tb != nullptr) {
-          tb->instant(explored ? "autotune.explore" : "autotune.exploit",
-                      "autotune", 0,
-                      {{"algo", static_cast<std::int64_t>(online->algo)},
-                       {"group", online->group_size}});
-        }
-        const coll::AllgatherChoice c =
-            online ? *online
-                   : (opts.table
-                          ? opts.table->choose_allgather(machine, net, d.block)
-                          : coll::select_allgather_algorithm(machine, net,
-                                                             d.block));
-        p.algo_ = static_cast<int>(c.algo);
-        p.group_size_ = c.group_size;
-        p.predicted_seconds_ = c.predicted_seconds;
-      }
-      profile_size_key = d.block;
+    case coll::OpKind::kAllgather:
       need_lc =
           coll::needs_locality(static_cast<coll::AllgatherAlgo>(p.algo_));
       break;
-    }
     case coll::OpKind::kAllreduce: {
-      const auto& d = p.desc_.allreduce();
-      if (d.algo) {
-        p.algo_ = static_cast<int>(*d.algo);
-        p.group_size_ = explicit_group;
-      } else {
-        const coll::AllreduceChoice c =
-            opts.table ? opts.table->choose_allreduce(machine, net, d.count,
-                                                      d.combiner.elem_size)
-                       : coll::select_allreduce_algorithm(
-                             machine, net, d.count, d.combiner.elem_size);
-        p.algo_ = static_cast<int>(c.algo);
-        p.group_size_ = c.group_size;
-        p.predicted_seconds_ = c.predicted_seconds;
-      }
-      if (static_cast<coll::AllreduceAlgo>(p.algo_) ==
-              coll::AllreduceAlgo::kRabenseifner &&
-          d.count < static_cast<std::size_t>(world.size()) &&
-          world.size() > 1) {
+      const auto a = static_cast<coll::AllreduceAlgo>(p.algo_);
+      const std::size_t count = p.desc_.allreduce().count;
+      if (a == coll::AllreduceAlgo::kRabenseifner &&
+          count < static_cast<std::size_t>(world.size()) && world.size() > 1) {
         // Fail at plan time, not execute time: the algorithm needs at least
         // one element per rank to reduce-scatter.
         throw std::invalid_argument(
             "make_plan: Rabenseifner allreduce needs count >= ranks (" +
-            std::to_string(d.count) + " < " + std::to_string(world.size()) +
+            std::to_string(count) + " < " + std::to_string(world.size()) +
             ")");
       }
-      profile_size_key = d.bytes();
-      need_lc =
-          coll::needs_locality(static_cast<coll::AllreduceAlgo>(p.algo_));
+      need_lc = coll::needs_locality(a);
       break;
     }
     case coll::OpKind::kCount_:
@@ -527,8 +473,8 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
   if (tuner != nullptr) {
     p.autotune_ = tuner;
     p.profile_key_ = autotune::make_profile_key(
-        machine, p.desc_.kind(), profile_size_key, p.algo_, p.group_size_,
-        world.backend_name());
+        machine, p.desc_.kind(), coll::size_class(sel, machine), p.algo_,
+        p.group_size_, world.backend_name());
   }
   if (need_lc) {
     p.lc_.emplace(rt::build_locality_comms(world, *p.machine_, p.group_size_,

@@ -17,14 +17,15 @@
 ///                             coll::AllreduceDesc{n, coll::sum_combiner<double>()});
 ///   co_await ar.execute_inplace(data);
 ///
-/// Leaving the descriptor's algorithm empty consults, in order: an online
-/// autotuner when one is active (PlanOptions::autotune or the A2A_AUTOTUNE
-/// env knob — measurement-driven selection, see autotune/), then the
-/// closed-form tuner (alltoall: coll::select_algorithm;
-/// allgather/allreduce/alltoallv: coll_ext/ext_tuner — skew-aware for
-/// alltoallv, see AlltoallvSkew), optionally memoized across plans by a
-/// PlanOptions::table. Completed executions feed the active autotuner's
-/// profiler whatever picked the algorithm.
+/// Leaving the descriptor's algorithm empty resolves it the same way for
+/// every kind, in order: an online autotuner when one is active in adapt
+/// mode (PlanOptions::autotune or the A2A_AUTOTUNE env knob —
+/// measurement-driven selection for alltoall and allgather, see
+/// autotune/), then a PlanOptions::table memoizing decisions across plans,
+/// then the closed-form model (coll::select_algorithm — skew-aware for
+/// alltoallv, see AlltoallvSkew). Each answers with one coll::Choice.
+/// Completed executions feed the active autotuner's profiler whatever
+/// picked the algorithm.
 ///
 /// A plan belongs to one rank (like the rt::Comm it wraps). Every rank of
 /// the communicator must create a matching plan (same machine, descriptor
@@ -62,7 +63,6 @@
 #include <vector>
 
 #include "autotune/profiler.hpp"
-#include "coll_ext/ext_tuner.hpp"
 #include "coll_ext/op_desc.hpp"
 #include "core/alltoall.hpp"
 #include "core/tuner.hpp"
@@ -285,10 +285,9 @@ class CollectivePlan {
   int group_size() const noexcept { return group_size_; }
   /// The tuner's predicted time; 0 when the algorithm was given explicitly.
   double predicted_seconds() const noexcept { return predicted_seconds_; }
-  /// Alltoall view of the decision (compatibility with core/tuner).
+  /// The resolved decision as the tuners report it (any kind).
   coll::Choice choice() const noexcept {
-    return coll::Choice{static_cast<coll::Algo>(algo_), group_size_,
-                        predicted_seconds_};
+    return coll::Choice{algo_, group_size_, predicted_seconds_};
   }
   /// Bytes per block: per rank pair (alltoall) or per rank (allgather);
   /// 0 for the other kinds.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "coll_ext/ext_tuner.hpp"
 #include "obs/metrics.hpp"
 
 namespace mca2a::plan {
@@ -18,12 +19,12 @@ std::size_t TuningKeyHash::operator()(const TuningKey& k) const noexcept {
   mix(static_cast<std::size_t>(k.nodes));
   mix(static_cast<std::size_t>(k.ppn));
   mix(static_cast<std::size_t>(static_cast<int>(k.op)) + 1);
-  mix(k.block);
+  mix(k.size_class);
   return h;
 }
 
 TuningKey TuningTable::key_of(const topo::Machine& machine, coll::OpKind op,
-                              std::size_t block) {
+                              std::size_t size_class) {
   // Enforced here (every entry path) so save() can never emit a line that
   // load() would reject: names are whitespace-delimited in the file format.
   if (machine.name().find_first_of(" \t\n\r") != std::string::npos ||
@@ -33,18 +34,20 @@ TuningKey TuningTable::key_of(const topo::Machine& machine, coll::OpKind op,
         "whitespace: '" +
         machine.name() + "'");
   }
-  return TuningKey{machine.name(), machine.nodes(), machine.ppn(), op, block};
+  return TuningKey{machine.name(), machine.nodes(), machine.ppn(), op,
+                   size_class};
 }
 
-std::optional<TuningTable::Entry> TuningTable::lookup_entry(
-    const topo::Machine& machine, coll::OpKind op, std::size_t block) const {
+std::optional<coll::Choice> TuningTable::lookup(const topo::Machine& machine,
+                                                coll::OpKind kind,
+                                                std::size_t size_class) const {
   // Per-instance totals stay in lookups_/hits_; the registry aggregates
   // across every table in the process.
   static obs::Counter& g_lookups = obs::metrics().counter("tuning.lookups");
   static obs::Counter& g_hits = obs::metrics().counter("tuning.hits");
   ++lookups_;
   g_lookups.add();
-  const auto it = entries_.find(key_of(machine, op, block));
+  const auto it = entries_.find(key_of(machine, kind, size_class));
   if (it == entries_.end()) {
     return std::nullopt;
   }
@@ -53,128 +56,29 @@ std::optional<TuningTable::Entry> TuningTable::lookup_entry(
   return it->second;
 }
 
-// --- alltoall ----------------------------------------------------------------
-
-std::optional<coll::Choice> TuningTable::lookup(const topo::Machine& machine,
-                                                std::size_t block) const {
-  const auto e = lookup_entry(machine, coll::OpKind::kAlltoall, block);
-  if (!e) {
-    return std::nullopt;
-  }
-  return coll::Choice{static_cast<coll::Algo>(e->algo), e->group_size,
-                      e->predicted_seconds};
-}
-
-void TuningTable::insert(const topo::Machine& machine, std::size_t block,
-                         const coll::Choice& choice) {
-  entries_[key_of(machine, coll::OpKind::kAlltoall, block)] =
-      Entry{static_cast<int>(choice.algo), choice.group_size,
-            choice.predicted_seconds};
+void TuningTable::insert(const topo::Machine& machine, coll::OpKind kind,
+                         std::size_t size_class, const coll::Choice& choice) {
+  entries_[key_of(machine, kind, size_class)] = choice;
 }
 
 coll::Choice TuningTable::choose(const topo::Machine& machine,
                                  const model::NetParams& net,
-                                 std::size_t block) {
-  if (const auto hit = lookup(machine, block)) {
-    return *hit;
-  }
-  const coll::Choice choice = coll::select_algorithm(machine, net, block);
-  insert(machine, block, choice);
-  return choice;
-}
-
-// --- allgather ---------------------------------------------------------------
-
-std::optional<coll::AllgatherChoice> TuningTable::lookup_allgather(
-    const topo::Machine& machine, std::size_t block) const {
-  const auto e = lookup_entry(machine, coll::OpKind::kAllgather, block);
-  if (!e) {
-    return std::nullopt;
-  }
-  return coll::AllgatherChoice{static_cast<coll::AllgatherAlgo>(e->algo),
-                               e->group_size, e->predicted_seconds};
-}
-
-coll::AllgatherChoice TuningTable::choose_allgather(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t block) {
-  if (const auto hit = lookup_allgather(machine, block)) {
-    return *hit;
-  }
-  const coll::AllgatherChoice c =
-      coll::select_allgather_algorithm(machine, net, block);
-  entries_[key_of(machine, coll::OpKind::kAllgather, block)] =
-      Entry{static_cast<int>(c.algo), c.group_size, c.predicted_seconds};
-  return c;
-}
-
-// --- allreduce ---------------------------------------------------------------
-
-std::optional<coll::AllreduceChoice> TuningTable::lookup_allreduce(
-    const topo::Machine& machine, std::size_t bytes) const {
-  const auto e = lookup_entry(machine, coll::OpKind::kAllreduce, bytes);
-  if (!e) {
-    return std::nullopt;
-  }
-  return coll::AllreduceChoice{static_cast<coll::AllreduceAlgo>(e->algo),
-                               e->group_size, e->predicted_seconds};
-}
-
-coll::AllreduceChoice TuningTable::choose_allreduce(
-    const topo::Machine& machine, const model::NetParams& net,
-    std::size_t count, std::size_t elem_size) {
-  const std::size_t bytes = count * elem_size;
-  if (count < static_cast<std::size_t>(machine.total_ranks())) {
-    // Rabenseifner eligibility depends on the element count, which the
-    // byte-keyed table does not record. Restricted shapes (count < ranks —
-    // rare: they alias an unrestricted shape only via jumbo elements) are
-    // never served from or stored into the table, so memoized entries are
-    // always unrestricted selections and query order cannot change results.
-    // Still counted as a lookup (and never a hit) so lookups() keeps its
-    // "total choose()/lookup() calls" meaning.
+                                 const coll::OpDesc& desc) {
+  if (desc.kind() == coll::OpKind::kAllreduce &&
+      desc.allreduce().count <
+          static_cast<std::size_t>(machine.total_ranks())) {
+    // Restricted shape (see the header): never served or stored.
     ++lookups_;
     obs::metrics().counter("tuning.lookups").add();
-    return coll::select_allreduce_algorithm(machine, net, count, elem_size);
+    return coll::select_algorithm(machine, net, desc);
   }
-  if (const auto hit = lookup_allreduce(machine, bytes)) {
+  const std::size_t size_class = coll::size_class(desc, machine);
+  if (const auto hit = lookup(machine, desc.kind(), size_class)) {
     return *hit;
   }
-  const coll::AllreduceChoice c =
-      coll::select_allreduce_algorithm(machine, net, count, elem_size);
-  entries_[key_of(machine, coll::OpKind::kAllreduce, bytes)] =
-      Entry{static_cast<int>(c.algo), c.group_size, c.predicted_seconds};
-  return c;
-}
-
-// --- alltoallv ---------------------------------------------------------------
-
-std::optional<coll::AlltoallvChoice> TuningTable::lookup_alltoallv(
-    const topo::Machine& machine, const coll::AlltoallvSkew& skew) const {
-  const auto e = lookup_entry(machine, coll::OpKind::kAlltoallv,
-                              coll::alltoallv_size_class(machine, skew));
-  if (!e) {
-    return std::nullopt;
-  }
-  coll::AlltoallvChoice c;
-  c.algo = static_cast<coll::AlltoallvAlgo>(e->algo);
-  c.group_size = e->group_size;
-  c.predicted_seconds = e->predicted_seconds;
-  c.imbalance = skew.imbalance(machine.total_ranks());
-  return c;
-}
-
-coll::AlltoallvChoice TuningTable::choose_alltoallv(
-    const topo::Machine& machine, const model::NetParams& net,
-    const coll::AlltoallvSkew& skew) {
-  if (const auto hit = lookup_alltoallv(machine, skew)) {
-    return *hit;
-  }
-  const coll::AlltoallvChoice c =
-      coll::select_alltoallv_algorithm(machine, net, skew);
-  entries_[key_of(machine, coll::OpKind::kAlltoallv,
-                  coll::alltoallv_size_class(machine, skew))] =
-      Entry{static_cast<int>(c.algo), c.group_size, c.predicted_seconds};
-  return c;
+  const coll::Choice choice = coll::select_algorithm(machine, net, desc);
+  insert(machine, desc.kind(), size_class, choice);
+  return choice;
 }
 
 // --- serialization -----------------------------------------------------------
@@ -185,8 +89,8 @@ void TuningTable::save(std::ostream& os) const {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   for (const auto& [key, e] : entries_) {
     os << key.machine << ' ' << key.nodes << ' ' << key.ppn << ' '
-       << coll::op_kind_tag(key.op) << ' ' << key.block << ' ' << e.algo << ' '
-       << e.group_size << ' ' << e.predicted_seconds << "\n";
+       << coll::op_kind_tag(key.op) << ' ' << key.size_class << ' ' << e.algo
+       << ' ' << e.group_size << ' ' << e.predicted_seconds << "\n";
   }
   autotune::write_profile_section(os, profile_);
 }
@@ -212,9 +116,9 @@ TuningTable TuningTable::load(std::istream& is) {
     std::istringstream ls(line);
     TuningKey key;
     std::string tag;
-    Entry e;
-    if (!(ls >> key.machine >> key.nodes >> key.ppn >> tag >> key.block >>
-          e.algo >> e.group_size >> e.predicted_seconds)) {
+    coll::Choice e;
+    if (!(ls >> key.machine >> key.nodes >> key.ppn >> tag >>
+          key.size_class >> e.algo >> e.group_size >> e.predicted_seconds)) {
       throw std::runtime_error("TuningTable::load: malformed line: '" + line +
                                "'");
     }

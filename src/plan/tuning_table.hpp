@@ -2,13 +2,13 @@
 /// \file tuning_table.hpp
 /// Serializable table of tuner decisions for the whole collective family.
 ///
-/// The tuners (core/tuner for all-to-all, coll_ext/ext_tuner for the
-/// allgather/allreduce extensions) evaluate a closed-form cost model for
-/// every (algorithm, group size) candidate. That is cheap once but wasteful
-/// when the same (machine, op, size) question is asked thousands of times —
-/// e.g. a plan cache serving many communicators, or a long-running service
-/// answering per-request size classes. A TuningTable memoizes decisions
-/// keyed by (machine name, nodes, ppn, op tag, payload bytes) so repeated
+/// The family's selector (coll::select_algorithm, coll_ext/ext_tuner)
+/// evaluates a closed-form cost model for every (algorithm, group size)
+/// candidate. That is cheap once but wasteful when the same (machine, op,
+/// size) question is asked thousands of times — e.g. a plan cache serving
+/// many communicators, or a long-running service answering per-request
+/// size classes. A TuningTable memoizes coll::Choice decisions keyed by
+/// (machine name, nodes, ppn, op tag, coll::size_class) so repeated
 /// selection is an O(1) hash lookup, and round-trips through a
 /// line-oriented text format so a table computed offline (or on a login
 /// node) can ship with a deployment — the paper's §5 "dynamically selected
@@ -16,9 +16,9 @@
 /// into a precomputed artifact.
 ///
 /// File format (v3): the autotune::kTableHeader line, then one entry per
-/// line ("machine nodes ppn op block algo group_size predicted_seconds"),
-/// where `op` is coll::op_kind_tag ("a2a", "ag", "ar", "a2av"), then the
-/// measured-profile section: one "prof ..." line per
+/// line ("machine nodes ppn op size_class algo group_size
+/// predicted_seconds", `op` being coll::op_kind_tag: "a2a", "ag", "ar",
+/// "a2av"), then the measured-profile section: one "prof ..." line per
 /// autotune::ExecutionProfiler entry (see autotune/profiler.hpp for the
 /// line format), so warmed online-autotuning knowledge ships in the same
 /// artifact as the model's memoized decisions. The profile section may be
@@ -36,17 +36,16 @@
 #include <unordered_map>
 
 #include "autotune/profiler.hpp"
-#include "coll_ext/ext_tuner.hpp"
 #include "coll_ext/op_desc.hpp"
 #include "core/tuner.hpp"
+#include "model/params.hpp"
 #include "topo/machine.hpp"
 
 namespace mca2a::plan {
 
-/// Lookup key: machine shape, collective kind, payload size in bytes (per
-/// rank pair for alltoall, per rank for allgather, the whole vector for
-/// allreduce, and coll::alltoallv_size_class — a quantized total-bytes ×
-/// imbalance class — for alltoallv).
+/// Lookup key: machine shape, collective kind and coll::size_class (the
+/// block for alltoall and allgather, the vector's bytes for allreduce, a
+/// quantized total-bytes × imbalance class for alltoallv).
 struct TuningKey {
   /// topo::Machine::name(); names with whitespace are rejected (they could
   /// not round-trip through the whitespace-delimited file format).
@@ -54,7 +53,7 @@ struct TuningKey {
   int nodes = 0;
   int ppn = 0;
   coll::OpKind op = coll::OpKind::kAlltoall;
-  std::size_t block = 0;
+  std::size_t size_class = 0;
 
   bool operator==(const TuningKey&) const = default;
 };
@@ -65,53 +64,25 @@ struct TuningKeyHash {
 
 class TuningTable {
  public:
-  /// One memoized decision; `algo` holds the op-specific enum value.
-  struct Entry {
-    int algo = 0;
-    int group_size = 1;
-    double predicted_seconds = 0.0;
-  };
-
-  // --- alltoall (the PR-1 API, unchanged) -----------------------------------
-
-  /// Memoized lookup; returns nullopt when the entry is missing.
+  /// The memoized decision for (machine shape, kind, size class), or
+  /// nullopt. Counts as a lookup, and as a hit when found.
   std::optional<coll::Choice> lookup(const topo::Machine& machine,
-                                     std::size_t block) const;
+                                     coll::OpKind kind,
+                                     std::size_t size_class) const;
 
-  /// Insert or overwrite the entry for (machine shape, block).
-  void insert(const topo::Machine& machine, std::size_t block,
-              const coll::Choice& choice);
+  /// Insert or overwrite the entry for (machine shape, kind, size class).
+  void insert(const topo::Machine& machine, coll::OpKind kind,
+              std::size_t size_class, const coll::Choice& choice);
 
-  /// Look up the Choice, running coll::select_algorithm and memoizing on a
-  /// miss. This is the entry point alltoall plans use.
+  /// The decision for `desc`, filed under coll::size_class(desc, machine):
+  /// the memoized one, else coll::select_algorithm's pick, memoized. An
+  /// allreduce of fewer elements than ranks is selected afresh and never
+  /// stored (it still counts as a lookup, never a hit): Rabenseifner's
+  /// eligibility depends on the element count, which the byte-keyed table
+  /// does not record, so memoized entries are always unrestricted
+  /// selections and query order cannot change results.
   coll::Choice choose(const topo::Machine& machine,
-                      const model::NetParams& net, std::size_t block);
-
-  // --- extension collectives -------------------------------------------------
-
-  std::optional<coll::AllgatherChoice> lookup_allgather(
-      const topo::Machine& machine, std::size_t block) const;
-  coll::AllgatherChoice choose_allgather(const topo::Machine& machine,
-                                         const model::NetParams& net,
-                                         std::size_t block);
-
-  std::optional<coll::AllreduceChoice> lookup_allreduce(
-      const topo::Machine& machine, std::size_t bytes) const;
-  /// Keyed by the vector size in bytes (count * elem_size); the cost model
-  /// does not depend on the combiner.
-  coll::AllreduceChoice choose_allreduce(const topo::Machine& machine,
-                                         const model::NetParams& net,
-                                         std::size_t count,
-                                         std::size_t elem_size);
-
-  /// Alltoallv entries are keyed by coll::alltoallv_size_class(machine,
-  /// skew) — a quantized (total bytes, imbalance) class, since exact count
-  /// vectors would never repeat — stored in the file format's block column.
-  std::optional<coll::AlltoallvChoice> lookup_alltoallv(
-      const topo::Machine& machine, const coll::AlltoallvSkew& skew) const;
-  coll::AlltoallvChoice choose_alltoallv(const topo::Machine& machine,
-                                         const model::NetParams& net,
-                                         const coll::AlltoallvSkew& skew);
+                      const model::NetParams& net, const coll::OpDesc& desc);
 
   // --- observability / serialization ----------------------------------------
 
@@ -143,11 +114,9 @@ class TuningTable {
 
  private:
   static TuningKey key_of(const topo::Machine& machine, coll::OpKind op,
-                          std::size_t block);
-  std::optional<Entry> lookup_entry(const topo::Machine& machine,
-                                    coll::OpKind op, std::size_t block) const;
+                          std::size_t size_class);
 
-  std::unordered_map<TuningKey, Entry, TuningKeyHash> entries_;
+  std::unordered_map<TuningKey, coll::Choice, TuningKeyHash> entries_;
   autotune::ExecutionProfiler profile_;
   mutable std::uint64_t lookups_ = 0;
   mutable std::uint64_t hits_ = 0;

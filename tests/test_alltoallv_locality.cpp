@@ -344,11 +344,13 @@ TEST(AlltoallvTuner, HighImbalancePicksLocality) {
   const topo::Machine machine = topo::dane(4);
   const model::NetParams net = model::omni_path();
   const int p = machine.total_ranks();
-  const auto skewed = coll::select_alltoallv_algorithm(
-      machine, net, skew_of(p, 256, 64.0));
-  EXPECT_TRUE(coll::needs_locality(skewed.algo))
-      << "picked " << coll::alltoallv_algo_name(skewed.algo);
-  EXPECT_GT(skewed.imbalance, 32.0);
+  const coll::AlltoallvSkew skew = skew_of(p, 256, 64.0);
+  EXPECT_GT(skew.imbalance(p), 32.0);
+  const coll::Choice skewed =
+      coll::select_algorithm(machine, net, test::alltoallv_desc(skew));
+  const auto algo = static_cast<coll::AlltoallvAlgo>(skewed.algo);
+  EXPECT_TRUE(coll::needs_locality(algo))
+      << "picked " << coll::alltoallv_algo_name(algo);
   // At any imbalance the locality pick must beat pairwise's own estimate.
   const double pairwise = coll::predict_alltoallv_seconds(
       coll::AlltoallvAlgo::kPairwise, machine, net, skew_of(p, 256, 64.0),
@@ -362,17 +364,21 @@ TEST(AlltoallvTuner, UniformExtremesMatchTheFixedSizeStory) {
   const int p = machine.total_ranks();
   // Uniform small blocks: locality aggregation wins, exactly like the
   // fixed-size tuner (the paper's headline result carries over).
-  const auto small =
-      coll::select_alltoallv_algorithm(machine, net, skew_of(p, 4, 1.0));
-  EXPECT_NEAR(small.imbalance, 1.0, 1e-9);
-  EXPECT_TRUE(coll::needs_locality(small.algo))
-      << "picked " << coll::alltoallv_algo_name(small.algo);
+  EXPECT_NEAR(skew_of(p, 4, 1.0).imbalance(p), 1.0, 1e-9);
+  const auto small = static_cast<coll::AlltoallvAlgo>(
+      coll::select_algorithm(machine, net,
+                             test::alltoallv_desc(skew_of(p, 4, 1.0)))
+          .algo);
+  EXPECT_TRUE(coll::needs_locality(small))
+      << "picked " << coll::alltoallv_algo_name(small);
   // Uniform large blocks: bandwidth-bound, the leader funnel only adds
   // copies — a direct exchange wins, like fig10's large-message end.
-  const auto large =
-      coll::select_alltoallv_algorithm(machine, net, skew_of(p, 4096, 1.0));
-  EXPECT_FALSE(coll::needs_locality(large.algo))
-      << "picked " << coll::alltoallv_algo_name(large.algo);
+  const auto large = static_cast<coll::AlltoallvAlgo>(
+      coll::select_algorithm(machine, net,
+                             test::alltoallv_desc(skew_of(p, 4096, 1.0)))
+          .algo);
+  EXPECT_FALSE(coll::needs_locality(large))
+      << "picked " << coll::alltoallv_algo_name(large);
 }
 
 TEST(AlltoallvTuner, TableMemoizesAndRoundTrips) {
@@ -382,10 +388,10 @@ TEST(AlltoallvTuner, TableMemoizesAndRoundTrips) {
   const auto skew = skew_of(p, 256, 64.0);
 
   plan::TuningTable table;
-  const auto first = table.choose_alltoallv(machine, net, skew);
+  const auto first = table.choose(machine, net, test::alltoallv_desc(skew));
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.hits(), 0u);
-  const auto second = table.choose_alltoallv(machine, net, skew);
+  const auto second = table.choose(machine, net, test::alltoallv_desc(skew));
   EXPECT_EQ(table.hits(), 1u);
   EXPECT_EQ(first.algo, second.algo);
   EXPECT_EQ(first.group_size, second.group_size);
@@ -394,7 +400,8 @@ TEST(AlltoallvTuner, TableMemoizesAndRoundTrips) {
   table.save(ss);
   EXPECT_NE(ss.str().find("a2av"), std::string::npos);
   plan::TuningTable loaded = plan::TuningTable::load(ss);
-  const auto hit = loaded.lookup_alltoallv(machine, skew);
+  const auto hit = loaded.lookup(machine, coll::OpKind::kAlltoallv,
+                                 coll::alltoallv_size_class(machine, skew));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->algo, first.algo);
   EXPECT_EQ(hit->group_size, first.group_size);

@@ -328,14 +328,15 @@ TEST(ExecutionProfiler, NetProfileLineRoundTrip) {
 TEST(TuningTableV3, EmptyProfileRoundTripsAsV3) {
   const topo::Machine machine = topo::dane(8);
   plan::TuningTable table;
-  const coll::Choice c64 = table.choose(machine, model::omni_path(), 64);
+  const coll::Choice c64 =
+      table.choose(machine, model::omni_path(), test::alltoall_desc(64));
   std::stringstream ss;
   table.save(ss);
   EXPECT_EQ(ss.str().rfind("mca2a-tuning-table v3\n", 0), 0u);
   const plan::TuningTable loaded = plan::TuningTable::load(ss);
   EXPECT_EQ(loaded.size(), 1u);
   EXPECT_TRUE(loaded.profile().empty());
-  const auto hit = loaded.lookup(machine, 64);
+  const auto hit = loaded.lookup(machine, coll::OpKind::kAlltoall, 64);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->algo, c64.algo);
   EXPECT_EQ(hit->group_size, c64.group_size);
@@ -345,8 +346,8 @@ TEST(TuningTableV3, ProfileRoundTripsThroughV3) {
   const topo::Machine machine = topo::dane(8);
   const model::NetParams net = model::omni_path();
   plan::TuningTable table;
-  const coll::Choice c64 = table.choose(machine, net, 64);
-  table.choose_allgather(machine, net, 512);
+  const coll::Choice c64 = table.choose(machine, net, test::alltoall_desc(64));
+  table.choose(machine, net, test::allgather_desc(512));
   table.profile().record(key_for(machine, 64, 3, 112), 2e-4);
   table.profile().record(key_for(machine, 64, 3, 112), 4e-4);
   table.profile().record(key_for(machine, 4096, 5, 4), 9e-4);
@@ -357,11 +358,12 @@ TEST(TuningTableV3, ProfileRoundTripsThroughV3) {
 
   const plan::TuningTable loaded = plan::TuningTable::load(ss);
   // Decision entries survive...
-  const auto hit = loaded.lookup(machine, 64);
+  const auto hit = loaded.lookup(machine, coll::OpKind::kAlltoall, 64);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->algo, c64.algo);
   EXPECT_EQ(hit->group_size, c64.group_size);
-  ASSERT_TRUE(loaded.lookup_allgather(machine, 512).has_value());
+  ASSERT_TRUE(
+      loaded.lookup(machine, coll::OpKind::kAllgather, 512).has_value());
   // ...and so does the measured profile — bit-exactly (max_digits10).
   EXPECT_EQ(loaded.profile().size(), 2u);
   const auto want = table.profile().lookup(key_for(machine, 64, 3, 112));
@@ -433,7 +435,7 @@ TEST(TuningTableV3, BadProfileLinesAreRejected) {
 TEST(TuningTableV3, LenientProfileStreamLoader) {
   const topo::Machine machine = topo::dane(2);
   plan::TuningTable table;
-  table.choose(machine, model::omni_path(), 64);
+  table.choose(machine, model::omni_path(), test::alltoall_desc(64));
   table.profile().record(key_for(machine, 64, 3, 112), 2e-4);
   std::stringstream ss;
   table.save(ss);
@@ -460,9 +462,9 @@ TEST(RankCandidates, HeadMatchesSelectAlgorithmBitForBit) {
       const model::NetParams net = model::for_machine(name);
       for (std::size_t block : {4ul, 64ul, 512ul, 4096ul}) {
         const coll::Choice direct =
-            coll::select_algorithm(machine, net, block);
-        const auto ranked =
-            coll::rank_alltoall_candidates(machine, net, block);
+            coll::select_algorithm(machine, net, test::alltoall_desc(block));
+        const auto ranked = coll::rank_candidates(
+            machine, net, test::alltoall_desc(block), 4.0, 4);
         ASSERT_FALSE(ranked.empty());
         EXPECT_EQ(ranked.front().algo, direct.algo);
         EXPECT_EQ(ranked.front().group_size, direct.group_size);
@@ -484,9 +486,10 @@ TEST(RankCandidates, AllgatherHeadMatchesSelector) {
   const topo::Machine machine = topo::dane(4);
   const model::NetParams net = model::omni_path();
   for (std::size_t block : {4ul, 512ul, 4096ul}) {
-    const coll::AllgatherChoice direct =
-        coll::select_allgather_algorithm(machine, net, block);
-    const auto ranked = coll::rank_allgather_candidates(machine, net, block);
+    const coll::Choice direct =
+        coll::select_algorithm(machine, net, test::allgather_desc(block));
+    const auto ranked = coll::rank_candidates(
+        machine, net, test::allgather_desc(block), 4.0, 4);
     ASSERT_FALSE(ranked.empty());
     EXPECT_EQ(ranked.front().algo, direct.algo);
     EXPECT_EQ(ranked.front().group_size, direct.group_size);
@@ -512,9 +515,12 @@ TEST(OnlineSelector, OffAndObserveNeverSelect) {
   const model::NetParams net = model::omni_path();
   OnlineSelector off(Mode::kOff);
   OnlineSelector obs(Mode::kObserve);
-  EXPECT_FALSE(off.choose_alltoall(machine, net, 64, "sim").has_value());
-  EXPECT_FALSE(obs.choose_alltoall(machine, net, 64, "sim").has_value());
-  EXPECT_FALSE(obs.choose_allgather(machine, net, 64, "sim").has_value());
+  EXPECT_FALSE(
+      off.choose(machine, net, test::alltoall_desc(64), "sim").has_value());
+  EXPECT_FALSE(
+      obs.choose(machine, net, test::alltoall_desc(64), "sim").has_value());
+  EXPECT_FALSE(
+      obs.choose(machine, net, test::allgather_desc(64), "sim").has_value());
 
   const ProfileKey k = key_for(machine, 64, 3, 112);
   off.record(k, 1e-3);
@@ -531,8 +537,9 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   cfg.calibrate = false;
   OnlineSelector sel(Mode::kAdapt, cfg);
   const std::size_t block = 64;
-  const auto ranked = coll::rank_alltoall_candidates(
-      machine, net, block, cfg.plausible_factor, cfg.max_candidates);
+  const auto ranked =
+      coll::rank_candidates(machine, net, test::alltoall_desc(block),
+                            cfg.plausible_factor, cfg.max_candidates);
   ASSERT_GE(ranked.size(), 2u);
   const std::uint64_t per_exec =
       static_cast<std::uint64_t>(machine.total_ranks());
@@ -542,7 +549,8 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   // the model's *last* candidate measure fastest.
   for (int round = 0; round < cfg.explore_target; ++round) {
     for (std::size_t i = 0; i < ranked.size(); ++i) {
-      const auto c = sel.choose_alltoall(machine, net, block, "sim");
+      const auto c =
+          sel.choose(machine, net, test::alltoall_desc(block), "sim");
       ASSERT_TRUE(c.has_value());
       EXPECT_EQ(c->algo, ranked[i].algo) << "round " << round;
       EXPECT_EQ(c->group_size, ranked[i].group_size);
@@ -551,8 +559,7 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
       const double t = (i + 1 == ranked.size())
                            ? ranked[i].predicted_seconds / 10.0
                            : ranked[i].predicted_seconds;
-      const ProfileKey k =
-          key_for(machine, block, static_cast<int>(c->algo), c->group_size);
+      const ProfileKey k = key_for(machine, block, c->algo, c->group_size);
       for (std::uint64_t s = 0; s < per_exec; ++s) {
         sel.record(k, t);
       }
@@ -563,7 +570,7 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   EXPECT_EQ(sel.exploitations(), 0u);
 
   // Exploitation: the measured winner, not the model's head.
-  const auto c = sel.choose_alltoall(machine, net, block, "sim");
+  const auto c = sel.choose(machine, net, test::alltoall_desc(block), "sim");
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->algo, ranked.back().algo);
   EXPECT_EQ(c->group_size, ranked.back().group_size);
@@ -575,7 +582,8 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   // same candidate.
   OnlineSelector twin(Mode::kAdapt, cfg);
   twin.profiler().merge(sel.profiler());
-  const auto c2 = twin.choose_alltoall(machine, net, block, "sim");
+  const auto c2 =
+      twin.choose(machine, net, test::alltoall_desc(block), "sim");
   ASSERT_TRUE(c2.has_value());
   EXPECT_EQ(c2->algo, c->algo);
   EXPECT_EQ(c2->group_size, c->group_size);
@@ -589,14 +597,14 @@ TEST(OnlineSelector, WarmProfilePersistsAcrossRestart) {
   cfg.calibrate = false;
   OnlineSelector sel(Mode::kAdapt, cfg);
   const std::size_t block = 256;
-  const auto ranked = coll::rank_alltoall_candidates(
-      machine, net, block, cfg.plausible_factor, cfg.max_candidates);
+  const auto ranked =
+      coll::rank_candidates(machine, net, test::alltoall_desc(block),
+                            cfg.plausible_factor, cfg.max_candidates);
   const std::uint64_t per_exec =
       static_cast<std::uint64_t>(machine.total_ranks());
   for (const auto& cand : ranked) {
-    const ProfileKey k = key_for(machine, block,
-                                 static_cast<int>(cand.algo),
-                                 cand.group_size);
+    const ProfileKey k =
+        key_for(machine, block, cand.algo, cand.group_size);
     for (std::uint64_t s = 0; s < per_exec; ++s) {
       sel.record(k, cand.predicted_seconds);
     }
@@ -612,7 +620,8 @@ TEST(OnlineSelector, WarmProfilePersistsAcrossRestart) {
   const plan::TuningTable loaded = plan::TuningTable::load(file);
   OnlineSelector warm(Mode::kAdapt, cfg);
   warm.profiler().merge(loaded.profile());
-  const auto c = warm.choose_alltoall(machine, net, block, "sim");
+  const auto c =
+      warm.choose(machine, net, test::alltoall_desc(block), "sim");
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(warm.explorations(), 0u);
   EXPECT_EQ(warm.exploitations(), 1u);
@@ -630,11 +639,11 @@ TEST(AutotunePlan, OffModeMatchesModelBitForBit) {
       [&](rt::Comm& world) -> rt::Task<void> {
         for (std::size_t block : {4ul, 64ul, 512ul, 4096ul}) {
           const coll::Choice expect =
-              coll::select_algorithm(machine, net, block);
+              coll::select_algorithm(machine, net, test::alltoall_desc(block));
           coll::AlltoallDesc desc;
           desc.block = block;
           plan::CollectivePlan p = plan::make_plan(world, machine, net, desc);
-          EXPECT_EQ(p.algo(), expect.algo);
+          EXPECT_EQ(p.algo_id(), expect.algo);
           EXPECT_EQ(p.group_size(), expect.group_size);
           EXPECT_EQ(p.predicted_seconds(), expect.predicted_seconds);
         }
@@ -731,8 +740,8 @@ TEST(AutotuneHarness, ConvergesToBestStaticWithinFivePercent) {
 
   // Bounded warmup: exploration ends after candidates x explore_target
   // executions, and the choice is stable from then on.
-  const auto ranked = coll::rank_alltoall_candidates(
-      machine, net, block, sel.config().plausible_factor,
+  const auto ranked = coll::rank_candidates(
+      machine, net, test::alltoall_desc(block), sel.config().plausible_factor,
       sel.config().max_candidates);
   const int warmup = static_cast<int>(ranked.size()) *
                      sel.config().explore_target;
@@ -763,9 +772,9 @@ TEST(AutotuneHarness, ConvergesToBestStaticWithinFivePercent) {
   double best = std::numeric_limits<double>::infinity();
   double winner = -1.0;
   for (const coll::Choice& c : ranked) {
-    const double t = steady(c.algo, c.group_size);
+    const double t = steady(static_cast<coll::Algo>(c.algo), c.group_size);
     best = std::min(best, t);
-    if (static_cast<int>(c.algo) == online.rep_algos.back() &&
+    if (c.algo == online.rep_algos.back() &&
         c.group_size == online.rep_groups.back()) {
       winner = t;
     }

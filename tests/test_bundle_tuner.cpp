@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "coll_ext/ext_tuner.hpp"
 #include "core/tuner.hpp"
 #include "harness/figure.hpp"
 #include "harness/sweep.hpp"
@@ -166,12 +167,14 @@ TEST(Tuner, PredictionMonotoneInBlockSize) {
 
 TEST(Tuner, SelectsLocalityFamilyAtSmallBlocks) {
   const topo::Machine machine = topo::dane(32);
-  const coll::Choice c =
-      coll::select_algorithm(machine, model::omni_path(), 4);
+  const auto algo = static_cast<coll::Algo>(
+      coll::select_algorithm(machine, model::omni_path(),
+                             test::alltoall_desc(4))
+          .algo);
   // Any of the aggregating algorithms is acceptable; the flat direct ones
   // (p-1 network messages per rank) must not win at 4 B on 3584 ranks.
-  EXPECT_NE(c.algo, coll::Algo::kPairwiseDirect);
-  EXPECT_NE(c.algo, coll::Algo::kNonblockingDirect);
+  EXPECT_NE(algo, coll::Algo::kPairwiseDirect);
+  EXPECT_NE(algo, coll::Algo::kNonblockingDirect);
 }
 
 TEST(Tuner, SelectionAgreesWithSimulationAtExtremes) {
@@ -189,8 +192,10 @@ TEST(Tuner, SelectionAgreesWithSimulationAtExtremes) {
       spec.block = block;
       return bench::run_sim(spec).seconds;
     };
-    const coll::Choice pick = coll::select_algorithm(machine, net, block);
-    const double picked = simulate(pick.algo, pick.group_size);
+    const coll::Choice pick =
+        coll::select_algorithm(machine, net, test::alltoall_desc(block));
+    const double picked =
+        simulate(static_cast<coll::Algo>(pick.algo), pick.group_size);
     double best = picked;
     for (auto [a, g] : {std::pair{coll::Algo::kSystemMpi, 0},
                         {coll::Algo::kNodeAware, 0},

@@ -495,15 +495,15 @@ TEST(CollectivePlan, ExecuteIsStartWaitBitForBit) {
 TEST(CollectivePlan, AutoSelectionWorksFamilyWide) {
   const topo::Machine machine = topo::generic_hier(4, 2, 2, 4);
   const model::NetParams net = model::omni_path();
-  const coll::AllgatherChoice ag_want =
-      coll::select_allgather_algorithm(machine, net, 64);
-  const coll::AllreduceChoice ar_want =
-      coll::select_allreduce_algorithm(machine, net, 256, sizeof(double));
+  const coll::Choice ag_want =
+      coll::select_algorithm(machine, net, test::allgather_desc(64));
+  const coll::Choice ar_want =
+      coll::select_algorithm(machine, net, test::allreduce_desc(256));
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     coll::AllgatherDesc agd;
     agd.block = 64;
     plan::CollectivePlan ag = plan::make_plan(world, machine, net, agd);
-    EXPECT_EQ(ag.allgather_algo(), ag_want.algo);
+    EXPECT_EQ(ag.algo_id(), ag_want.algo);
     EXPECT_EQ(ag.group_size(), ag_want.group_size);
     EXPECT_DOUBLE_EQ(ag.predicted_seconds(), ag_want.predicted_seconds);
 
@@ -511,7 +511,7 @@ TEST(CollectivePlan, AutoSelectionWorksFamilyWide) {
     ard.count = 256;
     ard.combiner = coll::sum_combiner<double>();
     plan::CollectivePlan ar = plan::make_plan(world, machine, net, ard);
-    EXPECT_EQ(ar.allreduce_algo(), ar_want.algo);
+    EXPECT_EQ(ar.algo_id(), ar_want.algo);
     EXPECT_EQ(ar.group_size(), ar_want.group_size);
     co_return;
   });
@@ -528,18 +528,21 @@ TEST(CollectivePlan, TableMemoizesExtensionSelection) {
     agd.block = 64;
     plan::CollectivePlan ag =
         plan::make_plan(world, machine, net, agd, popts);
-    EXPECT_EQ(ag.allgather_algo(), table.lookup_allgather(machine, 64)->algo);
+    EXPECT_EQ(ag.algo_id(),
+              table.lookup(machine, coll::OpKind::kAllgather, 64)->algo);
 
     // count >= ranks (64): an unrestricted shape, so the table memoizes it
-    // (restricted count < ranks shapes always re-select; see choose_allreduce).
+    // (restricted count < ranks shapes always re-select; see
+    // TuningTable::choose).
     coll::AllreduceDesc ard;
     ard.count = 128;
     ard.combiner = coll::sum_combiner<float>();
     plan::CollectivePlan ar =
         plan::make_plan(world, machine, net, ard, popts);
-    const auto memoized = table.lookup_allreduce(machine, 128 * sizeof(float));
+    const auto memoized = table.lookup(machine, coll::OpKind::kAllreduce,
+                                       128 * sizeof(float));
     EXPECT_TRUE(memoized.has_value());
-    EXPECT_EQ(ar.allreduce_algo(), memoized->algo);
+    EXPECT_EQ(ar.algo_id(), memoized->algo);
     co_return;
   });
   // One entry per op; every rank after the first was served from the table.
@@ -559,9 +562,10 @@ TEST(ExtTuner, PrefersLocalityAllgatherAtScaleForSmallBlocks) {
   EXPECT_LT(loc, ring);
   // And selection with a large vector must not pick recursive doubling
   // (bandwidth-bound regime).
-  const coll::AllreduceChoice big = coll::select_allreduce_algorithm(
-      machine, net, 1 << 20, sizeof(double));
-  EXPECT_NE(big.algo, coll::AllreduceAlgo::kRecursiveDoubling);
+  const coll::Choice big =
+      coll::select_algorithm(machine, net, test::allreduce_desc(1 << 20));
+  EXPECT_NE(big.algo,
+            static_cast<int>(coll::AllreduceAlgo::kRecursiveDoubling));
 }
 
 // ---------------------------------------------------------------------------
@@ -872,10 +876,10 @@ TEST(CollectivePlan, ExtensionPlansStopAllocatingAfterWarmup) {
 TEST(TuningTable, OpTaggedRoundTrip) {
   const model::NetParams net = model::omni_path();
   plan::TuningTable table;
-  table.choose(topo::dane(8), net, 64);
-  table.choose(topo::dane(8), net, 1024);
-  table.choose_allgather(topo::dane(8), net, 64);
-  table.choose_allreduce(topo::dane(8), net, 1024, sizeof(double));
+  table.choose(topo::dane(8), net, test::alltoall_desc(64));
+  table.choose(topo::dane(8), net, test::alltoall_desc(1024));
+  table.choose(topo::dane(8), net, test::allgather_desc(64));
+  table.choose(topo::dane(8), net, test::allreduce_desc(1024));
   EXPECT_EQ(table.size(), 4u);
 
   std::stringstream ss;
@@ -886,24 +890,29 @@ TEST(TuningTable, OpTaggedRoundTrip) {
   // Alltoall entries at a given size do not shadow allgather entries at the
   // same size, and every decision survives the text round trip exactly.
   for (std::size_t block : {std::size_t{64}, std::size_t{1024}}) {
-    const auto want = table.lookup(topo::dane(8), block);
-    const auto got = loaded.lookup(topo::dane(8), block);
+    const auto want = table.lookup(topo::dane(8), coll::OpKind::kAlltoall,
+                                   block);
+    const auto got = loaded.lookup(topo::dane(8), coll::OpKind::kAlltoall,
+                                   block);
     ASSERT_TRUE(want && got);
     EXPECT_EQ(want->algo, got->algo);
     EXPECT_EQ(want->group_size, got->group_size);
     EXPECT_DOUBLE_EQ(want->predicted_seconds, got->predicted_seconds);
   }
-  const auto ag_want = table.lookup_allgather(topo::dane(8), 64);
-  const auto ag_got = loaded.lookup_allgather(topo::dane(8), 64);
+  const auto ag_want =
+      table.lookup(topo::dane(8), coll::OpKind::kAllgather, 64);
+  const auto ag_got =
+      loaded.lookup(topo::dane(8), coll::OpKind::kAllgather, 64);
   ASSERT_TRUE(ag_want && ag_got);
   EXPECT_EQ(ag_want->algo, ag_got->algo);
   EXPECT_EQ(ag_want->group_size, ag_got->group_size);
   EXPECT_DOUBLE_EQ(ag_want->predicted_seconds, ag_got->predicted_seconds);
-  const auto ar_got =
-      loaded.lookup_allreduce(topo::dane(8), 1024 * sizeof(double));
-  ASSERT_TRUE(ar_got.has_value());
-  EXPECT_EQ(ar_got->algo, table.lookup_allreduce(
-                              topo::dane(8), 1024 * sizeof(double))->algo);
+  const auto ar_want = table.lookup(topo::dane(8), coll::OpKind::kAllreduce,
+                                    1024 * sizeof(double));
+  const auto ar_got = loaded.lookup(topo::dane(8), coll::OpKind::kAllreduce,
+                                    1024 * sizeof(double));
+  ASSERT_TRUE(ar_want && ar_got);
+  EXPECT_EQ(ar_got->algo, ar_want->algo);
 }
 
 TEST(TuningTable, AllreduceHitRechecksRabenseifnerEligibility) {
@@ -916,14 +925,15 @@ TEST(TuningTable, AllreduceHitRechecksRabenseifnerEligibility) {
   plan::TuningTable table;
   // 65536 elements of 8 bytes: count >= ranks, Rabenseifner eligible (and,
   // at this size, typically chosen — but the test holds either way).
-  const coll::AllreduceChoice first =
-      table.choose_allreduce(machine, net, 65536, 8);
+  const coll::Choice first =
+      table.choose(machine, net, test::allreduce_desc(65536, 8));
   // Same 512 KiB vector as 16 jumbo elements: count < 32 ranks.
-  const coll::AllreduceChoice second =
-      table.choose_allreduce(machine, net, 16, 32768);
-  EXPECT_NE(second.algo, coll::AllreduceAlgo::kRabenseifner);
+  const coll::Choice second =
+      table.choose(machine, net, test::allreduce_desc(16, 32768));
+  EXPECT_NE(second.algo, static_cast<int>(coll::AllreduceAlgo::kRabenseifner));
   // The stored entry still serves the original shape.
-  EXPECT_EQ(table.choose_allreduce(machine, net, 65536, 8).algo, first.algo);
+  EXPECT_EQ(table.choose(machine, net, test::allreduce_desc(65536, 8)).algo,
+            first.algo);
 }
 
 TEST(TuningTable, RejectsV1UntaggedTables) {

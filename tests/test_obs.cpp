@@ -917,8 +917,9 @@ TEST(MetricsWiring, SelectorReportsExplorationFlag) {
   const topo::Machine machine = topo::generic(2, 4);
   autotune::OnlineSelector sel(autotune::Mode::kAdapt);
   bool explored = false;
-  const std::optional<coll::Choice> c = sel.choose_alltoall(
-      machine, model::test_params(), 64, "sim", &explored);
+  const std::optional<coll::Choice> c =
+      sel.choose(machine, model::test_params(), test::alltoall_desc(64), "sim",
+                 &explored);
   ASSERT_TRUE(c.has_value());
   // A fresh selector has zero evidence: the first choice must explore.
   EXPECT_TRUE(explored);

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "coll_ext/ext_tuner.hpp"
 #include "core/tuner.hpp"
 #include "plan/cache.hpp"
 #include "plan/plan.hpp"
@@ -383,10 +384,11 @@ TEST(PlanCache, DistinguishesCommunicators) {
 TEST(Plan, AutoSelectionMatchesTuner) {
   const topo::Machine machine = topo::generic_hier(4, 2, 2, 4);
   const model::NetParams net = model::omni_path();
-  const coll::Choice expect = coll::select_algorithm(machine, net, 64);
+  const coll::Choice expect =
+      coll::select_algorithm(machine, net, test::alltoall_desc(64));
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     plan::AlltoallPlan plan = plan::make_plan(world, machine, net, 64);
-    EXPECT_EQ(plan.algo(), expect.algo);
+    EXPECT_EQ(plan.algo_id(), expect.algo);
     EXPECT_EQ(plan.group_size(), expect.group_size);
     EXPECT_DOUBLE_EQ(plan.choice().predicted_seconds,
                      expect.predicted_seconds);
@@ -402,7 +404,8 @@ TEST(Plan, TableBackedSelectionIsMemoized) {
     plan::PlanOptions popts;
     popts.table = &table;
     plan::AlltoallPlan plan = plan::make_plan(world, machine, net, 64, popts);
-    EXPECT_EQ(plan.algo(), table.lookup(machine, 64)->algo);
+    EXPECT_EQ(plan.algo_id(),
+              table.lookup(machine, coll::OpKind::kAlltoall, 64)->algo);
     co_return;
   });
   // All ranks consulted the shared table; only the very first consult ran
@@ -439,16 +442,18 @@ TEST(TuningTable, ChooseMemoizesSelection) {
   const topo::Machine machine = topo::dane(8);
   const model::NetParams net = model::omni_path();
   plan::TuningTable table;
-  const coll::Choice first = table.choose(machine, net, 256);
-  const coll::Choice again = table.choose(machine, net, 256);
+  const coll::Choice first =
+      table.choose(machine, net, test::alltoall_desc(256));
+  const coll::Choice again =
+      table.choose(machine, net, test::alltoall_desc(256));
   EXPECT_EQ(first.algo, again.algo);
   EXPECT_EQ(first.group_size, again.group_size);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.lookups(), 2u);
   EXPECT_EQ(table.hits(), 1u);
   // Different shape or size: distinct entries.
-  table.choose(machine, net, 512);
-  table.choose(topo::dane(16), net, 256);
+  table.choose(machine, net, test::alltoall_desc(512));
+  table.choose(topo::dane(16), net, test::alltoall_desc(256));
   EXPECT_EQ(table.size(), 3u);
 }
 
@@ -457,7 +462,7 @@ TEST(TuningTable, SaveLoadRoundTrips) {
   plan::TuningTable table;
   for (int nodes : {2, 8}) {
     for (std::size_t block : {std::size_t{4}, std::size_t{1024}}) {
-      table.choose(topo::dane(nodes), net, block);
+      table.choose(topo::dane(nodes), net, test::alltoall_desc(block));
     }
   }
   std::stringstream ss;
@@ -466,8 +471,10 @@ TEST(TuningTable, SaveLoadRoundTrips) {
   EXPECT_EQ(loaded.size(), table.size());
   for (int nodes : {2, 8}) {
     for (std::size_t block : {std::size_t{4}, std::size_t{1024}}) {
-      const auto want = table.lookup(topo::dane(nodes), block);
-      const auto got = loaded.lookup(topo::dane(nodes), block);
+      const auto want =
+          table.lookup(topo::dane(nodes), coll::OpKind::kAlltoall, block);
+      const auto got =
+          loaded.lookup(topo::dane(nodes), coll::OpKind::kAlltoall, block);
       ASSERT_TRUE(want.has_value());
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(want->algo, got->algo);
@@ -486,9 +493,11 @@ TEST(TuningTable, RejectsUnserializableMachineNames) {
   desc.nodes = 2;
   desc.cores_per_numa = 4;
   const topo::Machine machine(desc);
-  EXPECT_THROW(table.choose(machine, model::test_params(), 64),
+  EXPECT_THROW(
+      table.choose(machine, model::test_params(), test::alltoall_desc(64)),
+      std::invalid_argument);
+  EXPECT_THROW(table.lookup(machine, coll::OpKind::kAlltoall, 64),
                std::invalid_argument);
-  EXPECT_THROW(table.lookup(machine, 64), std::invalid_argument);
   EXPECT_TRUE(table.empty());
 }
 

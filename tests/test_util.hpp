@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "coll_ext/allreduce.hpp"
+#include "coll_ext/op_desc.hpp"
 #include "model/presets.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/comm.hpp"
@@ -19,6 +21,38 @@
 #include "topo/presets.hpp"
 
 namespace mca2a::test {
+
+/// Descriptors that leave the algorithm to the tuner, for selection tests
+/// (partial aggregate initializers trip -Wmissing-field-initializers).
+inline coll::OpDesc alltoall_desc(std::size_t block) {
+  coll::AlltoallDesc d;
+  d.block = block;
+  return d;
+}
+
+inline coll::OpDesc allgather_desc(std::size_t block) {
+  coll::AllgatherDesc d;
+  d.block = block;
+  return d;
+}
+
+/// `count` elements of `elem_size` bytes. The combiner sums doubles, so
+/// plan and execute only with the default element size.
+inline coll::OpDesc allreduce_desc(std::size_t count,
+                                   std::size_t elem_size = sizeof(double)) {
+  coll::AllreduceDesc d;
+  d.count = count;
+  d.combiner = coll::sum_combiner<double>();
+  d.combiner.elem_size = elem_size;
+  return d;
+}
+
+/// An alltoallv described by its skew signature alone (no count vectors).
+inline coll::OpDesc alltoallv_desc(const coll::AlltoallvSkew& skew) {
+  coll::AlltoallvDesc d;
+  d.skew = skew;
+  return d;
+}
 
 /// Pattern byte for the k-th byte of the (src -> dst) block.
 inline std::byte pattern(int src, int dst, std::size_t k) {
