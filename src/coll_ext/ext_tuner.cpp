@@ -200,14 +200,15 @@ std::size_t alltoallv_size_class(const topo::Machine& machine,
 namespace {
 
 /// Candidate leader/group widths for the locality algorithms of any kind:
-/// {4, 8, 16, ppn} filtered to divisors of ppn.
+/// {4, 8, 16, ppn} filtered to divisors of ppn, each width once.
 std::vector<int> candidate_groups(int ppn) {
   std::vector<int> groups;
-  for (int g : {4, 8, 16, ppn}) {
-    if (g <= ppn && ppn % g == 0) {
+  for (int g : {4, 8, 16}) {
+    if (g < ppn && ppn % g == 0) {
       groups.push_back(g);
     }
   }
+  groups.push_back(ppn);
   return groups;
 }
 

@@ -455,47 +455,60 @@ TEST(TuningTableV3, LenientProfileStreamLoader) {
 
 // --- candidate pruning -------------------------------------------------------
 
-TEST(RankCandidates, HeadMatchesSelectAlgorithmBitForBit) {
-  for (const char* name : {"dane", "tuolomne"}) {
-    for (int nodes : {2, 8}) {
-      const topo::Machine machine = topo::by_name(name, nodes);
-      const model::NetParams net = model::for_machine(name);
-      for (std::size_t block : {4ul, 64ul, 512ul, 4096ul}) {
-        const coll::Choice direct =
-            coll::select_algorithm(machine, net, test::alltoall_desc(block));
-        const auto ranked = coll::rank_candidates(
-            machine, net, test::alltoall_desc(block), 4.0, 4);
-        ASSERT_FALSE(ranked.empty());
-        EXPECT_EQ(ranked.front().algo, direct.algo);
-        EXPECT_EQ(ranked.front().group_size, direct.group_size);
-        EXPECT_EQ(ranked.front().predicted_seconds,
-                  direct.predicted_seconds);
-        for (std::size_t i = 1; i < ranked.size(); ++i) {
-          EXPECT_GE(ranked[i].predicted_seconds,
-                    ranked[i - 1].predicted_seconds);
+TEST(RankCandidates, SortedPrunedAndDistinctForEveryKind) {
+  struct Case {
+    topo::Machine machine;
+    model::NetParams net;
+  };
+  // ppn 112 and 96 (presets), 4 and 8 (group widths that are also ppn),
+  // and a hierarchical node.
+  const std::vector<Case> cases = {
+      {topo::dane(2), model::for_machine("dane")},
+      {topo::tuolomne(8), model::for_machine("tuolomne")},
+      {topo::generic(2, 4), model::test_params()},
+      {topo::generic(1, 8), model::test_params()},
+      {topo::generic_hier(2, 2, 2, 4), model::test_params()},
+  };
+  for (const Case& c : cases) {
+    const std::size_t p = static_cast<std::size_t>(c.machine.total_ranks());
+    for (std::size_t block : {4ul, 64ul, 512ul, 4096ul}) {
+      coll::AlltoallvSkew skew;
+      skew.total_bytes = block * p * p;
+      skew.max_bytes = 64 * block;  // imbalance 64
+      for (const coll::OpDesc& desc :
+           {test::alltoall_desc(block), test::alltoallv_desc(skew),
+            test::allgather_desc(block), test::allreduce_desc(block)}) {
+        SCOPED_TRACE(c.machine.name() + " p=" + std::to_string(p) + " " +
+                     std::string(coll::op_kind_name(desc.kind())) + " " +
+                     std::to_string(block));
+        const auto all = coll::rank_candidates(c.machine, c.net, desc);
+        ASSERT_FALSE(all.empty());
+        for (std::size_t i = 1; i < all.size(); ++i) {
+          EXPECT_GE(all[i].predicted_seconds, all[i - 1].predicted_seconds);
+          for (std::size_t j = 0; j < i; ++j) {
+            EXPECT_FALSE(all[i].algo == all[j].algo &&
+                         all[i].group_size == all[j].group_size)
+                << "candidate (" << all[i].algo << ", g=" << all[i].group_size
+                << ") scored twice";
+          }
         }
-        EXPECT_LE(ranked.size(), 4u);
-        EXPECT_LE(ranked.back().predicted_seconds,
-                  4.0 * ranked.front().predicted_seconds);
+        // Pruned: the longest prefix of the full ranking within 4x of the
+        // best, at most 4 long.
+        const auto kept =
+            coll::rank_candidates(c.machine, c.net, desc, 4.0, 4);
+        std::size_t want = 0;
+        while (want < all.size() && want < 4 &&
+               all[want].predicted_seconds <=
+                   4.0 * all.front().predicted_seconds) {
+          ++want;
+        }
+        ASSERT_EQ(kept.size(), want);
+        for (std::size_t i = 0; i < want; ++i) {
+          EXPECT_EQ(kept[i].algo, all[i].algo);
+          EXPECT_EQ(kept[i].group_size, all[i].group_size);
+          EXPECT_EQ(kept[i].predicted_seconds, all[i].predicted_seconds);
+        }
       }
-    }
-  }
-}
-
-TEST(RankCandidates, AllgatherHeadMatchesSelector) {
-  const topo::Machine machine = topo::dane(4);
-  const model::NetParams net = model::omni_path();
-  for (std::size_t block : {4ul, 512ul, 4096ul}) {
-    const coll::Choice direct =
-        coll::select_algorithm(machine, net, test::allgather_desc(block));
-    const auto ranked = coll::rank_candidates(
-        machine, net, test::allgather_desc(block), 4.0, 4);
-    ASSERT_FALSE(ranked.empty());
-    EXPECT_EQ(ranked.front().algo, direct.algo);
-    EXPECT_EQ(ranked.front().group_size, direct.group_size);
-    for (std::size_t i = 1; i < ranked.size(); ++i) {
-      EXPECT_GE(ranked[i].predicted_seconds,
-                ranked[i - 1].predicted_seconds);
     }
   }
 }
