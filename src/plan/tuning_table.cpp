@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "coll_ext/ext_tuner.hpp"
 #include "obs/metrics.hpp"
@@ -22,6 +24,31 @@ std::size_t TuningKeyHash::operator()(const TuningKey& k) const noexcept {
   mix(k.size_class);
   return h;
 }
+
+namespace {
+
+/// Why no plan could use this entry, or "" when one can. The one rule
+/// load() and insert() both enforce, so save() never writes a line load()
+/// rejects.
+std::string unusable(const TuningKey& key, const coll::Choice& c) {
+  if (key.nodes < 1 || key.ppn < 1) {
+    return "nodes and ppn must be >= 1";
+  }
+  if (c.algo < 0 || c.algo >= coll::num_algos(key.op)) {
+    return "algorithm index " + std::to_string(c.algo) +
+           " out of range for " + std::string(coll::op_kind_name(key.op));
+  }
+  if (c.group_size < 1 || key.ppn % c.group_size != 0) {
+    return "group size " + std::to_string(c.group_size) +
+           " must be >= 1 and divide ppn " + std::to_string(key.ppn);
+  }
+  if (!(c.predicted_seconds >= 0.0)) {
+    return "predicted time must be >= 0";
+  }
+  return {};
+}
+
+}  // namespace
 
 TuningKey TuningTable::key_of(const topo::Machine& machine, coll::OpKind op,
                               std::size_t size_class) {
@@ -58,7 +85,11 @@ std::optional<coll::Choice> TuningTable::lookup(const topo::Machine& machine,
 
 void TuningTable::insert(const topo::Machine& machine, coll::OpKind kind,
                          std::size_t size_class, const coll::Choice& choice) {
-  entries_[key_of(machine, kind, size_class)] = choice;
+  TuningKey key = key_of(machine, kind, size_class);
+  if (const std::string why = unusable(key, choice); !why.empty()) {
+    throw std::invalid_argument("TuningTable::insert: " + why);
+  }
+  entries_[std::move(key)] = choice;
 }
 
 coll::Choice TuningTable::choose(const topo::Machine& machine,
@@ -128,10 +159,9 @@ TuningTable TuningTable::load(std::istream& is) {
                                "'");
     }
     key.op = *op;
-    if (e.algo < 0 || e.algo >= coll::num_algos(key.op)) {
-      throw std::runtime_error("TuningTable::load: algorithm index " +
-                               std::to_string(e.algo) + " out of range for " +
-                               std::string(coll::op_kind_name(key.op)));
+    if (const std::string why = unusable(key, e); !why.empty()) {
+      throw std::runtime_error("TuningTable::load: " + why + " in line: '" +
+                               line + "'");
     }
     table.entries_[key] = e;
   }

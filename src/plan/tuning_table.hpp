@@ -71,6 +71,8 @@ class TuningTable {
                                      std::size_t size_class) const;
 
   /// Insert or overwrite the entry for (machine shape, kind, size class).
+  /// Throws std::invalid_argument for an entry load() would reject (see
+  /// there), so save() never writes a line load() refuses.
   void insert(const topo::Machine& machine, coll::OpKind kind,
               std::size_t size_class, const coll::Choice& choice);
 
@@ -103,8 +105,10 @@ class TuningTable {
   /// Write the table as v3 text (see the file comment).
   void save(std::ostream& os) const;
   /// Parse a table written by save(). Throws std::runtime_error on a bad
-  /// header (anything but v3), unknown op tag, out-of-range algorithm
-  /// index, or malformed line.
+  /// header (anything but v3), a malformed line, an unknown op tag, or an
+  /// entry no plan could use — an out-of-range algorithm index, nodes or
+  /// ppn below 1, a group size below 1 or not dividing the entry's ppn, a
+  /// negative predicted time — naming the offending line or tag.
   static TuningTable load(std::istream& is);
 
   /// File convenience wrappers. save_file returns false when the file could

@@ -501,6 +501,44 @@ TEST(TuningTable, RejectsUnserializableMachineNames) {
   EXPECT_TRUE(table.empty());
 }
 
+TEST(TuningTable, LoadRejectsUnusableEntries) {
+  // Each line parses, but no plan could use it: load() must refuse it,
+  // naming the line, instead of handing make_plan a decision it cannot
+  // build (or a negative group size and prediction).
+  for (const char* line : {
+           "generic 2 4 a2a 64 2 3 1e-06",  // group 3 does not divide ppn 4
+           "generic 2 4 a2a 128 0 -5 -1",   // group < 1, negative time
+           "generic 2 4 a2a 128 0 4 -1",    // negative predicted time
+           "generic 2 4 ag 64 0 0 1e-06",   // group 0
+           "generic 0 4 a2a 64 0 4 1e-06",  // nodes < 1
+           "generic 2 0 a2a 64 0 1 1e-06",  // ppn < 1
+       }) {
+    std::stringstream ss(std::string("mca2a-tuning-table v3\n") + line +
+                         "\n");
+    try {
+      plan::TuningTable::load(ss);
+      ADD_FAILURE() << "loaded: " << line;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("TuningTable::load: ", 0), 0u) << what;
+      EXPECT_NE(what.find(line), std::string::npos) << what;
+    }
+  }
+  // insert() refuses the same entries, so save() cannot write them.
+  const topo::Machine machine = topo::generic(2, 4);
+  plan::TuningTable table;
+  for (const coll::Choice& bad :
+       {coll::Choice{2, 3, 1e-6}, coll::Choice{0, -5, -1.0},
+        coll::Choice{0, 4, -1.0}, coll::Choice{99, 4, 1e-6}}) {
+    EXPECT_THROW(table.insert(machine, coll::OpKind::kAlltoall, 64, bad),
+                 std::invalid_argument);
+  }
+  EXPECT_TRUE(table.empty());
+  // A usable entry still loads; a 0 s prediction is usable.
+  std::stringstream ok("mca2a-tuning-table v3\ngeneric 2 4 a2a 64 2 2 0\n");
+  EXPECT_EQ(plan::TuningTable::load(ok).size(), 1u);
+}
+
 TEST(TuningTable, LoadRejectsGarbage) {
   {
     std::stringstream ss("not a tuning table\n");
