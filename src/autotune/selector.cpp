@@ -61,43 +61,25 @@ Calibration OnlineSelector::calibration(const topo::Machine& machine,
   }
   const std::uint64_t rev = profiler_.revision();
   std::lock_guard<std::mutex> lk(mu_);
-  for (CalCacheEntry& e : cal_cache_) {
-    if (e.machine == machine.name() && e.nodes == machine.nodes() &&
-        e.ppn == machine.ppn() && e.backend == backend) {
-      if (e.revision != rev) {
-        e.cal = fit_cost_model(profiler_, machine, net, backend,
-                               cfg_.calibration_min_entries);
-        e.revision = rev;
-      }
-      return e.cal;
-    }
+  // One fit per (machine shape, backend), redone when the profile moved.
+  auto [it, fresh] = cal_cache_.try_emplace(
+      ProfileKey{machine.name(), machine.nodes(), machine.ppn(),
+                 coll::OpKind::kAlltoall, 0, 0, 0, std::string(backend)});
+  CalCacheEntry& e = it->second;
+  if (fresh || e.revision != rev) {
+    e.cal = fit_cost_model(profiler_, machine, net, backend,
+                           cfg_.calibration_min_entries);
+    e.revision = rev;
   }
-  CalCacheEntry e;
-  e.machine = machine.name();
-  e.nodes = machine.nodes();
-  e.ppn = machine.ppn();
-  e.backend = std::string(backend);
-  e.revision = rev;
-  e.cal = fit_cost_model(profiler_, machine, net, backend,
-                         cfg_.calibration_min_entries);
-  cal_cache_.push_back(e);
-  return cal_cache_.back().cal;
+  return e.cal;
 }
 
 const std::vector<coll::Choice>& OnlineSelector::candidate_set(
     const topo::Machine& machine, const model::NetParams& net,
     const coll::OpDesc& desc, std::size_t size_key, std::string_view backend) {
-  std::string key = machine.name();
-  key += ' ';
-  key += std::to_string(machine.nodes());
-  key += ' ';
-  key += std::to_string(machine.ppn());
-  key += ' ';
-  key += coll::op_kind_tag(desc.kind());
-  key += ' ';
-  key += std::to_string(size_key);
-  key += ' ';
-  key += backend;
+  // The set spans algorithms and groups: both stay 0 in its key.
+  ProfileKey key{machine.name(), machine.nodes(), machine.ppn(), desc.kind(),
+                 size_key, 0, 0, std::string(backend)};
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = cand_cache_.find(key);
   if (it != cand_cache_.end()) {
@@ -114,13 +96,11 @@ const std::vector<coll::Choice>& OnlineSelector::candidate_set(
       .first->second;
 }
 
-std::optional<coll::Choice> OnlineSelector::pick(
-    const topo::Machine& machine, coll::OpKind op, std::size_t size_key,
-    std::string_view backend, const std::vector<coll::Choice>& ranked,
-    bool* explored) {
-  if (ranked.empty()) {
-    return std::nullopt;
-  }
+coll::Choice OnlineSelector::pick(const topo::Machine& machine,
+                                  coll::OpKind op, std::size_t size_key,
+                                  std::string_view backend,
+                                  const std::vector<coll::Choice>& ranked,
+                                  bool* explored) {
   // Exploration: the least-sampled under-target candidate, model order on
   // ties — a pure function of the profiler state, so every rank of a
   // collective resolves the same candidate (see the determinism contract

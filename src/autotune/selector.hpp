@@ -147,11 +147,10 @@ class OnlineSelector {
       const topo::Machine& machine, const model::NetParams& net,
       const coll::OpDesc& desc, std::size_t size_key,
       std::string_view backend);
-  std::optional<coll::Choice> pick(const topo::Machine& machine,
-                                   coll::OpKind op, std::size_t size_key,
-                                   std::string_view backend,
-                                   const std::vector<coll::Choice>& ranked,
-                                   bool* explored);
+  /// The exploring or exploiting pick among `ranked` (never empty).
+  coll::Choice pick(const topo::Machine& machine, coll::OpKind op,
+                    std::size_t size_key, std::string_view backend,
+                    const std::vector<coll::Choice>& ranked, bool* explored);
   model::NetParams ranking_params(const topo::Machine& machine,
                                   const model::NetParams& net,
                                   std::string_view backend);
@@ -168,17 +167,16 @@ class OnlineSelector {
   std::atomic<std::uint64_t> explorations_{0};
   std::atomic<std::uint64_t> exploitations_{0};
   struct CalCacheEntry {
-    std::string machine;
-    int nodes = 0;
-    int ppn = 0;
-    std::string backend;
-    std::uint64_t revision = 0;
+    std::uint64_t revision = 0;  ///< the profiler revision `cal` was fit at
     Calibration cal;
   };
-  std::vector<CalCacheEntry> cal_cache_;
-  /// Frozen candidate sets, keyed by "(machine shape, op, size class,
-  /// backend)" rendered as a string.
-  std::unordered_map<std::string, std::vector<coll::Choice>> cand_cache_;
+  /// Calibrations keyed by (machine shape, backend): profile keys with op,
+  /// size class, algo and group size 0.
+  std::unordered_map<ProfileKey, CalCacheEntry, ProfileKeyHash> cal_cache_;
+  /// Frozen candidate sets, keyed by (machine shape, op, size class,
+  /// backend): profile keys with algo and group size 0.
+  std::unordered_map<ProfileKey, std::vector<coll::Choice>, ProfileKeyHash>
+      cand_cache_;
 };
 
 }  // namespace mca2a::autotune

@@ -243,15 +243,16 @@ std::vector<Choice> rank_candidates(const topo::Machine& machine,
   const int ppn = machine.ppn();
   const std::vector<int> groups = candidate_groups(ppn);
   std::vector<Choice> all;
+  const auto add = [&all](auto algo, int g, double seconds) {
+    all.push_back(Choice{static_cast<int>(algo), g, seconds});
+  };
   // Enumeration order is the tie-break: the first-enumerated of equally
   // fast candidates ranks first.
   switch (desc.kind()) {
     case OpKind::kAlltoall: {
       const std::size_t block = desc.alltoall().block;
       const auto consider = [&](Algo a, int g) {
-        all.push_back(Choice{static_cast<int>(a), g,
-                             predict_alltoall_seconds(a, machine, net, block,
-                                                      g)});
+        add(a, g, predict_alltoall_seconds(a, machine, net, block, g));
       };
       for (Algo a : {Algo::kSystemMpi, Algo::kBruckDirect,
                      Algo::kPairwiseDirect, Algo::kNonblockingDirect,
@@ -270,9 +271,7 @@ std::vector<Choice> rank_candidates(const topo::Machine& machine,
     case OpKind::kAlltoallv: {
       const AlltoallvSkew skew = skew_of(desc.alltoallv());
       const auto consider = [&](AlltoallvAlgo a, int g) {
-        all.push_back(Choice{static_cast<int>(a), g,
-                             predict_alltoallv_seconds(a, machine, net, skew,
-                                                       g)});
+        add(a, g, predict_alltoallv_seconds(a, machine, net, skew, g));
       };
       consider(AlltoallvAlgo::kPairwise, ppn);
       consider(AlltoallvAlgo::kNonblocking, ppn);
@@ -288,9 +287,7 @@ std::vector<Choice> rank_candidates(const topo::Machine& machine,
     case OpKind::kAllgather: {
       const std::size_t block = desc.allgather().block;
       const auto consider = [&](AllgatherAlgo a, int g) {
-        all.push_back(Choice{static_cast<int>(a), g,
-                             predict_allgather_seconds(a, machine, net, block,
-                                                       g)});
+        add(a, g, predict_allgather_seconds(a, machine, net, block, g));
       };
       consider(AllgatherAlgo::kRing, ppn);
       consider(AllgatherAlgo::kBruck, ppn);
@@ -303,9 +300,7 @@ std::vector<Choice> rank_candidates(const topo::Machine& machine,
     case OpKind::kAllreduce: {
       const AllreduceDesc& d = desc.allreduce();
       const auto consider = [&](AllreduceAlgo a, int g) {
-        all.push_back(Choice{static_cast<int>(a), g,
-                             predict_allreduce_seconds(a, machine, net,
-                                                       d.bytes(), g)});
+        add(a, g, predict_allreduce_seconds(a, machine, net, d.bytes(), g));
       };
       consider(AllreduceAlgo::kRecursiveDoubling, ppn);
       if (d.count >= static_cast<std::size_t>(machine.total_ranks())) {
@@ -322,17 +317,16 @@ std::vector<Choice> rank_candidates(const topo::Machine& machine,
   std::stable_sort(all.begin(), all.end(), [](const Choice& x, const Choice& y) {
     return x.predicted_seconds < y.predicted_seconds;
   });
+  // Pruned at the first candidate past the cutoff (`>`: a 0 s best times
+  // an infinite factor is NaN, which must prune nothing), then at the cap.
   const double cutoff =
       all.front().predicted_seconds * std::max(1.0, plausible_factor);
-  const std::size_t cap = std::max<std::size_t>(1, max_candidates);
-  std::size_t kept = 0;
-  // Not `<= cutoff`: a 0 s best times an infinite factor is NaN, and that
-  // must prune nothing.
-  while (kept < all.size() && kept < cap &&
-         !(all[kept].predicted_seconds > cutoff)) {
-    ++kept;
-  }
-  all.resize(kept);
+  all.erase(std::find_if(all.begin(), all.end(),
+                         [cutoff](const Choice& c) {
+                           return c.predicted_seconds > cutoff;
+                         }),
+            all.end());
+  all.resize(std::min(all.size(), std::max<std::size_t>(1, max_candidates)));
   return all;
 }
 
