@@ -13,9 +13,8 @@
 ///  * kAdapt    — bounded exploration, then exploitation: while any
 ///                model-plausible candidate (coll::rank_candidates — within
 ///                a factor of the predicted best, capped in count) has
-///                fewer than
-///                `explore_target` *executions* of evidence for this
-///                (machine, op, size class, backend), pick the
+///                fewer than `explore_target` *executions* of evidence for
+///                this (machine, op, size class, backend), pick the
 ///                least-sampled one (ties in model order); once all are
 ///                warmed, pick the measured winner by mean. A greedy
 ///                bandit whose exploration cost is bounded by

@@ -438,9 +438,9 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
     }
     case coll::OpKind::kAlltoallv: {
       const auto& d = p.desc_.alltoallv();
-      const auto a = static_cast<coll::AlltoallvAlgo>(p.algo_);
-      need_lc = coll::needs_locality(a);
-      need_leaders = coll::needs_leader_comms(a);
+      const auto va = static_cast<coll::AlltoallvAlgo>(p.algo_);
+      need_lc = coll::needs_locality(va);
+      need_leaders = coll::needs_leader_comms(va);
       p.send_displs_ = coll::displs_from_counts(d.send_counts);
       p.recv_displs_ = coll::displs_from_counts(d.recv_counts);
       p.send_total_ = d.send_total();
@@ -452,18 +452,20 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
           coll::needs_locality(static_cast<coll::AllgatherAlgo>(p.algo_));
       break;
     case coll::OpKind::kAllreduce: {
-      const auto a = static_cast<coll::AllreduceAlgo>(p.algo_);
-      const std::size_t count = p.desc_.allreduce().count;
-      if (a == coll::AllreduceAlgo::kRabenseifner &&
-          count < static_cast<std::size_t>(world.size()) && world.size() > 1) {
+      const auto& d = p.desc_.allreduce();
+      if (static_cast<coll::AllreduceAlgo>(p.algo_) ==
+              coll::AllreduceAlgo::kRabenseifner &&
+          d.count < static_cast<std::size_t>(world.size()) &&
+          world.size() > 1) {
         // Fail at plan time, not execute time: the algorithm needs at least
         // one element per rank to reduce-scatter.
         throw std::invalid_argument(
             "make_plan: Rabenseifner allreduce needs count >= ranks (" +
-            std::to_string(count) + " < " + std::to_string(world.size()) +
+            std::to_string(d.count) + " < " + std::to_string(world.size()) +
             ")");
       }
-      need_lc = coll::needs_locality(a);
+      need_lc =
+          coll::needs_locality(static_cast<coll::AllreduceAlgo>(p.algo_));
       break;
     }
     case coll::OpKind::kCount_:
