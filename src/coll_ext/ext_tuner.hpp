@@ -77,10 +77,10 @@ std::size_t size_class(const OpDesc& desc, const topo::Machine& machine);
 /// predicted time ascending (stable: ties keep enumeration order), then
 /// pruned to those within `plausible_factor` of the best prediction, at
 /// most `max_candidates` of them. Group widths come from {4, 8, 16, ppn}
-/// filtered to divisors of ppn, each width once. Allreduce considers Rabenseifner only when
-/// count >= total ranks (its algorithmic requirement); alltoallv reads the
-/// descriptor's skew signature, or estimates one (see size_class). The
-/// descriptor's own `algo` is ignored.
+/// filtered to divisors of ppn, each width once. Allreduce considers
+/// Rabenseifner only when count >= total ranks (its algorithmic
+/// requirement); alltoallv reads the descriptor's skew signature, or
+/// estimates one (see size_class). The descriptor's own `algo` is ignored.
 std::vector<Choice> rank_candidates(
     const topo::Machine& machine, const model::NetParams& net,
     const OpDesc& desc,
