@@ -455,6 +455,49 @@ TEST(TuningTableV3, LenientProfileStreamLoader) {
 
 // --- candidate pruning -------------------------------------------------------
 
+TEST(RankCandidates, HeadMatchesSelectAlgorithmBitForBit) {
+  for (const char* name : {"dane", "tuolomne"}) {
+    for (int nodes : {2, 8}) {
+      const topo::Machine machine = topo::by_name(name, nodes);
+      const model::NetParams net = model::for_machine(name);
+      for (std::size_t block : {4ul, 64ul, 512ul, 4096ul}) {
+        const coll::OpDesc desc = test::alltoall_desc(block);
+        const coll::Choice direct = coll::select_algorithm(machine, net, desc);
+        const auto ranked = coll::rank_candidates(machine, net, desc, 4.0, 4);
+        ASSERT_FALSE(ranked.empty());
+        EXPECT_EQ(ranked.front().algo, direct.algo);
+        EXPECT_EQ(ranked.front().group_size, direct.group_size);
+        EXPECT_EQ(ranked.front().predicted_seconds,
+                  direct.predicted_seconds);
+        for (std::size_t i = 1; i < ranked.size(); ++i) {
+          EXPECT_GE(ranked[i].predicted_seconds,
+                    ranked[i - 1].predicted_seconds);
+        }
+        EXPECT_LE(ranked.size(), 4u);
+        EXPECT_LE(ranked.back().predicted_seconds,
+                  4.0 * ranked.front().predicted_seconds);
+      }
+    }
+  }
+}
+
+TEST(RankCandidates, AllgatherHeadMatchesSelector) {
+  const topo::Machine machine = topo::dane(4);
+  const model::NetParams net = model::omni_path();
+  for (std::size_t block : {4ul, 512ul, 4096ul}) {
+    const coll::OpDesc desc = test::allgather_desc(block);
+    const coll::Choice direct = coll::select_algorithm(machine, net, desc);
+    const auto ranked = coll::rank_candidates(machine, net, desc, 4.0, 4);
+    ASSERT_FALSE(ranked.empty());
+    EXPECT_EQ(ranked.front().algo, direct.algo);
+    EXPECT_EQ(ranked.front().group_size, direct.group_size);
+    for (std::size_t i = 1; i < ranked.size(); ++i) {
+      EXPECT_GE(ranked[i].predicted_seconds,
+                ranked[i - 1].predicted_seconds);
+    }
+  }
+}
+
 TEST(RankCandidates, SortedPrunedAndDistinctForEveryKind) {
   struct Case {
     topo::Machine machine;
