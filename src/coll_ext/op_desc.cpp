@@ -1,28 +1,10 @@
 #include "coll_ext/op_desc.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 namespace mca2a::coll {
-
-namespace {
-
-/// FNV-1a over a size_t sequence; compresses alltoallv count vectors into
-/// the key without embedding every entry (the low-order totals are included
-/// alongside, so a collision would additionally need matching sums).
-std::uint64_t fnv1a(const std::vector<std::size_t>& values) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t v : values) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string_view op_kind_name(OpKind k) {
   switch (k) {
@@ -180,14 +162,6 @@ void AlltoallDesc::validate(const rt::Comm& comm) const {
   }
 }
 
-std::string AlltoallDesc::key() const {
-  std::string k = "a2a:b=" + std::to_string(block);
-  if (algo) {
-    k += ",alg=" + std::to_string(static_cast<int>(*algo));
-  }
-  return k;
-}
-
 // --- AlltoallvDesc -----------------------------------------------------------
 
 std::size_t AlltoallvDesc::send_total() const {
@@ -221,23 +195,6 @@ void AlltoallvDesc::validate(const rt::Comm& comm) const {
   }
 }
 
-std::string AlltoallvDesc::key() const {
-  std::string k = "a2av:p=" + std::to_string(send_counts.size()) +
-                  ",st=" + std::to_string(send_total()) +
-                  ",rt=" + std::to_string(recv_total()) +
-                  ",h=" + std::to_string(fnv1a(send_counts)) + "." +
-                  std::to_string(fnv1a(recv_counts));
-  if (algo) {
-    k += ",alg=" + std::to_string(static_cast<int>(*algo));
-  } else if (skew) {
-    // The skew signature feeds the tuner, so two descriptors differing only
-    // in it can resolve to different algorithms — it must not alias.
-    k += ",sk=" + std::to_string(skew->total_bytes) + "." +
-         std::to_string(skew->max_bytes);
-  }
-  return k;
-}
-
 // --- AllgatherDesc -----------------------------------------------------------
 
 void AllgatherDesc::validate(const rt::Comm& comm) const {
@@ -246,14 +203,6 @@ void AllgatherDesc::validate(const rt::Comm& comm) const {
       (*algo < AllgatherAlgo::kRing || *algo >= AllgatherAlgo::kCount_)) {
     throw std::invalid_argument("AllgatherDesc: algorithm out of range");
   }
-}
-
-std::string AllgatherDesc::key() const {
-  std::string k = "ag:b=" + std::to_string(block);
-  if (algo) {
-    k += ",alg=" + std::to_string(static_cast<int>(*algo));
-  }
-  return k;
 }
 
 // --- AllreduceDesc -----------------------------------------------------------
@@ -272,24 +221,7 @@ void AllreduceDesc::validate(const rt::Comm& comm) const {
   }
 }
 
-std::string AllreduceDesc::key() const {
-  // The combiner's function pointer distinguishes sum/max/min plans of the
-  // same shape; it is stable within a process, which is all the plan cache
-  // needs (tuning tables use only the op tag and payload size).
-  std::string k = "ar:n=" + std::to_string(count) +
-                  ",e=" + std::to_string(combiner.elem_size) + ",cb=" +
-                  std::to_string(reinterpret_cast<std::uintptr_t>(combiner.fn));
-  if (algo) {
-    k += ",alg=" + std::to_string(static_cast<int>(*algo));
-  }
-  return k;
-}
-
 // --- OpDesc ------------------------------------------------------------------
-
-std::string OpDesc::key() const {
-  return std::visit([](const auto& d) { return d.key(); }, v_);
-}
 
 void OpDesc::validate(const rt::Comm& comm) const {
   std::visit([&comm](const auto& d) { d.validate(comm); }, v_);

@@ -8,25 +8,21 @@
 /// optionally, which algorithm to use (nullopt lets the tuner pick from the
 /// closed-form cost model, family-wide). A descriptor knows how to
 /// validate itself against a communicator — catching the size/contract
-/// violations that would otherwise surface as deadlock or truncation — and
-/// produces a stable key() used by plan::PlanCache and plan::TuningTable,
-/// so one cache and one tuning table serve all four collectives.
+/// violations that would otherwise surface as deadlock or truncation.
+/// plan::TuningTable files its entries under the op kind and
+/// coll::size_class (coll_ext/ext_tuner.hpp), so one table serves all four
+/// collectives.
 ///
 /// `OpDesc` is the std::variant-backed sum of the family; each member
-/// descriptor converts implicitly, so call sites read
+/// descriptor converts implicitly. Every member has a default member
+/// initializer, so partial aggregate initializers compile warning-free:
 ///
 ///   auto plan = plan::make_plan(world, machine, net,
 ///                               coll::AllgatherDesc{.block = 64});
-///
-/// Keys are stable within a process (AllreduceDesc includes the combiner's
-/// function pointer so sum/max/min plans of the same shape never alias);
-/// tuning-table keys, which must survive serialization, use only the op tag
-/// and payload size (plan/tuning_table.hpp).
 
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
@@ -37,8 +33,8 @@
 
 namespace mca2a::coll {
 
-/// The collective family. Values are stable (used as array indices by the
-/// per-op cache counters and as tags in the tuning-table file format).
+/// The collective family. Values are stable: trace events carry them as
+/// their `kind` argument.
 enum class OpKind : int {
   kAlltoall = 0,
   kAlltoallv,
@@ -50,7 +46,7 @@ inline constexpr int kNumOpKinds = static_cast<int>(OpKind::kCount_);
 
 /// Human-readable name ("alltoall", "allgather", ...).
 std::string_view op_kind_name(OpKind k);
-/// Short stable tag used in keys and the tuning-table file format
+/// Short stable tag used in the tuning-table and profile file formats
 /// ("a2a", "a2av", "ag", "ar").
 std::string_view op_kind_tag(OpKind k);
 /// Inverse of op_kind_tag; nullopt for an unknown tag.
@@ -137,10 +133,9 @@ struct AlltoallDesc {
   std::size_t block = 0;
   /// Algorithm override; nullopt lets the tuner pick (algorithm and group
   /// size) from the closed-form cost model.
-  std::optional<Algo> algo;
+  std::optional<Algo> algo{};
 
   void validate(const rt::Comm& comm) const;
-  std::string key() const;
 };
 
 /// MPI_Alltoallv: per-peer byte counts; blocks are packed contiguously in
@@ -149,45 +144,42 @@ struct AlltoallDesc {
 /// callers' collective contract, but the extents it implies are enforced
 /// locally at execute time.
 struct AlltoallvDesc {
-  std::vector<std::size_t> send_counts;
-  std::vector<std::size_t> recv_counts;
-  std::optional<AlltoallvAlgo> algo;
+  std::vector<std::size_t> send_counts{};
+  std::vector<std::size_t> recv_counts{};
+  std::optional<AlltoallvAlgo> algo{};
   /// Collective skew signature consulted when `algo` is empty; when absent
   /// the tuner falls back to estimate_alltoallv_skew over this rank's
   /// vectors (see AlltoallvSkew for the cross-rank agreement caveat).
-  std::optional<AlltoallvSkew> skew;
+  std::optional<AlltoallvSkew> skew{};
 
   std::size_t send_total() const;
   std::size_t recv_total() const;
   void validate(const rt::Comm& comm) const;
-  std::string key() const;
 };
 
 /// MPI_Allgather: every rank contributes `block` bytes; everyone ends with
 /// all size() blocks in rank order.
 struct AllgatherDesc {
   std::size_t block = 0;
-  std::optional<AllgatherAlgo> algo;
+  std::optional<AllgatherAlgo> algo{};
 
   void validate(const rt::Comm& comm) const;
-  std::string key() const;
 };
 
 /// MPI_Allreduce: `count` elements combined element-wise across all ranks.
 struct AllreduceDesc {
   std::size_t count = 0;  ///< elements, not bytes
-  Combiner combiner;
-  std::optional<AllreduceAlgo> algo;
+  Combiner combiner{};
+  std::optional<AllreduceAlgo> algo{};
 
   std::size_t bytes() const { return count * combiner.elem_size; }
   void validate(const rt::Comm& comm) const;
-  std::string key() const;
 };
 
 // --- the sum type ------------------------------------------------------------
 
 /// One descriptor for any collective in the family. Implicitly
-/// constructible from each member type; kind()/key()/validate() dispatch.
+/// constructible from each member type; kind()/validate() dispatch.
 class OpDesc {
  public:
   using Variant =
@@ -201,10 +193,6 @@ class OpDesc {
   OpKind kind() const noexcept {
     return static_cast<OpKind>(static_cast<int>(v_.index()));
   }
-
-  /// Process-stable cache key: op tag + every execution-relevant field of
-  /// the descriptor (including the explicit algorithm choice, if any).
-  std::string key() const;
 
   /// Throws std::invalid_argument on size/contract violations against
   /// `comm` (count-vector lengths, null combiners, ...).

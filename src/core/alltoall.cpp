@@ -182,7 +182,7 @@ rt::Task<void> run_alltoall(Algo algo, rt::Comm& world,
                               opts.tag_stream);
       co_return;
     case Algo::kBatchedDirect:
-      co_await alltoall_batched(world, send, recv, block, opts.batch_window,
+      co_await alltoall_batched(world, send, recv, block, kBatchWindow,
                                 opts.tag_stream);
       co_return;
     case Algo::kCount_:

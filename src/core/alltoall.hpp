@@ -64,13 +64,15 @@ struct Trace {
   void add(Phase p, double dt) { seconds[static_cast<int>(p)] += dt; }
 };
 
+/// Outstanding pairs of the batched algorithm when run_alltoall (and so
+/// every plan) runs Algo::kBatchedDirect; alltoall_batched takes any window.
+inline constexpr int kBatchWindow = 32;
+/// Largest block the System MPI surrogate sends with Bruck; larger blocks
+/// go pairwise. predict_alltoall_seconds switches at the same size.
+inline constexpr std::size_t kSystemSmallThreshold = 512;
+
 struct Options {
   Inner inner = Inner::kPairwise;
-  /// Window size for the batched algorithm.
-  int batch_window = 32;
-  /// Per-message-size threshold for the System MPI surrogate's switch from
-  /// Bruck to pairwise.
-  std::size_t system_small_threshold = 512;
   /// Optional per-rank phase timing sink.
   Trace* trace = nullptr;
   /// Optional reusable scratch arena (runtime/scratch.hpp). When set, every
@@ -141,7 +143,7 @@ rt::Task<void> alltoall_multileader_node_aware(const rt::LocalityComms& lc,
                                                std::size_t block,
                                                const Options& opts);
 
-/// System MPI surrogate: Bruck for blocks <= opts.system_small_threshold,
+/// System MPI surrogate: Bruck for blocks <= kSystemSmallThreshold,
 /// pairwise otherwise, with the model's vendor tuning factor applied (the
 /// simulator scales CPU costs on vendor-flagged communicators; on the
 /// threads backend the factor is a no-op).

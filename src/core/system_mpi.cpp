@@ -16,7 +16,7 @@ namespace mca2a::coll {
 rt::Task<void> alltoall_system_mpi(rt::Comm& comm, rt::ConstView send,
                                    rt::MutView recv, std::size_t block,
                                    const Options& opts) {
-  if (block <= opts.system_small_threshold) {
+  if (block <= kSystemSmallThreshold) {
     co_await alltoall_bruck(comm, send, recv, block, opts.scratch,
                             opts.tag_stream);
   } else {

@@ -168,8 +168,7 @@ double predict_alltoall_seconds(Algo algo, const topo::Machine& machine,
 
   switch (algo) {
     case Algo::kSystemMpi: {
-      Options o;
-      const double t = block <= o.system_small_threshold
+      const double t = block <= kSystemSmallThreshold
                            ? predict_bruck(net, sh)
                            : predict_direct_pairwise(net, sh);
       return t * net.vendor_factor;

@@ -5,7 +5,7 @@
 /// cache lines.
 ///
 /// The registry is the common export surface for the counters the subsystems
-/// used to hoard privately (plan cache hits, tag-stream draws, scratch-arena
+/// used to hoard privately (plan executions, tag-stream draws, scratch-arena
 /// bytes, autotune decisions, per-level wire bytes). Registration (name
 /// lookup) takes a mutex and may allocate; call sites therefore register
 /// once — typically through a function-local static reference — and then

@@ -370,8 +370,6 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
   micros_name += coll::op_kind_name(p.desc_.kind());
   p.exec_micros_ = &obs::metrics().histogram(micros_name);
   p.opts_.inner = opts.inner;
-  p.opts_.batch_window = opts.batch_window;
-  p.opts_.system_small_threshold = opts.system_small_threshold;
 
   // The active online autotuner: the explicit one, else the env-configured
   // process-global one, else none (the pre-autotune path, bit-for-bit).
@@ -489,14 +487,6 @@ CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
                  {"group", p.group_size_}});
   }
   return p;
-}
-
-CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
-                         const model::NetParams& net, std::size_t block,
-                         const PlanOptions& opts) {
-  coll::AlltoallDesc d;
-  d.block = block;
-  return make_plan(world, machine, net, coll::OpDesc(std::move(d)), opts);
 }
 
 }  // namespace mca2a::plan

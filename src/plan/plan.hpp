@@ -49,9 +49,8 @@
 ///
 /// Plans are movable but must not be moved or destroyed while an operation
 /// is in flight (the running coroutine captures `this`): moving then throws
-/// std::logic_error, destruction debug-asserts. PlanCache (plan/cache.hpp)
-/// hands out shared_ptr-managed plans, which never move, and one cache
-/// serves all four collectives (keys come from OpDesc::key()).
+/// std::logic_error, destruction debug-asserts. Callers build a plan once
+/// and hold it for as long as they run that collective.
 
 #include <cassert>
 #include <cstddef>
@@ -173,10 +172,6 @@ struct PlanOptions {
   int group_size = 0;
   /// Inner exchange used by the locality alltoall and alltoallv algorithms.
   coll::Inner inner = coll::Inner::kPairwise;
-  /// Window for the batched algorithm.
-  int batch_window = 32;
-  /// Bruck-to-pairwise threshold of the System MPI surrogate.
-  std::size_t system_small_threshold = 512;
   /// Optional memoization table consulted (and filled) when the tuner
   /// picks; must outlive the plan creation call. Serves every op kind.
   TuningTable* table = nullptr;
@@ -367,9 +362,6 @@ class CollectivePlan {
   autotune::ProfileKey profile_key_;
 };
 
-/// The pre-family name; alltoall call sites keep compiling unchanged.
-using AlltoallPlan = CollectivePlan;
-
 /// Plan any collective described by `desc` on `world`. Validates the
 /// descriptor, runs the matching tuner (once) unless an algorithm is given,
 /// builds the locality communicators the chosen algorithm needs, and sets
@@ -380,12 +372,6 @@ using AlltoallPlan = CollectivePlan;
 /// size does not divide ppn.
 CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
                          const model::NetParams& net, coll::OpDesc desc,
-                         const PlanOptions& opts = {});
-
-/// Alltoall shorthand: plan `block` bytes per rank pair (the PR-1 entry
-/// point, equivalent to passing coll::AlltoallDesc{block}).
-CollectivePlan make_plan(rt::Comm& world, const topo::Machine& machine,
-                         const model::NetParams& net, std::size_t block,
                          const PlanOptions& opts = {});
 
 }  // namespace mca2a::plan

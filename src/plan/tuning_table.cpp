@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -118,7 +119,9 @@ void TuningTable::save(std::ostream& os) const {
   os << autotune::kTableHeader << "\n";
   // max_digits10 so predicted times survive the text round-trip exactly.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (const auto& [key, e] : entries_) {
+  const std::map<TuningKey, coll::Choice> sorted(entries_.begin(),
+                                                 entries_.end());
+  for (const auto& [key, e] : sorted) {
     os << key.machine << ' ' << key.nodes << ' ' << key.ppn << ' '
        << coll::op_kind_tag(key.op) << ' ' << key.size_class << ' ' << e.algo
        << ' ' << e.group_size << ' ' << e.predicted_seconds << "\n";

@@ -5,9 +5,9 @@
 /// The family's selector (coll::select_algorithm, coll_ext/ext_tuner)
 /// evaluates a closed-form cost model for every (algorithm, group size)
 /// candidate. That is cheap once but wasteful when the same (machine, op,
-/// size) question is asked thousands of times — e.g. a plan cache serving
-/// many communicators, or a long-running service answering per-request
-/// size classes. A TuningTable memoizes coll::Choice decisions keyed by
+/// size) question is asked thousands of times — e.g. plans built on many
+/// communicators, or a long-running service answering per-request size
+/// classes. A TuningTable memoizes coll::Choice decisions keyed by
 /// (machine name, nodes, ppn, op tag, coll::size_class) so repeated
 /// selection is an O(1) hash lookup, and round-trips through a
 /// line-oriented text format so a table computed offline (or on a login
@@ -22,7 +22,10 @@
 /// autotune::ExecutionProfiler entry (see autotune/profiler.hpp for the
 /// line format), so warmed online-autotuning knowledge ships in the same
 /// artifact as the model's memoized decisions. The profile section may be
-/// empty. Only v3 loads; earlier headers are bad headers.
+/// empty. Only v3 loads; earlier headers are bad headers. Both sections
+/// are written sorted by key (entries by machine, nodes, ppn, op, size
+/// class), so a table loaded from a saved file saves that file again byte
+/// for byte.
 ///
 /// The table is keyed by machine *shape*, not network parameters: entries
 /// are only meaningful for the NetParams they were computed with, which is
@@ -56,6 +59,8 @@ struct TuningKey {
   std::size_t size_class = 0;
 
   bool operator==(const TuningKey&) const = default;
+  /// Member order: save() writes entries sorted by it.
+  auto operator<=>(const TuningKey&) const = default;
 };
 
 struct TuningKeyHash {

@@ -79,7 +79,6 @@ void run_case(const Case& c) {
     test::fill_send(send, world.rank(), p, c.block);
     Options opts;
     opts.inner = c.inner;
-    opts.batch_window = 3;  // exercise multiple batches
     co_await coll::run_alltoall(c.algo, world, lc ? &*lc : nullptr,
                                 send.view(), recv.view(), c.block, opts);
     EXPECT_TRUE(test::check_recv(recv, world.rank(), p, c.block));
@@ -268,15 +267,24 @@ TEST(AlltoallProperty, LocalityAlgorithmsRejectMissingBundle) {
 }
 
 TEST(AlltoallProperty, BatchedWindowOneStillRoutesCorrectly) {
-  const int p = 5;
+  // run_alltoall runs the batched algorithm with coll::kBatchWindow, which
+  // is wider than these worlds; small windows split them into batches.
   const std::size_t block = 12;
-  test::run_sim_flat(p, [&](Comm& c) -> Task<void> {
-    Buffer send = Buffer::real(block * p);
-    Buffer recv = Buffer::real(block * p);
-    test::fill_send(send, c.rank(), p, block);
-    co_await coll::alltoall_batched(c, send.view(), recv.view(), block, 1);
-    EXPECT_TRUE(test::check_recv(recv, c.rank(), p, block));
-  });
+  for (int p : {5, 7, 8, 13}) {
+    for (int window : {1, 3}) {
+      const auto body = [&](Comm& c) -> Task<void> {
+        Buffer send = Buffer::real(block * p);
+        Buffer recv = Buffer::real(block * p);
+        test::fill_send(send, c.rank(), p, block);
+        co_await coll::alltoall_batched(c, send.view(), recv.view(), block,
+                                        window);
+        EXPECT_TRUE(test::check_recv(recv, c.rank(), p, block))
+            << p << " ranks, window " << window;
+      };
+      test::run_sim_flat(p, body);
+      test::run_smp(p, body);
+    }
+  }
 }
 
 }  // namespace

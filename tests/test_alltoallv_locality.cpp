@@ -3,8 +3,8 @@
 /// skewed counts on both backends, through direct calls and through
 /// CollectivePlan::start().wait(); degenerate vector shapes (zero-count
 /// peers, one rank sending everything, all-zero exchanges, counts that
-/// overflow a leader block); the skew-aware tuner and its TuningTable /
-/// PlanCache integration.
+/// overflow a leader block); the skew-aware tuner and its TuningTable
+/// integration.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "coll_ext/ext_tuner.hpp"
 #include "harness/sweep.hpp"
 #include "model/presets.hpp"
-#include "plan/cache.hpp"
 #include "plan/plan.hpp"
 #include "plan/tuning_table.hpp"
 #include "test_util.hpp"
@@ -347,7 +346,7 @@ TEST(AlltoallvTuner, HighImbalancePicksLocality) {
   const coll::AlltoallvSkew skew = skew_of(p, 256, 64.0);
   EXPECT_GT(skew.imbalance(p), 32.0);
   const coll::Choice skewed =
-      coll::select_algorithm(machine, net, test::alltoallv_desc(skew));
+      coll::select_algorithm(machine, net, coll::AlltoallvDesc{.skew = skew});
   const auto algo = static_cast<coll::AlltoallvAlgo>(skewed.algo);
   EXPECT_TRUE(coll::needs_locality(algo))
       << "picked " << coll::alltoallv_algo_name(algo);
@@ -367,7 +366,7 @@ TEST(AlltoallvTuner, UniformExtremesMatchTheFixedSizeStory) {
   EXPECT_NEAR(skew_of(p, 4, 1.0).imbalance(p), 1.0, 1e-9);
   const auto small = static_cast<coll::AlltoallvAlgo>(
       coll::select_algorithm(machine, net,
-                             test::alltoallv_desc(skew_of(p, 4, 1.0)))
+                             coll::AlltoallvDesc{.skew = skew_of(p, 4, 1.0)})
           .algo);
   EXPECT_TRUE(coll::needs_locality(small))
       << "picked " << coll::alltoallv_algo_name(small);
@@ -375,7 +374,7 @@ TEST(AlltoallvTuner, UniformExtremesMatchTheFixedSizeStory) {
   // copies — a direct exchange wins, like fig10's large-message end.
   const auto large = static_cast<coll::AlltoallvAlgo>(
       coll::select_algorithm(machine, net,
-                             test::alltoallv_desc(skew_of(p, 4096, 1.0)))
+                             coll::AlltoallvDesc{.skew = skew_of(p, 4096, 1.0)})
           .algo);
   EXPECT_FALSE(coll::needs_locality(large))
       << "picked " << coll::alltoallv_algo_name(large);
@@ -388,10 +387,12 @@ TEST(AlltoallvTuner, TableMemoizesAndRoundTrips) {
   const auto skew = skew_of(p, 256, 64.0);
 
   plan::TuningTable table;
-  const auto first = table.choose(machine, net, test::alltoallv_desc(skew));
+  const auto first =
+      table.choose(machine, net, coll::AlltoallvDesc{.skew = skew});
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.hits(), 0u);
-  const auto second = table.choose(machine, net, test::alltoallv_desc(skew));
+  const auto second =
+      table.choose(machine, net, coll::AlltoallvDesc{.skew = skew});
   EXPECT_EQ(table.hits(), 1u);
   EXPECT_EQ(first.algo, second.algo);
   EXPECT_EQ(first.group_size, second.group_size);
@@ -409,30 +410,6 @@ TEST(AlltoallvTuner, TableMemoizesAndRoundTrips) {
 }
 
 // --- plan integration --------------------------------------------------------
-
-TEST(AlltoallvPlan, CacheKeysOnCountSignature) {
-  const topo::Machine machine = topo::generic(1, 4);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    const int p = world.size();
-    plan::PlanCache cache(8);
-    coll::AlltoallvDesc a;
-    a.send_counts.assign(p, 16);
-    a.recv_counts.assign(p, 16);
-    a.algo = coll::AlltoallvAlgo::kPairwise;
-    // Same totals, different distribution: must be a distinct plan.
-    coll::AlltoallvDesc b = a;
-    b.send_counts = {64, 0, 0, 0};
-    b.recv_counts[0] = world.rank() == 0 ? 64 : 16;  // whatever, local desc
-    auto p1 = cache.get_or_create(world, machine, model::test_params(), a);
-    auto p2 = cache.get_or_create(world, machine, model::test_params(), b);
-    auto p3 = cache.get_or_create(world, machine, model::test_params(), a);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAlltoallv).misses, 2u);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAlltoallv).hits, 1u);
-    EXPECT_EQ(p1.get(), p3.get());
-    EXPECT_NE(p1.get(), p2.get());
-    co_return;
-  });
-}
 
 TEST(AlltoallvPlan, WarmExecutionsAllocateNothing) {
   const topo::Machine machine = topo::generic(2, 4);

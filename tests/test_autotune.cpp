@@ -329,7 +329,7 @@ TEST(TuningTableV3, EmptyProfileRoundTripsAsV3) {
   const topo::Machine machine = topo::dane(8);
   plan::TuningTable table;
   const coll::Choice c64 =
-      table.choose(machine, model::omni_path(), test::alltoall_desc(64));
+      table.choose(machine, model::omni_path(), coll::AlltoallDesc{64});
   std::stringstream ss;
   table.save(ss);
   EXPECT_EQ(ss.str().rfind("mca2a-tuning-table v3\n", 0), 0u);
@@ -346,8 +346,8 @@ TEST(TuningTableV3, ProfileRoundTripsThroughV3) {
   const topo::Machine machine = topo::dane(8);
   const model::NetParams net = model::omni_path();
   plan::TuningTable table;
-  const coll::Choice c64 = table.choose(machine, net, test::alltoall_desc(64));
-  table.choose(machine, net, test::allgather_desc(512));
+  const coll::Choice c64 = table.choose(machine, net, coll::AlltoallDesc{64});
+  table.choose(machine, net, coll::AllgatherDesc{512});
   table.profile().record(key_for(machine, 64, 3, 112), 2e-4);
   table.profile().record(key_for(machine, 64, 3, 112), 4e-4);
   table.profile().record(key_for(machine, 4096, 5, 4), 9e-4);
@@ -435,7 +435,7 @@ TEST(TuningTableV3, BadProfileLinesAreRejected) {
 TEST(TuningTableV3, LenientProfileStreamLoader) {
   const topo::Machine machine = topo::dane(2);
   plan::TuningTable table;
-  table.choose(machine, model::omni_path(), test::alltoall_desc(64));
+  table.choose(machine, model::omni_path(), coll::AlltoallDesc{64});
   table.profile().record(key_for(machine, 64, 3, 112), 2e-4);
   std::stringstream ss;
   table.save(ss);
@@ -461,7 +461,7 @@ TEST(RankCandidates, HeadMatchesSelectAlgorithmBitForBit) {
       const topo::Machine machine = topo::by_name(name, nodes);
       const model::NetParams net = model::for_machine(name);
       for (std::size_t block : {4ul, 64ul, 512ul, 4096ul}) {
-        const coll::OpDesc desc = test::alltoall_desc(block);
+        const coll::OpDesc desc = coll::AlltoallDesc{block};
         const coll::Choice direct = coll::select_algorithm(machine, net, desc);
         const auto ranked = coll::rank_candidates(machine, net, desc, 4.0, 4);
         ASSERT_FALSE(ranked.empty());
@@ -485,7 +485,7 @@ TEST(RankCandidates, AllgatherHeadMatchesSelector) {
   const topo::Machine machine = topo::dane(4);
   const model::NetParams net = model::omni_path();
   for (std::size_t block : {4ul, 512ul, 4096ul}) {
-    const coll::OpDesc desc = test::allgather_desc(block);
+    const coll::OpDesc desc = coll::AllgatherDesc{block};
     const coll::Choice direct = coll::select_algorithm(machine, net, desc);
     const auto ranked = coll::rank_candidates(machine, net, desc, 4.0, 4);
     ASSERT_FALSE(ranked.empty());
@@ -518,9 +518,11 @@ TEST(RankCandidates, SortedPrunedAndDistinctForEveryKind) {
       coll::AlltoallvSkew skew;
       skew.total_bytes = block * p * p;
       skew.max_bytes = 64 * block;  // imbalance 64
-      for (const coll::OpDesc& desc :
-           {test::alltoall_desc(block), test::alltoallv_desc(skew),
-            test::allgather_desc(block), test::allreduce_desc(block)}) {
+      const coll::OpDesc descs[] = {
+          coll::AlltoallDesc{block}, coll::AlltoallvDesc{.skew = skew},
+          coll::AllgatherDesc{block},
+          coll::AllreduceDesc{block, coll::sum_combiner<double>()}};
+      for (const coll::OpDesc& desc : descs) {
         SCOPED_TRACE(c.machine.name() + " p=" + std::to_string(p) + " " +
                      std::string(coll::op_kind_name(desc.kind())) + " " +
                      std::to_string(block));
@@ -572,11 +574,11 @@ TEST(OnlineSelector, OffAndObserveNeverSelect) {
   OnlineSelector off(Mode::kOff);
   OnlineSelector obs(Mode::kObserve);
   EXPECT_FALSE(
-      off.choose(machine, net, test::alltoall_desc(64), "sim").has_value());
+      off.choose(machine, net, coll::AlltoallDesc{64}, "sim").has_value());
   EXPECT_FALSE(
-      obs.choose(machine, net, test::alltoall_desc(64), "sim").has_value());
+      obs.choose(machine, net, coll::AlltoallDesc{64}, "sim").has_value());
   EXPECT_FALSE(
-      obs.choose(machine, net, test::allgather_desc(64), "sim").has_value());
+      obs.choose(machine, net, coll::AllgatherDesc{64}, "sim").has_value());
 
   const ProfileKey k = key_for(machine, 64, 3, 112);
   off.record(k, 1e-3);
@@ -594,7 +596,7 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   OnlineSelector sel(Mode::kAdapt, cfg);
   const std::size_t block = 64;
   const auto ranked =
-      coll::rank_candidates(machine, net, test::alltoall_desc(block),
+      coll::rank_candidates(machine, net, coll::AlltoallDesc{block},
                             cfg.plausible_factor, cfg.max_candidates);
   ASSERT_GE(ranked.size(), 2u);
   const std::uint64_t per_exec =
@@ -606,7 +608,7 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   for (int round = 0; round < cfg.explore_target; ++round) {
     for (std::size_t i = 0; i < ranked.size(); ++i) {
       const auto c =
-          sel.choose(machine, net, test::alltoall_desc(block), "sim");
+          sel.choose(machine, net, coll::AlltoallDesc{block}, "sim");
       ASSERT_TRUE(c.has_value());
       EXPECT_EQ(c->algo, ranked[i].algo) << "round " << round;
       EXPECT_EQ(c->group_size, ranked[i].group_size);
@@ -626,7 +628,7 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   EXPECT_EQ(sel.exploitations(), 0u);
 
   // Exploitation: the measured winner, not the model's head.
-  const auto c = sel.choose(machine, net, test::alltoall_desc(block), "sim");
+  const auto c = sel.choose(machine, net, coll::AlltoallDesc{block}, "sim");
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->algo, ranked.back().algo);
   EXPECT_EQ(c->group_size, ranked.back().group_size);
@@ -639,7 +641,7 @@ TEST(OnlineSelector, ExploresRoundRobinThenExploitsMeasuredWinner) {
   OnlineSelector twin(Mode::kAdapt, cfg);
   twin.profiler().merge(sel.profiler());
   const auto c2 =
-      twin.choose(machine, net, test::alltoall_desc(block), "sim");
+      twin.choose(machine, net, coll::AlltoallDesc{block}, "sim");
   ASSERT_TRUE(c2.has_value());
   EXPECT_EQ(c2->algo, c->algo);
   EXPECT_EQ(c2->group_size, c->group_size);
@@ -654,7 +656,7 @@ TEST(OnlineSelector, WarmProfilePersistsAcrossRestart) {
   OnlineSelector sel(Mode::kAdapt, cfg);
   const std::size_t block = 256;
   const auto ranked =
-      coll::rank_candidates(machine, net, test::alltoall_desc(block),
+      coll::rank_candidates(machine, net, coll::AlltoallDesc{block},
                             cfg.plausible_factor, cfg.max_candidates);
   const std::uint64_t per_exec =
       static_cast<std::uint64_t>(machine.total_ranks());
@@ -677,7 +679,7 @@ TEST(OnlineSelector, WarmProfilePersistsAcrossRestart) {
   OnlineSelector warm(Mode::kAdapt, cfg);
   warm.profiler().merge(loaded.profile());
   const auto c =
-      warm.choose(machine, net, test::alltoall_desc(block), "sim");
+      warm.choose(machine, net, coll::AlltoallDesc{block}, "sim");
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(warm.explorations(), 0u);
   EXPECT_EQ(warm.exploitations(), 1u);
@@ -695,7 +697,7 @@ TEST(AutotunePlan, OffModeMatchesModelBitForBit) {
       [&](rt::Comm& world) -> rt::Task<void> {
         for (std::size_t block : {4ul, 64ul, 512ul, 4096ul}) {
           const coll::Choice expect =
-              coll::select_algorithm(machine, net, test::alltoall_desc(block));
+              coll::select_algorithm(machine, net, coll::AlltoallDesc{block});
           coll::AlltoallDesc desc;
           desc.block = block;
           plan::CollectivePlan p = plan::make_plan(world, machine, net, desc);
@@ -797,7 +799,7 @@ TEST(AutotuneHarness, ConvergesToBestStaticWithinFivePercent) {
   // Bounded warmup: exploration ends after candidates x explore_target
   // executions, and the choice is stable from then on.
   const auto ranked = coll::rank_candidates(
-      machine, net, test::alltoall_desc(block), sel.config().plausible_factor,
+      machine, net, coll::AlltoallDesc{block}, sel.config().plausible_factor,
       sel.config().max_candidates);
   const int warmup = static_cast<int>(ranked.size()) *
                      sel.config().explore_target;

@@ -165,11 +165,29 @@ TEST(Tuner, PredictionMonotoneInBlockSize) {
   }
 }
 
+TEST(Tuner, SystemMpiPredictionSwitchesAtThreshold) {
+  // The System MPI prediction follows the surrogate it predicts: Bruck up
+  // to coll::kSystemSmallThreshold, pairwise above, vendor-scaled.
+  const topo::Machine machine = topo::dane(4);
+  const model::NetParams net = model::omni_path();
+  const auto predict = [&](coll::Algo a, std::size_t block) {
+    return coll::predict_alltoall_seconds(a, machine, net, block,
+                                          machine.ppn());
+  };
+  const std::size_t small = coll::kSystemSmallThreshold;
+  EXPECT_DOUBLE_EQ(
+      predict(coll::Algo::kSystemMpi, small),
+      net.vendor_factor * predict(coll::Algo::kBruckDirect, small));
+  EXPECT_DOUBLE_EQ(
+      predict(coll::Algo::kSystemMpi, small + 1),
+      net.vendor_factor * predict(coll::Algo::kPairwiseDirect, small + 1));
+}
+
 TEST(Tuner, SelectsLocalityFamilyAtSmallBlocks) {
   const topo::Machine machine = topo::dane(32);
   const auto algo = static_cast<coll::Algo>(
       coll::select_algorithm(machine, model::omni_path(),
-                             test::alltoall_desc(4))
+                             coll::AlltoallDesc{4})
           .algo);
   // Any of the aggregating algorithms is acceptable; the flat direct ones
   // (p-1 network messages per rank) must not win at 4 B on 3584 ranks.
@@ -193,7 +211,7 @@ TEST(Tuner, SelectionAgreesWithSimulationAtExtremes) {
       return bench::run_sim(spec).seconds;
     };
     const coll::Choice pick =
-        coll::select_algorithm(machine, net, test::alltoall_desc(block));
+        coll::select_algorithm(machine, net, coll::AlltoallDesc{block});
     const double picked =
         simulate(static_cast<coll::Algo>(pick.algo), pick.group_size);
     double best = picked;

@@ -3,11 +3,10 @@
 /// plan-vs-direct equivalence for every op kind on both backends (execute()
 /// and start().wait() run one operation, so these equivalences also pin
 /// the handle path to the PR-2 results and virtual times bit-for-bit),
-/// execute argument validation, cross-op PlanCache
-/// behavior (coexistence, LRU across kinds, per-op counters), zero
-/// post-warmup allocations (including the Bruck rotation buffers), the
-/// extension tuner, and the op-tagged TuningTable serialization (v3 only;
-/// older headers are rejected). The nonblocking layer itself
+/// execute argument validation, zero post-warmup allocations (including
+/// the Bruck rotation buffers), the extension tuner, and the op-tagged
+/// TuningTable serialization (v3 only; older headers are rejected; saving
+/// a loaded table reproduces it). The nonblocking layer itself
 /// (concurrency, tag streams, Schedule) is covered in test_handles.cpp.
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "coll_ext/allgather.hpp"
@@ -26,7 +26,6 @@
 #include "coll_ext/ext_tuner.hpp"
 #include "coll_ext/op_desc.hpp"
 #include "harness/sweep.hpp"
-#include "plan/cache.hpp"
 #include "plan/plan.hpp"
 #include "plan/tuning_table.hpp"
 #include "runtime/collectives.hpp"
@@ -52,41 +51,6 @@ void run_both(const topo::Machine& machine,
 // ---------------------------------------------------------------------------
 // Descriptors
 // ---------------------------------------------------------------------------
-
-TEST(OpDesc, KeysDistinguishOpsShapesAndAlgorithms) {
-  coll::AlltoallDesc a2a;
-  a2a.block = 64;
-  coll::AllgatherDesc ag;
-  ag.block = 64;
-  // Same payload size, different op: must never alias in a shared cache.
-  EXPECT_NE(coll::OpDesc(a2a).key(), coll::OpDesc(ag).key());
-
-  coll::AlltoallDesc a2a2 = a2a;
-  a2a2.block = 128;
-  EXPECT_NE(coll::OpDesc(a2a).key(), coll::OpDesc(a2a2).key());
-
-  coll::AlltoallDesc a2a3 = a2a;
-  a2a3.algo = coll::Algo::kBruckDirect;
-  EXPECT_NE(coll::OpDesc(a2a).key(), coll::OpDesc(a2a3).key());
-
-  // Allreduce: the combiner distinguishes sum from max at equal shape.
-  coll::AllreduceDesc sum;
-  sum.count = 8;
-  sum.combiner = coll::sum_combiner<double>();
-  coll::AllreduceDesc mx = sum;
-  mx.combiner = coll::max_combiner<double>();
-  EXPECT_NE(coll::OpDesc(sum).key(), coll::OpDesc(mx).key());
-
-  // Alltoallv: counts reach the key.
-  coll::AlltoallvDesc v1;
-  v1.send_counts = {1, 2, 3, 4};
-  v1.recv_counts = {4, 3, 2, 1};
-  coll::AlltoallvDesc v2 = v1;
-  v2.send_counts = {4, 3, 2, 1};
-  v2.recv_counts = {1, 2, 3, 4};
-  EXPECT_NE(coll::OpDesc(v1).key(), coll::OpDesc(v2).key());
-  EXPECT_EQ(coll::OpDesc(v1).key(), coll::OpDesc(coll::AlltoallvDesc(v1)).key());
-}
 
 TEST(OpDesc, ValidateCatchesContractViolations) {
   test::run_sim_flat(4, [](Comm& world) -> Task<void> {
@@ -496,9 +460,9 @@ TEST(CollectivePlan, AutoSelectionWorksFamilyWide) {
   const topo::Machine machine = topo::generic_hier(4, 2, 2, 4);
   const model::NetParams net = model::omni_path();
   const coll::Choice ag_want =
-      coll::select_algorithm(machine, net, test::allgather_desc(64));
-  const coll::Choice ar_want =
-      coll::select_algorithm(machine, net, test::allreduce_desc(256));
+      coll::select_algorithm(machine, net, coll::AllgatherDesc{64});
+  const coll::Choice ar_want = coll::select_algorithm(
+      machine, net, coll::AllreduceDesc{256, coll::sum_combiner<double>()});
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     coll::AllgatherDesc agd;
     agd.block = 64;
@@ -562,8 +526,8 @@ TEST(ExtTuner, PrefersLocalityAllgatherAtScaleForSmallBlocks) {
   EXPECT_LT(loc, ring);
   // And selection with a large vector must not pick recursive doubling
   // (bandwidth-bound regime).
-  const coll::Choice big =
-      coll::select_algorithm(machine, net, test::allreduce_desc(1 << 20));
+  const coll::Choice big = coll::select_algorithm(
+      machine, net, coll::AllreduceDesc{1 << 20, coll::sum_combiner<double>()});
   EXPECT_NE(big.algo,
             static_cast<int>(coll::AllreduceAlgo::kRecursiveDoubling));
 }
@@ -655,107 +619,6 @@ TEST(CollectivePlan, MakePlanRejectsBadDescriptors) {
     small.algo = coll::AllreduceAlgo::kRabenseifner;
     EXPECT_THROW(plan::make_plan(world, machine, net, small),
                  std::invalid_argument);
-    co_return;
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Cross-op PlanCache behavior
-// ---------------------------------------------------------------------------
-
-TEST(PlanCache, ServesAllOpKindsWithPerOpCounters) {
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache;
-    const model::NetParams net = model::test_params();
-
-    coll::AlltoallDesc a2a;
-    a2a.block = 16;
-    a2a.algo = coll::Algo::kPairwiseDirect;
-    coll::AllgatherDesc ag;
-    ag.block = 16;
-    ag.algo = coll::AllgatherAlgo::kRing;
-    coll::AllreduceDesc ar;
-    ar.count = 4;
-    ar.combiner = coll::sum_combiner<std::int32_t>();
-    ar.algo = coll::AllreduceAlgo::kRecursiveDoubling;
-    coll::AlltoallvDesc v;
-    v.send_counts = {4, 4};
-    v.recv_counts = {4, 4};
-
-    // Same payload size everywhere: only the op tag separates the entries.
-    auto p1 = cache.get_or_create(world, machine, net, coll::OpDesc(a2a));
-    auto p2 = cache.get_or_create(world, machine, net, coll::OpDesc(ag));
-    auto p3 = cache.get_or_create(world, machine, net, coll::OpDesc(ar));
-    auto p4 = cache.get_or_create(world, machine, net, coll::OpDesc(v));
-    EXPECT_EQ(cache.size(), 4u);
-    EXPECT_EQ(cache.stats().constructions, 4u);
-    EXPECT_EQ(p1->kind(), coll::OpKind::kAlltoall);
-    EXPECT_EQ(p2->kind(), coll::OpKind::kAllgather);
-    EXPECT_EQ(p3->kind(), coll::OpKind::kAllreduce);
-    EXPECT_EQ(p4->kind(), coll::OpKind::kAlltoallv);
-
-    // Refetches hit, attributed to the right op kind.
-    EXPECT_EQ(cache.get_or_create(world, machine, net, coll::OpDesc(ag)).get(),
-              p2.get());
-    EXPECT_EQ(cache.get_or_create(world, machine, net, coll::OpDesc(ag)).get(),
-              p2.get());
-    EXPECT_EQ(cache.get_or_create(world, machine, net, coll::OpDesc(ar)).get(),
-              p3.get());
-    EXPECT_EQ(cache.stats().hits, 3u);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAllgather).hits, 2u);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAllgather).misses, 1u);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAllreduce).hits, 1u);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAlltoall).hits, 0u);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAlltoall).misses, 1u);
-    EXPECT_EQ(cache.stats(coll::OpKind::kAlltoallv).misses, 1u);
-
-    // Executing through cached plans of different kinds works side by side.
-    const int me = world.rank();
-    const int p = world.size();
-    Buffer send = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
-    Buffer recv = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
-    test::fill_send(send, me, p, 16);
-    co_await p1->execute(rt::ConstView(send.view()), recv.view());
-    EXPECT_TRUE(test::check_recv(recv, me, p, 16));
-    Buffer acc = Buffer::real(4 * sizeof(std::int32_t));
-    for (int i = 0; i < 4; ++i) {
-      acc.typed<std::int32_t>()[i] = me + i;
-    }
-    co_await p3->execute_inplace(acc.view());
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(acc.typed<std::int32_t>()[i], p * (p - 1) / 2 + p * i);
-    }
-  });
-}
-
-TEST(PlanCache, LruEvictsAcrossOpKinds) {
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache(2);
-    const model::NetParams net = model::test_params();
-    coll::AlltoallDesc a2a;
-    a2a.block = 8;
-    a2a.algo = coll::Algo::kPairwiseDirect;
-    coll::AllgatherDesc ag;
-    ag.block = 8;
-    ag.algo = coll::AllgatherAlgo::kRing;
-    coll::AllreduceDesc ar;
-    ar.count = 2;
-    ar.combiner = coll::sum_combiner<std::int32_t>();
-    ar.algo = coll::AllreduceAlgo::kRecursiveDoubling;
-
-    cache.get_or_create(world, machine, net, coll::OpDesc(a2a));
-    cache.get_or_create(world, machine, net, coll::OpDesc(ag));
-    // Touch the alltoall entry so the allgather one is LRU...
-    cache.get_or_create(world, machine, net, coll::OpDesc(a2a));
-    // ...then overflow with an allreduce: the allgather entry must go.
-    cache.get_or_create(world, machine, net, coll::OpDesc(ar));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(cache.contains(world, coll::OpDesc(a2a)));
-    EXPECT_FALSE(cache.contains(world, coll::OpDesc(ag)));
-    EXPECT_TRUE(cache.contains(world, coll::OpDesc(ar)));
     co_return;
   });
 }
@@ -876,16 +739,22 @@ TEST(CollectivePlan, ExtensionPlansStopAllocatingAfterWarmup) {
 TEST(TuningTable, OpTaggedRoundTrip) {
   const model::NetParams net = model::omni_path();
   plan::TuningTable table;
-  table.choose(topo::dane(8), net, test::alltoall_desc(64));
-  table.choose(topo::dane(8), net, test::alltoall_desc(1024));
-  table.choose(topo::dane(8), net, test::allgather_desc(64));
-  table.choose(topo::dane(8), net, test::allreduce_desc(1024));
+  table.choose(topo::dane(8), net, coll::AlltoallDesc{64});
+  table.choose(topo::dane(8), net, coll::AlltoallDesc{1024});
+  table.choose(topo::dane(8), net, coll::AllgatherDesc{64});
+  table.choose(topo::dane(8), net,
+               coll::AllreduceDesc{1024, coll::sum_combiner<double>()});
   EXPECT_EQ(table.size(), 4u);
 
   std::stringstream ss;
   table.save(ss);
+  const std::string saved = ss.str();
   plan::TuningTable loaded = plan::TuningTable::load(ss);
   EXPECT_EQ(loaded.size(), table.size());
+  // Saving is a fixed point: a loaded table saves the bytes it came from.
+  std::stringstream again;
+  loaded.save(again);
+  EXPECT_EQ(again.str(), saved);
 
   // Alltoall entries at a given size do not shadow allgather entries at the
   // same size, and every decision survives the text round trip exactly.
@@ -925,15 +794,14 @@ TEST(TuningTable, AllreduceHitRechecksRabenseifnerEligibility) {
   plan::TuningTable table;
   // 65536 elements of 8 bytes: count >= ranks, Rabenseifner eligible (and,
   // at this size, typically chosen — but the test holds either way).
-  const coll::Choice first =
-      table.choose(machine, net, test::allreduce_desc(65536, 8));
+  const coll::AllreduceDesc doubles{65536, coll::sum_combiner<double>()};
+  const coll::Choice first = table.choose(machine, net, doubles);
   // Same 512 KiB vector as 16 jumbo elements: count < 32 ranks.
-  const coll::Choice second =
-      table.choose(machine, net, test::allreduce_desc(16, 32768));
+  const coll::Choice second = table.choose(
+      machine, net, coll::AllreduceDesc{16, {doubles.combiner.fn, 32768}});
   EXPECT_NE(second.algo, static_cast<int>(coll::AllreduceAlgo::kRabenseifner));
   // The stored entry still serves the original shape.
-  EXPECT_EQ(table.choose(machine, net, test::allreduce_desc(65536, 8)).algo,
-            first.algo);
+  EXPECT_EQ(table.choose(machine, net, doubles).algo, first.algo);
 }
 
 TEST(TuningTable, RejectsV1UntaggedTables) {

@@ -2,8 +2,7 @@
 /// fast path: the lock-free SPSC ring mailboxes (against an in-test
 /// matching oracle), the ring/overflow send split, wildcard floods,
 /// ring-full overflow, concurrent collectives on overlapping
-/// sub-communicators, per-rank plan caches thrashing beside the shared
-/// cache metrics, and cross-thread hammering of one shared profiler.
+/// sub-communicators, and cross-thread hammering of one shared profiler.
 ///
 /// The MailboxOrder oracle works because the mailbox drain order is
 /// deterministic once sends are quiesced (mailbox.cpp): overflow is folded
@@ -31,8 +30,6 @@
 #include "autotune/profiler.hpp"
 #include "core/alltoall.hpp"
 #include "obs/metrics.hpp"
-#include "plan/cache.hpp"
-#include "plan/plan.hpp"
 #include "runtime/collectives.hpp"
 #include "smp/mailbox.hpp"
 #include "smp/smp_runtime.hpp"
@@ -421,65 +418,7 @@ TEST(ConcurrencyStress, OverlappingSubcommCollectives) {
   });
 }
 
-// --- tuning state under cross-thread hammering ------------------------------
-
-TEST(ConcurrencyStress, PerRankCacheHammer) {
-  // Eight rank threads, each owning a four-entry PlanCache: block 16 is
-  // re-fetched after every other key so it stays resident (hits), while
-  // the other four keys thrash the three remaining slots (misses and
-  // evictions), and the block-16 plan executes a verified exchange every
-  // round. Every cache bumps the same plan.cache.a2a.* registry counters;
-  // their deltas must equal the per-cache stats() summed.
-  constexpr int kRanks = 8;
-  constexpr int kRounds = 6;
-  const topo::Machine machine = topo::generic(1, kRanks);
-  const std::vector<std::size_t> blocks{4, 8, 16, 32, 64};
-  const auto pairwise = [](std::size_t block) {
-    return coll::AlltoallDesc{.block = block,
-                              .algo = coll::Algo::kPairwiseDirect};
-  };
-  obs::Counter& reg_hits = obs::metrics().counter("plan.cache.a2a.hits");
-  obs::Counter& reg_misses = obs::metrics().counter("plan.cache.a2a.misses");
-  obs::Counter& reg_evictions =
-      obs::metrics().counter("plan.cache.a2a.evictions");
-  const std::uint64_t hits0 = reg_hits.value();
-  const std::uint64_t misses0 = reg_misses.value();
-  const std::uint64_t evictions0 = reg_evictions.value();
-  std::vector<plan::PlanCache::Stats> per_rank(kRanks);
-  smp::run_threads(kRanks, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache(4);
-    const int p = world.size();
-    Buffer send = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
-    Buffer recv = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
-    test::fill_send(send, world.rank(), p, 16);
-    for (int round = 0; round < kRounds; ++round) {
-      for (const std::size_t block : blocks) {
-        cache.get_or_create(world, machine, model::test_params(),
-                            pairwise(block));
-        auto plan = cache.get_or_create(world, machine, model::test_params(),
-                                        pairwise(16));
-        if (block == 16) {
-          co_await plan->execute(rt::ConstView(send.view()), recv.view());
-          EXPECT_TRUE(test::check_recv(recv, world.rank(), p, 16));
-        }
-      }
-    }
-    per_rank[static_cast<std::size_t>(world.rank())] = cache.stats();
-  });
-  plan::PlanCache::Stats sum;
-  for (const plan::PlanCache::Stats& st : per_rank) {
-    EXPECT_EQ(st.hits + st.misses, 2 * kRounds * blocks.size());
-    EXPECT_EQ(st.constructions, st.misses);
-    sum.hits += st.hits;
-    sum.misses += st.misses;
-    sum.evictions += st.evictions;
-  }
-  EXPECT_GT(sum.hits, 0u);
-  EXPECT_GT(sum.evictions, 0u);
-  EXPECT_EQ(reg_hits.value() - hits0, sum.hits);
-  EXPECT_EQ(reg_misses.value() - misses0, sum.misses);
-  EXPECT_EQ(reg_evictions.value() - evictions0, sum.evictions);
-}
+// --- profiler under cross-thread hammering ----------------------------------
 
 TEST(ConcurrencyStress, ProfilerConcurrentWritersMatchSerial) {
   // Eight writer threads with disjoint keys against one shared profiler,

@@ -5,7 +5,7 @@
 /// (validated with a strict in-test JSON parser: balanced B/E pairs and
 /// monotone timestamps per (pid, tid) lane), phase-span presence for the
 /// locality algorithms on both backends, metric exactness against known
-/// workloads (plan cache, tag streams, per-level sim bytes,
+/// workloads (tag streams, per-level sim bytes,
 /// bytes-by-algorithm), the disabled-path determinism pin (tracing on vs.
 /// off leaves simulated virtual time bit-for-bit identical), warm-execute
 /// allocation flatness including the new ScratchArena high-water accessor,
@@ -32,7 +32,6 @@
 #include "harness/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/cache.hpp"
 #include "plan/plan.hpp"
 #include "runtime/collectives.hpp"
 #include "test_util.hpp"
@@ -837,29 +836,6 @@ TEST(PhaseScope, SpanDurationsEqualSink) {
 // Metric exactness against known workloads
 // ---------------------------------------------------------------------------
 
-TEST(MetricsWiring, PlanCacheCountersMirrorPerOpStats) {
-  const topo::Machine machine = topo::generic(2, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    if (world.rank() != 0) {
-      co_return;
-    }
-    obs::MetricsRegistry& m = obs::metrics();
-    const std::uint64_t hits0 = m.counter_value("plan.cache.a2a.hits");
-    const std::uint64_t misses0 = m.counter_value("plan.cache.a2a.misses");
-    plan::PlanCache cache(4);
-    coll::AlltoallDesc d;
-    d.block = 32;
-    d.algo = coll::Algo::kPairwiseDirect;
-    const coll::OpDesc desc{d};
-    cache.get_or_create(world, machine, model::test_params(), desc, {});
-    cache.get_or_create(world, machine, model::test_params(), desc, {});
-    cache.get_or_create(world, machine, model::test_params(), desc, {});
-    EXPECT_EQ(m.counter_value("plan.cache.a2a.misses") - misses0, 1u);
-    EXPECT_EQ(m.counter_value("plan.cache.a2a.hits") - hits0, 2u);
-    co_return;
-  });
-}
-
 TEST(MetricsWiring, TagStreamAndLevelByteCounters) {
   obs::MetricsRegistry& m = obs::metrics();
   const std::uint64_t tags0 = m.counter_value("tags.acquired");
@@ -918,7 +894,7 @@ TEST(MetricsWiring, SelectorReportsExplorationFlag) {
   autotune::OnlineSelector sel(autotune::Mode::kAdapt);
   bool explored = false;
   const std::optional<coll::Choice> c =
-      sel.choose(machine, model::test_params(), test::alltoall_desc(64), "sim",
+      sel.choose(machine, model::test_params(), coll::AlltoallDesc{64}, "sim",
                  &explored);
   ASSERT_TRUE(c.has_value());
   // A fresh selector has zero evidence: the first choice must explore.

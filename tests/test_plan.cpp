@@ -1,7 +1,7 @@
 /// Tests for the persistent plan/execute subsystem (src/plan/): plan-vs-
 /// direct result equivalence on both backends, one-time construction
-/// observable through the PlanCache and locality-build counters, LRU
-/// eviction, scratch-arena recycling, and tuning-table serialization.
+/// observable through the locality-build counter, scratch-arena
+/// recycling, and tuning-table serialization.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "coll_ext/ext_tuner.hpp"
 #include "core/tuner.hpp"
-#include "plan/cache.hpp"
 #include "plan/plan.hpp"
 #include "plan/tuning_table.hpp"
 #include "runtime/collectives.hpp"
@@ -48,7 +47,7 @@ Task<void> plan_and_check(Comm& world, const topo::Machine& machine,
   const int p = world.size();
   plan::PlanOptions popts;
   popts.group_size = c.group_size;
-  plan::AlltoallPlan plan = plan::make_plan(
+  plan::CollectivePlan plan = plan::make_plan(
       world, machine, model::test_params(),
       coll::AlltoallDesc{.block = block, .algo = c.algo}, popts);
   EXPECT_EQ(plan.algo(), c.algo);
@@ -150,9 +149,9 @@ TEST(Plan, ConstructsCommunicatorsExactlyOnce) {
   std::uint64_t after_create = 0;
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     const int me = world.rank();
-    plan::PlanCache cache;
-    const coll::AlltoallDesc desc{.block = 16, .algo = coll::Algo::kNodeAware};
-    auto plan = cache.get_or_create(world, machine, model::test_params(), desc);
+    plan::CollectivePlan plan = plan::make_plan(
+        world, machine, model::test_params(),
+        coll::AlltoallDesc{.block = 16, .algo = coll::Algo::kNodeAware});
     co_await rt::barrier(world);  // every rank has built its plan
     if (me == 0) {
       after_create = rt::locality_build_count();
@@ -161,17 +160,10 @@ TEST(Plan, ConstructsCommunicatorsExactlyOnce) {
     rt::Buffer recv = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
     test::fill_send(send, me, p, 16);
     for (int it = 0; it < 5; ++it) {
-      // Re-fetch from the cache each iteration, as a service handling
-      // requests would: every fetch after the first must be a hit.
-      auto again =
-          cache.get_or_create(world, machine, model::test_params(), desc);
-      EXPECT_EQ(again.get(), plan.get());
-      co_await again->execute(rt::ConstView(send.view()), recv.view());
+      co_await plan.execute(rt::ConstView(send.view()), recv.view());
       EXPECT_TRUE(test::check_recv(recv, me, p, 16));
     }
-    EXPECT_EQ(cache.stats().constructions, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 5u);
+    EXPECT_EQ(plan.executions(), 5u);
   });
   // One bundle build per rank at plan construction...
   EXPECT_EQ(after_create - before, static_cast<std::uint64_t>(p));
@@ -189,7 +181,7 @@ TEST(Plan, ZeroConstructionOnRepeatedExecuteThreads) {
     popts.group_size = 2;
     const coll::AlltoallDesc desc{.block = 8,
                                   .algo = coll::Algo::kMultileaderNodeAware};
-    plan::AlltoallPlan plan =
+    plan::CollectivePlan plan =
         plan::make_plan(world, machine, model::test_params(), desc, popts);
     rt::Buffer send = world.alloc_buffer(static_cast<std::size_t>(p) * 8);
     rt::Buffer recv = world.alloc_buffer(static_cast<std::size_t>(p) * 8);
@@ -215,7 +207,7 @@ TEST(Plan, ScratchArenaRecyclesAfterFirstExecute) {
       const int p = world.size();
       plan::PlanOptions popts;
       popts.group_size = 2;
-      plan::AlltoallPlan plan = plan::make_plan(
+      plan::CollectivePlan plan = plan::make_plan(
           world, machine, model::test_params(),
           coll::AlltoallDesc{.block = 16, .algo = algo}, popts);
       rt::Buffer send = world.alloc_buffer(static_cast<std::size_t>(p) * 16);
@@ -246,138 +238,6 @@ TEST(Plan, ScratchArenaRecyclesAfterFirstExecute) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache policy
-// ---------------------------------------------------------------------------
-
-/// Pairwise alltoall: a plan that builds no locality communicators.
-coll::OpDesc pairwise(std::size_t block) {
-  return coll::AlltoallDesc{.block = block,
-                            .algo = coll::Algo::kPairwiseDirect};
-}
-
-TEST(PlanCache, LruEvictsOldestKey) {
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache(2);
-    const model::NetParams net = model::test_params();
-
-    cache.get_or_create(world, machine, net, pairwise(4));
-    auto p8 = cache.get_or_create(world, machine, net, pairwise(8));
-    EXPECT_EQ(cache.size(), 2u);
-
-    // Touch block=4 so block=8 becomes least recently used...
-    cache.get_or_create(world, machine, net, pairwise(4));
-    // ...then overflow: block=8 must be the one evicted.
-    cache.get_or_create(world, machine, net, pairwise(16));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(cache.contains(world, pairwise(4)));
-    EXPECT_FALSE(cache.contains(world, pairwise(8)));
-    EXPECT_TRUE(cache.contains(world, pairwise(16)));
-
-    // An evicted key reconstructs; shared_ptrs handed out earlier survive.
-    EXPECT_EQ(p8->block(), 8u);
-    cache.get_or_create(world, machine, net, pairwise(8));
-    EXPECT_EQ(cache.stats().constructions, 4u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().evictions, 2u);
-    co_return;
-  });
-}
-
-TEST(PlanCache, DistinguishesTuningOptions) {
-  // Every PlanOptions field that changes execution must split the key —
-  // notably batch_window and system_small_threshold, which are invisible
-  // in the (algo, block, group) triple, and the group size and inner
-  // exchange of a locality alltoallv.
-  const topo::Machine machine = topo::generic(2, 4);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache;
-    const model::NetParams net = model::test_params();
-    const auto a2a = [](coll::Algo algo) {
-      return coll::AlltoallDesc{.block = 4, .algo = algo};
-    };
-    plan::PlanOptions a;
-    a.batch_window = 16;
-    plan::PlanOptions b = a;
-    b.batch_window = 64;
-    cache.get_or_create(world, machine, net, a2a(coll::Algo::kBatchedDirect),
-                        a);
-    cache.get_or_create(world, machine, net, a2a(coll::Algo::kBatchedDirect),
-                        b);
-    plan::PlanOptions c;
-    plan::PlanOptions d = c;
-    d.system_small_threshold = 64;
-    cache.get_or_create(world, machine, net, a2a(coll::Algo::kSystemMpi), c);
-    cache.get_or_create(world, machine, net, a2a(coll::Algo::kSystemMpi), d);
-    plan::PlanOptions e;
-    plan::PlanOptions f = e;
-    f.inner = coll::Inner::kBruck;
-    cache.get_or_create(world, machine, net, a2a(coll::Algo::kNodeAware), e);
-    cache.get_or_create(world, machine, net, a2a(coll::Algo::kNodeAware), f);
-
-    coll::AlltoallvDesc v;
-    v.send_counts.assign(static_cast<std::size_t>(world.size()), 4);
-    v.recv_counts = v.send_counts;
-    v.algo = coll::AlltoallvAlgo::kHierarchical;
-    plan::PlanOptions g;
-    g.group_size = 2;
-    plan::PlanOptions h = g;
-    h.group_size = 4;
-    plan::PlanOptions i = g;
-    i.inner = coll::Inner::kNonblocking;
-    auto pg = cache.get_or_create(world, machine, net, v, g);
-    auto ph = cache.get_or_create(world, machine, net, v, h);
-    cache.get_or_create(world, machine, net, v, i);
-    EXPECT_EQ(pg->group_size(), 2);
-    EXPECT_EQ(ph->group_size(), 4);
-    EXPECT_EQ(cache.stats().constructions, 9u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-    co_return;
-  });
-}
-
-TEST(PlanCache, EraseCommDropsOnlyThatCommunicator) {
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache;
-    const model::NetParams net = model::test_params();
-    cache.get_or_create(world, machine, net, pairwise(4));
-    cache.get_or_create(world, machine, net, pairwise(8));
-    std::vector<int> members{0, 1};
-    std::unique_ptr<Comm> sub = world.create_subcomm(members);
-    cache.get_or_create(*sub, machine, net, pairwise(4));
-    EXPECT_EQ(cache.size(), 3u);
-
-    // Before destroying `sub`, its entries must be purged so a later Comm
-    // reusing the address can't alias them.
-    EXPECT_EQ(cache.erase_comm(*sub), 1u);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_TRUE(cache.contains(world, pairwise(4)));
-    EXPECT_TRUE(cache.contains(world, pairwise(8)));
-    EXPECT_FALSE(cache.contains(*sub, pairwise(4)));
-    co_return;
-  });
-}
-
-TEST(PlanCache, DistinguishesCommunicators) {
-  const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::PlanCache cache;
-    const model::NetParams net = model::test_params();
-    cache.get_or_create(world, machine, net, pairwise(4));
-    // Same shape, different communicator identity: a subcomm spanning the
-    // same ranks must get its own plan.
-    std::vector<int> members{0, 1};
-    std::unique_ptr<Comm> sub = world.create_subcomm(members);
-    cache.get_or_create(*sub, machine, net, pairwise(4));
-    EXPECT_EQ(cache.stats().constructions, 2u);
-    EXPECT_EQ(cache.size(), 2u);
-    co_return;
-  });
-}
-
-// ---------------------------------------------------------------------------
 // make_plan contract
 // ---------------------------------------------------------------------------
 
@@ -385,9 +245,10 @@ TEST(Plan, AutoSelectionMatchesTuner) {
   const topo::Machine machine = topo::generic_hier(4, 2, 2, 4);
   const model::NetParams net = model::omni_path();
   const coll::Choice expect =
-      coll::select_algorithm(machine, net, test::alltoall_desc(64));
+      coll::select_algorithm(machine, net, coll::AlltoallDesc{64});
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
-    plan::AlltoallPlan plan = plan::make_plan(world, machine, net, 64);
+    plan::CollectivePlan plan =
+        plan::make_plan(world, machine, net, coll::AlltoallDesc{64});
     EXPECT_EQ(plan.algo_id(), expect.algo);
     EXPECT_EQ(plan.group_size(), expect.group_size);
     EXPECT_DOUBLE_EQ(plan.choice().predicted_seconds,
@@ -403,7 +264,8 @@ TEST(Plan, TableBackedSelectionIsMemoized) {
   test::run_sim(machine, [&](Comm& world) -> Task<void> {
     plan::PlanOptions popts;
     popts.table = &table;
-    plan::AlltoallPlan plan = plan::make_plan(world, machine, net, 64, popts);
+    plan::CollectivePlan plan =
+        plan::make_plan(world, machine, net, coll::AlltoallDesc{64}, popts);
     EXPECT_EQ(plan.algo_id(),
               table.lookup(machine, coll::OpKind::kAlltoall, 64)->algo);
     co_return;
@@ -417,14 +279,15 @@ TEST(Plan, TableBackedSelectionIsMemoized) {
 TEST(Plan, RejectsMismatchedWorldAndBadBuffers) {
   const topo::Machine machine = topo::generic(2, 4);
   test::run_sim_flat(4, [&](Comm& world) -> Task<void> {
-    EXPECT_THROW(
-        plan::make_plan(world, machine, model::test_params(), 4),
-        std::invalid_argument);
+    EXPECT_THROW(plan::make_plan(world, machine, model::test_params(),
+                                 coll::AlltoallDesc{4}),
+                 std::invalid_argument);
     co_return;
   });
   test::run_smp(1, [&](Comm& world) -> Task<void> {
-    plan::AlltoallPlan plan = plan::make_plan(
-        world, topo::generic(1, 1), model::test_params(), pairwise(8));
+    plan::CollectivePlan plan = plan::make_plan(
+        world, topo::generic(1, 1), model::test_params(),
+        coll::AlltoallDesc{.block = 8, .algo = coll::Algo::kPairwiseDirect});
     rt::Buffer ok = rt::Buffer::real(8);
     rt::Buffer bad = rt::Buffer::real(4);
     EXPECT_THROW(
@@ -443,17 +306,17 @@ TEST(TuningTable, ChooseMemoizesSelection) {
   const model::NetParams net = model::omni_path();
   plan::TuningTable table;
   const coll::Choice first =
-      table.choose(machine, net, test::alltoall_desc(256));
+      table.choose(machine, net, coll::AlltoallDesc{256});
   const coll::Choice again =
-      table.choose(machine, net, test::alltoall_desc(256));
+      table.choose(machine, net, coll::AlltoallDesc{256});
   EXPECT_EQ(first.algo, again.algo);
   EXPECT_EQ(first.group_size, again.group_size);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.lookups(), 2u);
   EXPECT_EQ(table.hits(), 1u);
   // Different shape or size: distinct entries.
-  table.choose(machine, net, test::alltoall_desc(512));
-  table.choose(topo::dane(16), net, test::alltoall_desc(256));
+  table.choose(machine, net, coll::AlltoallDesc{512});
+  table.choose(topo::dane(16), net, coll::AlltoallDesc{256});
   EXPECT_EQ(table.size(), 3u);
 }
 
@@ -462,7 +325,7 @@ TEST(TuningTable, SaveLoadRoundTrips) {
   plan::TuningTable table;
   for (int nodes : {2, 8}) {
     for (std::size_t block : {std::size_t{4}, std::size_t{1024}}) {
-      table.choose(topo::dane(nodes), net, test::alltoall_desc(block));
+      table.choose(topo::dane(nodes), net, coll::AlltoallDesc{block});
     }
   }
   std::stringstream ss;
@@ -494,7 +357,7 @@ TEST(TuningTable, RejectsUnserializableMachineNames) {
   desc.cores_per_numa = 4;
   const topo::Machine machine(desc);
   EXPECT_THROW(
-      table.choose(machine, model::test_params(), test::alltoall_desc(64)),
+      table.choose(machine, model::test_params(), coll::AlltoallDesc{64}),
       std::invalid_argument);
   EXPECT_THROW(table.lookup(machine, coll::OpKind::kAlltoall, 64),
                std::invalid_argument);
