@@ -44,11 +44,14 @@ VAlgoBytes& valgo_bytes() {
   return b;
 }
 
-void check_args(const rt::Comm& comm, rt::ConstView send,
-                std::span<const std::size_t> send_counts,
-                std::span<const std::size_t> send_displs, rt::MutView recv,
-                std::span<const std::size_t> recv_counts,
-                std::span<const std::size_t> recv_displs) {
+}  // namespace
+
+void check_alltoallv_args(const rt::Comm& comm, rt::ConstView send,
+                          std::span<const std::size_t> send_counts,
+                          std::span<const std::size_t> send_displs,
+                          rt::MutView recv,
+                          std::span<const std::size_t> recv_counts,
+                          std::span<const std::size_t> recv_displs) {
   const auto p = static_cast<std::size_t>(comm.size());
   if (send_counts.size() != p || send_displs.size() != p ||
       recv_counts.size() != p || recv_displs.size() != p) {
@@ -56,16 +59,14 @@ void check_args(const rt::Comm& comm, rt::ConstView send,
                                 "entry per rank");
   }
   for (std::size_t r = 0; r < p; ++r) {
-    if (send_displs[r] + send_counts[r] > send.len) {
+    if (!rt::in_bounds(send_displs[r], send_counts[r], send.len)) {
       throw std::out_of_range("alltoallv: send block out of range");
     }
-    if (recv_displs[r] + recv_counts[r] > recv.len) {
+    if (!rt::in_bounds(recv_displs[r], recv_counts[r], recv.len)) {
       throw std::out_of_range("alltoallv: recv block out of range");
     }
   }
 }
-
-}  // namespace
 
 std::vector<std::size_t> displs_from_counts(
     std::span<const std::size_t> counts) {
@@ -156,8 +157,8 @@ rt::Task<void> alltoallv_pairwise(rt::Comm& comm, rt::ConstView send,
                                   std::span<const std::size_t> recv_counts,
                                   std::span<const std::size_t> recv_displs,
                                   int tag_stream) {
-  check_args(comm, send, send_counts, send_displs, recv, recv_counts,
-             recv_displs);
+  check_alltoallv_args(comm, send, send_counts, send_displs, recv,
+                       recv_counts, recv_displs);
   const int kTag = rt::tags::make(rt::tags::kExtAlltoallv, tag_stream);
   const int p = comm.size();
   const int me = comm.rank();
@@ -180,8 +181,8 @@ rt::Task<void> alltoallv_nonblocking(rt::Comm& comm, rt::ConstView send,
                                      std::span<const std::size_t> recv_counts,
                                      std::span<const std::size_t> recv_displs,
                                      int tag_stream) {
-  check_args(comm, send, send_counts, send_displs, recv, recv_counts,
-             recv_displs);
+  check_alltoallv_args(comm, send, send_counts, send_displs, recv,
+                       recv_counts, recv_displs);
   const int kTag = rt::tags::make(rt::tags::kExtAlltoallv, tag_stream);
   const int p = comm.size();
   const int me = comm.rank();

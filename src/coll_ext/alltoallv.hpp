@@ -39,6 +39,16 @@
 
 namespace mca2a::coll {
 
+/// Every alltoallv algorithm's entry check: std::invalid_argument unless
+/// counts and displs have one entry per rank of `comm`, std::out_of_range
+/// unless every block lies inside its buffer.
+void check_alltoallv_args(const rt::Comm& comm, rt::ConstView send,
+                          std::span<const std::size_t> send_counts,
+                          std::span<const std::size_t> send_displs,
+                          rt::MutView recv,
+                          std::span<const std::size_t> recv_counts,
+                          std::span<const std::size_t> recv_displs);
+
 /// Contiguous displacements for `counts` (exclusive prefix sum).
 std::vector<std::size_t> displs_from_counts(std::span<const std::size_t> counts);
 

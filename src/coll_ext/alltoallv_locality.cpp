@@ -52,20 +52,8 @@ void check_vector_args(const rt::Comm& world, rt::ConstView send,
                        SizeSpan send_counts, SizeSpan send_displs,
                        rt::MutView recv, SizeSpan recv_counts,
                        SizeSpan recv_displs) {
-  const auto p = static_cast<std::size_t>(world.size());
-  if (send_counts.size() != p || send_displs.size() != p ||
-      recv_counts.size() != p || recv_displs.size() != p) {
-    throw std::invalid_argument(
-        "alltoallv: counts/displs must have one entry per rank");
-  }
-  for (std::size_t r = 0; r < p; ++r) {
-    if (send_displs[r] + send_counts[r] > send.len) {
-      throw std::out_of_range("alltoallv: send block out of range");
-    }
-    if (recv_displs[r] + recv_counts[r] > recv.len) {
-      throw std::out_of_range("alltoallv: recv block out of range");
-    }
-  }
+  check_alltoallv_args(world, send, send_counts, send_displs, recv,
+                       recv_counts, recv_displs);
   if (send.is_virtual() || recv.is_virtual()) {
     throw std::invalid_argument(
         "alltoallv: the locality algorithms route count metadata through "

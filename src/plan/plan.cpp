@@ -12,7 +12,6 @@
 #include "coll_ext/ext_tuner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/verify.hpp"
 
 namespace mca2a::plan {
 
@@ -173,13 +172,12 @@ void CollectivePlan::check_can_start() const {
   }
 }
 
-double CollectivePlan::begin(int tag_stream) {
+double CollectivePlan::begin() {
   check_can_start();
-  // Static pre-flight verification (plan/verify.hpp): on in debug builds
-  // and under A2A_VERIFY_PLANS=1, free otherwise.
-  if (verify_enabled()) {
-    require_verified(verify(*this, tag_stream), "CollectivePlan::start");
-  }
+  // The previous operation gave back every scratch buffer it borrowed; one
+  // still out would be a buffer that operation may yet write through.
+  assert(arena_.outstanding_bytes() == 0 &&
+         "CollectivePlan: a previous operation leaked a scratch buffer");
   ++in_flight_;
   return world_->now();
 }
@@ -211,7 +209,7 @@ CollectiveHandle CollectivePlan::launch(rt::ConstView send, rt::MutView recv,
   auto st = std::make_shared<CollectiveHandle::State>();
   st->plan = this;
   st->stream = tag_stream;
-  st->started_at = begin(tag_stream);
+  st->started_at = begin();
   rt::spawn_detached(run_started(st, send, recv, trace),
                      std::shared_ptr<rt::AsyncOp>(st, &st->op));
   return CollectiveHandle(std::move(st));
@@ -249,7 +247,7 @@ rt::Task<void> CollectivePlan::run_inline(rt::ConstView send, rt::MutView recv,
   }
   check_can_start();
   const int stream = world_->acquire_tag_stream();
-  const double started_at = begin(stream);
+  const double started_at = begin();
   try {
     co_await run_op(send, recv, trace, stream);
   } catch (...) {

@@ -43,9 +43,11 @@
 /// or on overlapping locality sub-communicators — can be in flight at once
 /// without cross-matching, provided every rank starts them in the same
 /// order. A plan itself admits one in-flight operation at a time (exactly
-/// MPI-4's persistent-request rule); overlap two exchanges by starting two
-/// plans, or batch them with dependencies via plan::Schedule
-/// (plan/schedule.hpp).
+/// MPI-4's persistent-request rule): a second start() throws
+/// std::logic_error. Overlap two exchanges by starting two plans, or batch
+/// them with dependencies via plan::Schedule (plan/schedule.hpp), whose
+/// run() rejects two ops on one plan with no dependency path between them
+/// before either starts.
 ///
 /// Plans are movable but must not be moved or destroyed while an operation
 /// is in flight (the running coroutine captures `this`): moving then throws
@@ -322,9 +324,10 @@ class CollectivePlan {
   CollectiveHandle start_inplace_in_stream(rt::MutView data, int tag_stream);
   CollectiveHandle launch(rt::ConstView send, rt::MutView recv,
                           coll::Trace* trace, int tag_stream);
-  /// Every operation's start, inline or detached: the in-flight check, the
-  /// optional static verification and in_flight_ raised. Returns now().
-  double begin(int tag_stream);
+  /// Every operation's start, inline or detached: the in-flight check, a
+  /// Debug-only assert that the scratch arena is all returned, and
+  /// in_flight_ raised. Returns now().
+  double begin();
   /// Every operation's completion: in_flight_ lowered and, when `ok`, the
   /// execution counted (executions_, plan.executions, exec_micros, the
   /// autotune sample). Returns now(), the finish time.

@@ -1,11 +1,12 @@
 #include "plan/schedule.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
-#include "plan/verify.hpp"
 
 namespace mca2a::plan {
 
@@ -49,35 +50,81 @@ void Schedule::add_dependency(int before, int after) {
   ops_[after].deps.push_back(before);
 }
 
-void Schedule::check_acyclic() const {
-  // Kahn's algorithm over the dependency edges; anything left unprocessed
-  // sits on a cycle.
-  const int n = static_cast<int>(ops_.size());
-  std::vector<int> indegree(n, 0);
-  for (int i = 0; i < n; ++i) {
-    indegree[i] = static_cast<int>(ops_[i].deps.size());
-  }
-  std::vector<int> ready;
-  for (int i = 0; i < n; ++i) {
-    if (indegree[i] == 0) {
-      ready.push_back(i);
+void Schedule::sort_ops() {
+  // Kahn's algorithm, with order_ as its queue: one pass over the edges.
+  // Ops never queued sit on a cycle.
+  const std::size_t n = ops_.size();
+  std::vector<std::vector<int>> dependents(n);
+  std::vector<std::size_t> waiting(n);
+  order_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    waiting[i] = ops_[i].deps.size();
+    for (int d : ops_[i].deps) {
+      dependents[d].push_back(static_cast<int>(i));
+    }
+    if (waiting[i] == 0) {
+      order_.push_back(static_cast<int>(i));
     }
   }
-  int processed = 0;
-  while (!ready.empty()) {
-    const int cur = ready.back();
-    ready.pop_back();
-    ++processed;
-    for (int i = 0; i < n; ++i) {
-      for (int d : ops_[i].deps) {
-        if (d == cur && --indegree[i] == 0) {
-          ready.push_back(i);
-        }
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    for (int i : dependents[order_[k]]) {
+      if (--waiting[i] == 0) {
+        order_.push_back(i);
       }
     }
   }
-  if (processed != n) {
+  if (order_.size() != n) {
     throw std::invalid_argument("Schedule::run: dependency cycle");
+  }
+}
+
+void Schedule::check_unordered_ops() const {
+  // Ops that share a plan, or a communicator and a tag stream, must form
+  // one dependency chain. Taken in dependency order, that holds exactly
+  // when each such op has a path from the previous one with its key: the
+  // previous one sorts first, so no path that way means none at all.
+  std::vector<int> seen(ops_.size(), -1);
+  std::vector<int> stack;
+  int walk = 0;
+  const auto reaches = [&](int from, int to) {  // walks back from `to`
+    ++walk;
+    stack.assign(1, to);
+    while (!stack.empty()) {
+      const int cur = stack.back();
+      stack.pop_back();
+      for (int d : ops_[cur].deps) {
+        if (d == from) {
+          return true;
+        }
+        if (seen[d] != walk) {
+          seen[d] = walk;
+          stack.push_back(d);
+        }
+      }
+    }
+    return false;
+  };
+  // Keyed by (plan, -1) and (communicator, stream >= 0), so the two kinds
+  // of key never meet.
+  std::map<std::pair<const void*, int>, int> last;
+  for (int i : order_) {
+    const Op& op = ops_[i];
+    const std::pair<const void*, int> keys[] = {
+        {op.plan, -1}, {&op.plan->comm(), op.tag_stream}};
+    for (const auto& key : keys) {
+      const auto [it, first] = last.try_emplace(key, i);
+      if (!first && !reaches(it->second, i)) {
+        throw std::logic_error(
+            "Schedule::run: ops " + std::to_string(std::min(it->second, i)) +
+            " and " + std::to_string(std::max(it->second, i)) +
+            (key.second < 0 ? " share a plan"
+                            : " share tag stream " +
+                                  std::to_string(key.second) +
+                                  " on one communicator") +
+            " with no dependency path between them");
+      }
+      it->second = i;
+    }
   }
 }
 
@@ -122,35 +169,18 @@ rt::Task<void> Schedule::run() {
   if (ran_) {
     throw std::logic_error("Schedule::run: schedule already ran");
   }
-  check_acyclic();
+  sort_ops();
   ran_ = true;
-  const int n = static_cast<int>(ops_.size());
+  const int n = size();
   // Reserve every op's tag stream up front, in add order. Drivers start
   // ops as dependencies complete, and completion order is rank-local
   // (leaders finish before non-leaders, noise reorders events); drawing
   // at start time would let ranks disagree on stream assignment, which is
   // exactly the cross-matching the streams exist to prevent.
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    ops_[i].tag_stream = i < forced_streams_.size()
-                             ? forced_streams_[i]
-                             : ops_[i].plan->comm().acquire_tag_stream();
+  for (Op& op : ops_) {
+    op.tag_stream = op.plan->comm().acquire_tag_stream();
   }
-  // Static batch verification (plan/verify.hpp): with the streams fixed,
-  // prove tag-stream disjointness of every potentially-concurrent pair and
-  // the one-in-flight-per-plan ordering before anything starts.
-  if (verify_enabled()) {
-    std::vector<VerifyOp> vops;
-    vops.reserve(ops_.size());
-    for (const Op& op : ops_) {
-      VerifyOp v;
-      v.comm = &op.plan->comm();
-      v.tag_stream = op.tag_stream;
-      v.plan = op.plan;
-      v.deps = op.deps;
-      vops.push_back(std::move(v));
-    }
-    require_verified(verify(vops), "Schedule::run");
-  }
+  check_unordered_ops();
   // Dependency edges, once per run on the direct-call lane: a timeline
   // reader can reconstruct the DAG from (before, after) pairs and match
   // them to the sched.launch markers on the per-op lanes.
@@ -207,35 +237,16 @@ double Schedule::makespan() const {
 }
 
 double Schedule::critical_path() const {
-  const int n = static_cast<int>(ops_.size());
-  std::vector<double> cp(n, -1.0);
-  // Dependencies only ever point at already-added ops in typical use, but
-  // add_dependency accepts any pair, so resolve with a worklist until all
-  // chain sums settle (the DAG check in run() guarantees termination).
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (int i = 0; i < n; ++i) {
-      if (cp[i] >= 0.0) {
-        continue;
-      }
-      double longest_dep = 0.0;
-      bool deps_ready = true;
-      for (int d : ops_[i].deps) {
-        if (cp[d] < 0.0) {
-          deps_ready = false;
-          break;
-        }
-        longest_dep = std::max(longest_dep, cp[d]);
-      }
-      if (deps_ready) {
-        cp[i] = longest_dep + ops_[i].stats.seconds();
-        progressed = true;
-      }
-    }
-  }
+  // Longest chain ending at each op, in dependency order. Before run()
+  // order_ is empty and every duration is zero anyway.
+  std::vector<double> cp(ops_.size(), 0.0);
   double best = 0.0;
-  for (int i = 0; i < n; ++i) {
+  for (int i : order_) {
+    double longest_dep = 0.0;
+    for (int d : ops_[i].deps) {
+      longest_dep = std::max(longest_dep, cp[d]);
+    }
+    cp[i] = longest_dep + ops_[i].stats.seconds();
     best = std::max(best, cp[i]);
   }
   return best;

@@ -31,9 +31,13 @@
 /// eagerly (a blocking MPI progressing inside MPI_Start) so the batch
 /// degenerates to add-order execution with identical results.
 ///
-/// Two ops on the same plan must be ordered by a dependency path (a plan
-/// admits one in-flight operation); unordered same-plan ops surface as the
-/// plan's std::logic_error through run().
+/// run() checks the dependency graph before any op starts, in every build
+/// and on every backend: a cycle throws std::invalid_argument, and two ops
+/// with no dependency path between them throw std::logic_error when they
+/// share a plan (a plan admits one in-flight operation) or share a
+/// communicator and a tag stream (their messages could cross-match; streams
+/// are drawn in turn, so this takes more than tags::kNumStreams - 1 ops on
+/// one communicator).
 
 #include <cstddef>
 #include <memory>
@@ -84,20 +88,14 @@ class Schedule {
   void add_dependency(int before, int after);
 
   /// Start and drain the whole batch. One-shot: a Schedule runs once.
-  /// Throws std::invalid_argument on a dependency cycle (before starting
-  /// anything); an op failure propagates out and poisons its dependents
-  /// (they never start).
+  /// Before starting anything, throws std::invalid_argument on a
+  /// dependency cycle and std::logic_error on two unordered ops that share
+  /// a plan or a tag stream (see the file comment); an op failure
+  /// propagates out and poisons its dependents (they never start).
   rt::Task<void> run();
 
   int size() const noexcept { return static_cast<int>(ops_.size()); }
 
-  /// Test hook: force the tag streams run() would otherwise reserve from
-  /// the communicator, one per op in add order. Exists so tests can build
-  /// a deliberately tag-conflicting schedule and prove the pre-flight
-  /// verifier (plan/verify.hpp) rejects it; never use outside tests.
-  void force_tag_streams_for_test(std::vector<int> streams) {
-    forced_streams_ = std::move(streams);
-  }
   /// Valid after run(). Ops whose dependencies failed report zero times.
   const OpStats& stats(int op) const { return ops_.at(op).stats; }
   /// Max finish over ops minus min start over ops (this rank's clock).
@@ -119,11 +117,12 @@ class Schedule {
   };
 
   void check_op_id(int op) const;
-  void check_acyclic() const;
+  void sort_ops();
+  void check_unordered_ops() const;
   rt::Task<void> drive(int i);
 
   std::vector<Op> ops_;
-  std::vector<int> forced_streams_;  ///< test-only, see force_tag_streams_for_test
+  std::vector<int> order_;  ///< op ids in dependency order, set by run()
   /// One completion event per op; drivers of dependents wait on these.
   std::vector<std::shared_ptr<rt::AsyncOp>> done_;
   bool ran_ = false;

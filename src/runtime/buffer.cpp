@@ -30,14 +30,14 @@ Buffer Buffer::virt(std::size_t bytes) {
 }
 
 MutView Buffer::view(std::size_t off, std::size_t n) {
-  if (off + n > size_) {
+  if (!in_bounds(off, n, size_)) {
     throw std::out_of_range("Buffer::view out of range");
   }
   return MutView{mem_ == nullptr ? nullptr : mem_.get() + off, n};
 }
 
 ConstView Buffer::view(std::size_t off, std::size_t n) const {
-  if (off + n > size_) {
+  if (!in_bounds(off, n, size_)) {
     throw std::out_of_range("Buffer::view out of range");
   }
   return ConstView{mem_ == nullptr ? nullptr : mem_.get() + off, n};

@@ -17,6 +17,13 @@
 
 namespace mca2a::rt {
 
+/// True when [off, off + n) lies within [0, len). Never forms off + n,
+/// which wraps for a huge offset.
+constexpr bool in_bounds(std::size_t off, std::size_t n,
+                         std::size_t len) noexcept {
+  return n <= len && off <= len - n;
+}
+
 /// Non-owning read-only view of (possibly virtual) bytes. `ptr` is null for
 /// virtual views; `len` is always meaningful.
 struct ConstView {
@@ -27,7 +34,7 @@ struct ConstView {
 
   /// Sub-view [off, off+n). Stays virtual if this view is virtual.
   ConstView sub(std::size_t off, std::size_t n) const {
-    if (off + n > len) {
+    if (!in_bounds(off, n, len)) {
       throw std::out_of_range("ConstView::sub out of range");
     }
     return ConstView{ptr == nullptr ? nullptr : ptr + off, n};
@@ -44,7 +51,7 @@ struct MutView {
   operator ConstView() const noexcept { return ConstView{ptr, len}; }
 
   MutView sub(std::size_t off, std::size_t n) const {
-    if (off + n > len) {
+    if (!in_bounds(off, n, len)) {
       throw std::out_of_range("MutView::sub out of range");
     }
     return MutView{ptr == nullptr ? nullptr : ptr + off, n};

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -135,14 +136,26 @@ TEST(Alltoallv, RejectsWrongArity) {
 }
 
 TEST(Alltoallv, RejectsOutOfRangeBlocks) {
-  test::run_sim_flat(2, [](Comm& c) -> Task<void> {
+  struct Case {
+    std::vector<std::size_t> counts;
+    std::vector<std::size_t> displs;
+  };
+  const std::vector<Case> cases{
+      {{8, 8}, {0, 8}},         // 16 bytes from an 8-byte buffer
+      {{8, 2}, {0, SIZE_MAX}},  // displ + count wraps to 1
+  };
+  test::run_sim_flat(2, [&](Comm& c) -> Task<void> {
     Buffer b = Buffer::real(8);
-    std::vector<std::size_t> counts{8, 8};  // 16 bytes from an 8-byte buffer
-    std::vector<std::size_t> displs{0, 8};
-    EXPECT_THROW(
-        rt::sync_wait(coll::alltoallv_pairwise(c, b.view(), counts, displs,
-                                               b.view(), counts, displs)),
-        std::out_of_range);
+    for (const Case& k : cases) {
+      // The entry check itself rejects, not a later sub-view of a block.
+      EXPECT_THROW(coll::check_alltoallv_args(c, b.view(), k.counts, k.displs,
+                                              b.view(), k.counts, k.displs),
+                   std::out_of_range);
+      EXPECT_THROW(rt::sync_wait(coll::alltoallv_pairwise(
+                       c, b.view(), k.counts, k.displs, b.view(), k.counts,
+                       k.displs)),
+                   std::out_of_range);
+    }
     co_return;
   });
 }

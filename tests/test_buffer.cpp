@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "runtime/buffer.hpp"
 
 namespace mca2a::rt {
@@ -45,6 +48,9 @@ TEST(Buffer, ViewOutOfRangeThrows) {
   Buffer b = Buffer::real(8);
   EXPECT_THROW(b.view(4, 8), std::out_of_range);
   EXPECT_THROW(b.view(9, 0), std::out_of_range);
+  // off + n wraps to 1: still out of range, for both overloads.
+  EXPECT_THROW(b.view(SIZE_MAX, 2), std::out_of_range);
+  EXPECT_THROW(std::as_const(b).view(SIZE_MAX, 2), std::out_of_range);
   EXPECT_NO_THROW(b.view(8, 0));
 }
 
@@ -53,6 +59,9 @@ TEST(Buffer, SubOfViewOutOfRangeThrows) {
   MutView v = b.view();
   EXPECT_THROW(v.sub(6, 4), std::out_of_range);
   EXPECT_NO_THROW(v.sub(6, 2));
+  // off + n wraps to 1: a view starting one byte before the buffer.
+  EXPECT_THROW(v.sub(SIZE_MAX, 2), std::out_of_range);
+  EXPECT_THROW(ConstView(v).sub(SIZE_MAX, 2), std::out_of_range);
 }
 
 TEST(Buffer, VirtualSubViewStaysVirtual) {

@@ -630,7 +630,8 @@ TEST(CollectivePlan, MakePlanRejectsBadDescriptors) {
 TEST(CollectivePlan, BruckPlansStopAllocatingAfterWarmup) {
   // The documented PR-1 exception — Inner::kBruck rotation buffers being
   // per-call — is gone: direct Bruck, Bruck-inner locality alltoall, and
-  // Bruck allgather all recycle through the plan's arena.
+  // Bruck allgather all recycle through the plan's arena, and every warm
+  // execute gives back all the scratch it borrowed.
   const topo::Machine machine = topo::generic(2, 4);
   const int p = machine.total_ranks();
   test::run_smp(p, [&](Comm& world) -> Task<void> {
@@ -650,6 +651,7 @@ TEST(CollectivePlan, BruckPlansStopAllocatingAfterWarmup) {
       EXPECT_GT(first, 0u);
       for (int it = 0; it < 3; ++it) {
         co_await plan.execute(rt::ConstView(send.view()), recv.view());
+        EXPECT_EQ(plan.scratch().outstanding_bytes(), 0u);
       }
       EXPECT_EQ(plan.scratch().allocations(), first) << "direct Bruck";
       EXPECT_GT(plan.scratch().reuses(), 0u);
@@ -667,6 +669,7 @@ TEST(CollectivePlan, BruckPlansStopAllocatingAfterWarmup) {
       const std::uint64_t first = plan.scratch().allocations();
       for (int it = 0; it < 3; ++it) {
         co_await plan.execute(rt::ConstView(send.view()), recv.view());
+        EXPECT_EQ(plan.scratch().outstanding_bytes(), 0u);
       }
       EXPECT_EQ(plan.scratch().allocations(), first) << "Bruck-inner locality";
       EXPECT_TRUE(test::check_recv(recv, me, p, 16));
@@ -682,6 +685,7 @@ TEST(CollectivePlan, BruckPlansStopAllocatingAfterWarmup) {
       EXPECT_GT(first, 0u);
       for (int it = 0; it < 3; ++it) {
         co_await plan.execute(rt::ConstView(send.view(0, 16)), all.view());
+        EXPECT_EQ(plan.scratch().outstanding_bytes(), 0u);
       }
       EXPECT_EQ(plan.scratch().allocations(), first) << "Bruck allgather";
     }

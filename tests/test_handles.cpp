@@ -2,15 +2,19 @@
 /// start()/test()/wait(), per-operation tag streams (two collectives in
 /// flight on one communicator, or on overlapping locality
 /// sub-communicators, without cross-matching), the in-flight move/start
-/// guards on CollectivePlan, and the dependency-aware plan::Schedule —
-/// on both backends, with virtual-time equivalence between the chained
-/// schedule and the serialized execute() path.
+/// guards on CollectivePlan, and the dependency-aware plan::Schedule with
+/// the graph check its run() makes before any op starts — on both
+/// backends, with virtual-time equivalence between the chained schedule
+/// and the serialized execute() path.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/sweep.hpp"
@@ -402,17 +406,32 @@ Task<void> schedule_deps_body(Comm& world, const topo::Machine& machine) {
   EXPECT_LE(sched.critical_path(), sched.makespan() + 1e-12);
 }
 
+/// Runs `body` as every rank of `machine`, on the simulator and then on
+/// rank threads.
+void run_both(const topo::Machine& machine,
+              const std::function<Task<void>(Comm&)>& body) {
+  test::run_sim(machine, body);
+  test::run_smp(machine.total_ranks(), body);
+}
+
 TEST(Schedule, DependencyOrderingOnBothBackends) {
   const topo::Machine machine = topo::generic(2, 2);
-  test::run_sim(machine,
-                [&](Comm& w) { return schedule_deps_body(w, machine); });
-  test::run_smp(machine.total_ranks(),
-                [&](Comm& w) { return schedule_deps_body(w, machine); });
+  run_both(machine, [&](Comm& w) { return schedule_deps_body(w, machine); });
+}
+
+/// What `sched.run()` throws as std::logic_error ("" if it runs through).
+Task<std::string> run_error(plan::Schedule& sched) {
+  try {
+    co_await sched.run();
+  } catch (const std::logic_error& e) {
+    co_return e.what();
+  }
+  co_return "";
 }
 
 TEST(Schedule, CycleAndReuseAreRejected) {
   const topo::Machine machine = topo::generic(1, 2);
-  test::run_sim(machine, [&](Comm& world) -> Task<void> {
+  run_both(machine, [&](Comm& world) -> Task<void> {
     const int p = world.size();
     const std::size_t block = 8;
     plan::CollectivePlan pa =
@@ -426,11 +445,15 @@ TEST(Schedule, CycleAndReuseAreRejected) {
       plan::Schedule cyc;
       const int a = cyc.add(pa, rt::ConstView(s.view()), r.view());
       const int b = cyc.add(pb, rt::ConstView(s.view()), r.view());
+      EXPECT_THROW(cyc.add_dependency(a, 2), std::out_of_range);
+      EXPECT_THROW(cyc.add_dependency(-1, b), std::out_of_range);
       cyc.add_dependency(a, b);
       cyc.add_dependency(b, a);
       EXPECT_THROW(co_await cyc.run(), std::invalid_argument);
       EXPECT_THROW(cyc.add_dependency(a, a), std::invalid_argument);
     }
+    EXPECT_EQ(pa.executions(), 0u);
+    EXPECT_EQ(pb.executions(), 0u);
     plan::Schedule ok;
     ok.add(pa, rt::ConstView(s.view()), r.view());
     co_await ok.run();
@@ -439,9 +462,47 @@ TEST(Schedule, CycleAndReuseAreRejected) {
   });
 }
 
-TEST(Schedule, UnorderedOpsOnOnePlanSurfaceThePlanError) {
+TEST(Schedule, OrderedOpsOnOnePlanRunInTurn) {
   const topo::Machine machine = topo::generic(1, 2);
-  test::run_smp(machine.total_ranks(), [&](Comm& world) -> Task<void> {
+  run_both(machine, [&](Comm& world) -> Task<void> {
+    const int p = world.size();
+    const std::size_t block = 8;
+    plan::CollectivePlan plan =
+        make_a2a_plan(world, machine, coll::Algo::kPairwiseDirect, block);
+    plan::CollectivePlan other =
+        make_a2a_plan(world, machine, coll::Algo::kPairwiseDirect, block);
+    Buffer s = Buffer::real(block * p);
+    std::vector<Buffer> r;
+    for (int k = 0; k < 3; ++k) {
+      r.push_back(Buffer::real(block * p));
+    }
+    test::fill_send(s, world.rank(), p, block);
+    // Same plan twice with an edge: runs back to back.
+    plan::Schedule pair;
+    const int a = pair.add(plan, rt::ConstView(s.view()), r[0].view());
+    const int b = pair.add(plan, rt::ConstView(s.view()), r[1].view());
+    pair.add_dependency(a, b);
+    co_await pair.run();
+    EXPECT_EQ(plan.executions(), 2u);
+    // Chain 0 -> 1 -> 2 with ops 0 and 2 on one plan: ordered through op 1.
+    plan::Schedule chain;
+    chain.add(plan, rt::ConstView(s.view()), r[0].view());
+    chain.add(other, rt::ConstView(s.view()), r[1].view());
+    chain.add(plan, rt::ConstView(s.view()), r[2].view());
+    chain.add_dependency(0, 1);
+    chain.add_dependency(1, 2);
+    co_await chain.run();
+    for (const Buffer& rk : r) {
+      EXPECT_TRUE(test::check_recv(rk, world.rank(), p, block));
+    }
+    EXPECT_EQ(plan.executions(), 4u);
+    EXPECT_EQ(other.executions(), 1u);
+  });
+}
+
+TEST(Schedule, UnorderedOpsOnOnePlanAreRejected) {
+  const topo::Machine machine = topo::generic(1, 2);
+  run_both(machine, [&](Comm& world) -> Task<void> {
     const int p = world.size();
     const std::size_t block = 8;
     plan::CollectivePlan plan =
@@ -450,15 +511,74 @@ TEST(Schedule, UnorderedOpsOnOnePlanSurfaceThePlanError) {
     Buffer r1 = Buffer::real(block * p);
     Buffer r2 = Buffer::real(block * p);
     test::fill_send(s, world.rank(), p, block);
-    // Same plan twice WITH an ordering edge: legal, runs back to back.
     plan::Schedule sched;
-    const int a = sched.add(plan, rt::ConstView(s.view()), r1.view());
-    const int b = sched.add(plan, rt::ConstView(s.view()), r2.view());
-    sched.add_dependency(a, b);
-    co_await sched.run();
+    sched.add(plan, rt::ConstView(s.view()), r1.view());
+    sched.add(plan, rt::ConstView(s.view()), r2.view());
+    const std::string what = co_await run_error(sched);
+    EXPECT_NE(what.find("ops 0 and 1 share a plan"), std::string::npos)
+        << what;
+    // Rejected before either op started.
+    EXPECT_EQ(plan.executions(), 0u);
+    EXPECT_EQ(plan.in_flight(), 0);
+  });
+}
+
+TEST(Schedule, UnorderedOpsOnOneTagStreamAreRejected) {
+  // Op 0 on one plan, ops 1 .. kNumStreams - 1 a chain on another. Streams
+  // are drawn in turn from kNumStreams - 1 of them, so op 0 and the last
+  // op share one, and nothing orders them until an edge 0 -> 1 does.
+  const topo::Machine machine = topo::generic(1, 2);
+  run_both(machine, [&](Comm& world) -> Task<void> {
+    const int p = world.size();
+    const std::size_t block = 8;
+    plan::CollectivePlan pa =
+        make_a2a_plan(world, machine, coll::Algo::kPairwiseDirect, block);
+    plan::CollectivePlan pb =
+        make_a2a_plan(world, machine, coll::Algo::kPairwiseDirect, block);
+    Buffer s = Buffer::real(block * p);
+    Buffer r1 = Buffer::real(block * p);
+    Buffer r2 = Buffer::real(block * p);
+    test::fill_send(s, world.rank(), p, block);
+    for (const bool ordered : {false, true}) {
+      plan::Schedule sched;
+      sched.add(pa, rt::ConstView(s.view()), r1.view());
+      for (int i = 1; i < rt::tags::kNumStreams; ++i) {
+        sched.add(pb, rt::ConstView(s.view()), r2.view());
+        if (i > 1 || ordered) {
+          sched.add_dependency(i - 1, i);
+        }
+      }
+      EXPECT_EQ(sched.size(), rt::tags::kNumStreams);
+      const std::string what = co_await run_error(sched);
+      if (ordered) {
+        EXPECT_EQ(what, "");
+      } else {
+        EXPECT_NE(what.find("ops 0 and 4095 share tag stream"),
+                  std::string::npos)
+            << what;
+        // Rejected before any op started.
+        EXPECT_EQ(pa.executions() + pb.executions(), 0u);
+      }
+    }
+    EXPECT_EQ(pa.executions(), 1u);
+    EXPECT_EQ(pb.executions(), 4095u);
+    EXPECT_TRUE(test::check_recv(r2, world.rank(), p, block));
+
+    // Streams are per communicator: the first op on each of two fresh
+    // communicators draws the same one, and unordered they still run.
+    std::vector<std::unique_ptr<Comm>> comms;
+    std::vector<plan::CollectivePlan> plans;
+    for (int k = 0; k < 2; ++k) {
+      comms.push_back(world.create_subcomm(std::vector<int>{0, 1}));
+      plans.push_back(make_a2a_plan(*comms[k], machine,
+                                    coll::Algo::kPairwiseDirect, block));
+    }
+    plan::Schedule pair;
+    pair.add(plans[0], rt::ConstView(s.view()), r1.view());
+    pair.add(plans[1], rt::ConstView(s.view()), r2.view());
+    EXPECT_EQ(co_await run_error(pair), "");
     EXPECT_TRUE(test::check_recv(r1, world.rank(), p, block));
     EXPECT_TRUE(test::check_recv(r2, world.rank(), p, block));
-    EXPECT_EQ(plan.executions(), 2u);
   });
 }
 
